@@ -898,6 +898,66 @@ def test_live_transport_throughput():
         _measurements[key] = report.rounds_per_sec
 
 
+def test_masked_over_unmasked_pick():
+    """Masked batched pick cost over the unmasked pick on the same senders.
+
+    The shape of a bit-convergence round in the standard sweep: T=8
+    replicas on a random 8-regular graph at n=1024, half the vertices
+    sending, half eligible as targets, and a quarter of the replicas dead
+    (no sender left).  Dimensionless, so the regression gate can compare
+    it across machines.
+    """
+    T, n = 8, 1024
+    g = families.random_regular(n, 8, seed=0)
+    rng = np.random.default_rng(0)
+    active = rng.random((T, n)) < 0.5
+    active[: T // 4] = False
+    eligible = rng.random((T, n)) < 0.5
+    calls = 200
+
+    def masked():
+        for _ in range(calls):
+            batched_random_pick(g.indptr, g.indices, rng, active, neighbor_mask=eligible)
+
+    def unmasked():
+        for _ in range(calls):
+            batched_random_pick(g.indptr, g.indices, rng, active)
+
+    masked_s, unmasked_s = [], []
+    for _ in range(7):  # interleaved, so drift hits both sides alike
+        masked_s.append(_timed(masked, repeats=1))
+        unmasked_s.append(_timed(unmasked, repeats=1))
+    masked_ms = sorted(masked_s)[3] / calls * 1000.0
+    unmasked_ms = sorted(unmasked_s)[3] / calls * 1000.0
+    _measurements.update(
+        masked_pick_ms=masked_ms,
+        unmasked_pick_ms=unmasked_ms,
+        masked_over_unmasked_pick=masked_ms / unmasked_ms,
+    )
+
+
+def _machine() -> dict:
+    """Where a record was taken: CPU count and model, Python, NumPy."""
+    import os
+    import platform
+
+    model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_model": model,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def test_churn_trajectory_record():
     """Append this run's measurements to the committed trajectory file.
 
@@ -911,7 +971,7 @@ def test_churn_trajectory_record():
         pytest.skip("round-cost and throughput churn benches did not both run")
     try:
         commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
             capture_output=True,
             text=True,
             cwd=TRAJECTORY_PATH.parent,
@@ -922,6 +982,7 @@ def test_churn_trajectory_record():
     record = {
         "date": date.today().isoformat(),
         "commit": commit,
+        "machine": _machine(),
         **{k: round(v, 4) for k, v in _measurements.items()},
     }
     data = {"records": []}

@@ -1,7 +1,7 @@
 """CI gate: fail on >30% engine-throughput regression vs the committed baseline.
 
 ``benchmarks/bench_engine.py -k "churn or fault or campaign or trace or
-sparse or large or pool or memo or async"`` appends one record per run to
+sparse or large or pool or memo or async or masked"`` appends one record per run to
 ``BENCH_engine.json`` at the repo root.  This script compares the newest
 record (the current run) against the *per-metric median of all committed
 prior records* on dimensionless ratios — machine speed cancels out of
@@ -39,6 +39,10 @@ asserts):
   130%-of-baseline rule plus an absolute 6.0 cap: the Δ=1 cadence is a
   structural constant of the event tier, so a jump means the timer→
   connect→deliver unrolling changed, not the machine;
+- ``masked_over_unmasked_pick`` (masked batched neighbor pick over the
+  unmasked pick on the same senders; lower is better) — 130%-of-baseline
+  rule: the masked kernel must not fall back toward its old multiple of
+  the unmasked cost;
 - ``campaign_parallel_speedup`` (serial campaign wall time over the
   pooled campaign) is gated **conditionally**: the absolute 2.0 floor
   applies only when the record's ``pool_cpu_count`` is ≥4 — a
@@ -113,6 +117,7 @@ GATED = (
     ("graph_memo_warm_speedup", True),
     ("async_vs_sync_round_ratio", False),
     ("tournament_cell_throughput", True),
+    ("masked_over_unmasked_pick", False),
 )
 
 #: Absolute (machine-dependent) context values that must exist in the

@@ -172,13 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON fault plan to inject (see `repro faults template`)",
     )
     p_sim.add_argument(
-        "--engine-backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help="csrops kernel backend (numba requires the optional extra; "
-        "default: REPRO_CSROPS_BACKEND or auto-detect)",
-    )
-    p_sim.add_argument(
         "--chunk-nodes",
         type=int,
         default=None,
@@ -519,7 +512,6 @@ def _cmd_simulate(
     seed: int,
     max_rounds: int,
     fault_plan_path: str | None = None,
-    engine_backend: str | None = None,
     chunk_nodes: int | None = None,
     engine: str = "sync",
     delta: int = 1,
@@ -528,7 +520,7 @@ def _cmd_simulate(
     if engine == "async":
         return _cmd_simulate_async(
             algorithm, family, params, tau, seed, max_rounds,
-            fault_plan_path, chunk_nodes, engine_backend, delta, scheduler,
+            fault_plan_path, chunk_nodes, delta, scheduler,
         )
     from repro.algorithms import (
         AsyncBitConvergenceVectorized,
@@ -553,20 +545,6 @@ def _cmd_simulate(
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if engine_backend is not None:
-        from repro.util import csrops
-
-        try:
-            csrops.set_backend(engine_backend)
-        except (KeyError, ValueError) as exc:
-            print(
-                f"error: backend {engine_backend!r} is not available "
-                f"(registered: {', '.join(csrops.available_backends())}); "
-                "install the optional numba extra to enable it",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"backend    : {csrops.get_backend()}")
     if chunk_nodes is not None and chunk_nodes < 1:
         print(f"error: --chunk-nodes must be >= 1, got {chunk_nodes}", file=sys.stderr)
         return 2
@@ -646,7 +624,6 @@ def _cmd_simulate_async(
     max_ticks: int,
     fault_plan_path: str | None,
     chunk_nodes: int | None,
-    engine_backend: str | None,
     delta: int,
     scheduler: str,
 ) -> int:
@@ -664,10 +641,9 @@ def _cmd_simulate_async(
         validate_tau,
     )
 
-    if chunk_nodes is not None or engine_backend is not None:
+    if chunk_nodes is not None:
         print(
-            "error: --engine async is incompatible with --chunk-nodes "
-            "and --engine-backend",
+            "error: --engine async is incompatible with --chunk-nodes",
             file=sys.stderr,
         )
         return 2
@@ -900,7 +876,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_simulate(
             args.algorithm, args.family, args.params, args.tau, args.seed,
             args.max_rounds, args.fault_plan,
-            args.engine_backend, args.chunk_nodes,
+            args.chunk_nodes,
             args.engine, args.delta, args.scheduler,
         )
     if args.command == "faults":

@@ -46,23 +46,19 @@ for frontier expansion) and :func:`segmented_random_pick_subset` (uniform
 neighbor choice for an explicit row subset, so a round whose active
 frontier is small never touches the full ``(n,)``/``(nnz,)`` arrays).
 
-Backend registry
-----------------
-The hot kernels dispatch through a named backend registry.  ``"numpy"``
-(always present) is the pure-NumPy implementation below; ``"numba"`` is
-registered at import when the optional :mod:`numba` package is installed
-(see :mod:`repro.util._csrops_numba`) and produces bit-identical results.
-Selection order at import: the ``REPRO_CSROPS_BACKEND`` environment
-variable (``numpy`` / ``numba`` / ``auto``) wins; unset or ``auto`` picks
-``numba`` when available and silently falls back to ``numpy`` otherwise.
-At runtime, :func:`set_backend` switches backends and the module-level
-``backend`` string names the active one.
+Masked picks
+------------
+Every masked pick — batched, single-replica and row-subset — runs
+through one kernel, :func:`_pick_eligible`: per-row eligible counts from
+a single ``np.add.reduceat`` over the eligibility, one bounded draw per
+row with an eligible neighbor, and a direct lookup of the ``j``-th
+eligible entry in the flat list of eligible positions.  Replicas with no
+sender or no eligible entry are dropped before the eligibility gather.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,10 +76,6 @@ __all__ = [
     "batched_uniform_accept",
     "invert_permutations",
     "stack_csr",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "set_backend",
 ]
 
 
@@ -93,6 +85,12 @@ def _require_bool(name: str, mask: np.ndarray) -> None:
             f"{name} must have dtype bool, got {mask.dtype} (a non-boolean "
             "mask would be summed, not tested, by the eligibility count)"
         )
+
+
+def _check_mask(name: str, mask: np.ndarray, shape: tuple[int, ...]) -> None:
+    _require_bool(name, mask)
+    if mask.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {mask.shape}")
 
 
 def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,339 +190,53 @@ def unique_nodes(ids: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-# ---------------------------------------------------------------------------
-# NumPy backend kernels
-# ---------------------------------------------------------------------------
-
-
-def _segmented_random_pick_numpy(
+def _pick_eligible(
     indptr: np.ndarray,
-    indices: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    active: np.ndarray | None = None,
-    neighbor_mask: np.ndarray | None = None,
-    flat_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    n = indptr.shape[0] - 1
-    pick = np.full(n, -1, dtype=np.int64)
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    else:
-        _require_bool("active", active)
-
-    if neighbor_mask is None and flat_mask is None:
-        deg = csr_degrees(indptr)
-        rows = np.flatnonzero(active & (deg > 0))
-        if rows.size == 0:
-            return pick
-        offsets = rng.integers(0, deg[rows])
-        pick[rows] = indices[indptr[rows] + offsets]
-        return pick
-
-    # Masked variant: count eligible entries per row via a running sum over
-    # the flat eligibility array, then locate the j-th eligible entry of a
-    # row by binary search on that running sum.  ``csum[i - 1]`` is the
-    # number of eligible entries among ``flat[:i]`` (0 for ``i = 0``), so
-    # per-row counts index ``csum`` directly — no shifted copy is built.
-    if neighbor_mask is not None:
-        _require_bool("neighbor_mask", neighbor_mask)
-        eligible = neighbor_mask[indices]
-        if flat_mask is not None:
-            _require_bool("flat_mask", flat_mask)
-            eligible = eligible & flat_mask
-    else:
-        if flat_mask.shape != indices.shape:
-            raise ValueError("flat_mask must align with indices")
-        _require_bool("flat_mask", flat_mask)
-        eligible = flat_mask
-    if eligible.size == 0:
-        return pick
-    csum = np.cumsum(eligible, dtype=np.int64)
-    starts, ends = indptr[:-1], indptr[1:]
-    cnt_start = np.where(starts > 0, csum[starts - 1], 0)
-    cnt_end = np.where(ends > 0, csum[ends - 1], 0)
-    rows = np.flatnonzero(active & (cnt_end > cnt_start))
-    if rows.size == 0:
-        return pick
-    j = rng.integers(0, (cnt_end - cnt_start)[rows])  # j-th eligible entry
-    target_rank = cnt_start[rows] + j + 1
-    flat_pos = np.searchsorted(csum, target_rank, side="left")
-    pick[rows] = indices[flat_pos]
-    return pick
-
-
-def _segmented_random_pick_subset_numpy(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    rng: np.random.Generator,
-    vertices: np.ndarray,
-    *,
-    neighbor_mask: np.ndarray | None = None,
-    flat_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    vertices = np.asarray(vertices, dtype=np.int64)
-    k = vertices.size
-    pick = np.full(k, -1, dtype=np.int64)
-    if k == 0:
-        return pick
-
-    if neighbor_mask is None and flat_mask is None:
-        deg = indptr[vertices + 1] - indptr[vertices]
-        rows = np.flatnonzero(deg > 0)
-        if rows.size == 0:
-            return pick
-        offsets = rng.integers(0, deg[rows])
-        pick[rows] = indices[indptr[vertices[rows]] + offsets]
-        return pick
-
-    # Masked: gather the selected rows' CSR segments into one flat run,
-    # then reuse the dense masked strategy (running sum + binary search)
-    # on that O(sum deg(vertices)) run instead of the full nnz array.
-    pos, starts, ends = _subset_flat_positions(indptr, vertices)
-    if pos.size == 0:
-        return pick
-    nbrs = indices[pos]
-    if neighbor_mask is not None:
-        _require_bool("neighbor_mask", neighbor_mask)
-        eligible = neighbor_mask[nbrs]
-        if flat_mask is not None:
-            _require_bool("flat_mask", flat_mask)
-            eligible = eligible & flat_mask[pos]
-    else:
-        if flat_mask.shape != indices.shape:
-            raise ValueError("flat_mask must align with indices")
-        _require_bool("flat_mask", flat_mask)
-        eligible = flat_mask[pos]
-    csum = np.cumsum(eligible, dtype=np.int64)
-    cnt_start = np.where(starts > 0, csum[starts - 1], 0)
-    cnt_end = np.where(ends > 0, csum[ends - 1], 0)
-    rows = np.flatnonzero(cnt_end > cnt_start)
-    if rows.size == 0:
-        return pick
-    j = rng.integers(0, (cnt_end - cnt_start)[rows])
-    target_rank = cnt_start[rows] + j + 1
-    loc = np.searchsorted(csum, target_rank, side="left")
-    pick[rows] = nbrs[loc]
-    return pick
-
-
-def _segmented_uniform_accept_pairs_numpy(
-    senders: np.ndarray,
-    targets: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    senders = np.asarray(senders, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if senders.shape != targets.shape:
-        raise ValueError("senders and targets must have equal shape")
-    if senders.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    # Stable-by-target order via a unique composite key: quicksort on
-    # distinct keys yields exactly the (target, input-position) order a
-    # stable sort would, at a fraction of the cost of kind="stable" on
-    # the raw (highly duplicated) targets.
-    m = targets.size
-    order = np.argsort(targets * m + np.arange(m, dtype=np.int64))
-    s_sorted = senders[order]
-    t_sorted = targets[order]
-    # Group boundaries: starts[i]..starts[i+1] share one target.
-    is_start = np.empty(t_sorted.size, dtype=bool)
-    is_start[0] = True
-    np.not_equal(t_sorted[1:], t_sorted[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    ends = np.concatenate([starts[1:], [t_sorted.size]])
-    sizes = ends - starts
-    # floor(u * size), u ~ U[0, 1): uniform over each group up to an
-    # O(size / 2^53) rounding bias, at about half the cost of a
-    # per-element bounded integer draw.
-    chosen = starts + (rng.random(starts.size) * sizes).astype(np.int64)
-    return t_sorted[starts], s_sorted[chosen]
-
-
-def _batched_random_pick_numpy(
-    indptr: np.ndarray,
-    indices: np.ndarray,
     rng: np.random.Generator,
     active: np.ndarray,
-    *,
-    neighbor_mask: np.ndarray | None = None,
-    flat_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    _require_bool("active", active)
-    if active.ndim != 2:
-        raise ValueError("active must have shape (T, n)")
-    T, n = active.shape
-    if indptr.shape[0] != n + 1:
-        raise ValueError("active rows must match the CSR vertex count")
-    nnz = indices.shape[0]
-    pick = np.full((T, n), -1, dtype=np.int64)
-
-    if neighbor_mask is None and flat_mask is None:
-        deg = csr_degrees(indptr)
-        rep, rows = np.nonzero(active & (deg > 0)[None, :])
-        if rep.size == 0:
-            return pick
-        offsets = rng.integers(0, deg[rows])
-        pick[rep, rows] = indices[indptr[rows] + offsets]
-        return pick
-
-    if neighbor_mask is not None:
-        _require_bool("neighbor_mask", neighbor_mask)
-        if neighbor_mask.shape != (T, n):
-            raise ValueError("neighbor_mask must have shape (T, n)")
-        eligible = neighbor_mask[:, indices]
-        if flat_mask is not None:
-            _require_bool("flat_mask", flat_mask)
-            eligible = eligible & flat_mask
-    else:
-        if flat_mask.shape != (T, nnz):
-            raise ValueError("flat_mask must have shape (T, nnz)")
-        _require_bool("flat_mask", flat_mask)
-        eligible = flat_mask
-    if eligible.size == 0:
-        return pick
-
-    # One running sum over the row-major (T, nnz) eligibility treats the
-    # batch as a single tiled CSR of T*n rows: replica t's row u spans
-    # flat positions t*nnz + indptr[u] .. t*nnz + indptr[u+1].
-    csum = np.cumsum(eligible.reshape(T * nnz), dtype=np.int64)
-    rep_off = (np.arange(T, dtype=np.int64) * nnz)[:, None]
-    starts = (indptr[:-1][None, :] + rep_off).reshape(T * n)
-    ends = (indptr[1:][None, :] + rep_off).reshape(T * n)
-    cnt_start = np.where(starts > 0, csum[starts - 1], 0)
-    cnt_end = np.where(ends > 0, csum[ends - 1], 0)
-    rows = np.flatnonzero(active.reshape(T * n) & (cnt_end > cnt_start))
-    if rows.size == 0:
-        return pick
-    j = rng.integers(0, (cnt_end - cnt_start)[rows])
-    target_rank = cnt_start[rows] + j + 1
-    flat_pos = np.searchsorted(csum, target_rank, side="left")
-    pick.reshape(T * n)[rows] = indices[flat_pos % nnz]
-    return pick
-
-
-def _batched_permuted_pick_numpy(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    rng: np.random.Generator,
-    perm: np.ndarray,
-    active: np.ndarray,
-    *,
-    neighbor_mask: np.ndarray | None = None,
-    perm_inv: np.ndarray | None = None,
+    eligible: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    _require_bool("active", active)
-    if active.ndim != 2:
-        raise ValueError("active must have shape (T, n)")
-    T, n = active.shape
-    if perm.shape != (T, n):
-        raise ValueError("perm must have shape (T, n)")
-    if indptr.shape[0] != n + 1:
-        raise ValueError("active rows must match the CSR vertex count")
-    p_flat = perm.reshape(T * n)
+    """One uniform eligible entry per active row of every replica.
 
-    if neighbor_mask is None:
-        if perm_inv is None:
-            perm_inv = invert_permutations(perm)
-        # Unmasked: gather senders to base vertices, draw one neighbor
-        # offset each against the base degrees, map the pick forward.
-        sflat = np.flatnonzero(active)
-        rows = sflat % n
-        base_off = sflat - rows
-        u = perm_inv.reshape(T * n)[sflat]
-        d = (indptr[u + 1] - indptr[u])
-        ok = d > 0
-        if not ok.all():
-            sflat, base_off, u, d = sflat[ok], base_off[ok], u[ok], d[ok]
-        if sflat.size == 0:
-            return sflat, sflat
-        # floor(u * d) for u ~ U[0, 1): uniform over [0, d) up to an
-        # O(d / 2^53) rounding bias — immaterial here, and roughly half
-        # the cost of a per-element bounded integer draw.
-        offsets = (rng.random(d.size) * d).astype(np.int64)
-        w = indices[indptr[u] + offsets]
-        return sflat, base_off + p_flat[base_off + w]
+    The masked-pick kernel shared by every public pick.  ``active`` is an
+    ``(L, n)`` sender mask and ``eligible`` an ``(L, nnz)`` per-entry
+    eligibility over the CSR described by ``indptr``.  Rows that are
+    active and have an eligible entry draw ``j`` from one
+    ``rng.integers(0, counts)`` call, in ascending (replica, row) order,
+    and pick the ``j``-th eligible entry of their row.
 
-    # Masked: transport both masks to base coordinates
-    # (mask_base[t, u] = mask[t, perm[t, u]]), pick on the base CSR, then
-    # map both endpoints forward.  The inner pick dispatches through the
-    # registry, so a compiled backend accelerates this path too.
-    active_base = np.take_along_axis(active, perm, axis=1)
-    nb_base = np.take_along_axis(neighbor_mask, perm, axis=1)
-    picks = batched_random_pick(
-        indptr, indices, rng, active_base, neighbor_mask=nb_base
-    )
-    pf = picks.reshape(T * n)
-    sel = np.flatnonzero(pf >= 0)  # flat *base* ids t*n + u
-    rows = sel % n
-    base_off = sel - rows
-    sflat = base_off + p_flat[sel]
-    tflat = base_off + p_flat[base_off + pf[sel]]
-    return sflat, tflat
-
-
-# ---------------------------------------------------------------------------
-# Backend registry and public dispatchers
-# ---------------------------------------------------------------------------
-
-#: name of the active backend; switch with :func:`set_backend`.
-backend: str = "numpy"
-
-_DISPATCHED = (
-    "segmented_random_pick",
-    "segmented_random_pick_subset",
-    "segmented_uniform_accept_pairs",
-    "batched_random_pick",
-    "batched_permuted_pick",
-)
-
-_BACKENDS: dict[str, dict[str, Callable]] = {}
-
-
-def register_backend(name: str, table: dict[str, Callable]) -> None:
-    """Register (or replace) a kernel backend.
-
-    ``table`` maps kernel names (a subset of the dispatched kernels) to
-    implementations with the public signatures; kernels a backend omits
-    fall back to the ``numpy`` implementations.
+    Returns
+    -------
+    (cells, pos)
+        ``cells`` are flat ``(L, n)`` indices of the rows that picked,
+        ascending; ``pos`` are the flat ``(L, nnz)`` positions of their
+        picks.
     """
-    unknown = set(table) - set(_DISPATCHED)
-    if unknown:
-        raise ValueError(f"unknown kernel name(s) in backend table: {sorted(unknown)}")
-    _BACKENDS[name] = dict(table)
-
-
-def available_backends() -> list[str]:
-    """Names of all registered backends."""
-    return sorted(_BACKENDS)
-
-
-def get_backend() -> str:
-    """Name of the active backend."""
-    return backend
-
-
-def set_backend(name: str) -> None:
-    """Switch the active kernel backend (``"numpy"`` is always available)."""
-    global backend
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown csrops backend {name!r}; available: {available_backends()}"
-        )
-    backend = name
-
-
-def _impl(fname: str) -> Callable:
-    table = _BACKENDS.get(backend)
-    if table is None:
-        raise ValueError(
-            f"active csrops backend {backend!r} is not registered; "
-            f"available: {available_backends()}"
-        )
-    fn = table.get(fname)
-    return fn if fn is not None else _BACKENDS["numpy"][fname]
+    L, nnz = eligible.shape
+    n = indptr.shape[0] - 1
+    flat = eligible.reshape(L * nnz)
+    # Non-empty rows tile [0, nnz) back to back (the first starts at 0, the
+    # last ends at nnz), so their starts alone delimit every row segment
+    # of every replica for one reduceat; isolated rows never index it.
+    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
+    k = nonempty.size
+    starts = indptr[nonempty]
+    if L > 1:
+        starts = (starts[None, :] + (np.arange(L, dtype=np.int64) * nnz)[:, None]).reshape(L * k)
+    counts = np.add.reduceat(flat.view(np.uint8), starts, dtype=np.int64)
+    if k < n:
+        active = active[:, nonempty]
+    cells = np.flatnonzero(active.reshape(L * k) & (counts > 0))
+    if cells.size == 0:
+        return cells, cells
+    j = rng.integers(0, counts[cells])
+    before = np.cumsum(counts)
+    before -= counts  # eligible entries ahead of each row, across replicas
+    pos = np.flatnonzero(flat)[before[cells] + j]
+    if k < n:
+        rep = cells // k
+        cells = rep * n + nonempty[cells - rep * k]
+    return cells, pos
 
 
 def segmented_random_pick(
@@ -555,8 +267,8 @@ def segmented_random_pick(
     active
         Boolean array over rows; ``None`` means all rows are active.
     neighbor_mask
-        Boolean array over vertices restricting eligible neighbors;
-        ``None`` means every neighbor is eligible.
+        Boolean ``(n,)`` array over vertices restricting eligible
+        neighbors; ``None`` means every neighbor is eligible.
     flat_mask
         Boolean array aligned with ``indices`` restricting eligible CSR
         entries; combined (AND) with ``neighbor_mask`` when both given.
@@ -567,10 +279,37 @@ def segmented_random_pick(
         ``pick`` of length ``n`` with ``pick[u]`` the chosen neighbor of
         ``u`` or ``-1``.
     """
-    return _impl("segmented_random_pick")(
-        indptr, indices, rng,
-        active=active, neighbor_mask=neighbor_mask, flat_mask=flat_mask,
-    )
+    n = indptr.shape[0] - 1
+    pick = np.full(n, -1, dtype=np.int64)
+    if active is None:
+        active = np.ones(n, dtype=bool)
+    else:
+        _require_bool("active", active)
+
+    if neighbor_mask is None and flat_mask is None:
+        deg = csr_degrees(indptr)
+        rows = np.flatnonzero(active & (deg > 0))
+        if rows.size == 0:
+            return pick
+        offsets = rng.integers(0, deg[rows])
+        pick[rows] = indices[indptr[rows] + offsets]
+        return pick
+
+    if flat_mask is not None:
+        _check_mask("flat_mask", flat_mask, indices.shape)
+    if neighbor_mask is not None:
+        _check_mask("neighbor_mask", neighbor_mask, (n,))
+        eligible = neighbor_mask[indices]
+        if flat_mask is not None:
+            eligible &= flat_mask
+    else:
+        eligible = flat_mask
+    if eligible.size == 0:
+        return pick
+    # The single-replica case of the batched kernel: T = 1.
+    rows, pos = _pick_eligible(indptr, rng, active[None, :], eligible[None, :])
+    pick[rows] = indices[pos]
+    return pick
 
 
 def segmented_random_pick_subset(
@@ -597,10 +336,44 @@ def segmented_random_pick_subset(
         ``pick`` aligned with ``vertices``: the chosen neighbor of
         ``vertices[i]`` or ``-1`` when no neighbor is eligible.
     """
-    return _impl("segmented_random_pick_subset")(
-        indptr, indices, rng, vertices,
-        neighbor_mask=neighbor_mask, flat_mask=flat_mask,
+    vertices = np.asarray(vertices, dtype=np.int64)
+    k = vertices.size
+    pick = np.full(k, -1, dtype=np.int64)
+    if flat_mask is not None:
+        _check_mask("flat_mask", flat_mask, indices.shape)
+    if neighbor_mask is not None:
+        _check_mask("neighbor_mask", neighbor_mask, (indptr.shape[0] - 1,))
+    if k == 0:
+        return pick
+
+    if neighbor_mask is None and flat_mask is None:
+        deg = indptr[vertices + 1] - indptr[vertices]
+        rows = np.flatnonzero(deg > 0)
+        if rows.size == 0:
+            return pick
+        offsets = rng.integers(0, deg[rows])
+        pick[rows] = indices[indptr[vertices[rows]] + offsets]
+        return pick
+
+    # Masked: gather the selected rows' CSR segments into one flat run —
+    # itself a CSR over the k selected rows — and run the masked kernel on
+    # that O(sum deg(vertices)) run instead of the full nnz array.
+    pos, starts, _ = _subset_flat_positions(indptr, vertices)
+    if pos.size == 0:
+        return pick
+    nbrs = indices[pos]
+    if neighbor_mask is not None:
+        eligible = neighbor_mask[nbrs]
+        if flat_mask is not None:
+            eligible &= flat_mask[pos]
+    else:
+        eligible = flat_mask[pos]
+    run_indptr = np.append(starts, pos.size)
+    rows, loc = _pick_eligible(
+        run_indptr, rng, np.ones((1, k), dtype=bool), eligible[None, :]
     )
+    pick[rows] = nbrs[loc]
+    return pick
 
 
 def segmented_uniform_accept(
@@ -642,7 +415,33 @@ def segmented_uniform_accept_pairs(
     form to avoid materializing (and re-scanning) a dense per-vertex
     array when only the established connections matter.
     """
-    return _impl("segmented_uniform_accept_pairs")(senders, targets, rng)
+    senders = np.asarray(senders, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    if senders.shape != targets.shape:
+        raise ValueError("senders and targets must have equal shape")
+    if senders.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # Stable-by-target order via a unique composite key: quicksort on
+    # distinct keys yields exactly the (target, input-position) order a
+    # stable sort would, at a fraction of the cost of kind="stable" on
+    # the raw (highly duplicated) targets.
+    m = targets.size
+    order = np.argsort(targets * m + np.arange(m, dtype=np.int64))
+    s_sorted = senders[order]
+    t_sorted = targets[order]
+    # Group boundaries: starts[i]..starts[i+1] share one target.
+    is_start = np.empty(t_sorted.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(t_sorted[1:], t_sorted[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    ends = np.concatenate([starts[1:], [t_sorted.size]])
+    sizes = ends - starts
+    # floor(u * size), u ~ U[0, 1): uniform over each group up to an
+    # O(size / 2^53) rounding bias, at about half the cost of a
+    # per-element bounded integer draw.
+    chosen = starts + (rng.random(starts.size) * sizes).astype(np.int64)
+    return t_sorted[starts], s_sorted[chosen]
 
 
 def batched_random_pick(
@@ -658,8 +457,8 @@ def batched_random_pick(
 
     Semantically equivalent to calling :func:`segmented_random_pick` once
     per replica with that replica's masks, but all ``T`` replicas are
-    served by a single cumulative sum and a single binary search — the
-    per-round NumPy dispatch overhead is paid once instead of ``T`` times.
+    served by one masked-kernel call — the per-round NumPy dispatch
+    overhead is paid once instead of ``T`` times.
 
     Parameters
     ----------
@@ -682,10 +481,54 @@ def batched_random_pick(
         ``(T, n)`` picks; ``pick[t, u]`` is the chosen neighbor of ``u``
         in replica ``t`` or ``-1``.
     """
-    return _impl("batched_random_pick")(
-        indptr, indices, rng, active,
-        neighbor_mask=neighbor_mask, flat_mask=flat_mask,
-    )
+    _require_bool("active", active)
+    if active.ndim != 2:
+        raise ValueError("active must have shape (T, n)")
+    T, n = active.shape
+    if indptr.shape[0] != n + 1:
+        raise ValueError("active rows must match the CSR vertex count")
+    nnz = indices.shape[0]
+    pick = np.full((T, n), -1, dtype=np.int64)
+
+    if neighbor_mask is None and flat_mask is None:
+        deg = csr_degrees(indptr)
+        rep, rows = np.nonzero(active & (deg > 0)[None, :])
+        if rep.size == 0:
+            return pick
+        offsets = rng.integers(0, deg[rows])
+        pick[rep, rows] = indices[indptr[rows] + offsets]
+        return pick
+
+    # A replica with no sender or no eligible vertex/entry makes no draw,
+    # so dropping it before the (T, nnz) gather leaves the draws unchanged.
+    live = active.any(axis=1)
+    if neighbor_mask is not None:
+        _check_mask("neighbor_mask", neighbor_mask, (T, n))
+        live &= neighbor_mask.any(axis=1)
+    if flat_mask is not None:
+        _check_mask("flat_mask", flat_mask, (T, nnz))
+        live &= flat_mask.any(axis=1)
+    reps = np.flatnonzero(live)
+    if reps.size == 0 or nnz == 0:
+        return pick
+    if reps.size < T:
+        active = active[reps]
+        if neighbor_mask is not None:
+            neighbor_mask = neighbor_mask[reps]
+        if flat_mask is not None:
+            flat_mask = flat_mask[reps]
+    if neighbor_mask is not None:
+        eligible = np.take(neighbor_mask, indices, axis=1)
+        if flat_mask is not None:
+            eligible &= flat_mask
+    else:
+        eligible = flat_mask
+    cells, pos = _pick_eligible(indptr, rng, active, eligible)
+    rep = cells // n
+    if reps.size < T:
+        cells = cells + (reps[rep] - rep) * n
+    pick.reshape(T * n)[cells] = indices[pos - rep * nnz]
+    return pick
 
 
 def batched_permuted_pick(
@@ -738,10 +581,53 @@ def batched_permuted_pick(
         (``flat = t*n + v``): each sender that found an eligible neighbor,
         with its pick.
     """
-    return _impl("batched_permuted_pick")(
-        indptr, indices, rng, perm, active,
-        neighbor_mask=neighbor_mask, perm_inv=perm_inv,
+    _require_bool("active", active)
+    if active.ndim != 2:
+        raise ValueError("active must have shape (T, n)")
+    T, n = active.shape
+    if perm.shape != (T, n):
+        raise ValueError("perm must have shape (T, n)")
+    if indptr.shape[0] != n + 1:
+        raise ValueError("active rows must match the CSR vertex count")
+    p_flat = perm.reshape(T * n)
+
+    if neighbor_mask is None:
+        if perm_inv is None:
+            perm_inv = invert_permutations(perm)
+        # Unmasked: gather senders to base vertices, draw one neighbor
+        # offset each against the base degrees, map the pick forward.
+        sflat = np.flatnonzero(active)
+        rows = sflat % n
+        base_off = sflat - rows
+        u = perm_inv.reshape(T * n)[sflat]
+        d = (indptr[u + 1] - indptr[u])
+        ok = d > 0
+        if not ok.all():
+            sflat, base_off, u, d = sflat[ok], base_off[ok], u[ok], d[ok]
+        if sflat.size == 0:
+            return sflat, sflat
+        # floor(u * d) for u ~ U[0, 1): uniform over [0, d) up to an
+        # O(d / 2^53) rounding bias — immaterial here, and roughly half
+        # the cost of a per-element bounded integer draw.
+        offsets = (rng.random(d.size) * d).astype(np.int64)
+        w = indices[indptr[u] + offsets]
+        return sflat, base_off + p_flat[base_off + w]
+
+    # Masked: transport both masks to base coordinates
+    # (mask_base[t, u] = mask[t, perm[t, u]]), pick on the base CSR, then
+    # map both endpoints forward.
+    active_base = np.take_along_axis(active, perm, axis=1)
+    nb_base = np.take_along_axis(neighbor_mask, perm, axis=1)
+    picks = batched_random_pick(
+        indptr, indices, rng, active_base, neighbor_mask=nb_base
     )
+    pf = picks.reshape(T * n)
+    sel = np.flatnonzero(pf >= 0)  # flat *base* ids t*n + u
+    rows = sel % n
+    base_off = sel - rows
+    sflat = base_off + p_flat[sel]
+    tflat = base_off + p_flat[base_off + pf[sel]]
+    return sflat, tflat
 
 
 def invert_permutations(perm: np.ndarray) -> np.ndarray:
@@ -816,45 +702,3 @@ def stack_csr(
         indptr[t * n + 1 : (t + 1) * n + 1] = ip[1:] + nnz_off[t]
         indices[nnz_off[t] : nnz_off[t + 1]] = ind + t * n
     return indptr, indices
-
-
-# ---------------------------------------------------------------------------
-# Backend registration and import-time selection
-# ---------------------------------------------------------------------------
-
-register_backend(
-    "numpy",
-    {
-        "segmented_random_pick": _segmented_random_pick_numpy,
-        "segmented_random_pick_subset": _segmented_random_pick_subset_numpy,
-        "segmented_uniform_accept_pairs": _segmented_uniform_accept_pairs_numpy,
-        "batched_random_pick": _batched_random_pick_numpy,
-        "batched_permuted_pick": _batched_permuted_pick_numpy,
-    },
-)
-
-
-def _init_backend_from_env() -> None:
-    choice = os.environ.get("REPRO_CSROPS_BACKEND", "auto").strip().lower() or "auto"
-    if choice not in ("auto", "numpy", "numba"):
-        raise ValueError(
-            f"REPRO_CSROPS_BACKEND={choice!r} is not one of auto/numpy/numba"
-        )
-    if choice in ("auto", "numba"):
-        try:
-            from repro.util import _csrops_numba
-        except ImportError:
-            _csrops_numba = None
-        if _csrops_numba is not None and _csrops_numba.HAVE_NUMBA:
-            register_backend("numba", _csrops_numba.make_table())
-            set_backend("numba")
-            return
-        if choice == "numba":
-            raise ImportError(
-                "REPRO_CSROPS_BACKEND=numba requires the optional numba "
-                "package (pip install 'repro[numba]')"
-            )
-    set_backend("numpy")
-
-
-_init_backend_from_env()

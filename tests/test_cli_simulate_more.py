@@ -41,46 +41,6 @@ class TestNewFamilies:
         assert f"n          : {expected_n}" in capsys.readouterr().out
 
 
-class TestEngineBackendFlag:
-    def test_numpy_backend_accepted_and_reported(self, capsys):
-        code = main(
-            [
-                "simulate", "blind_gossip",
-                "--family", "random_regular", "--params", "16", "4",
-                "--engine-backend", "numpy",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "backend    : numpy" in out
-
-    def test_unavailable_backend_is_a_clean_error(self, capsys):
-        from repro.util import csrops
-
-        if "numba" in csrops.available_backends():
-            pytest.skip("numba installed: the flag would succeed")
-        code = main(
-            [
-                "simulate", "blind_gossip",
-                "--family", "random_regular", "--params", "16", "4",
-                "--engine-backend", "numba",
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "numba" in err and "numpy" in err
-
-    def test_unknown_backend_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "simulate", "blind_gossip",
-                    "--family", "clique", "--params", "8",
-                    "--engine-backend", "cuda",
-                ]
-            )
-
-
 class TestChunkNodesFlag:
     def test_chunked_engine_simulates(self, capsys):
         code = main(

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.util.csrops import (
+    batched_random_pick,
     build_csr,
     csr_degrees,
     gather_rows,
     segmented_random_pick,
+    segmented_random_pick_subset,
     segmented_uniform_accept,
     unique_nodes,
 )
@@ -190,6 +192,24 @@ class TestSegmentedRandomPick:
                 indptr, indices, rng, flat_mask=np.ones(2, dtype=bool)
             )
 
+    def test_flat_mask_shape_checked_with_neighbor_mask(self):
+        # A one-element flat mask used to broadcast silently over indices.
+        indptr, indices = triangle_csr()
+        with pytest.raises(ValueError, match="flat_mask"):
+            segmented_random_pick(
+                indptr, indices, np.random.default_rng(0),
+                neighbor_mask=np.ones(3, dtype=bool),
+                flat_mask=np.array([True]),
+            )
+
+    def test_neighbor_mask_shape_checked(self):
+        indptr, indices = triangle_csr()
+        with pytest.raises(ValueError, match="neighbor_mask"):
+            segmented_random_pick(
+                indptr, indices, np.random.default_rng(0),
+                neighbor_mask=np.ones(4, dtype=bool),
+            )
+
     def test_masked_pick_roughly_uniform(self):
         # Star center 0 with leaves 1..4, only 1..3 eligible.
         indptr, indices = build_csr(5, np.array([[0, i] for i in range(1, 5)]))
@@ -260,3 +280,39 @@ class TestSegmentedUniformAccept:
             counts[segmented_uniform_accept(senders, targets, 4, rng)[3]] += 1
         for s in range(3):
             assert abs(counts[s] / trials - 1 / 3) < 0.05
+
+
+class TestMaskShapesChecked:
+    """Every masked kernel rejects a mis-shaped flat_mask, whether or not
+    neighbor_mask is also given."""
+
+    @pytest.mark.parametrize("with_neighbor_mask", [False, True])
+    def test_subset_pick(self, with_neighbor_mask):
+        indptr, indices = triangle_csr()
+        nmask = np.ones(3, dtype=bool) if with_neighbor_mask else None
+        with pytest.raises(ValueError, match="flat_mask"):
+            segmented_random_pick_subset(
+                indptr, indices, np.random.default_rng(0), np.array([0, 2]),
+                neighbor_mask=nmask, flat_mask=np.array([True]),
+            )
+
+    @pytest.mark.parametrize("with_neighbor_mask", [False, True])
+    def test_batched_pick_rejects_unbatched_flat_mask(self, with_neighbor_mask):
+        indptr, indices = triangle_csr()
+        active = np.ones((2, 3), dtype=bool)
+        nmask = np.ones((2, 3), dtype=bool) if with_neighbor_mask else None
+        with pytest.raises(ValueError, match="flat_mask"):
+            batched_random_pick(
+                indptr, indices, np.random.default_rng(0), active,
+                neighbor_mask=nmask, flat_mask=np.ones(indices.size, dtype=bool),
+            )
+
+    def test_batched_pick_checks_flat_mask_of_dead_replicas(self):
+        indptr, indices = triangle_csr()
+        with pytest.raises(ValueError, match="flat_mask"):
+            batched_random_pick(
+                indptr, indices, np.random.default_rng(0),
+                np.zeros((2, 3), dtype=bool),
+                neighbor_mask=np.ones((2, 3), dtype=bool),
+                flat_mask=np.ones((2, 1), dtype=bool),
+            )

@@ -1,11 +1,11 @@
-"""Tests for the csrops kernel-backend registry.
+"""Bit identity of the csrops kernels against their per-row loop formulation.
 
-Registry mechanics (registration, selection, env init) plus the backend
-contract that matters for reproducibility: the numba kernel table is
-**bit-identical** to the NumPy backend given the same Generator state.
-The table's kernels run as plain Python when numba is absent, so the
-identity asserts run everywhere; the JIT-registration checks are
-skip-marked without numba.
+:mod:`tests.csrops_loop_reference` re-implements the pick and accept
+kernels as plain per-row loops that consume the Generator in the same
+order and count.  Given the same Generator state, kernel and loop must
+return identical arrays and leave the Generator in the same state — the
+property that makes a run's trajectory independent of how the kernels
+are formulated.
 """
 
 from __future__ import annotations
@@ -13,97 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.util import _csrops_numba, csrops
+from repro.util import csrops
 from repro.util.csrops import build_csr
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    prev = csrops.get_backend()
-    yield
-    csrops.set_backend(prev)
-    csrops._BACKENDS.pop("test-backend", None)
-
-
-class TestRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in csrops.available_backends()
-
-    def test_active_backend_named(self):
-        assert csrops.get_backend() in csrops.available_backends()
-        assert csrops.backend == csrops.get_backend()
-
-    def test_set_backend_roundtrip(self):
-        csrops.set_backend("numpy")
-        assert csrops.get_backend() == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown csrops backend"):
-            csrops.set_backend("cuda")
-
-    def test_register_rejects_unknown_kernel_names(self):
-        with pytest.raises(ValueError, match="unknown kernel name"):
-            csrops.register_backend("test-backend", {"made_up_kernel": lambda: None})
-
-    def test_partial_backend_falls_back_to_numpy(self):
-        """Kernels a backend omits dispatch to the numpy implementations."""
-        calls = []
-
-        def spy(senders, targets, rng):
-            calls.append(True)
-            return csrops._BACKENDS["numpy"]["segmented_uniform_accept_pairs"](
-                senders, targets, rng
-            )
-
-        csrops.register_backend(
-            "test-backend", {"segmented_uniform_accept_pairs": spy}
-        )
-        csrops.set_backend("test-backend")
-        indptr, indices = build_csr(3, np.array([[0, 1], [1, 2], [0, 2]]))
-        # Omitted kernel: served by numpy.
-        pick = csrops.segmented_random_pick(
-            indptr, indices, np.random.default_rng(0)
-        )
-        assert pick.shape == (3,)
-        # Provided kernel: served by the registered table.
-        csrops.segmented_uniform_accept_pairs(
-            np.array([0]), np.array([1]), np.random.default_rng(0)
-        )
-        assert calls
-
-
-class TestEnvInit:
-    def test_invalid_choice_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSROPS_BACKEND", "gpu")
-        with pytest.raises(ValueError, match="REPRO_CSROPS_BACKEND"):
-            csrops._init_backend_from_env()
-
-    def test_numpy_choice_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSROPS_BACKEND", "numpy")
-        csrops._init_backend_from_env()
-        assert csrops.get_backend() == "numpy"
-
-    def test_auto_never_fails(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSROPS_BACKEND", "auto")
-        csrops._init_backend_from_env()
-        assert csrops.get_backend() in ("numpy", "numba")
-
-    @pytest.mark.skipif(
-        _csrops_numba.HAVE_NUMBA, reason="numba installed: explicit request works"
-    )
-    def test_explicit_numba_without_numba_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSROPS_BACKEND", "numba")
-        with pytest.raises(ImportError, match="numba"):
-            csrops._init_backend_from_env()
-
-    @pytest.mark.skipif(
-        not _csrops_numba.HAVE_NUMBA, reason="requires the optional numba package"
-    )
-    def test_numba_registered_when_installed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CSROPS_BACKEND", "numba")
-        csrops._init_backend_from_env()
-        assert csrops.get_backend() == "numba"
-        assert "numba" in csrops.available_backends()
+from tests.csrops_loop_reference import TABLE as LOOP
 
 
 def _random_graph(n: int, seed: int):
@@ -125,26 +37,21 @@ def _mask_variants(n, nnz, seed):
     ]
 
 
-NUMPY = csrops._BACKENDS["numpy"]
-TABLE = _csrops_numba.make_table()
+KERNEL = {name: getattr(csrops, name) for name in LOOP}
 
 
 class TestBitIdentity:
-    """Same Generator state in, bit-identical arrays out, kernel by kernel.
-
-    This is the property that lets ``auto`` silently prefer the compiled
-    backend: a run's trajectory cannot depend on which backend served it.
-    """
+    """Same Generator state in, bit-identical arrays out, kernel by kernel."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_segmented_random_pick(self, seed):
         indptr, indices = _random_graph(20, seed)
         active = np.random.default_rng(seed + 50).random(20) < 0.8
         for kw in _mask_variants(20, indices.size, seed + 100):
-            a = NUMPY["segmented_random_pick"](
+            a = KERNEL["segmented_random_pick"](
                 indptr, indices, np.random.default_rng(seed), active=active, **kw
             )
-            b = TABLE["segmented_random_pick"](
+            b = LOOP["segmented_random_pick"](
                 indptr, indices, np.random.default_rng(seed), active=active, **kw
             )
             assert np.array_equal(a, b)
@@ -154,10 +61,10 @@ class TestBitIdentity:
         indptr, indices = _random_graph(20, seed)
         vertices = np.flatnonzero(np.random.default_rng(seed + 51).random(20) < 0.5)
         for kw in _mask_variants(20, indices.size, seed + 100):
-            a = NUMPY["segmented_random_pick_subset"](
+            a = KERNEL["segmented_random_pick_subset"](
                 indptr, indices, np.random.default_rng(seed), vertices, **kw
             )
-            b = TABLE["segmented_random_pick_subset"](
+            b = LOOP["segmented_random_pick_subset"](
                 indptr, indices, np.random.default_rng(seed), vertices, **kw
             )
             assert np.array_equal(a, b)
@@ -169,8 +76,8 @@ class TestBitIdentity:
         senders = rng.integers(0, n, size=m)
         targets = (senders + 1 + rng.integers(0, n - 1, size=m)) % n
         ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-        acc_a, win_a = NUMPY["segmented_uniform_accept_pairs"](senders, targets, ra)
-        acc_b, win_b = TABLE["segmented_uniform_accept_pairs"](senders, targets, rb)
+        acc_a, win_a = KERNEL["segmented_uniform_accept_pairs"](senders, targets, ra)
+        acc_b, win_b = LOOP["segmented_uniform_accept_pairs"](senders, targets, rb)
         assert np.array_equal(acc_a, acc_b)
         assert np.array_equal(win_a, win_b)
 
@@ -186,46 +93,21 @@ class TestBitIdentity:
             dict(neighbor_mask=None, flat_mask=rng.random((T, indices.size)) < 0.7),
         ]
         for kw in variants:
-            a = NUMPY["batched_random_pick"](
+            a = KERNEL["batched_random_pick"](
                 indptr, indices, np.random.default_rng(seed), active, **kw
             )
-            b = TABLE["batched_random_pick"](
+            b = LOOP["batched_random_pick"](
                 indptr, indices, np.random.default_rng(seed), active, **kw
             )
             assert np.array_equal(a, b)
 
     def test_rng_consumption_matches(self):
-        """After a kernel call both backends leave the Generator in the
+        """After a kernel call kernel and loop leave the Generator in the
         same state (the next draw agrees) — required for trajectory
         identity across whole runs, not just single calls."""
         indptr, indices = _random_graph(20, 9)
         nmask = np.random.default_rng(1).random(20) < 0.6
         ra, rb = np.random.default_rng(9), np.random.default_rng(9)
-        NUMPY["segmented_random_pick"](indptr, indices, ra, neighbor_mask=nmask)
-        TABLE["segmented_random_pick"](indptr, indices, rb, neighbor_mask=nmask)
+        KERNEL["segmented_random_pick"](indptr, indices, ra, neighbor_mask=nmask)
+        LOOP["segmented_random_pick"](indptr, indices, rb, neighbor_mask=nmask)
         assert ra.integers(0, 2**31) == rb.integers(0, 2**31)
-
-    @pytest.mark.skipif(
-        not _csrops_numba.HAVE_NUMBA, reason="requires the optional numba package"
-    )
-    def test_jit_backend_bit_identical_end_to_end(self):
-        """With real numba: a full engine run agrees bit-for-bit across
-        backends."""
-        from repro.algorithms.blind_gossip import BlindGossipVectorized
-        from repro.core.vectorized import VectorizedEngine
-        from repro.graphs import families
-        from repro.graphs.dynamic import StaticDynamicGraph
-        from repro.harness.experiments import uid_keys_random
-
-        g = families.random_regular(64, 4, seed=0)
-        keys = uid_keys_random(64, 0)
-        results = {}
-        for name in ("numpy", "numba"):
-            csrops.set_backend(name)
-            eng = VectorizedEngine(
-                StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=5
-            )
-            res = eng.run(5000)
-            results[name] = (res.rounds, eng.state.best.copy())
-        assert results["numpy"][0] == results["numba"][0]
-        assert np.array_equal(results["numpy"][1], results["numba"][1])

@@ -5,6 +5,11 @@ the corresponding unbatched kernel applied to that replica's slice.
 Hypothesis drives both over random CSR structures with per-replica masks,
 comparing supports exactly (which outcomes are possible per row per
 replica); ``stack_csr`` is checked structurally against its definition.
+
+The masked picks are also held to draw-for-draw identity with the
+running-sum formulation they replaced (a ``(T, nnz)`` cumulative sum and
+a binary search per pick), kept below as a test-only reference: equal
+picks, and the Generator left in the same state.
 """
 
 from __future__ import annotations
@@ -13,30 +18,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util import _csrops_numba, csrops
-from repro.util.csrops import (
-    batched_random_pick,
-    batched_uniform_accept,
-    build_csr,
-    segmented_uniform_accept,
-    stack_csr,
-)
-from tests.test_csrops_oracle import backend_params, reference_pick_support
+from repro.util import csrops
+from repro.util.csrops import build_csr, stack_csr
 
-
-@pytest.fixture(autouse=True, scope="module", params=backend_params())
-def csrops_backend(request):
-    """Run the whole batched-oracle suite once per kernel backend."""
-    name = request.param
-    added = name not in csrops.available_backends()
-    if added:
-        csrops.register_backend(name, _csrops_numba.make_table())
-    prev = csrops.get_backend()
-    csrops.set_backend(name)
-    yield name
-    csrops.set_backend(prev)
-    if added:
-        csrops._BACKENDS.pop(name, None)
+# The autouse fixture runs this suite on both kernel formulations too.
+from tests.test_csrops_oracle import csrops_kernels, reference_pick_support  # noqa: F401
 
 
 @st.composite
@@ -88,7 +74,7 @@ class TestBatchedPickAgainstUnbatched:
             for t in range(T)
         ]
         for _ in range(3):
-            pick = batched_random_pick(
+            pick = csrops.batched_random_pick(
                 indptr, indices, rng, active, neighbor_mask=nmask, flat_mask=fmask
             )
             assert pick.shape == active.shape
@@ -115,7 +101,7 @@ class TestBatchedPickAgainstUnbatched:
         seen = [[set() for _ in range(n)] for _ in range(T)]
         # Max degree 7; 200 draws make a missed option vanishingly unlikely.
         for _ in range(200):
-            pick = batched_random_pick(
+            pick = csrops.batched_random_pick(
                 indptr, indices, rng, active, neighbor_mask=nmask, flat_mask=fmask
             )
             for t in range(T):
@@ -130,17 +116,191 @@ class TestBatchedPickAgainstUnbatched:
         rng = np.random.default_rng(0)
         active = np.ones((2, 3), dtype=bool)
         with pytest.raises(TypeError):
-            batched_random_pick(
+            csrops.batched_random_pick(
                 indptr, indices, rng, active.astype(np.int64)
             )
         with pytest.raises(TypeError):
-            batched_random_pick(
+            csrops.batched_random_pick(
                 indptr,
                 indices,
                 rng,
                 active,
                 neighbor_mask=np.ones((2, 3), dtype=np.int64),
             )
+
+
+def running_sum_pick(indptr, indices, rng, active, eligible):
+    """Masked pick by the running-sum formulation.
+
+    ``active`` is ``(T, n)``, ``eligible`` the ``(T, nnz)`` entry
+    eligibility.  One cumulative sum over the row-major eligibility gives
+    every row's count; the ``j``-th eligible entry of a row is found by
+    binary search on that sum.
+    """
+    T, n = active.shape
+    nnz = indices.size
+    pick = np.full((T, n), -1, dtype=np.int64)
+    if eligible.size == 0:
+        return pick
+    csum = np.cumsum(eligible.reshape(T * nnz), dtype=np.int64)
+    rep_off = (np.arange(T, dtype=np.int64) * nnz)[:, None]
+    starts = (indptr[:-1][None, :] + rep_off).reshape(T * n)
+    ends = (indptr[1:][None, :] + rep_off).reshape(T * n)
+    cnt_start = np.where(starts > 0, csum[starts - 1], 0)
+    cnt_end = np.where(ends > 0, csum[ends - 1], 0)
+    rows = np.flatnonzero(active.reshape(T * n) & (cnt_end > cnt_start))
+    if rows.size == 0:
+        return pick
+    j = rng.integers(0, (cnt_end - cnt_start)[rows])
+    flat_pos = np.searchsorted(csum, cnt_start[rows] + j + 1, side="left")
+    pick.reshape(T * n)[rows] = indices[flat_pos % nnz]
+    return pick
+
+
+def eligibility(indices, T, nmask, fmask):
+    eligible = np.ones((T, indices.size), dtype=bool)
+    if nmask is not None:
+        eligible &= nmask[:, indices]
+    if fmask is not None:
+        eligible &= fmask
+    return eligible
+
+
+def isolated_csr():
+    """Isolated vertices at the start (0), middle (4) and end (8)."""
+    edges = [(1, 2), (1, 3), (2, 3), (3, 5), (5, 6), (6, 7), (5, 7), (2, 7)]
+    return build_csr(9, np.array(edges))
+
+
+def regular_csr():
+    from repro.graphs import families
+
+    g = families.random_regular(32, 4, seed=3)
+    return g.indptr, g.indices
+
+
+def empty_csr():
+    return build_csr(6, np.empty((0, 2), dtype=np.int64))
+
+
+GRAPHS = {"isolated": isolated_csr, "regular": regular_csr, "nnz0": empty_csr}
+
+
+def replica_masks(n, nnz, mode, seed):
+    """Four replicas: no sender, no eligible vertex or entry, every row
+    eligible, and random masks — under ``mode`` (which masks are given)."""
+    rng = np.random.default_rng(seed)
+    active = rng.random((4, n)) < 0.6
+    nmask = rng.random((4, n)) < 0.5
+    fmask = rng.random((4, nnz)) < 0.6
+    active[0] = False
+    nmask[1] = False
+    fmask[1] = False
+    active[2] = nmask[2] = fmask[2] = True
+    return (
+        active,
+        nmask if mode in ("neighbor", "both") else None,
+        fmask if mode in ("flat", "both") else None,
+    )
+
+
+MODES = ["neighbor", "flat", "both"]
+
+
+class TestMaskedPickBitIdentity:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched(self, graph, mode, seed):
+        indptr, indices = GRAPHS[graph]()
+        n = indptr.size - 1
+        active, nmask, fmask = replica_masks(n, indices.size, mode, seed)
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = csrops.batched_random_pick(
+            indptr, indices, ra, active, neighbor_mask=nmask, flat_mask=fmask
+        )
+        want = running_sum_pick(
+            indptr, indices, rb, active, eligibility(indices, 4, nmask, fmask)
+        )
+        assert np.array_equal(got, want)
+        assert ra.random() == rb.random()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("replica", range(4))
+    def test_single_replica(self, graph, mode, replica):
+        """T = 1: the unbatched kernel, and the batched one on one row."""
+        indptr, indices = GRAPHS[graph]()
+        n = indptr.size - 1
+        active, nmask, fmask = replica_masks(n, indices.size, mode, 7)
+        sl = slice(replica, replica + 1)
+        nm = None if nmask is None else nmask[sl]
+        fm = None if fmask is None else fmask[sl]
+        rr = np.random.default_rng(11)
+        want = running_sum_pick(
+            indptr, indices, rr, active[sl], eligibility(indices, 1, nm, fm)
+        )
+        ra, rb = np.random.default_rng(11), np.random.default_rng(11)
+        single = csrops.segmented_random_pick(
+            indptr, indices, ra, active=active[replica],
+            neighbor_mask=None if nm is None else nm[0],
+            flat_mask=None if fm is None else fm[0],
+        )
+        batched = csrops.batched_random_pick(
+            indptr, indices, rb, active[sl], neighbor_mask=nm, flat_mask=fm
+        )
+        assert np.array_equal(single, want[0])
+        assert np.array_equal(batched, want)
+        assert ra.random() == rb.random() == rr.random()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_subset(self, graph, mode):
+        """The subset kernel equals the running-sum pick over the CSR of
+        the gathered rows (repeats and isolated rows included)."""
+        indptr, indices = GRAPHS[graph]()
+        n = indptr.size - 1
+        _, nmask, fmask = replica_masks(n, indices.size, mode, 5)
+        nm = None if nmask is None else nmask[3]
+        fm = None if fmask is None else fmask[3]
+        vertices = np.random.default_rng(5).integers(0, n, size=2 * n)
+        deg = indptr[vertices + 1] - indptr[vertices]
+        run_indptr = np.concatenate([[0], np.cumsum(deg)])
+        pos = np.concatenate(
+            [np.arange(indptr[v], indptr[v + 1]) for v in vertices]
+        ).astype(np.int64)
+        run_eligible = np.ones(pos.size, dtype=bool)
+        if nm is not None:
+            run_eligible &= nm[indices[pos]]
+        if fm is not None:
+            run_eligible &= fm[pos]
+        ra, rb = np.random.default_rng(9), np.random.default_rng(9)
+        got = csrops.segmented_random_pick_subset(
+            indptr, indices, ra, vertices, neighbor_mask=nm, flat_mask=fm
+        )
+        want = running_sum_pick(
+            run_indptr, indices[pos], rb,
+            np.ones((1, vertices.size), dtype=bool), run_eligible[None, :],
+        )
+        assert np.array_equal(got, want[0])
+        assert ra.random() == rb.random()
+
+    @given(batched_csr_cases(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_cases(self, case, seed):
+        indptr, indices, active, nmask, fmask = case
+        if nmask is None and fmask is None:
+            return  # the unmasked path draws directly from the degrees
+        T = active.shape[0]
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = csrops.batched_random_pick(
+            indptr, indices, ra, active, neighbor_mask=nmask, flat_mask=fmask
+        )
+        want = running_sum_pick(
+            indptr, indices, rb, active, eligibility(indices, T, nmask, fmask)
+        )
+        assert np.array_equal(got, want)
+        assert ra.random() == rb.random()
 
 
 class TestBatchedAcceptAgainstUnbatched:
@@ -160,7 +320,7 @@ class TestBatchedAcceptAgainstUnbatched:
         senders = np.array([s for _, s, _ in proposals], dtype=np.int64)
         targets = np.array([t for _, _, t in proposals], dtype=np.int64)
         rng = np.random.default_rng(seed)
-        accepted = batched_uniform_accept(rep, senders, targets, T, n, rng)
+        accepted = csrops.batched_uniform_accept(rep, senders, targets, T, n, rng)
         assert accepted.shape == (T, n)
         proposal_set = set(zip(rep.tolist(), senders.tolist(), targets.tolist()))
         targeted = set(zip(rep.tolist(), targets.tolist()))
@@ -180,10 +340,10 @@ class TestBatchedAcceptAgainstUnbatched:
         senders = rng.integers(0, n, size=m)
         targets = (senders + 1 + rng.integers(0, n - 1, size=m)) % n
         rep = np.zeros(m, dtype=np.int64)
-        a = batched_uniform_accept(
+        a = csrops.batched_uniform_accept(
             rep, senders, targets, 1, n, np.random.default_rng(seed)
         )
-        b = segmented_uniform_accept(
+        b = csrops.segmented_uniform_accept(
             senders, targets, n, np.random.default_rng(seed)
         )
         assert np.array_equal(a[0], b)
@@ -192,11 +352,11 @@ class TestBatchedAcceptAgainstUnbatched:
         rng = np.random.default_rng(0)
         ok = np.array([0], dtype=np.int64)
         with pytest.raises(ValueError):
-            batched_uniform_accept(np.array([2]), ok, np.array([1]), 2, 3, rng)
+            csrops.batched_uniform_accept(np.array([2]), ok, np.array([1]), 2, 3, rng)
         with pytest.raises(ValueError):
-            batched_uniform_accept(ok, ok, np.array([3]), 2, 3, rng)
+            csrops.batched_uniform_accept(ok, ok, np.array([3]), 2, 3, rng)
         with pytest.raises(ValueError):
-            batched_uniform_accept(ok, ok, np.array([1, 2]), 2, 3, rng)
+            csrops.batched_uniform_accept(ok, ok, np.array([1, 2]), 2, 3, rng)
 
 
 class TestStackCsr:

@@ -14,38 +14,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util import _csrops_numba, csrops
-from repro.util.csrops import (
-    build_csr,
-    segmented_random_pick,
-    segmented_random_pick_subset,
-    segmented_uniform_accept,
-)
+from repro.util import csrops
+from repro.util.csrops import build_csr
+from tests.csrops_loop_reference import TABLE as LOOP
 
 
-def backend_params() -> list[str]:
-    """Every registered backend, plus the numba kernel *table* running as
-    plain Python when the JIT itself is absent (the two-phase algorithms
-    get oracle coverage everywhere)."""
-    names = list(csrops.available_backends())
-    if "numba" not in names:
-        names.append("numba-python")
-    return names
+KERNEL_PARAMS = ["numpy", "numba-python"]
 
 
-@pytest.fixture(autouse=True, scope="module", params=backend_params())
-def csrops_backend(request):
-    """Run the whole oracle suite once per kernel backend."""
-    name = request.param
-    added = name not in csrops.available_backends()
-    if added:
-        csrops.register_backend(name, _csrops_numba.make_table())
-    prev = csrops.get_backend()
-    csrops.set_backend(name)
-    yield name
-    csrops.set_backend(prev)
-    if added:
-        csrops._BACKENDS.pop(name, None)
+@pytest.fixture(autouse=True, scope="module", params=KERNEL_PARAMS)
+def csrops_kernels(request):
+    """Run the whole oracle suite on the vectorized kernels (``numpy``) and
+    on their per-row loop formulation (``numba-python``: the kernels of the
+    removed numba backend, as plain Python), which the bit-identity tests
+    use as their reference."""
+    with pytest.MonkeyPatch.context() as mp:
+        if request.param == "numba-python":
+            for name, fn in LOOP.items():
+                mp.setattr(csrops, name, fn)
+        yield request.param
 
 
 def reference_pick_support(indptr, indices, active, neighbor_mask, flat_mask):
@@ -100,7 +87,7 @@ class TestPickAgainstOracle:
         rng = np.random.default_rng(seed)
         support = reference_pick_support(indptr, indices, active, nmask, fmask)
         for _ in range(3):
-            pick = segmented_random_pick(
+            pick = csrops.segmented_random_pick(
                 indptr, indices, rng,
                 active=active, neighbor_mask=nmask, flat_mask=fmask,
             )
@@ -118,7 +105,7 @@ class TestPickAgainstOracle:
         # Enough draws that P(missing an option) is negligible: max degree
         # is 9, 200 draws => miss prob < 9 * (8/9)^200 ~ 1e-10.
         for _ in range(200):
-            pick = segmented_random_pick(
+            pick = csrops.segmented_random_pick(
                 indptr, indices, rng,
                 active=active, neighbor_mask=nmask, flat_mask=fmask,
             )
@@ -140,7 +127,7 @@ class TestAcceptAgainstOracle:
         senders = np.array([s for s, _ in proposals], dtype=np.int64)
         targets = np.array([t for _, t in proposals], dtype=np.int64)
         rng = np.random.default_rng(seed)
-        accepted = segmented_uniform_accept(senders, targets, 10, rng)
+        accepted = csrops.segmented_uniform_accept(senders, targets, 10, rng)
         proposal_set = set(zip(senders.tolist(), targets.tolist()))
         targeted = set(targets.tolist())
         for t in range(10):
@@ -164,7 +151,7 @@ class TestSubsetPickAgainstOracle:
         vertices = np.flatnonzero(np.random.default_rng(seed + 1).random(n) < 0.6)
         support = reference_pick_support(indptr, indices, None, nmask, fmask)
         for _ in range(3):
-            pick = segmented_random_pick_subset(
+            pick = csrops.segmented_random_pick_subset(
                 indptr, indices, rng, vertices,
                 neighbor_mask=nmask, flat_mask=fmask,
             )
@@ -183,7 +170,7 @@ class TestSubsetPickAgainstOracle:
         seen: list[set[int]] = [set() for _ in range(vertices.size)]
         # Max degree 9, 200 draws: miss probability < 9 * (8/9)^200 ~ 1e-10.
         for _ in range(200):
-            pick = segmented_random_pick_subset(
+            pick = csrops.segmented_random_pick_subset(
                 indptr, indices, rng, vertices,
                 neighbor_mask=nmask, flat_mask=fmask,
             )
@@ -194,7 +181,7 @@ class TestSubsetPickAgainstOracle:
 
     def test_empty_subset(self):
         indptr, indices = build_csr(3, np.array([[0, 1], [1, 2]]))
-        pick = segmented_random_pick_subset(
+        pick = csrops.segmented_random_pick_subset(
             indptr, indices, np.random.default_rng(0),
             np.empty(0, dtype=np.int64),
         )
@@ -204,5 +191,5 @@ class TestSubsetPickAgainstOracle:
         indptr, indices = build_csr(3, np.array([[0, 1], [0, 2]]))
         rng = np.random.default_rng(3)
         vertices = np.zeros(200, dtype=np.int64)
-        picks = segmented_random_pick_subset(indptr, indices, rng, vertices)
+        picks = csrops.segmented_random_pick_subset(indptr, indices, rng, vertices)
         assert set(picks.tolist()) == {1, 2}
