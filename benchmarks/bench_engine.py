@@ -580,13 +580,11 @@ def test_large_n_round_cost():
 
 
 # ---------------------------------------------------------------------------
-# Parallel execution plane: pool reuse, shared-graph memo, campaign speedup
+# Parallel execution plane: shared-graph memo, campaign speedup
 # ---------------------------------------------------------------------------
 
 import os
 
-#: Warm pooled waves must not cost more than fork-per-unit waves.
-POOL_REUSE_OVERHEAD_MAX = 1.0
 #: Cross-store graph memo: hit ratio over an 8-call sweep and the
 #: mmap-attach speedup over a cold rebuild.
 GRAPH_MEMO_HIT_RATIO_MIN = 0.85
@@ -595,61 +593,6 @@ GRAPH_MEMO_WARM_SPEEDUP_MIN = 5.0
 #: (the regression gate applies the same condition via pool_cpu_count).
 CAMPAIGN_PARALLEL_SPEEDUP_MIN = 2.0
 CAMPAIGN_PARALLEL_MIN_CPUS = 4
-
-
-def _pool_overhead_task(reps: int = 40) -> int:
-    """A few milliseconds of real numpy work (what a trial chunk does)."""
-    total = 0
-    for i in range(reps):
-        total += int(np.arange(20_000, dtype=np.int64).sum()) % 7
-    return total
-
-
-def test_pool_reuse_overhead():
-    """Warm persistent-pool waves cost ≤1.0× fork-per-unit waves.
-
-    Both sides run the same 6-unit wave of numpy work with the same
-    concurrency (pool size = wave width = forked children).  The fork
-    path pays one fork + teardown per unit per wave; the pool pays only
-    a pipe round-trip per unit — so dispatching through the persistent
-    pool must never be slower than what it replaces.
-    """
-    from repro.harness.durable import _run_wave
-    from repro.harness.pool import PoolUnit, WorkerPool
-
-    width, waves = 6, 3
-
-    def forked():
-        for _ in range(waves):
-            results, failures = _run_wave(
-                {
-                    i: (f"u{i}", _pool_overhead_task, None)
-                    for i in range(width)
-                }
-            )
-            assert not failures and len(results) == width
-
-    with WorkerPool(width) as pool:
-
-        def pooled():
-            for _ in range(waves):
-                results, failures = pool.run_units(
-                    [PoolUnit(f"u{i}", _pool_overhead_task) for i in range(width)]
-                )
-                assert not failures and len(results) == width
-
-        pooled()  # warm-up: the metric is steady-state reuse, not startup
-        ratios = []
-        for _ in range(3):
-            forked_s = _timed(forked, repeats=3)
-            pooled_s = _timed(pooled, repeats=3)
-            ratios.append(pooled_s / forked_s)
-    overhead = min(ratios)
-    _measurements["pool_reuse_overhead"] = overhead
-    assert overhead <= POOL_REUSE_OVERHEAD_MAX, (
-        f"warm pooled wave costs {overhead:.3f}x the fork-per-unit wave "
-        f"(target <= {POOL_REUSE_OVERHEAD_MAX}x)"
-    )
 
 
 def test_graph_memo_warm_speedup_and_hit_ratio():
@@ -710,8 +653,8 @@ def test_graph_memo_warm_speedup_and_hit_ratio():
 def test_campaign_parallel_speedup():
     """Wall-clock speedup of the pooled campaign over the serial scheduler.
 
-    Six real registry cells (two heavy, four light) on a pool sized to
-    the machine (≤4 workers).  The ≥2× floor applies only on runners
+    Six real registry cells (two heavy, four light) in forked waves as
+    wide as the machine (≤4 children).  The ≥2× floor applies only on runners
     with ≥4 CPUs — the recorded ``pool_cpu_count`` lets the regression
     gate re-apply exactly the same condition, so single-core runs still
     record the (possibly <1×) ratio as context without failing.

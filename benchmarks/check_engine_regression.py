@@ -1,7 +1,7 @@
 """CI gate: fail on >30% engine-throughput regression vs the committed baseline.
 
 ``benchmarks/bench_engine.py -k "churn or fault or campaign or trace or
-sparse or large or pool or memo or async or masked"`` appends one record per run to
+sparse or large or memo or async or tournament or live or masked"`` appends one record per run to
 ``BENCH_engine.json`` at the repo root.  This script compares the newest
 record (the current run) against the *per-metric median of all committed
 prior records* on dimensionless ratios — machine speed cancels out of
@@ -26,10 +26,6 @@ asserts):
 - ``largen_ms_ratio_n1e6_over_n1e5`` (chunked-engine per-round cost at
   n=10^6 over n=10^5; lower is better) — 130%-of-baseline rule plus an
   absolute 25.0 cap;
-- ``pool_reuse_overhead``   (warm persistent-pool wave over fork-per-unit
-  wave; lower is better) — 130%-of-baseline rule plus an absolute 1.0
-  cap: dispatching through the reused pool must never cost more than the
-  forking it replaces;
 - ``graph_memo_hit_ratio``  (shared-graph memo hits over total builds in
   the bench sweep; higher is better) — absolute 0.85 floor;
 - ``graph_memo_warm_speedup`` (cold graph build over warm mmap attach;
@@ -44,7 +40,7 @@ asserts):
   rule: the masked kernel must not fall back toward its old multiple of
   the unmasked cost;
 - ``campaign_parallel_speedup`` (serial campaign wall time over the
-  pooled campaign) is gated **conditionally**: the absolute 2.0 floor
+  campaign run in forked waves) is gated **conditionally**: the absolute 2.0 floor
   applies only when the record's ``pool_cpu_count`` is ≥4 — a
   single-core runner records the (possibly <1×) ratio as context and
   passes, because the parallel plane cannot beat serial without cores.
@@ -92,7 +88,6 @@ ABSOLUTE_MAX = {
     "campaign_checkpoint_overhead": 1.05,
     "trace_disabled_overhead": 1.05,
     "largen_ms_ratio_n1e6_over_n1e5": 25.0,
-    "pool_reuse_overhead": 1.0,
     "async_vs_sync_round_ratio": 6.0,
 }
 
@@ -112,7 +107,6 @@ GATED = (
     ("trace_disabled_overhead", False),
     ("sparse_frontier_speedup", True),
     ("largen_ms_ratio_n1e6_over_n1e5", False),
-    ("pool_reuse_overhead", False),
     ("graph_memo_hit_ratio", True),
     ("graph_memo_warm_speedup", True),
     ("async_vs_sync_round_ratio", False),

@@ -11,7 +11,8 @@ identity; per-cell wall times live in checkpoint ``extra`` metadata and
 are excluded from the diff).
 
 With ``--pool-workers K`` the killed and resumed campaigns run on the
-parallel execution plane (persistent worker pool + shared graphs); the
+parallel execution plane (forked cell waves ``K`` wide + shared graphs,
+with each cell's child free to fork its own trial waves); the
 uninterrupted reference stays serial, so the diff simultaneously proves
 kill-resume durability *and* pooled/serial table parity.
 
@@ -70,7 +71,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--pool-workers", type=int, default=None, metavar="K",
-        help="run the killed/resumed campaigns on a K-worker pool "
+        help="run the killed/resumed campaigns in forked waves K wide "
         "(the clean reference stays serial)",
     )
     args = parser.parse_args()

@@ -138,13 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_all.add_argument(
         "--pool-workers", type=int, default=None, metavar="K",
-        help="run cells on a persistent K-worker pool with work stealing "
+        help="run cells in forked waves at most K wide with work stealing "
         "and shared-memory graphs (default: serial scheduler; tables are "
         "bit-identical either way)",
     )
     p_all.add_argument(
         "--no-shared-graphs", action="store_true",
-        help="disable the shared-memory graph plane (pool workers then "
+        help="disable the shared-memory graph plane (cell children then "
         "rebuild graphs per cell)",
     )
 
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tour.add_argument(
         "--pool-workers", type=int, default=None, metavar="K",
-        help="run algorithm grids on a K-worker pool (tables are "
+        help="run algorithm grids in forked waves at most K wide (tables are "
         "bit-identical to a serial run)",
     )
     p_tour.add_argument(

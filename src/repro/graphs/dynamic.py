@@ -341,7 +341,7 @@ class PeriodicRelabelDynamicGraph(PermutedDynamicGraph):
     # The epoch-graph cache never travels (cheap to rebuild, large to
     # ship).  Permutation blocks are seed-deterministic, so dropping them
     # is always safe; under an active shared-memory store they are
-    # published as segments instead, so a pool worker maps the
+    # published as segments instead, so another process maps the
     # already-generated blocks zero-copy rather than re-shuffling.
 
     def __getstate__(self):

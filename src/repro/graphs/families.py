@@ -584,7 +584,7 @@ FAMILY_BUILDERS: dict[str, Callable[..., Graph]] = {
 # Under an active shared-memory store (see :mod:`repro.util.shm`) every
 # builder call with fully-determined scalar arguments is keyed by
 # ``(family, bound args)``: the first caller anywhere in the campaign —
-# parent or any pool worker — builds and publishes the CSR; everyone
+# parent or any cell child — builds and publishes the CSR; everyone
 # else maps it zero-copy.  Calls with ``seed=None`` (fresh random draw
 # each time) or non-scalar arguments bypass the memo untouched, as does
 # everything outside a campaign (no active store).

@@ -10,7 +10,6 @@ its claim's shape conditions.
 
 from repro.harness.runner import (
     TrialOutcome,
-    UnpicklableBuilderWarning,
     run_trials,
     run_trials_batched,
     trial_seeds_for,
@@ -41,7 +40,6 @@ from repro.harness.durable import (
     run_trials_durable,
     use_policy,
 )
-from repro.harness.pool import PoolUnit, WorkerPool, active_pool, use_pool
 from repro.harness.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -53,7 +51,6 @@ from repro.harness.verify import CheckResult, verify_document, verify_experiment
 
 __all__ = [
     "TrialOutcome",
-    "UnpicklableBuilderWarning",
     "run_trials",
     "run_trials_batched",
     "trial_seeds_for",
@@ -78,10 +75,6 @@ __all__ = [
     "run_trials_durable",
     "run_trials_batched_durable",
     "use_policy",
-    "PoolUnit",
-    "WorkerPool",
-    "active_pool",
-    "use_pool",
     "CampaignConfig",
     "CampaignReport",
     "run_campaign",

@@ -23,12 +23,14 @@ durable unit of work:
   ``processes=1`` if the batched kernel keeps dying (same trial seeds;
   see the equivalence contract in :mod:`repro.harness.durable`);
 * with ``pool_workers=K`` the whole registry runs on the **parallel
-  execution plane**: one persistent :class:`~repro.harness.pool.WorkerPool`
-  executes all runnable cells with work stealing, graphs are shared
-  zero-copy through :mod:`repro.util.shm`, and every durable guarantee
-  above (timeouts, retries, budgets, ladders, atomic checkpoints,
-  bit-identical resume) is preserved — ``pool_workers=1`` degrades to
-  the serial schedule with identical tables.
+  execution plane**: all runnable cells go through forked waves at most
+  ``K`` wide (:func:`~repro.harness.durable._run_wave`; the next cell
+  forks as soon as any finishes), graphs are shared zero-copy through
+  :mod:`repro.util.shm`, and every durable guarantee above (timeouts,
+  retries, budgets, ladders, atomic checkpoints, bit-identical resume)
+  is preserved — a cell's child may fork its own trial waves, and
+  ``pool_workers=1`` degrades to the serial schedule with identical
+  tables.
 
 :func:`render_campaign_text` regenerates the ``standard_results.txt`` /
 ``quick_results.txt`` archive text purely from checkpoints, so a
@@ -38,6 +40,7 @@ tables without re-running anything.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -49,6 +52,7 @@ from repro.harness.durable import (
     FailureBudgetExceeded,
     FailureEvent,
     UnitFailure,
+    _run_wave,
     run_isolated,
     use_policy,
 )
@@ -78,9 +82,8 @@ class CampaignConfig:
     ``overrides`` maps experiment id -> extra kwargs merged over the
     profile kwargs (used by tests to shrink cells; production campaigns
     leave it empty so checkpoints reproduce the published tables).
-    ``isolate`` forces (or forbids) forked per-cell execution; the
-    default forks exactly when a timeout is configured, since killing a
-    wedged cell requires it to live in a child process.
+    Cells fork exactly when a timeout is configured (:attr:`isolate_cells`),
+    since killing a wedged cell requires it to live in a child process.
     """
 
     checkpoint_dir: str | Path
@@ -95,12 +98,11 @@ class CampaignConfig:
     processes: int | None = None
     verify: bool = True
     overrides: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
-    isolate: bool | None = None
-    #: Run cells on a persistent worker pool of this size (the parallel
+    #: Run cells in forked waves at most this wide (the parallel
     #: execution plane).  ``None`` keeps the serial scheduler; ``1`` still
-    #: exercises the pool (useful to prove it degrades to serial).
+    #: forks every cell (useful to prove it degrades to serial).
     pool_workers: int | None = None
-    #: Publish built graphs to the shared-memory plane so pool workers map
+    #: Publish built graphs to the shared-memory plane so cell children map
     #: them zero-copy and cells sharing a base CSR build it once.
     shared_graphs: bool = True
 
@@ -115,8 +117,6 @@ class CampaignConfig:
 
     @property
     def isolate_cells(self) -> bool:
-        if self.isolate is not None:
-            return self.isolate
         return (
             self.timeout_per_trial is not None
             or self.timeout_per_experiment is not None
@@ -199,13 +199,16 @@ def _cell_call(
     tier_overrides: dict,
     policy: DurablePolicy,
     budget_remaining: int,
+    store_prefix: str | None = None,
 ) -> Callable[[], tuple[object, float, list[FailureEvent]]]:
     """Build the thunk that runs one cell at one ladder tier.
 
     Returns ``(table, elapsed_s, failure_events)`` — the events are the
     trial-level failures the durable runner absorbed inside the cell, so
     the campaign can charge them against its own budget even when the
-    cell ran in a forked child."""
+    cell ran in a forked child.  With ``store_prefix`` the cell attaches
+    the campaign's shared-memory graph store, so its graph builds route
+    through the campaign-wide memo."""
     overrides = dict(config.overrides.get(exp_id, {}))
     overrides.update(tier_overrides)
     if tier == "single+serial":
@@ -220,9 +223,14 @@ def _cell_call(
         cell_policy = replace(policy, failure_budget=budget_remaining)
 
     def call() -> tuple[object, float, list[FailureEvent]]:
+        store = contextlib.nullcontext()
+        if store_prefix is not None:
+            from repro.util import shm
+
+            store = shm.use_graph_store(shm.store_for(store_prefix))
         cell_budget = cell_policy.new_budget()
         start = time.perf_counter()
-        with use_policy(cell_policy, cell_budget):
+        with store, use_policy(cell_policy, cell_budget):
             table = run_experiment(exp_id, config.profile, **overrides)
         return table, time.perf_counter() - start, cell_budget.events
 
@@ -308,13 +316,13 @@ def _run_cell(
     budget: FailureBudget,
     progress: Callable[[str], None],
 ) -> CellResult:
-    result = CellResult(exp_id=exp_id, status="failed", path=path)
-    last_error: str | None = None
-    for tier, tier_overrides in _cell_tiers(config, exp_id):
+    cell = _PendingCell(exp_id=exp_id, path=path, tiers=_cell_tiers(config, exp_id))
+    for tier, tier_overrides in cell.tiers:
         for attempt in range(config.max_retries + 1):
             if attempt:
                 policy.sleep(policy.backoff_delay(attempt - 1))
-            result.attempts += 1
+            cell.attempt = attempt
+            cell.attempts_total += 1
             call = _cell_call(config, exp_id, tier, tier_overrides, policy, budget.remaining)
             try:
                 if config.isolate_cells:
@@ -325,126 +333,26 @@ def _run_cell(
                     )
                 else:
                     table, elapsed, events = call()
+            except FailureBudgetExceeded:
+                raise
             except UnitFailure as exc:
-                budget.spend(
-                    FailureEvent(kind=exc.kind, detail=exc.detail, tier=tier, unit=exc.unit)
-                )
-                last_error = str(exc)
-                progress(f"{exp_id}: {tier} attempt {attempt + 1} failed: {exc}")
-                if "FailureBudgetExceeded" in exc.detail:
-                    raise FailureBudgetExceeded(exc.detail)
+                _charge_failure(cell, tier, exc, budget, progress)
                 if exc.degrade_now:
                     break  # deterministic failure: straight to the next tier
                 continue
-            except FailureBudgetExceeded:
-                raise
             except Exception as exc:  # noqa: BLE001 - in-process cell failure
-                budget.spend(
-                    FailureEvent(
-                        kind="error",
-                        detail=f"{type(exc).__name__}: {exc}",
-                        tier=tier,
-                        unit=f"cell {exp_id}",
-                    )
-                )
-                last_error = f"{type(exc).__name__}: {exc}"
-                progress(f"{exp_id}: {tier} attempt {attempt + 1} failed: {last_error}")
+                detail = f"{type(exc).__name__}: {exc}"
+                failure = UnitFailure("error", detail, f"cell {exp_id}")
+                _charge_failure(cell, tier, failure, budget, progress, error=detail)
                 if isinstance(exc, MemoryError):
                     break
                 continue
             # Success: charge the cell's internal trial-level failures to
             # the campaign budget, verify, checkpoint, and report.
             budget.absorb(events)
-            result.status = "completed"
-            result.elapsed_s = elapsed
-            result.tier = tier
-            if config.verify and exp_id in VERIFIERS:
-                checks = verify_experiment(exp_id, table)
-                result.checks_passed = sum(1 for c in checks if c.passed)
-                result.checks_total = len(checks)
-            save_table(
-                table,
-                path,
-                exp_id=exp_id,
-                profile=config.profile,
-                extra={
-                    "campaign": {
-                        "elapsed_s": elapsed,
-                        "tier": tier,
-                        "attempts": result.attempts,
-                        "checks_passed": result.checks_passed,
-                        "checks_total": result.checks_total,
-                    }
-                },
-            )
-            verdict = (
-                ""
-                if result.checks_total is None
-                else f", checks {result.checks_passed}/{result.checks_total}"
-            )
-            progress(
-                f"{exp_id}: completed in {elapsed:.1f}s [{tier}]{verdict}"
-            )
-            return result
+            return _complete_cell(config, cell, tier, table, elapsed, progress)
         # retries at this tier exhausted (or deterministic failure): degrade
-    result.error = last_error
-    progress(f"{exp_id}: FAILED after {result.attempts} attempts: {last_error}")
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Parallel execution plane: persistent pool + shared graphs + work stealing
-# ---------------------------------------------------------------------------
-
-
-def _cell_policy_kwargs(config: CampaignConfig, tier: str, budget_remaining: int) -> dict:
-    """Picklable :class:`DurablePolicy` kwargs mirroring :func:`_cell_call`'s
-    per-tier policy, so a pool worker reconstructs the exact policy the
-    serial scheduler would have used."""
-    kwargs = dict(
-        timeout_per_trial=config.timeout_per_trial,
-        max_retries=config.max_retries,
-        backoff_base=config.backoff_base,
-        failure_budget=budget_remaining,
-        processes=config.processes,
-    )
-    if tier == "single+serial":
-        kwargs["processes"] = 1
-    elif tier.startswith("single+processes"):
-        kwargs["processes"] = config.processes or 2
-    return kwargs
-
-
-def _cell_task(
-    exp_id: str,
-    profile: str,
-    overrides: dict,
-    policy_kwargs: dict,
-    store_prefix: str | None,
-) -> tuple[object, float, list[FailureEvent]]:
-    """Run one experiment cell inside a pool worker.
-
-    Module-level and argument-picklable by construction (the pool forked
-    before any cell existed).  Mirrors :func:`_cell_call`: the cell runs
-    under its own durable policy and reports ``(table, elapsed_s,
-    failure_events)`` so the parent charges trial-level failures to the
-    campaign budget.  With a store prefix, the shared-memory graph plane
-    is active for the whole cell, so graph builds route through the
-    campaign-wide memo.
-    """
-    import contextlib
-
-    ctx = contextlib.nullcontext()
-    if store_prefix is not None:
-        from repro.util import shm
-
-        ctx = shm.use_graph_store(shm.store_for(store_prefix))
-    policy = DurablePolicy(**policy_kwargs)
-    cell_budget = policy.new_budget()
-    start = time.perf_counter()
-    with ctx, use_policy(policy, cell_budget):
-        table = run_experiment(exp_id, profile, **overrides)
-    return table, time.perf_counter() - start, cell_budget.events
+    return _fail_cell(cell, progress)
 
 
 @dataclass
@@ -464,6 +372,40 @@ class _PendingCell:
         return self.tiers[self.tier_idx]
 
 
+def _charge_failure(
+    cell: _PendingCell,
+    tier: str,
+    failure: UnitFailure,
+    budget: FailureBudget,
+    progress: Callable[[str], None],
+    *,
+    error: str | None = None,
+) -> None:
+    """Spend one campaign failure on a cell attempt and report it.  A
+    cell whose own budget ran out in its child aborts the campaign."""
+    budget.spend(
+        FailureEvent(kind=failure.kind, detail=failure.detail, tier=tier, unit=failure.unit)
+    )
+    cell.last_error = error or str(failure)
+    progress(f"{cell.exp_id}: {tier} attempt {cell.attempt + 1} failed: {cell.last_error}")
+    if "FailureBudgetExceeded" in failure.detail:
+        raise FailureBudgetExceeded(failure.detail)
+
+
+def _fail_cell(cell: _PendingCell, progress: Callable[[str], None]) -> CellResult:
+    """Record a cell whose every ladder tier is exhausted."""
+    progress(
+        f"{cell.exp_id}: FAILED after {cell.attempts_total} attempts: {cell.last_error}"
+    )
+    return CellResult(
+        exp_id=cell.exp_id,
+        status="failed",
+        attempts=cell.attempts_total,
+        error=cell.last_error,
+        path=cell.path,
+    )
+
+
 def _complete_cell(
     config: CampaignConfig,
     cell: _PendingCell,
@@ -472,8 +414,8 @@ def _complete_cell(
     elapsed: float,
     progress: Callable[[str], None],
 ) -> CellResult:
-    """Verify + checkpoint one finished cell (identical artifact to the
-    serial scheduler's, so resume and rendering stay bit-compatible)."""
+    """Verify + checkpoint one finished cell (one artifact for both
+    schedulers, so resume and rendering stay bit-compatible)."""
     result = CellResult(
         exp_id=cell.exp_id,
         status="completed",
@@ -510,26 +452,30 @@ def _complete_cell(
     return result
 
 
+# ---------------------------------------------------------------------------
+# Parallel execution plane: bounded forked waves + shared graphs
+# ---------------------------------------------------------------------------
+
+
 def _run_campaign_pooled(
     config: CampaignConfig,
     progress: Callable[[str], None],
 ) -> CampaignReport:
-    """The parallel execution plane: all runnable cells flattened onto one
-    persistent worker pool.
+    """The parallel execution plane: all runnable cells in forked waves
+    at most ``pool_workers`` wide.
 
-    Scheduling is wave-based work stealing: every still-pending cell
-    contributes one unit (its current ladder tier) to the wave, the pool
-    hands units to whichever worker frees up first, and failed cells
-    advance their retry/tier state for the next wave — so a slow cell
-    never blocks the rest of the registry, and uneven cells no longer
-    serialize the tail.  Checkpoints are written only by this parent
-    process, one atomic file per finished cell, exactly as in the serial
-    scheduler; trial seeds are derived inside each cell from its
-    experiment id and profile, so tables are bit-identical to a serial
-    run.
+    Every still-pending cell contributes one unit (its current ladder
+    tier) to the wave; the next queued cell forks as soon as any running
+    one finishes, and failed cells advance their retry/tier state for
+    the next wave — so a slow cell never blocks the rest of the
+    registry.  Each cell's child may fork its own trial waves.
+    Checkpoints are written only by this parent process, one atomic file
+    per finished cell, exactly as in the serial scheduler; trial seeds
+    are derived inside each cell from its experiment id and profile, so
+    tables are bit-identical to a serial run.
     """
-    from repro.harness.pool import PoolUnit, WorkerPool
-
+    if config.pool_workers < 1:
+        raise ValueError("pool_workers must be >= 1")
     directory = Path(config.checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
     order = registry_order(config.exp_ids)
@@ -555,38 +501,31 @@ def _run_campaign_pooled(
 
         if shm.shared_memory_supported():
             store = shm.SharedGraphStore.create()
-    pool = WorkerPool(config.pool_workers)
     progress(
-        f"parallel plane: {pool.size} worker(s)"
+        f"parallel plane: {config.pool_workers} worker(s)"
         + (", shared graphs" if store is not None else "")
     )
     try:
         while pending:
-            units: list[PoolUnit] = []
-            wave: list[tuple[_PendingCell, str]] = []
-            for cell in pending:
-                tier, tier_overrides = cell.current_tier
-                overrides = dict(config.overrides.get(cell.exp_id, {}))
-                overrides.update(tier_overrides)
-                units.append(
-                    PoolUnit(
-                        name=f"cell {cell.exp_id} [{tier}]",
-                        fn=_cell_task,
-                        args=(
-                            cell.exp_id,
-                            config.profile,
-                            overrides,
-                            _cell_policy_kwargs(config, tier, budget.remaining),
-                            None if store is None else store.prefix,
+            wave = [(cell, *cell.current_tier) for cell in pending]
+            results, failures = _run_wave(
+                {
+                    idx: (
+                        f"cell {cell.exp_id} [{tier}]",
+                        _cell_call(
+                            config, cell.exp_id, tier, tier_overrides, policy,
+                            budget.remaining,
+                            store_prefix=None if store is None else store.prefix,
                         ),
-                        timeout=config.timeout_per_experiment,
+                        config.timeout_per_experiment,
                     )
-                )
-                wave.append((cell, tier))
-            results, failures = pool.run_units(units)
+                    for idx, (cell, tier, tier_overrides) in enumerate(wave)
+                },
+                width=config.pool_workers,
+            )
             next_pending: list[_PendingCell] = []
             retry_delay = 0.0
-            for idx, (cell, tier) in enumerate(wave):
+            for idx, (cell, tier, _overrides) in enumerate(wave):
                 cell.attempts_total += 1
                 if idx in results:
                     table, elapsed, events = results[idx]
@@ -596,32 +535,12 @@ def _run_campaign_pooled(
                     )
                     continue
                 exc = failures[idx]
-                budget.spend(
-                    FailureEvent(
-                        kind=exc.kind, detail=exc.detail, tier=tier, unit=exc.unit
-                    )
-                )
-                cell.last_error = str(exc)
-                progress(
-                    f"{cell.exp_id}: {tier} attempt {cell.attempt + 1} failed: {exc}"
-                )
-                if "FailureBudgetExceeded" in exc.detail:
-                    raise FailureBudgetExceeded(exc.detail)
+                _charge_failure(cell, tier, exc, budget, progress)
                 if exc.degrade_now or cell.attempt >= config.max_retries:
                     cell.tier_idx += 1
                     cell.attempt = 0
                     if cell.tier_idx >= len(cell.tiers):
-                        results_by_id[cell.exp_id] = CellResult(
-                            exp_id=cell.exp_id,
-                            status="failed",
-                            attempts=cell.attempts_total,
-                            error=cell.last_error,
-                            path=cell.path,
-                        )
-                        progress(
-                            f"{cell.exp_id}: FAILED after {cell.attempts_total} "
-                            f"attempts: {cell.last_error}"
-                        )
+                        results_by_id[cell.exp_id] = _fail_cell(cell, progress)
                         continue
                 else:
                     cell.attempt += 1
@@ -636,7 +555,6 @@ def _run_campaign_pooled(
         report.aborted = str(exc)
         progress(f"campaign aborted: {exc}")
     finally:
-        pool.shutdown()
         if store is not None:
             store.cleanup()
     for exp_id in order:

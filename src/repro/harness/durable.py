@@ -7,10 +7,17 @@ to lose the whole campaign.  This module wraps the runner's execution
 strategies in the retry/timeout/checkpoint discipline distributed
 harnesses treat as table stakes:
 
-* **Wall-clock timeouts** — work units (trial chunks, replica batches,
-  whole experiment cells) execute in forked child processes that the
-  parent kills when they exceed their budget (``timeout_per_trial ×
-  trials`` per unit), then re-dispatches with the *same trial seeds*.
+* **One process primitive** — every forked unit in the harness (trial
+  chunks of ``run_trials(processes=K)``, durable retry waves, replica
+  batches, isolated and pooled experiment cells) runs through
+  :func:`_run_wave`: one fork per unit, at most ``width`` children
+  alive, the next unit forking as soon as any child finishes.  Units
+  are thunks, so closures need no pickling; only results cross the
+  pipe.  Children are ordinary (non-daemonic) processes, so a cell's
+  child may fork its own trial waves.
+* **Wall-clock timeouts** — the parent kills a unit's child when it
+  exceeds its budget (``timeout_per_trial × trials`` per unit), then
+  re-dispatches it with the *same trial seeds*.
 * **Bounded retries with exponential backoff** — each failed unit is
   retried up to ``max_retries`` times, sleeping
   ``backoff_base · 2^attempt`` (capped) between waves; every failure
@@ -51,7 +58,8 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -240,7 +248,7 @@ def active_budget() -> FailureBudget | None:
 
 
 # ---------------------------------------------------------------------------
-# Forked execution with kill-on-timeout
+# Forked execution: bounded fork-per-unit waves with kill-on-timeout
 # ---------------------------------------------------------------------------
 
 
@@ -272,8 +280,11 @@ def _child_main(conn, fn) -> None:
         os._exit(code)
 
 
+_PENDING = object()
+
+
 class _Child:
-    """One forked worker executing a thunk with a wall-clock deadline."""
+    """One forked child executing a thunk with a wall-clock deadline."""
 
     def __init__(self, ctx, fn, timeout: float | None, unit: str):
         recv, send = ctx.Pipe(duplex=False)
@@ -285,30 +296,29 @@ class _Child:
         self.timeout = timeout
         self.deadline = None if timeout is None else time.monotonic() + timeout
 
-    def poll(self, wait: float):
-        """Returns ``("pending", None)``, ``("ok", value)``, or raises
+    def poll(self):
+        """Non-blocking: the unit's value, ``_PENDING``, or raises
         :class:`UnitFailure` on timeout/crash/error."""
-        payload = None
-        if self.conn.poll(wait):
+        # Liveness first: once the child is dead, everything it sent is
+        # already in the pipe, so the poll below cannot miss a result.
+        alive = self.process.is_alive()
+        if self.conn.poll():
             try:
                 payload = self.conn.recv()
-            except EOFError:
+            except (EOFError, OSError):
                 payload = None
-        elif self.deadline is not None and time.monotonic() >= self.deadline:
-            self._terminate()
+        elif alive:
+            if self.deadline is None or time.monotonic() < self.deadline:
+                return _PENDING
+            self.kill()
             raise UnitFailure(
                 "timeout",
                 f"exceeded {self.timeout:.1f}s wall clock; worker killed",
                 self.unit,
             )
-        elif self.process.is_alive():
-            return "pending", None
-        elif self.conn.poll(0):  # died between polls: drain the last message
-            try:
-                payload = self.conn.recv()
-            except EOFError:
-                payload = None
-        self._finish()
+        else:
+            payload = None
+        self.kill()
         if payload is None:
             raise UnitFailure(
                 "crash",
@@ -318,14 +328,12 @@ class _Child:
         status, value = payload
         if status == "err":
             raise UnitFailure("error", value, self.unit)
-        return "ok", value
+        return value
 
-    def _terminate(self) -> None:
+    def kill(self) -> None:
+        """SIGKILL (if still running), reap, and close the pipe."""
         if self.process.is_alive():
             self.process.kill()
-        self._finish()
-
-    def _finish(self) -> None:
         self.process.join(timeout=5.0)
         try:
             self.conn.close()
@@ -333,40 +341,33 @@ class _Child:
             pass
 
 
-def run_isolated(fn: Callable[[], object], *, timeout: float | None = None, unit: str = "work"):
-    """Run ``fn()`` in a forked child, killed if it exceeds ``timeout``.
-
-    Fork (not spawn) so closures over engines/graphs need no pickling;
-    only the *return value* crosses the pipe.  Raises
-    :class:`UnitFailure` on timeout, worker death, or a worker-side
-    exception.  Falls back to calling ``fn`` in-process on platforms
-    without fork (no kill capability there).
-    """
-    ctx = _fork_context()
-    if ctx is None:  # pragma: no cover - non-POSIX platforms
-        return fn()
-    child = _Child(ctx, fn, timeout, unit)
-    try:
-        while True:
-            status, value = child.poll(0.05)
-            if status == "ok":
-                return value
-    finally:
-        child._terminate()
-
-
 def _run_wave(
     units: dict[int, tuple[str, Callable[[], object], float | None]],
+    *,
+    width: int | None = None,
 ) -> tuple[dict[int, object], dict[int, UnitFailure]]:
-    """Run a wave of units concurrently in forked children.
+    """Run a wave of units in forked children, at most ``width`` at once.
 
-    ``units`` maps index -> (unit name, thunk, timeout).  Returns
-    per-index results and failures; a failure in one unit never cancels
-    the others (their results are kept for the retry wave).
+    ``units`` maps index -> (unit name, thunk, timeout).  Thunks may be
+    closures: a forked child inherits them, and only the return value
+    crosses the pipe.  ``width`` defaults to one child per unit; with
+    fewer, the next queued unit forks as soon as any child finishes, so
+    uneven units never serialize the tail.  The parent sleeps in
+    :func:`multiprocessing.connection.wait` on every child's pipe and
+    exit sentinel until one reports, dies, or reaches its deadline.
+
+    Returns per-index results and failures; a failure in one unit never
+    cancels the others (their results are kept for the retry wave).  On
+    any exception in the parent (e.g. ``KeyboardInterrupt``) every
+    running child is killed before it propagates.
     """
-    ctx = _fork_context()
+    if width is None:
+        width = max(1, len(units))
+    if width < 1:
+        raise ValueError("width must be >= 1")
     results: dict[int, object] = {}
     failures: dict[int, UnitFailure] = {}
+    ctx = _fork_context()
     if ctx is None:  # pragma: no cover - non-POSIX platforms
         for idx, (unit, fn, _timeout) in units.items():
             try:
@@ -374,102 +375,74 @@ def _run_wave(
             except Exception as exc:  # noqa: BLE001
                 failures[idx] = UnitFailure("error", f"{type(exc).__name__}: {exc}", unit)
         return results, failures
-    running = {
-        idx: _Child(ctx, fn, timeout, unit)
-        for idx, (unit, fn, timeout) in units.items()
-    }
+    queue = list(units.items())
+    running: dict[int, _Child] = {}
     try:
-        while running:
-            for idx in list(running):
-                child = running[idx]
+        while queue or running:
+            while queue and len(running) < width:
+                idx, (unit, fn, timeout) = queue.pop(0)
+                running[idx] = _Child(ctx, fn, timeout, unit)
+            deadlines = [c.deadline for c in running.values() if c.deadline is not None]
+            mp_connection.wait(
+                [h for c in running.values() for h in (c.conn, c.process.sentinel)],
+                timeout=None if not deadlines else max(0.0, min(deadlines) - time.monotonic()),
+            )
+            for idx, child in list(running.items()):
                 try:
-                    status, value = child.poll(0.02)
+                    value = child.poll()
                 except UnitFailure as exc:
                     failures[idx] = exc
                     del running[idx]
                     continue
-                if status == "ok":
+                if value is not _PENDING:
                     results[idx] = value
                     del running[idx]
     finally:
         for child in running.values():
-            child._terminate()
+            child.kill()
     return results, failures
 
 
-def _active_worker_pool():
-    """The campaign's persistent :class:`~repro.harness.pool.WorkerPool`,
-    if one is active (lazy import: ``pool`` imports this module)."""
-    from repro.harness.pool import active_pool
+def run_isolated(fn: Callable[[], object], *, timeout: float | None = None, unit: str = "work"):
+    """Run ``fn()`` in a forked child, killed if it exceeds ``timeout``.
 
-    return active_pool()
-
-
-def _run_wave_pool(
-    pool,
-    units: dict[int, tuple[str, tuple, float | None]],
-) -> tuple[dict[int, object], dict[int, UnitFailure]]:
-    """Run a wave on the persistent pool instead of forking per unit.
-
-    ``units`` maps index -> (unit name, picklable ``(fn, args)`` spec,
-    timeout).  Same contract as :func:`_run_wave`: per-index results and
-    failures, one failure never cancels siblings.  A timed-out or dead
-    worker is SIGKILLed and replaced inside the pool; the retry wave
-    re-dispatches the same spec — i.e. the original trial seeds.
+    A one-unit :func:`_run_wave`: closures over engines/graphs need no
+    pickling, only the *return value* crosses the pipe.  Raises
+    :class:`UnitFailure` on timeout, worker death, or a worker-side
+    exception.
     """
-    from repro.harness.pool import PoolUnit
-
-    order = list(units)
-    pool_units = [
-        PoolUnit(name=name, fn=spec[0], args=spec[1], timeout=timeout)
-        for name, spec, timeout in (units[idx] for idx in order)
-    ]
-    raw_results, raw_failures = pool.run_units(pool_units)
-    results = {order[i]: value for i, value in raw_results.items()}
-    failures = {order[i]: exc for i, exc in raw_failures.items()}
-    return results, failures
+    results, failures = _run_wave({0: (unit, fn, timeout)})
+    if failures:
+        raise failures[0]
+    return results[0]
 
 
 def _run_units_with_retry(
-    units: list[tuple[str, Callable[[], object], int, tuple | None]],
+    units: list[tuple[str, Callable[[], object], int]],
     *,
     policy: DurablePolicy,
     budget: FailureBudget,
     tier: str,
 ) -> list[object]:
-    """Run every unit (name, thunk, trial count, optional picklable
-    ``(fn, args)`` spec), retrying failed ones in backoff-separated
-    waves.  Waves run on the campaign's persistent worker pool when one
-    is active and every unit carries a spec (closure-only units keep the
-    fork-per-unit path).  Returns results in unit order; raises the
-    last :class:`UnitFailure` if any unit is still failing after
-    ``max_retries`` extra waves (deterministic ``MemoryError`` failures
-    raise immediately so the ladder can degrade without useless
-    retries)."""
-    pool = _active_worker_pool()
-    use_pool_waves = pool is not None and all(spec is not None for *_rest, spec in units)
+    """Run every unit (name, thunk, trial count) in forked waves,
+    retrying failed ones in backoff-separated waves.  Returns results
+    in unit order; raises the last :class:`UnitFailure` if any unit is
+    still failing after ``max_retries`` extra waves (deterministic
+    ``MemoryError`` failures raise immediately so the ladder can degrade
+    without useless retries)."""
     results: dict[int, object] = {}
     failures: dict[int, UnitFailure] = {}
     for attempt in range(policy.max_retries + 1):
-        if use_pool_waves:
-            todo = {
-                idx: (unit, spec, policy.unit_timeout(trials))
-                for idx, (unit, _fn, trials, spec) in enumerate(units)
-                if idx not in results
-            }
-        else:
-            todo = {
-                idx: (unit, fn, policy.unit_timeout(trials))
-                for idx, (unit, fn, trials, _spec) in enumerate(units)
-                if idx not in results
-            }
+        todo = {
+            idx: (unit, fn, policy.unit_timeout(trials))
+            for idx, (unit, fn, trials) in enumerate(units)
+            if idx not in results
+        }
         if not todo:
             break
         if attempt:
             policy.sleep(policy.backoff_delay(attempt - 1))
-        wave_results, failures = (
-            _run_wave_pool(pool, todo) if use_pool_waves else _run_wave(todo)
-        )
+        wave_results, failures = _run_wave(todo)
         results.update(wave_results)
         for failure in failures.values():
             budget.spend(
@@ -517,6 +490,7 @@ def run_trials_durable(
     and replayed on the next call instead of re-executed.
     """
     from repro.harness.runner import (
+        _chunk_units,
         _trial_chunk,
         default_processes,
         trial_seeds_for,
@@ -540,28 +514,7 @@ def run_trials_durable(
             # Cheapest rung: in-process serial (no fork, no kill needed).
             outcomes = _trial_chunk(build, seeds, max_rounds, check_every)
         else:
-            chunks = [list(c) for c in np.array_split(seeds, k)]
-            # With a persistent pool active and a picklable builder, units
-            # also carry a spec so waves dispatch to the pool instead of
-            # forking; same chunking, same seeds, same outcomes.
-            specs: list[tuple | None] = [None] * len(chunks)
-            if _active_worker_pool() is not None:
-                from repro.harness.runner import _probe_builder_picklable
-
-                if _probe_builder_picklable(build)[0]:
-                    specs = [
-                        (_trial_chunk, (build, c, max_rounds, check_every))
-                        for c in chunks
-                    ]
-            units = [
-                (
-                    f"trial chunk {i + 1}/{len(chunks)} ({len(c)} trials)",
-                    (lambda cs: lambda: _trial_chunk(build, cs, max_rounds, check_every))(c),
-                    len(c),
-                    specs[i],
-                )
-                for i, c in enumerate(chunks)
-            ]
+            units = _chunk_units(build, seeds, k, max_rounds, check_every)
             try:
                 chunk_results = _run_units_with_retry(
                     units, policy=policy, budget=budget, tier=f"processes={k}"
@@ -664,7 +617,6 @@ def run_trials_batched_durable(
                     f"replica batch {i + 1}/{len(groups)} ({len(g)} trials)",
                     batch_thunk(g),
                     len(g),
-                    None,  # closures over build_batched: fork path only
                 )
                 for i, g in enumerate(groups)
             ]

@@ -6,9 +6,10 @@ distributional summaries (the q90 of rounds-to-stabilize is the natural
 empirical analogue of a w.h.p. bound).
 
 ``build`` callables receive a trial seed and return a fresh engine; trials
-can fan out over processes when the builder is picklable (module-level
-functions / :func:`functools.partial`), per the standard multiprocessing
-constraint.  :func:`run_trials_batched` instead executes *all* trials of
+can fan out over forked child processes (one bounded
+:func:`~repro.harness.durable._run_wave`), so any builder works,
+closures and lambdas included — only the outcomes cross the pipe.
+:func:`run_trials_batched` instead executes *all* trials of
 one configuration as a single :class:`~repro.core.batched.BatchedVectorizedEngine`
 run — the fast path for static-topology *and* isomorphic-churn sweeps
 (relabelings of a shared base run permutation-natively).
@@ -16,11 +17,8 @@ run — the fast path for static-topology *and* isomorphic-churn sweeps
 
 from __future__ import annotations
 
+import functools
 import os
-import pickle
-import warnings
-import weakref
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -40,31 +38,11 @@ __all__ = [
     "trial_summary",
     "default_processes",
     "EngineLike",
-    "UnpicklableBuilderWarning",
 ]
 
 #: Environment variable giving the default worker-process count for
 #: ``run_trials`` when ``processes`` is not passed explicitly.
 PROCESSES_ENV = "REPRO_PROCESSES"
-
-
-class UnpicklableBuilderWarning(UserWarning):
-    """A process fan-out was requested but the trial builder cannot be
-    pickled; the sweep fell back to ``processes=1`` with the same trial
-    seeds (outcomes are identical — each trial is independently seeded).
-
-    ``requested`` records the worker count that was ignored and
-    ``reason`` the pickling error."""
-
-    def __init__(self, requested: int, reason: str, source: str):
-        self.requested = requested
-        self.reason = reason
-        self.source = source
-        super().__init__(
-            f"{source} requested {requested} worker processes, but the trial "
-            f"builder is not picklable ({reason}); running serially with the "
-            "same trial seeds"
-        )
 
 
 class EngineLike(Protocol):
@@ -109,51 +87,6 @@ def default_processes() -> int | None:
     return value if value > 1 else None
 
 
-# Per-builder-object memo of the picklability probe (a sweep calls
-# ``run_trials`` once per grid cell with the *same* builder object;
-# re-serializing a megabyte closure every call was pure waste).  Weak
-# keys keep dead builders from pinning memory; builders that cannot be
-# weak-referenced simply re-probe.
-_PICKLE_PROBE: "weakref.WeakKeyDictionary[Callable, tuple[bool, str]]" = (
-    weakref.WeakKeyDictionary()
-)
-_WARNED_BUILDERS: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def _probe_builder_picklable(build: Callable) -> tuple[bool, str]:
-    """``(picklable, reason)`` for a trial builder, memoized per object."""
-    try:
-        cached = _PICKLE_PROBE.get(build)
-    except TypeError:
-        cached = None
-    if cached is not None:
-        return cached
-    try:
-        pickle.dumps(build)
-        result = (True, "")
-    except Exception as exc:  # noqa: BLE001 - any pickling error disables fan-out
-        result = (False, repr(exc))
-    try:
-        _PICKLE_PROBE[build] = result
-    except TypeError:
-        pass
-    return result
-
-
-def _warn_unpicklable(build: Callable, requested: int, reason: str, source: str) -> None:
-    """Emit :class:`UnpicklableBuilderWarning` at most once per builder
-    object (i.e. once per sweep, not once per ``run_trials`` call)."""
-    try:
-        if build in _WARNED_BUILDERS:
-            return
-        _WARNED_BUILDERS.add(build)
-    except TypeError:
-        pass
-    warnings.warn(
-        UnpicklableBuilderWarning(requested, reason, source), stacklevel=3
-    )
-
-
 def _one_trial(
     build: Callable[[int], EngineLike],
     seed: int,
@@ -179,6 +112,26 @@ def _trial_chunk(
     return [_one_trial(build, s, max_rounds, check_every) for s in seeds]
 
 
+def _chunk_units(
+    build: Callable[[int], EngineLike],
+    seeds: Sequence[int],
+    k: int,
+    max_rounds: int,
+    check_every: int,
+) -> list[tuple[str, Callable[[], list[TrialOutcome]], int]]:
+    """Split ``seeds`` into ``k`` contiguous chunks: one ``(name, thunk,
+    trial count)`` work unit per chunk, in seed order."""
+    chunks = [list(c) for c in np.array_split(seeds, k)]
+    return [
+        (
+            f"trial chunk {i + 1}/{k} ({len(chunk)} trials)",
+            functools.partial(_trial_chunk, build, chunk, max_rounds, check_every),
+            len(chunk),
+        )
+        for i, chunk in enumerate(chunks)
+    ]
+
+
 def run_trials(
     build: Callable[[int], EngineLike],
     *,
@@ -202,11 +155,12 @@ def run_trials(
         Convergence-check stride forwarded to the engine (checking every
         round is exact but can dominate runtime for cheap rounds).
     processes
-        Fan out over this many worker processes.  ``None`` reads the
+        Fan out over this many forked children.  ``None`` reads the
         ``REPRO_PROCESSES`` environment variable; unset/empty (or ≤ 1)
         runs serially.  Trial seeds are split into one contiguous chunk
-        per worker, so cheap trials pay one pickling round-trip per
-        worker instead of one per trial.
+        per child, so cheap trials pay one fork and one result pickle
+        per child instead of one per trial.  A failing chunk raises the
+        first :class:`~repro.harness.durable.UnitFailure`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -225,51 +179,18 @@ def run_trials(
             policy=_durable.active_policy(),
             budget=_durable.active_budget(),
         )
-    trial_seeds = trial_seeds_for(seed, trials)
-    from_env = processes is None
-    if from_env:
+    if processes is None:
         processes = default_processes()
+    trial_seeds = trial_seeds_for(seed, trials)
     if processes is None or processes <= 1 or trials == 1:
         return _trial_chunk(build, trial_seeds, max_rounds, check_every)
-    picklable, reason = _probe_builder_picklable(build)
-    if not picklable:
-        # Outcomes are identical either way (each trial is independently
-        # seeded), so both the env-var default and an explicit request
-        # degrade to the serial path deterministically, with one
-        # structured warning instead of a hard error.
-        source = f"{PROCESSES_ENV}={processes}" if from_env else f"processes={processes}"
-        _warn_unpicklable(build, processes, reason, source)
-        return _trial_chunk(build, trial_seeds, max_rounds, check_every)
-    workers = min(processes, trials)
-    chunks = [list(c) for c in np.array_split(trial_seeds, workers)]
-    from repro.harness.pool import PoolUnit, active_pool
-
-    persistent = active_pool()
-    if persistent is not None:
-        # Inside a campaign: reuse the persistent fleet instead of paying
-        # a fresh executor's fork+teardown for this one call.  Chunking
-        # and seed order are identical to the executor path.
-        units = [
-            PoolUnit(
-                name=f"trial chunk {i + 1}/{len(chunks)} ({len(chunk)} trials)",
-                fn=_trial_chunk,
-                args=(build, chunk, max_rounds, check_every),
-            )
-            for i, chunk in enumerate(chunks)
-        ]
-        results, failures = persistent.run_units(units)
-        if failures:
-            raise next(iter(failures.values()))
-        return [o for i in range(len(chunks)) for o in results[i]]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_trial_chunk, build, chunk, max_rounds, check_every)
-            for chunk in chunks
-        ]
-        out: list[TrialOutcome] = []
-        for f in futures:
-            out.extend(f.result())
-        return out
+    units = _chunk_units(build, trial_seeds, min(processes, trials), max_rounds, check_every)
+    results, failures = _durable._run_wave(
+        {i: (name, fn, None) for i, (name, fn, _trials) in enumerate(units)}
+    )
+    if failures:
+        raise failures[min(failures)]
+    return [o for i in range(len(units)) for o in results[i]]
 
 
 def run_trials_batched(

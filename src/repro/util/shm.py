@@ -137,8 +137,8 @@ def _tracker_unregister(name: str) -> None:
 
 
 def _tracker_ensure_running() -> None:
-    """Start the resource tracker *before* pool workers fork, so every
-    process in the campaign tree shares one tracker (a worker that
+    """Start the resource tracker *before* cell children fork, so every
+    process in the campaign tree shares one tracker (a child that
     publishes first must not spawn its own)."""
     try:  # pragma: no cover - trivial delegation
         from multiprocessing import resource_tracker

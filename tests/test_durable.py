@@ -1,5 +1,5 @@
-"""Tests for the durable execution layer (timeouts, retries, degradation,
-trial checkpoints).
+"""Tests for the durable execution layer (the bounded fork-per-unit
+wave, timeouts, retries, degradation, trial checkpoints).
 
 The recurring trick: a *heal-once* builder that misbehaves (hangs,
 SIGKILLs itself, raises) only while a marker file is absent, creating the
@@ -19,12 +19,15 @@ from repro.algorithms.blind_gossip import BlindGossipBatched, BlindGossipVectori
 from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import StaticDynamicGraph
+from repro.harness import durable
+from repro.harness.campaign import CampaignConfig, run_campaign
 from repro.harness.durable import (
     DurableExecutionError,
     DurablePolicy,
     FailureBudgetExceeded,
     TrialCheckpointStore,
     UnitFailure,
+    _run_wave,
     active_policy,
     run_isolated,
     run_trials_batched_durable,
@@ -32,6 +35,7 @@ from repro.harness.durable import (
     use_policy,
 )
 from repro.harness.experiments import uid_keys_random
+from repro.harness.persistence import load_document
 from repro.harness.runner import run_trials, run_trials_batched, trial_seeds_for
 
 GRAPH = families.double_star(4)
@@ -79,6 +83,135 @@ class TestPolicy:
                 assert active_policy() is None
             assert active_policy() is policy
         assert active_policy() is None
+
+
+def _timed_unit(seconds: float = 0.05) -> tuple[int, float, float]:
+    start = time.monotonic()
+    time.sleep(seconds)
+    return os.getpid(), start, time.monotonic()
+
+
+def _pid_then_sleep(path) -> None:  # pragma: no cover - killed
+    path.write_text(str(os.getpid()))
+    time.sleep(60)
+
+
+def _reaped(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestWave:
+    def test_runs_more_units_than_width(self):
+        results, failures = _run_wave(
+            {i: (f"u{i}", _timed_unit, None) for i in range(7)}, width=2
+        )
+        assert not failures and sorted(results) == list(range(7))
+        assert len({pid for pid, _, _ in results.values()}) == 7  # one fork per unit
+        spans = list(results.values())
+        for _, start, _ in spans:
+            alive = sum(1 for _, s, e in spans if s <= start < e)
+            assert alive <= 2
+
+    def test_error_unit_does_not_cancel_siblings(self):
+        def boom():
+            raise ValueError("unit exploded")
+
+        results, failures = _run_wave(
+            {0: ("bad", boom, None), 1: ("good", lambda: 3 * 3, None)}, width=1
+        )
+        assert results == {1: 9}
+        assert failures[0].kind == "error" and "ValueError" in failures[0].detail
+
+    def test_timeout_kills_child(self, tmp_path):
+        pid_file = tmp_path / "hung.pid"
+        start = time.monotonic()
+        results, failures = _run_wave(
+            {
+                0: ("hang", lambda: _pid_then_sleep(pid_file), 0.5),
+                1: ("quick", lambda: 16, None),
+            }
+        )
+        assert results == {1: 16}
+        assert failures[0].kind == "timeout"
+        assert time.monotonic() - start < 10
+        assert _reaped(int(pid_file.read_text()))
+
+    def test_sigkilled_child_reported_as_crash(self):
+        results, failures = _run_wave(
+            {
+                0: ("suicidal", lambda: os.kill(os.getpid(), signal.SIGKILL), None),
+                1: ("healthy", lambda: "survived", None),
+            }
+        )
+        assert results == {1: "survived"}
+        assert failures[0].kind == "crash"
+
+    def test_width_must_be_positive(self):
+        with pytest.raises(ValueError):
+            _run_wave({0: ("u", lambda: 1, None)}, width=0)
+
+    def test_keyboard_interrupt_leaves_no_live_child(self, tmp_path, monkeypatch):
+        pid_files = [tmp_path / f"{i}.pid" for i in range(3)]
+
+        real_wait = durable.mp_connection.wait
+        calls = []
+
+        def interrupted_wait(handles, timeout=None):
+            # Interrupt the wave's first wait, once both children started;
+            # later waits (reaping the killed children) are real.
+            calls.append(timeout)
+            if len(calls) > 1:
+                return real_wait(handles, timeout)
+            deadline = time.monotonic() + 10
+            while not all(p.exists() and p.read_text() for p in pid_files[:2]):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(durable.mp_connection, "wait", interrupted_wait)
+        with pytest.raises(KeyboardInterrupt):
+            _run_wave(
+                {
+                    i: (f"u{i}", (lambda p: lambda: _pid_then_sleep(p))(p), None)
+                    for i, p in enumerate(pid_files)
+                },
+                width=2,
+            )
+        assert not pid_files[2].exists()  # queued beyond the width: never forked
+        assert all(_reaped(int(p.read_text())) for p in pid_files[:2])
+
+
+class TestNestedWaves:
+    def test_pooled_campaign_cells_fork_trial_waves(self, tmp_path):
+        """A pooled cell's child forks its own trial-chunk wave (per-trial
+        timeouts force it), and the tables equal a serial campaign's."""
+        kw = dict(
+            exp_ids=("E1", "E3"),
+            overrides={
+                "E1": {"n_small": 6, "random_graphs": 1},
+                "E3": {"leaf_counts": (4, 8), "trials": 4},
+            },
+            backoff_base=0.0,
+            verify=False,
+        )
+        serial = run_campaign(CampaignConfig(checkpoint_dir=tmp_path / "serial", **kw))
+        pooled = run_campaign(
+            CampaignConfig(
+                checkpoint_dir=tmp_path / "pooled",
+                pool_workers=2,
+                timeout_per_trial=60.0,
+                processes=2,
+                **kw,
+            )
+        )
+        assert serial.ok and pooled.ok and not pooled.failures
+        assert [c.status for c in pooled.cells] == ["completed", "completed"]
+        for s_cell, p_cell in zip(serial.cells, pooled.cells):
+            assert load_document(p_cell.path).table == load_document(s_cell.path).table
 
 
 class TestRunIsolated:

@@ -112,27 +112,53 @@ class TestParallelRunner:
         assert env == serial
 
     def test_env_default_unpicklable_builder_falls_back_serial(self, monkeypatch):
-        monkeypatch.setenv(PROCESSES_ENV, "2")
-        with pytest.warns(UserWarning, match="running serially"):
-            out = run_trials(lambda s: FakeEngine(s), trials=4, max_rounds=100, seed=3)
-        assert [o.seed for o in out] == trial_seeds_for(3, 4)
-
-    def test_explicit_processes_unpicklable_builder_falls_back_serial(self):
-        """An explicit processes=K with an unpicklable builder degrades to
-        the serial path deterministically (same seeds, same outcomes)
-        with one structured warning instead of erroring."""
-        from repro.harness.runner import UnpicklableBuilderWarning
+        """A lambda builder under the env default processes=2 returns the
+        serial outcomes.  Fork-per-unit carries closures, so nothing has
+        to fall back or warn any more; the result contract is unchanged."""
+        import warnings
 
         serial = run_trials(lambda s: FakeEngine(s), trials=4, max_rounds=100, seed=3)
-        with pytest.warns(UnpicklableBuilderWarning, match="running serially") as rec:
+        monkeypatch.setenv(PROCESSES_ENV, "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_trials(lambda s: FakeEngine(s), trials=4, max_rounds=100, seed=3)
+        assert [o.seed for o in out] == trial_seeds_for(3, 4)
+        assert out == serial
+
+    def test_explicit_processes_unpicklable_builder_falls_back_serial(self):
+        """An explicit processes=K with an unpicklable builder returns the
+        serial outcomes deterministically (same seeds, same order), also
+        when the chunks are uneven, and warns nothing."""
+        import warnings
+
+        serial = run_trials(lambda s: FakeEngine(s), trials=5, max_rounds=100, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             parallel = run_trials(
-                lambda s: FakeEngine(s), trials=4, max_rounds=100, seed=3, processes=2
+                lambda s: FakeEngine(s), trials=5, max_rounds=100, seed=3, processes=3
             )
         assert parallel == serial
-        warning = [w for w in rec if issubclass(w.category, UnpicklableBuilderWarning)]
-        assert len(warning) == 1
-        assert warning[0].message.requested == 2
-        assert warning[0].message.source == "processes=2"
+
+    def test_lambda_builder_forks_without_warning(self, tmp_path):
+        """Fork-per-unit carries closures: a lambda builder with
+        processes=2 runs in two children, warns nothing, and returns the
+        serial outcomes (same seeds, same chunk order)."""
+        import os
+        import warnings
+
+        def record_pid(seed):
+            (tmp_path / f"{seed}.pid").write_text(str(os.getpid()))
+            return FakeEngine(seed)
+
+        serial = run_trials(lambda s: FakeEngine(s), trials=4, max_rounds=100, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parallel = run_trials(
+                lambda s: record_pid(s), trials=4, max_rounds=100, seed=3, processes=2
+            )
+        assert parallel == serial
+        pids = {int(p.read_text()) for p in tmp_path.glob("*.pid")}
+        assert len(pids) >= 2 and os.getpid() not in pids
 
     def test_env_default_validation(self, monkeypatch):
         monkeypatch.setenv(PROCESSES_ENV, "lots")

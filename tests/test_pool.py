@@ -1,54 +1,16 @@
-"""Tests for the persistent worker pool (repro.harness.pool) and its
-integration with the runner/durable layers.
+"""Tests for process-parallel trial sweeps run back to back.
 
-The recurring trick mirrors ``test_durable.py``: heal-once tasks and
-builders that misbehave (hang, SIGKILL their worker) only while a marker
-file is absent, creating it first — so the first attempt fails, the pool
-replaces the worker, the durable retry re-dispatches with the original
-arguments, and the final outcomes must equal a clean run's.
+``run_trials(processes=K)`` forks one child per seed chunk, so a builder
+that cannot be pickled (a lambda, a closure) needs no serial fallback:
+every sweep forks, warns nothing, and returns the serial outcomes.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-import signal
-import time
 import warnings
 
-import pytest
-
 from repro.core.trace import RunResult
-from repro.harness.durable import DurablePolicy, use_policy
-from repro.harness.pool import PoolUnit, WorkerPool, active_pool, use_pool
-from repro.harness.runner import UnpicklableBuilderWarning, run_trials
-
-
-def _square(x: int) -> int:
-    return x * x
-
-
-def _boom() -> None:
-    raise ValueError("unit exploded")
-
-
-def _sleep_forever() -> None:  # pragma: no cover - killed by timeout
-    time.sleep(60)
-
-
-def _kill_self(marker: str) -> str:
-    """SIGKILL this worker on the first call; succeed after."""
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("x")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return "survived"
-
-
-def _worker_context_snapshot() -> tuple[bool, bool]:
-    from repro.harness.durable import active_policy
-
-    return (active_pool() is None, active_policy() is None)
+from repro.harness.runner import run_trials
 
 
 class _CountEngine:
@@ -66,156 +28,15 @@ def _count_build(seed: int) -> _CountEngine:
     return _CountEngine(seed)
 
 
-def _flaky_build(marker: str, mode: str, seed: int) -> _CountEngine:
-    """Heal-once builder: hang or kill the worker until the marker exists."""
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("x")
-        if mode == "kill":
-            os.kill(os.getpid(), signal.SIGKILL)
-        time.sleep(60)
-    return _CountEngine(seed)
-
-
-@pytest.fixture
-def pool():
-    pool = WorkerPool(2)
-    try:
-        yield pool
-    finally:
-        pool.shutdown()
-
-
-class TestWorkerPool:
-    def test_runs_more_units_than_workers(self, pool):
-        results, failures = pool.run_units(
-            [PoolUnit(f"u{i}", _square, (i,)) for i in range(9)]
-        )
-        assert not failures
-        assert results == {i: i * i for i in range(9)}
-        assert pool.tasks_done == 9
-
-    def test_error_unit_does_not_cancel_siblings(self, pool):
-        results, failures = pool.run_units(
-            [PoolUnit("bad", _boom), PoolUnit("good", _square, (3,))]
-        )
-        assert results == {1: 9}
-        assert failures[0].kind == "error" and "ValueError" in failures[0].detail
-
-    def test_timeout_kills_and_replaces_worker(self, pool):
-        before = set(pool.worker_pids())
-        results, failures = pool.run_units(
-            [
-                PoolUnit("hang", _sleep_forever, timeout=0.5),
-                PoolUnit("quick", _square, (4,)),
-            ]
-        )
-        assert results == {1: 16}
-        assert failures[0].kind == "timeout"
-        assert pool.replacements == 1
-        assert set(pool.worker_pids()) != before
-        assert pool.size == 2
-        # The replacement worker serves the next wave.
-        results, failures = pool.run_units([PoolUnit("again", _square, (5,))])
-        assert results == {0: 25} and not failures
-
-    def test_sigkilled_worker_reported_as_crash_and_replaced(self, pool, tmp_path):
-        marker = tmp_path / "killed"
-        results, failures = pool.run_units(
-            [PoolUnit("suicidal", _kill_self, (str(marker),))]
-        )
-        assert failures[0].kind == "crash"
-        assert pool.replacements == 1
-        # Retry with the same arguments now succeeds (marker exists).
-        assert pool.submit(PoolUnit("healed", _kill_self, (str(marker),))) == "survived"
-
-    def test_workers_never_inherit_execution_context(self):
-        # Fork the pool *inside* an active policy + pool context; workers
-        # must still see a clean slate (else cells would route into
-        # themselves).
-        with use_policy(DurablePolicy()):
-            pool = WorkerPool(1)
-            try:
-                with use_pool(pool):
-                    snapshot = pool.submit(PoolUnit("ctx", _worker_context_snapshot))
-            finally:
-                pool.shutdown()
-        assert snapshot == (True, True)
-
-    def test_shutdown_idempotent_and_rejects_new_work(self, pool):
-        pool.shutdown()
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.run_units([PoolUnit("late", _square, (1,))])
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            WorkerPool(0)
-
-
 class TestRunTrialsPoolRouting:
-    def test_active_pool_matches_serial_and_executor(self, pool):
-        serial = run_trials(_count_build, trials=6, max_rounds=50, seed=3)
-        with use_pool(pool):
-            pooled = run_trials(
-                _count_build, trials=6, max_rounds=50, seed=3, processes=2
-            )
-        assert pooled == serial
-        assert pool.tasks_done == 2  # one unit per worker chunk
-
-    def test_no_pool_unchanged(self):
-        assert active_pool() is None
-        serial = run_trials(_count_build, trials=4, max_rounds=50, seed=1)
-        parallel = run_trials(
-            _count_build, trials=4, max_rounds=50, seed=1, processes=2
-        )
-        assert parallel == serial
-
-    def test_unpicklable_builder_warns_once_per_sweep(self, pool):
+    def test_unpicklable_builder_warns_once_per_sweep(self):
+        """Repeated sweeps with one unpicklable builder agree with the
+        serial run and with each other; no sweep warns (the old serial
+        fallback warned once per sweep)."""
         build = lambda s: _CountEngine(s)  # noqa: E731 - deliberately unpicklable
         serial = run_trials(_count_build, trials=4, max_rounds=50, seed=2)
-        with use_pool(pool):
-            with pytest.warns(UnpicklableBuilderWarning) as first:
-                out1 = run_trials(build, trials=4, max_rounds=50, seed=2, processes=2)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a second warning would raise
-                out2 = run_trials(build, trials=4, max_rounds=50, seed=2, processes=2)
-        assert len(first) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out1 = run_trials(build, trials=4, max_rounds=50, seed=2, processes=2)
+            out2 = run_trials(build, trials=4, max_rounds=50, seed=2, processes=2)
         assert out1 == out2 == serial
-
-
-class TestDurablePoolWaves:
-    def _policy(self, **kw) -> DurablePolicy:
-        kw.setdefault("backoff_base", 0.0)
-        kw.setdefault("sleep", lambda s: None)
-        return DurablePolicy(**kw)
-
-    def test_hung_worker_killed_and_trial_retried_same_seeds(self, pool, tmp_path):
-        clean = run_trials(_count_build, trials=4, max_rounds=50, seed=9)
-        build = functools.partial(_flaky_build, str(tmp_path / "hung"), "hang")
-        policy = self._policy(timeout_per_trial=0.5, max_retries=2, processes=2)
-        budget = policy.new_budget()
-        with use_pool(pool), use_policy(policy, budget):
-            out = run_trials(build, trials=4, max_rounds=50, seed=9)
-        assert out == clean  # original seeds, bit-identical outcomes
-        assert any(e.kind == "timeout" for e in budget.events)
-        assert pool.replacements >= 1
-
-    def test_worker_death_absorbed_with_identical_results(self, pool, tmp_path):
-        clean = run_trials(_count_build, trials=4, max_rounds=50, seed=11)
-        build = functools.partial(_flaky_build, str(tmp_path / "dead"), "kill")
-        policy = self._policy(timeout_per_trial=30.0, max_retries=2, processes=2)
-        budget = policy.new_budget()
-        with use_pool(pool), use_policy(policy, budget):
-            out = run_trials(build, trials=4, max_rounds=50, seed=11)
-        assert out == clean
-        assert any(e.kind == "crash" for e in budget.events)
-        assert pool.replacements >= 1
-
-    def test_faultless_durable_pool_matches_fork_path(self, pool):
-        policy = self._policy(timeout_per_trial=30.0, processes=2)
-        with use_policy(policy):
-            forked = run_trials(_count_build, trials=5, max_rounds=50, seed=4)
-        with use_pool(pool), use_policy(self._policy(timeout_per_trial=30.0, processes=2)):
-            pooled = run_trials(_count_build, trials=5, max_rounds=50, seed=4)
-        assert pooled == forked
