@@ -650,6 +650,17 @@ def test_graph_memo_warm_speedup_and_hit_ratio():
     )
 
 
+def test_graph_build():
+    """Cold ``random_regular(2**18, 8)`` build: the large-n set-up layer.
+
+    Pairing, vectorized repair, the key-sorted CSR and the connectivity
+    check, with no graph store attached.  Absolute milliseconds, so the
+    record keeps it as machine-fingerprinted context, not a gated ratio.
+    """
+    build_s = _timed(lambda: families.random_regular(2**18, 8, seed=123), repeats=3)
+    _measurements["graph_build_ms_n2e18"] = build_s * 1000.0
+
+
 def test_campaign_parallel_speedup():
     """Wall-clock speedup of the pooled campaign over the serial scheduler.
 

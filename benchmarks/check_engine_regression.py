@@ -1,7 +1,8 @@
 """CI gate: fail on >30% engine-throughput regression vs the committed baseline.
 
 ``benchmarks/bench_engine.py -k "churn or fault or campaign or trace or
-sparse or large or memo or async or tournament or live or masked"`` appends one record per run to
+sparse or large or memo or async or tournament or live or masked or
+graph_build"`` appends one record per run to
 ``BENCH_engine.json`` at the repo root.  This script compares the newest
 record (the current run) against the *per-metric median of all committed
 prior records* on dimensionless ratios — machine speed cancels out of
@@ -49,8 +50,9 @@ asserts):
 
 Absolute context values (``ms_per_round_n1e5``, ``ms_per_round_n1e6``,
 ``pool_cpu_count``, ``async_events_per_sec``, ``live_rounds_per_sec_n64``,
-``live_rounds_per_sec_n256``) must be present — their producing benches
-must have run — but their magnitudes are machine-dependent and not gated.
+``live_rounds_per_sec_n256``, ``graph_build_ms_n2e18``) must be present —
+their producing benches must have run — but their magnitudes are
+machine-dependent and not gated.
 
 All files are parsed with a *strict* RFC 8259 parser (``parse_constant``
 raising), so a non-finite ``Infinity``/``NaN`` token leaking into any
@@ -124,6 +126,7 @@ REQUIRED_PRESENT = (
     "async_events_per_sec",
     "live_rounds_per_sec_n64",
     "live_rounds_per_sec_n256",
+    "graph_build_ms_n2e18",
 )
 
 

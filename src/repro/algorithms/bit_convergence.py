@@ -37,6 +37,7 @@ from repro.core.payload import IDPair, Message, UID, UIDSpace
 from repro.core.protocol import LeaderElectionProtocol, RoundView
 from repro.core.vectorized import VectorizedAlgorithm
 from repro.util.bits import bit_at
+from repro.util.csrops import all_distinct
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -251,7 +252,7 @@ class BitConvergenceVectorized(VectorizedAlgorithm):
         unique_tags: bool = False,
     ):
         self._keys = np.asarray(uid_keys, dtype=np.int64)
-        if np.unique(self._keys).size != self._keys.size:
+        if not all_distinct(self._keys):
             raise ValueError("UID keys must be unique")
         self.config = config
         self._tag_seed = tag_seed
@@ -378,7 +379,7 @@ class BitConvergenceBatched(BatchedAlgorithm):
         unique_tags: bool = False,
     ):
         self._keys = np.asarray(uid_keys, dtype=np.int64)
-        if np.unique(self._keys).size != self._keys.size:
+        if not all_distinct(self._keys):
             raise ValueError("UID keys must be unique")
         self.config = config
         self._unique_tags = unique_tags

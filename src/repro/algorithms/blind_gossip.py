@@ -24,6 +24,7 @@ from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import Message, UID, UIDSpace
 from repro.core.protocol import LeaderElectionProtocol, RoundView
 from repro.core.vectorized import VectorizedAlgorithm
+from repro.util.csrops import all_distinct
 
 __all__ = [
     "BlindGossipNode",
@@ -90,7 +91,7 @@ class BlindGossipVectorized(VectorizedAlgorithm):
 
     def __init__(self, uid_keys: np.ndarray):
         self._keys = np.asarray(uid_keys, dtype=np.int64)
-        if np.unique(self._keys).size != self._keys.size:
+        if not all_distinct(self._keys):
             raise ValueError("UID keys must be unique")
 
     class State:
@@ -160,7 +161,7 @@ class BlindGossipBatched(BatchedAlgorithm):
 
     def __init__(self, uid_keys: np.ndarray):
         self._keys = np.asarray(uid_keys, dtype=np.int64)
-        if np.unique(self._keys).size != self._keys.size:
+        if not all_distinct(self._keys):
             raise ValueError("UID keys must be unique")
 
     class State:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.csrops import all_distinct
+
 __all__ = [
     "RoundRecord",
     "Trace",
@@ -106,7 +108,7 @@ class Trace:
             if rec.connections.size == 0:
                 continue
             flat = rec.connections.ravel()
-            if np.unique(flat).size != flat.size:
+            if not all_distinct(flat):
                 return False
         return True
 

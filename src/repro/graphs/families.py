@@ -259,10 +259,11 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 50)
     rng = make_rng(seed, "random_regular", n, d)
     stubs = np.repeat(np.arange(n), d)
     # Above this edge count the dict-based repair's O(m) Python setup
-    # dominates generation (~60 s at n=10^6, d=8); the vectorized repair
-    # detects the O(d^2) expected bad edges with array ops instead.  The
-    # small-n path is kept verbatim so existing seeds reproduce the exact
-    # graphs they always produced.
+    # dominates generation (5.1 s at n=2^18, d=8 on a 2-CPU x86-64 box,
+    # against 0.10 s for the vectorized repair, which detects the O(d^2)
+    # expected bad edges with array ops instead).  The small-n path is
+    # kept verbatim so existing seeds reproduce the exact graphs they
+    # always produced.
     large = stubs.size // 2 >= _LARGE_REPAIR_EDGES
     for _ in range(max_tries):
         perm = rng.permutation(stubs)
@@ -285,6 +286,24 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 50)
 _LARGE_REPAIR_EDGES = 262_144
 
 
+def _repeat_followers(key: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of every occurrence of a repeated key after its first.
+
+    Every occurrence of a duplicated edge beyond its first (in index
+    order) is bad; the first stays put, since rewiring the others makes
+    it unique.  ``sorted_keys`` is ``np.sort(key)``; only the few
+    repeated keys have their occurrences put in index order.
+    """
+    follow = np.zeros(key.size, dtype=bool)
+    repeated = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
+    if repeated.size:
+        slot = np.minimum(np.searchsorted(repeated, key), repeated.size - 1)
+        occ = np.flatnonzero(repeated[slot] == key)
+        occ = occ[np.argsort(key[occ], kind="stable")]
+        follow[occ[1:][key[occ[1:]] == key[occ[:-1]]]] = True
+    return follow
+
+
 def _repair_multigraph_vectorized(
     u: np.ndarray, v: np.ndarray, n: int, rng, max_steps: int = 100_000
 ) -> bool:
@@ -298,13 +317,10 @@ def _repair_multigraph_vectorized(
     """
     m = u.shape[0]
     key = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    # Every occurrence of a duplicated key beyond its first is bad; the
-    # first occurrence stays put (rewiring the others makes it unique).
-    dup_follow = np.zeros(m, dtype=bool)
-    dup_follow[order[1:]] = sorted_keys[1:] == sorted_keys[:-1]
-    pending = np.flatnonzero(dup_follow | (u == v)).tolist()
+    sorted_keys = np.sort(key)
+    pending = np.flatnonzero(
+        _repeat_followers(key, sorted_keys) | (u == v)
+    ).tolist()
     if not pending:
         return True
 

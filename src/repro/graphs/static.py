@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.util.csrops import build_csr, csr_degrees, gather_rows
+from repro.util.csrops import canonical_csr, csr_degrees, gather_rows, unique_nodes
 
 __all__ = ["Graph"]
 
@@ -40,15 +40,10 @@ class Graph:
             [(u, v) for (u, v) in edges] if not isinstance(edges, np.ndarray) else edges,
             dtype=np.int64,
         ).reshape(-1, 2)
-        # Canonicalize edge orientation (min, max) and sort for stable equality.
-        if edge_arr.size:
-            lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-            hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-            edge_arr = np.stack([lo, hi], axis=1)
-            edge_arr = edge_arr[np.lexsort((edge_arr[:, 1], edge_arr[:, 0]))]
+        # Canonical (min, max) orientation, lexicographically sorted for
+        # stable equality, from one sort of int64 edge keys.
         self._n = int(n)
-        self._indptr, self._indices = build_csr(self._n, edge_arr)
-        self._edges = edge_arr
+        self._edges, self._indptr, self._indices = canonical_csr(self._n, edge_arr)
         self._edges.setflags(write=False)
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
@@ -158,7 +153,7 @@ class Graph:
             nxt = nxt[~seen[nxt]]
             if nxt.size == 0:
                 break
-            nxt = np.unique(nxt)
+            nxt = unique_nodes(nxt)
             seen[nxt] = True
             frontier = nxt
         return bool(seen.all())

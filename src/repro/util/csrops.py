@@ -64,6 +64,8 @@ import numpy as np
 
 __all__ = [
     "build_csr",
+    "canonical_csr",
+    "all_distinct",
     "csr_degrees",
     "gather_rows",
     "unique_nodes",
@@ -93,6 +95,62 @@ def _check_mask(name: str, mask: np.ndarray, shape: tuple[int, ...]) -> None:
         raise ValueError(f"{name} must have shape {shape}, got {mask.shape}")
 
 
+#: Largest vertex count whose pair keys ``u·n + v`` (all ``< n²``) fit in
+#: int64; :func:`canonical_csr` refuses larger ``n``.
+MAX_KEY_N = 3_037_000_499
+
+
+def canonical_csr(
+    n: int, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical edge array and CSR adjacency of an undirected edge list.
+
+    Each edge becomes one int64 key ``min(u, v)·n + max(u, v)``; one sort
+    of those keys yields the lexicographically sorted ``(min, max)`` edge
+    array and exposes duplicates as equal neighbors.  Each arc becomes
+    ``src·n + dst``, so one sort of the ``2m`` arc keys yields every
+    row's sorted neighbor list at once.
+
+    Returns
+    -------
+    edges, indptr, indices
+        The ``(m, 2)`` canonical edges, CSR row pointers (length
+        ``n + 1``) and the concatenated sorted neighbor lists.
+
+    Raises
+    ------
+    ValueError
+        When ``n·n`` overflows int64 (checked before anything is
+        allocated), or on an endpoint outside ``0..n-1``, a self-loop or
+        a duplicate edge (in either orientation).
+    """
+    if n > MAX_KEY_N:
+        raise ValueError(
+            f"n={n} exceeds {MAX_KEY_N}: edge keys u*n+v would overflow int64"
+        )
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    u, v = edges[:, 0], edges[:, 1]
+    if np.any(u == v):
+        raise ValueError("self-loops are not allowed")
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("duplicate edges are not allowed")
+    lo, hi = np.divmod(keys, n)
+    # Symmetrize: each undirected edge contributes two directed arcs.
+    src = np.concatenate([lo, hi])
+    arcs = src * n
+    arcs[: lo.size] += hi
+    arcs[lo.size :] += lo
+    arcs.sort()
+    np.remainder(arcs, n, out=arcs)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return np.stack([lo, hi], axis=1), indptr, arcs
+
+
 def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Build a CSR adjacency ``(indptr, indices)`` from an undirected edge list.
 
@@ -110,24 +168,8 @@ def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Standard CSR row pointers (length ``n + 1``) and, for each vertex,
         its sorted neighbor list.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise ValueError("edge endpoint out of range")
-    if edges.size and np.any(edges[:, 0] == edges[:, 1]):
-        raise ValueError("self-loops are not allowed")
-    # Symmetrize: each undirected edge contributes two directed arcs.
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    if src.size:
-        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if np.any(dup):
-            raise ValueError("duplicate edges are not allowed")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, dst
+    _, indptr, indices = canonical_csr(n, edges)
+    return indptr, indices
 
 
 def csr_degrees(indptr: np.ndarray) -> np.ndarray:
@@ -188,6 +230,11 @@ def unique_nodes(ids: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def all_distinct(ids: np.ndarray) -> bool:
+    """True when no value repeats in ``ids`` (the UID / exclusivity checks)."""
+    return unique_nodes(ids).size == ids.size
 
 
 def _pick_eligible(
