@@ -11,8 +11,9 @@ identity; per-cell wall times live in checkpoint ``extra`` metadata and
 are excluded from the diff).
 
 With ``--pool-workers K`` the killed and resumed campaigns run on the
-parallel execution plane (forked cell waves ``K`` wide + shared graphs,
-with each cell's child free to fork its own trial waves); the
+parallel execution plane (forked cell waves ``K`` wide, each child
+inheriting the parent's objects copy-on-write and free to fork its own
+trial waves); the
 uninterrupted reference stays serial, so the diff simultaneously proves
 kill-resume durability *and* pooled/serial table parity.
 

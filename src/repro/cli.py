@@ -138,14 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_all.add_argument(
         "--pool-workers", type=int, default=None, metavar="K",
-        help="run cells in forked waves at most K wide with work stealing "
-        "and shared-memory graphs (default: serial scheduler; tables are "
+        help="run cells in forked waves at most K wide; the next cell forks "
+        "as soon as any finishes (default: serial scheduler; tables are "
         "bit-identical either way)",
-    )
-    p_all.add_argument(
-        "--no-shared-graphs", action="store_true",
-        help="disable the shared-memory graph plane (cell children then "
-        "rebuild graphs per cell)",
     )
 
     p_graph = sub.add_parser("graph", help="inspect a graph family instance")
@@ -394,7 +389,6 @@ def _cmd_experiments_run_all(args) -> int:
         backoff_base=args.backoff_base,
         verify=not args.no_verify,
         pool_workers=args.pool_workers,
-        shared_graphs=not args.no_shared_graphs,
     )
     report = run_campaign(config, progress=lambda line: print(line, flush=True))
     print(report.summary(), flush=True)

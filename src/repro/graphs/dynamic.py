@@ -339,40 +339,14 @@ class PeriodicRelabelDynamicGraph(PermutedDynamicGraph):
     # -- pickling ----------------------------------------------------------
     #
     # The epoch-graph cache never travels (cheap to rebuild, large to
-    # ship).  Permutation blocks are seed-deterministic, so dropping them
-    # is always safe; under an active shared-memory store they are
-    # published as segments instead, so another process maps the
-    # already-generated blocks zero-copy rather than re-shuffling.
+    # ship), and permutation blocks are seed-deterministic, so dropping
+    # them is always safe: they regenerate on first use.
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_cache"] = {}
-        blocks = state.pop("_perm_blocks")
-        refs: dict[int, tuple[str, str]] = {}
-        from repro.util import shm
-
-        store = shm.active_graph_store()
-        if store is not None:
-            for b, block in blocks.items():
-                name = store.publish_array(
-                    ("perm-block", self._seed, self.n, self._block_len, b), block
-                )
-                if name is not None:
-                    refs[b] = (store.prefix, name)
-        state["_perm_block_refs"] = refs
-        return state
-
-    def __setstate__(self, state):
-        refs = state.pop("_perm_block_refs", {})
         state["_perm_blocks"] = {}
-        self.__dict__.update(state)
-        from repro.util import shm
-
-        for b, (prefix, name) in refs.items():
-            try:
-                self._perm_blocks[b] = shm._load_array_segment(prefix, name)
-            except (OSError, ValueError):
-                pass  # block regenerates deterministically on first use
+        return state
 
 
 class ResampleDynamicGraph(DynamicGraph):

@@ -591,58 +591,3 @@ FAMILY_BUILDERS: dict[str, Callable[..., Graph]] = {
     "erdos_renyi": erdos_renyi,
     "connected_erdos_renyi": connected_erdos_renyi,
 }
-
-
-# ---------------------------------------------------------------------------
-# Campaign-wide graph memo
-# ---------------------------------------------------------------------------
-#
-# Under an active shared-memory store (see :mod:`repro.util.shm`) every
-# builder call with fully-determined scalar arguments is keyed by
-# ``(family, bound args)``: the first caller anywhere in the campaign —
-# parent or any cell child — builds and publishes the CSR; everyone
-# else maps it zero-copy.  Calls with ``seed=None`` (fresh random draw
-# each time) or non-scalar arguments bypass the memo untouched, as does
-# everything outside a campaign (no active store).
-
-
-def _shared_memoized(name: str, fn: Callable[..., Graph]) -> Callable[..., Graph]:
-    import functools
-    import inspect
-
-    from repro.util import shm
-
-    sig = inspect.signature(fn)
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        store = shm.active_graph_store()
-        if store is None:
-            return fn(*args, **kwargs)
-        try:
-            bound = sig.bind(*args, **kwargs)
-        except TypeError:
-            return fn(*args, **kwargs)
-        bound.apply_defaults()
-        items = tuple(sorted(bound.arguments.items()))
-        if any(
-            not isinstance(value, (bool, int, float, str))
-            for _key, value in items
-            if value is not None
-        ):
-            return fn(*args, **kwargs)
-        if bound.arguments.get("seed", 0) is None:
-            # Unseeded sampling must stay sampling: every call draws fresh.
-            return fn(*args, **kwargs)
-        return store.get_or_build(
-            ("family", name) + items, lambda: fn(*args, **kwargs)
-        )
-
-    return wrapper
-
-
-for _name in list(FAMILY_BUILDERS):
-    _wrapped = _shared_memoized(_name, FAMILY_BUILDERS[_name])
-    globals()[_name] = _wrapped
-    FAMILY_BUILDERS[_name] = _wrapped
-del _name, _wrapped

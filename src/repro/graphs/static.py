@@ -58,10 +58,9 @@ class Graph:
     ) -> "Graph":
         """Rehydrate from already-built CSR arrays, trusting them.
 
-        Used by unpickling and the shared-memory plane: the arrays were
-        produced by ``__init__`` once, so re-canonicalizing and rebuilding
-        the CSR here would only burn time.  Arrays are frozen (mmap-backed
-        shared segments arrive read-only already).
+        Used by unpickling: the arrays were produced by ``__init__`` once,
+        so re-canonicalizing and rebuilding the CSR here would only burn
+        time.  Arrays are frozen, as ``__init__`` leaves them.
         """
         graph = object.__new__(cls)
         graph._n = int(n)
@@ -74,15 +73,6 @@ class Graph:
         return graph
 
     def __reduce__(self):
-        from repro.util import shm
-
-        store = shm.active_graph_store()
-        if store is not None:
-            name = store.publish_graph(self)
-            if name is not None:
-                # Ship a segment reference: the receiving process maps the
-                # CSR zero-copy instead of unpickling megabytes of arrays.
-                return (shm._load_graph_segment, (store.prefix, name))
         return (Graph._from_csr, (self._n, self._indptr, self._indices, self._edges))
 
     # -- basic accessors --------------------------------------------------

@@ -25,12 +25,12 @@ durable unit of work:
 * with ``pool_workers=K`` the whole registry runs on the **parallel
   execution plane**: all runnable cells go through forked waves at most
   ``K`` wide (:func:`~repro.harness.durable._run_wave`; the next cell
-  forks as soon as any finishes), graphs are shared zero-copy through
-  :mod:`repro.util.shm`, and every durable guarantee above (timeouts,
-  retries, budgets, ladders, atomic checkpoints, bit-identical resume)
-  is preserved — a cell's child may fork its own trial waves, and
-  ``pool_workers=1`` degrades to the serial schedule with identical
-  tables.
+  forks as soon as any finishes), each child inherits whatever the
+  parent built copy-on-write and only its table crosses the pipe, and
+  every durable guarantee above (timeouts, retries, budgets, ladders,
+  atomic checkpoints, bit-identical resume) is preserved — a cell's
+  child may fork its own trial waves, and ``pool_workers=1`` degrades
+  to the serial schedule with identical tables.
 
 :func:`render_campaign_text` regenerates the ``standard_results.txt`` /
 ``quick_results.txt`` archive text purely from checkpoints, so a
@@ -40,7 +40,6 @@ tables without re-running anything.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -102,9 +101,6 @@ class CampaignConfig:
     #: execution plane).  ``None`` keeps the serial scheduler; ``1`` still
     #: forks every cell (useful to prove it degrades to serial).
     pool_workers: int | None = None
-    #: Publish built graphs to the shared-memory plane so cell children map
-    #: them zero-copy and cells sharing a base CSR build it once.
-    shared_graphs: bool = True
 
     def policy(self) -> DurablePolicy:
         return DurablePolicy(
@@ -199,16 +195,13 @@ def _cell_call(
     tier_overrides: dict,
     policy: DurablePolicy,
     budget_remaining: int,
-    store_prefix: str | None = None,
 ) -> Callable[[], tuple[object, float, list[FailureEvent]]]:
     """Build the thunk that runs one cell at one ladder tier.
 
     Returns ``(table, elapsed_s, failure_events)`` — the events are the
     trial-level failures the durable runner absorbed inside the cell, so
     the campaign can charge them against its own budget even when the
-    cell ran in a forked child.  With ``store_prefix`` the cell attaches
-    the campaign's shared-memory graph store, so its graph builds route
-    through the campaign-wide memo."""
+    cell ran in a forked child."""
     overrides = dict(config.overrides.get(exp_id, {}))
     overrides.update(tier_overrides)
     if tier == "single+serial":
@@ -223,14 +216,9 @@ def _cell_call(
         cell_policy = replace(policy, failure_budget=budget_remaining)
 
     def call() -> tuple[object, float, list[FailureEvent]]:
-        store = contextlib.nullcontext()
-        if store_prefix is not None:
-            from repro.util import shm
-
-            store = shm.use_graph_store(shm.store_for(store_prefix))
         cell_budget = cell_policy.new_budget()
         start = time.perf_counter()
-        with store, use_policy(cell_policy, cell_budget):
+        with use_policy(cell_policy, cell_budget):
             table = run_experiment(exp_id, config.profile, **overrides)
         return table, time.perf_counter() - start, cell_budget.events
 
@@ -453,7 +441,7 @@ def _complete_cell(
 
 
 # ---------------------------------------------------------------------------
-# Parallel execution plane: bounded forked waves + shared graphs
+# Parallel execution plane: bounded forked waves
 # ---------------------------------------------------------------------------
 
 
@@ -495,16 +483,7 @@ def _run_campaign_pooled(
             _PendingCell(exp_id=exp_id, path=path, tiers=_cell_tiers(config, exp_id))
         )
 
-    store = None
-    if config.shared_graphs:
-        from repro.util import shm
-
-        if shm.shared_memory_supported():
-            store = shm.SharedGraphStore.create()
-    progress(
-        f"parallel plane: {config.pool_workers} worker(s)"
-        + (", shared graphs" if store is not None else "")
-    )
+    progress(f"parallel plane: {config.pool_workers} worker(s)")
     try:
         while pending:
             wave = [(cell, *cell.current_tier) for cell in pending]
@@ -515,7 +494,6 @@ def _run_campaign_pooled(
                         _cell_call(
                             config, cell.exp_id, tier, tier_overrides, policy,
                             budget.remaining,
-                            store_prefix=None if store is None else store.prefix,
                         ),
                         config.timeout_per_experiment,
                     )
@@ -554,9 +532,6 @@ def _run_campaign_pooled(
     except FailureBudgetExceeded as exc:
         report.aborted = str(exc)
         progress(f"campaign aborted: {exc}")
-    finally:
-        if store is not None:
-            store.cleanup()
     for exp_id in order:
         if exp_id in results_by_id:
             report.cells.append(results_by_id[exp_id])

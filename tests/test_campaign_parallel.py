@@ -1,6 +1,7 @@
 """Tests for the pooled campaign scheduler (the parallel execution
-plane): serial/pooled bit-identity, resume, hung/killed workers, and
-shared-memory lifecycle discipline.
+plane): serial/pooled bit-identity, resume, and hung/killed workers.
+Each cell child inherits the campaign parent's objects copy-on-write;
+only its table crosses the pipe back.
 
 The headline contract: ``pool_workers=K`` must produce checkpoint tables
 **bit-identical** to the serial scheduler for every K (including 1, the
@@ -19,15 +20,8 @@ import pytest
 from repro.harness.campaign import checkpoint_path, render_campaign_text, run_campaign
 from repro.harness.experiments import EXPERIMENTS, Experiment
 from repro.harness.tables import Table
-from repro.util import shm
 
 from test_campaign import CELLS, _slow_then_fast, small_config, tables_of
-
-
-def shm_segments() -> set[str]:
-    if not shm.SHM_DIR.exists():
-        return set()
-    return {p.name for p in shm.SHM_DIR.glob("repro-shm-*")}
 
 
 def stripped_render(directory, exp_ids=CELLS) -> list[str]:
@@ -111,21 +105,6 @@ class TestParity:
         )
         assert stripped_render(pooled_dir) == stripped_render(serial_dir)
 
-    def test_no_shared_graphs_still_identical(self, tmp_path):
-        serial_dir = tmp_path / "serial"
-        pooled_dir = tmp_path / "pooled"
-        run_campaign(small_config(tmp_path, checkpoint_dir=serial_dir))
-        report = run_campaign(
-            small_config(
-                tmp_path,
-                checkpoint_dir=pooled_dir,
-                pool_workers=2,
-                shared_graphs=False,
-            )
-        )
-        assert report.ok
-        assert tables_of(pooled_dir) == tables_of(serial_dir)
-
 
 class TestPooledResume:
     def test_resume_runs_only_missing_cells(self, tmp_path):
@@ -203,35 +182,3 @@ class TestPooledFailures:
         assert by_id["Z2"].attempts == 2
         assert any(e.kind == "crash" for e in report.failures)
         assert tables_of(pooled_dir, exp_ids=cells) == clean
-
-
-@pytest.mark.skipif(
-    not shm.shared_memory_supported(), reason="no /dev/shm on this platform"
-)
-class TestSharedMemoryLifecycle:
-    def test_normal_exit_unlinks_all_segments(self, tmp_path):
-        before = shm_segments()
-        report = run_campaign(small_config(tmp_path, pool_workers=2))
-        assert report.ok
-        assert shm_segments() == before
-
-    def test_worker_sigkill_leaves_no_segments(self, tmp_path, kill_probe):
-        before = shm_segments()
-        report = run_campaign(
-            small_config(tmp_path, exp_ids=("E1", "Z2"), pool_workers=2)
-        )
-        assert report.ok
-        assert shm_segments() == before
-
-    def test_keyboard_interrupt_leaves_no_segments(self, tmp_path):
-        before = shm_segments()
-
-        def impatient(line: str) -> None:
-            if "completed in" in line:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                small_config(tmp_path, pool_workers=2), progress=impatient
-            )
-        assert shm_segments() == before

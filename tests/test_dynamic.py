@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -130,6 +131,14 @@ class TestPeriodicRelabel:
         b = PeriodicRelabelDynamicGraph(base, tau=1, seed=9)
         for r in (1, 2, 3, 10):
             assert a.graph_at(r) == b.graph_at(r)
+
+    def test_relabel_dynamic_graph_plain_pickle_regenerates(self):
+        base = families.random_regular(64, 4, seed=2)
+        dyn = PeriodicRelabelDynamicGraph(base, tau=2, seed=7)
+        p9 = dyn.permutation_at(9).copy()
+        out = pickle.loads(pickle.dumps(dyn))
+        assert out._perm_blocks == {}  # dropped; deterministic regeneration
+        assert np.array_equal(out.permutation_at(9), p9)
 
 
 class TestResample:

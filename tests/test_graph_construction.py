@@ -13,6 +13,7 @@ same graphs.
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -130,6 +131,21 @@ class TestKeyRange:
     def test_graph_rejects_huge_n(self):
         with pytest.raises(ValueError, match="overflow"):
             Graph(MAX_KEY_N + 1, [(0, 1)])
+
+
+class TestPickling:
+    def test_graph_pickles_plainly_without_store(self):
+        g = families.random_regular(128, 4, seed=9)
+        out = pickle.loads(pickle.dumps(g))
+        assert out == g
+        assert np.array_equal(out.indptr, g.indptr)
+        assert not out.indptr.flags.writeable
+        assert not out.edges.flags.writeable
+
+    def test_from_csr_trusts_arrays(self):
+        g = families.ring(16)
+        h = Graph._from_csr(g.n, g.indptr, g.indices, g.edges)
+        assert h == g and h.neighbors(0).tolist() == g.neighbors(0).tolist()
 
 
 def _repeat_followers_reference(key):
