@@ -25,7 +25,7 @@ from repro.harness.runner import run_trials, run_trials_batched, trial_seeds_for
 from repro.util.csrops import (
     batched_random_pick,
     segmented_random_pick,
-    segmented_uniform_accept,
+    segmented_uniform_accept_pairs,
 )
 
 N = 256
@@ -160,7 +160,7 @@ def test_segmented_uniform_accept(benchmark):
     senders = rng.permutation(4096).astype(np.int64)
     targets = rng.integers(0, 512, size=4096)
 
-    benchmark(lambda: segmented_uniform_accept(senders, targets, 4096, rng))
+    benchmark(lambda: segmented_uniform_accept_pairs(senders, targets, rng))
 
 
 def test_batched_random_pick(benchmark):
@@ -499,7 +499,7 @@ def _endgame_engine(dg, keys, sparse: str):
     if sparse != "off":
         # Materialize the frontier up front: a real run builds it once at
         # the first sparse round, not once per measured round.
-        eng._ensure_frontier()
+        eng.frontier.build()
     return eng
 
 

@@ -1,4 +1,4 @@
-"""Differential fuzzing across the three engine tiers.
+"""Differential fuzzing across the engine tiers.
 
 The fuzzer samples small configurations — graph family × ``n`` ×
 algorithm × τ × fault plan × activation schedule — and runs each through
@@ -21,6 +21,14 @@ checking:
   engines cannot be compared trace-for-trace on random dynamics — their
   RNG consumption orders differ — so the distributional check is the
   cross-tier ground truth, as in ``tests/test_cross_validation.py``).
+
+Blind-gossip configurations with no fault plan and synchronized
+activation (the fuzzer's topologies are never adaptive) also run the
+**large-n tier**: :class:`~repro.core.largen.LargeNEngine` with a slab of
+a third of the nodes, so every round crosses slab boundaries and the
+endgame takes the sparse frontier.  Its trials must stabilize, and its
+median rounds must fall in the same band around the vectorized median as
+the batched tier's.
 
 A slice of the sampled configurations additionally exercise the
 **asynchronous event tier** (``engine="async"``): the event simulator
@@ -56,6 +64,7 @@ from repro.asyncsim.scheduler import SCHEDULER_NAMES
 from repro.conformance.invariants import AcceptanceStats, Violation, check_async_trace, check_trace
 from repro.core.batched import BatchedVectorizedEngine
 from repro.core.engine import ReferenceEngine
+from repro.core.largen import LargeNEngine
 from repro.core.monitor import all_leaders_are, rumor_complete
 from repro.core.payload import UIDSpace
 from repro.core.trace import traces_equal
@@ -76,7 +85,7 @@ from repro.util.rng import make_rng
 
 __all__ = ["FuzzConfig", "ConfigReport", "FuzzSummary", "run_config", "fuzz", "shrink", "replay_file"]
 
-#: Vectorized trials / batched replicas per configuration.
+#: Vectorized and large-n trials / batched replicas per configuration.
 TRIALS = 6
 #: Reference trials per configuration (the slow tier).
 REF_TRIALS = 2
@@ -99,7 +108,7 @@ BLIND_GOSSIP_FAMILIES = ("clique", "star", "wheel")
 #: |mean log(ref/vec median-rounds ratio)| ceiling for the pooled
 #: cross-tier distributional check (factor 2 overall).
 POOLED_LOG_RATIO_MAX = math.log(2.0)
-#: Per-config vectorized-vs-batched median-rounds ratio band.
+#: Per-config batched- and large-n-vs-vectorized median-rounds ratio band.
 TIER_RATIO_BAND = (0.25, 4.0)
 #: Algorithms with an event-tier form (native async node classes).
 ASYNC_ALGORITHMS = ("blind_gossip", "push_pull")
@@ -612,6 +621,17 @@ def _run_config_inner(
         dg_t = batched_dgs if isinstance(batched_dgs, StaticDynamicGraph) else batched_dgs[t]
         check(btraced.trace.replica(t), dg_t, f"batched replica {t}")
 
+    # -- large-n tier: chunked rounds, then the sparse endgame
+    lgn_results = []
+    if cfg.algorithm == "blind_gossip" and plan is None and cfg.activation == "sync":
+        chunk = max(1, cfg.n // 3)
+        for i, ts in enumerate(seeds):
+            lgn_results.append(
+                LargeNEngine(
+                    vec_dgs[i], bundle.make_vec(), seed=int(ts), chunk_nodes=chunk
+                ).run(horizon)
+            )
+
     # -- reference tier: invariant-clean, distributional anchor
     ref_results = []
     for i, ts in enumerate(seeds[:REF_TRIALS]):
@@ -646,26 +666,29 @@ def _run_config_inner(
 
     # -- cross-tier agreement --------------------------------------------------
     vec_ok = [r.stabilized for r in vec_results]
-    bat_ok = btraced.stabilized.tolist()
     ref_ok = [r.stabilized for r in ref_results]
-    for name, oks in (("vectorized", vec_ok), ("batched", bat_ok), ("reference", ref_ok)):
+    vmed = float(np.median([r.rounds for r in vec_results]))
+    lo, hi = TIER_RATIO_BAND
+    for name, oks, rounds in (
+        ("vectorized", vec_ok, []),
+        ("batched", btraced.stabilized.tolist(), btraced.rounds),
+        ("large-n", [r.stabilized for r in lgn_results], [r.rounds for r in lgn_results]),
+        ("reference", ref_ok, []),
+    ):
         if not all(oks):
             report.mismatches.append(
                 f"{name} tier failed to stabilize within {horizon} rounds "
                 f"({sum(oks)}/{len(oks)} trials)"
             )
-    if all(vec_ok) and all(bat_ok):
-        vmed = float(np.median([r.rounds for r in vec_results]))
-        bmed = float(np.median(btraced.rounds))
-        ratio = bmed / max(vmed, 1e-9)
-        lo, hi = TIER_RATIO_BAND
-        if not lo < ratio < hi:
-            report.mismatches.append(
-                f"batched/vectorized median-rounds ratio {ratio:.2f} "
-                f"outside ({lo}, {hi}): vec={vmed}, batched={bmed}"
-            )
+        elif len(rounds) and all(vec_ok):
+            med = float(np.median(rounds))
+            ratio = med / max(vmed, 1e-9)
+            if not lo < ratio < hi:
+                report.mismatches.append(
+                    f"{name}/vectorized median-rounds ratio {ratio:.2f} "
+                    f"outside ({lo}, {hi}): vec={vmed}, {name}={med}"
+                )
     if all(vec_ok) and all(ref_ok):
-        vmed = float(np.median([r.rounds for r in vec_results]))
         rmed = float(np.median([r.rounds for r in ref_results]))
         report.log_ratio = math.log(max(rmed, 1.0) / max(vmed, 1.0))
 

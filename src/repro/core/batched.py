@@ -25,10 +25,9 @@ axis ``(T, n)``, and each round is a single batch of kernel calls:
    :func:`~repro.util.csrops.segmented_random_pick` over a
    :func:`~repro.util.csrops.stack_csr` block-diagonal CSR, rebuilt
    incrementally (only the segments whose topology changed);
-3. proposals to nodes that themselves proposed are dropped per replica;
-4. :func:`~repro.util.csrops.batched_uniform_accept` resolves all
-   replicas' acceptances with one sort;
-5. the algorithm applies the exchange for the flat (replica, pair) lists.
+3. :func:`connect` drops proposals to nodes that themselves proposed and
+   resolves all replicas' acceptances with one sort over flat ids;
+4. the algorithm applies the exchange for the flat (replica, pair) lists.
 
 Replicas that satisfy their convergence predicate are *masked out* (their
 senders go silent), so finished replicas stop contributing work while the
@@ -43,12 +42,20 @@ Round randomness comes from one engine-wide stream (keyed off
 are mutually independent, so replicas remain independent trials — the
 engines are cross-validated distributionally, exactly like reference vs
 vectorized.
+
+This module also holds what every array engine shares: the sparse-mode
+switch, :func:`connect`, and :class:`SparseFrontier`, the undone set that
+lets blind gossip's endgame rounds touch only the stragglers' 2-hop
+neighbourhood (:class:`~repro.core.vectorized.VectorizedEngine` and
+:class:`~repro.core.largen.LargeNEngine` use it at one replica).
 """
 
 from __future__ import annotations
 
+import math
+import os
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,14 +78,166 @@ from repro.util.csrops import (
     stack_csr,
     unique_nodes,
 )
-from repro.core.vectorized import (
-    _SPARSE_MAX_FRACTION,
-    _SPARSE_MIN_N,
-    _resolve_sparse_mode,
-)
 from repro.util.rng import make_rng
 
-__all__ = ["BatchedAlgorithm", "BatchedVectorizedEngine"]
+__all__ = ["BatchedAlgorithm", "BatchedVectorizedEngine", "SparseFrontier", "connect"]
+
+#: Below this many (replica, vertex) pairs, sparse-activity rounds cannot
+#: beat the dense kernels' fixed dispatch overhead; ``auto`` mode stays dense.
+_SPARSE_MIN_N = 4096
+#: ``auto`` mode runs a sparse round only while the 2-hop frontier covers
+#: at most this fraction of the (replica, vertex) pairs.
+_SPARSE_MAX_FRACTION = 0.25
+
+
+def _resolve_sparse_mode(requested: str | None) -> str:
+    """Sparse-round mode: explicit argument, else ``REPRO_SPARSE``, else auto.
+
+    ``force`` engages sparse rounds wherever the algorithm is compatible
+    (regardless of size thresholds — used by the conformance fuzzer to
+    exercise the sparse path at tiny n); ``off`` disables them; ``auto``
+    applies the density heuristics.
+    """
+    mode = requested if requested is not None else os.environ.get("REPRO_SPARSE", "auto")
+    mode = mode.strip().lower() or "auto"
+    if mode not in ("auto", "force", "off"):
+        raise ValueError(f"sparse mode must be auto/force/off, got {mode!r}")
+    return mode
+
+
+def _frontier_limit(mode: str, total: int) -> float | None:
+    """Largest frontier a sparse round may cover over ``total`` flat ids.
+
+    Unbounded under ``force``; under ``auto`` a quarter of ``total``, or
+    ``None`` (dense rounds only) below the :data:`_SPARSE_MIN_N` floor.
+    """
+    if mode == "off":
+        return None
+    if mode == "force":
+        return math.inf
+    return _SPARSE_MAX_FRACTION * total if total >= _SPARSE_MIN_N else None
+
+
+def connect(
+    proposed: np.ndarray,
+    proposers: np.ndarray,
+    targets: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve one round's proposals into ``(acceptors, winners)``.
+
+    A node that issued a proposal cannot receive one: ``proposed`` is an
+    all-False scratch mask over the id space, set at the proposers for
+    the test and reset before returning.  Each remaining target accepts
+    one of its proposals uniformly
+    (:func:`~repro.util.csrops.segmented_uniform_accept_pairs`);
+    acceptors come back ascending.
+    """
+    proposed[proposers] = True
+    keep = np.flatnonzero(~proposed[targets])
+    proposed[proposers] = False
+    return segmented_uniform_accept_pairs(proposers.take(keep), targets.take(keep), rng)
+
+
+class SparseFrontier:
+    """The undone set of a sparse-compatible run, in flat ``t*n + v`` ids.
+
+    Sparse-compatible algorithms have absorbing per-node doneness that
+    changes only through exchanges, and an exchange between two done
+    nodes changes nothing.  Every state-changing exchange therefore has
+    an endpoint in the undone set ``U``; its receiver lies in
+    ``U ∪ N(U)``, and every rival proposer of that receiver is one of its
+    neighbours.  A round that draws sender coins only for
+    ``S = U ∪ N(U) ∪ N²(U)``, keeps all of their proposals and accepts
+    uniformly among them has the dense round's exact distribution over
+    state trajectories.  Proposals between passive nodes outside ``S`` are
+    skipped, so ``connections_made`` undercounts those no-op exchanges.
+
+    Replica ``t``'s copy of vertex ``v`` neighbours replica ``t``'s copies
+    of ``v``'s neighbours, so at ``T`` replicas of one shared topology the
+    flat adjacency is the CSR shifted by each id's replica base ``t*n``;
+    at one replica flat ids are vertex ids.
+
+    ``node_done()`` returns the ``(n,)`` or ``(T, n)`` doneness (or
+    ``None`` when the algorithm has no per-node form) and
+    ``node_done_subset(ids)`` the doneness of the given flat ids.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        replicas: int,
+        node_done: Callable[[], np.ndarray | None],
+        node_done_subset: Callable[[np.ndarray], np.ndarray],
+    ):
+        self.n = n
+        self.replicas = replicas
+        self._node_done = node_done
+        self._node_done_subset = node_done_subset
+        #: ``(T*n,)`` undone mask; ``None`` until a sparse round first needs it.
+        self.undone: np.ndarray | None = None
+        #: Ascending flat ids of the undone set (``None`` with ``undone``).
+        self.idx: np.ndarray | None = None
+
+    def build(self) -> bool:
+        """Build the undone set from ``node_done`` once.
+
+        False when the algorithm has no per-node doneness.
+        """
+        if self.undone is None:
+            done = self._node_done()
+            if done is None:
+                return False
+            self.undone = ~np.asarray(done, dtype=bool).reshape(-1)
+            self.idx = np.flatnonzero(self.undone)
+        return True
+
+    def closure(
+        self, dg: DynamicGraph, r: int, limit: float
+    ) -> tuple[Graph, np.ndarray] | None:
+        """Round ``r``'s graph and the ascending flat ids of ``S``.
+
+        ``None`` means run a dense round: the algorithm has no per-node
+        doneness, or ``U`` or ``S`` holds more than ``limit`` ids.
+        """
+        if not self.build():
+            return None
+        u = self.idx
+        if u.size > limit:
+            return None
+        graph = dg.graph_at(r)
+        reach = unique_nodes(np.concatenate([u, self._neighbors(graph, u)]))
+        rows = unique_nodes(np.concatenate([reach, self._neighbors(graph, reach)]))
+        if rows.size > limit:
+            return None
+        return graph, rows
+
+    def _neighbors(self, graph: Graph, ids: np.ndarray) -> np.ndarray:
+        """Concatenated flat-id neighbours of the flat ids in ``ids``."""
+        if self.replicas == 1:
+            return gather_rows(graph.indptr, graph.indices, ids)
+        verts = ids % self.n
+        nbrs = gather_rows(graph.indptr, graph.indices, verts)
+        return nbrs + np.repeat(ids - verts, graph.indptr[verts + 1] - graph.indptr[verts])
+
+    def absorb(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
+        """Drop this round's exchange endpoints that have become done.
+
+        Only exchange endpoints can have left the undone set, so
+        rechecking them keeps it exact at O(connections) per round.  A
+        no-op until the set is built.
+        """
+        mask = self.undone
+        if mask is None:
+            return
+        parts = np.concatenate([winners, acceptors])
+        cand = unique_nodes(parts[mask[parts]])
+        if cand.size == 0:
+            return
+        fin = cand[self._node_done_subset(cand)]
+        if fin.size:
+            mask[fin] = False
+            self.idx = self.idx[mask[self.idx]]
 
 
 class BatchedAlgorithm(ABC):
@@ -399,28 +558,36 @@ class BatchedVectorizedEngine:
         self._Pinv: np.ndarray | None = None
         self._perm_epoch = -1
         self._P_src: np.ndarray | None = None
-        # Scratch buffer for the "a proposer cannot receive" rule; touched
-        # positions are reset after each round instead of reallocating.
+        # All-False scratch mask for connect()'s "a proposer cannot
+        # receive" rule.
         self._proposed = np.zeros(self.replicas * self.n, dtype=bool)
         # Flat id -> local vertex lookup (a gather beats an integer modulo
         # on the hot path).
         self._row_of = np.tile(np.arange(self.n, dtype=np.int64), self.replicas)
-        # Sparse-activity rounds (mirrors VectorizedEngine): eligible only
+        # Sparse-activity rounds (as in VectorizedEngine): eligible only
         # on the shared-single-dynamic-graph path with no faults, no tags,
-        # and synchronized activation.  The frontier lives in flat id
-        # space; finished replicas drop out automatically because every
-        # one of their nodes is done.
-        self._sparse_mode = _resolve_sparse_mode(sparse)
-        self._sparse_ok = (
-            self._sparse_mode != "off"
-            and algorithm.sparse_compatible
+        # and synchronized activation.  Finished replicas drop out of the
+        # frontier automatically because every one of their nodes is done.
+        sparse_ok = (
+            algorithm.sparse_compatible
             and algorithm.tag_length == 0
             and self._faults is None
             and bool((self.activation == 1).all())
             and self.dg is not None
         )
-        self._undone_fmask: np.ndarray | None = None
-        self._undone_fidx: np.ndarray | None = None
+        mode = _resolve_sparse_mode(sparse)
+        #: Frontier-size limit of a sparse round; ``None`` = dense only.
+        self._sparse_limit = (
+            _frontier_limit(mode, self.replicas * self.n) if sparse_ok else None
+        )
+        algo, state, n = algorithm, self.state, self.n
+        #: Undone (replica, vertex) set of the sparse endgame.
+        self.frontier = SparseFrontier(
+            n,
+            self.replicas,
+            lambda: algo.node_done(state),
+            lambda ids: algo.node_done_subset_flat(state, ids, n),
+        )
 
     # -- topology ------------------------------------------------------------
 
@@ -504,136 +671,65 @@ class BatchedVectorizedEngine:
         assert self._P is not None and self._Pinv is not None
         return self._P, self._Pinv
 
-    # -- sparse-activity rounds ----------------------------------------------
+    # -- round pieces ----------------------------------------------------------
 
-    def _ensure_frontier(self) -> bool:
-        """Lazily build the flat undone-node frontier; False disables sparse."""
-        if self._undone_fmask is not None:
-            return True
-        done = self.algo.node_done(self.state)
-        if done is None:
-            self._sparse_ok = False
-            return False
-        mask = ~np.asarray(done, dtype=bool).reshape(-1)
-        self._undone_fmask = mask
-        self._undone_fidx = np.flatnonzero(mask)
-        return True
+    def _pick_shared(
+        self, graph: Graph, sflat: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unmasked picks on the shared CSR: ``(senders, targets)`` flat ids.
 
-    def _frontier_absorb(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
-        """Drop newly done flat ids from the frontier after an exchange.
-
-        Doneness is absorbing and only changes through exchanges (the
-        ``sparse_compatible`` contract), so only this round's exchange
-        endpoints can have left the undone set.
+        Gathers each sender's degree and draws its neighbour offset
+        directly — no pick grid at all.  Senders without neighbours drop.
         """
-        mask = self._undone_fmask
-        if mask is None:
-            return
-        parts = np.concatenate([winners, acceptors])
-        cand = unique_nodes(parts[mask[parts]])
-        if cand.size == 0:
-            return
-        fin = cand[self.algo.node_done_subset_flat(self.state, cand, self.n)]
-        if fin.size:
-            mask[fin] = False
-            assert self._undone_fidx is not None
-            self._undone_fidx = self._undone_fidx[mask[self._undone_fidx]]
+        rows = self._row_of[sflat]
+        d = self._degrees(graph)[rows]
+        ok = d > 0
+        if not ok.all():
+            sflat, rows, d = sflat[ok], rows[ok], d[ok]
+        if not sflat.size:
+            return sflat, sflat
+        # floor(u * d) for u ~ U[0, 1): uniform over [0, d) up to an
+        # O(d / 2^53) rounding bias — immaterial here, and roughly half
+        # the cost of a per-element bounded integer draw.
+        offsets = (self._rng.random(d.size) * d).astype(np.int64)
+        return sflat, (sflat - rows) + graph.indices[graph.indptr[rows] + offsets]
 
-    def _gather_flat(self, graph: Graph, flat: np.ndarray) -> np.ndarray:
-        """Concatenated flat-id neighbors of the flat ids in ``flat``.
+    def _exchange(self, win_flat: np.ndarray, acc_flat: np.ndarray) -> None:
+        """Apply the exchange for the connected flat pairs."""
+        if acc_flat.size:
+            n = self.n
+            arep = acc_flat // n
+            self.connections_made += np.bincount(arep, minlength=self.replicas)
+            self.algo.exchange(self.state, arep, win_flat % n, acc_flat % n)
+            self.frontier.absorb(win_flat, acc_flat)
 
-        Replica ``t``'s copy of vertex ``v`` neighbors replica ``t``'s
-        copies of ``v``'s neighbors, so the flat adjacency is the shared
-        CSR shifted by each id's replica base ``t*n``.
+    def _sparse_step(self, r: int) -> bool:
+        """Run round ``r`` on the frontier's 2-hop closure if it fits.
+
+        The closure holds the full acceptance competition of every node
+        that can change state (see :class:`SparseFrontier`), so this is
+        distribution-equivalent to a dense round.
         """
-        verts = self._row_of[flat]
-        nbrs = gather_rows(graph.indptr, graph.indices, verts)
-        deg = self._degrees(graph)
-        return nbrs + np.repeat(flat - verts, deg[verts])
-
-    def _try_sparse_step(self, r: int) -> bool:
-        """Run round ``r`` via the sparse frontier path if profitable.
-
-        Same exactness argument as
-        :meth:`~repro.core.vectorized.VectorizedEngine._try_sparse_step`,
-        applied per replica in flat id space: every state-changing
-        exchange has an undone endpoint, and the full acceptance
-        competition of any node adjacent to the undone set lies inside
-        the 2-hop closure, so simulating only that closure (keeping every
-        simulated proposal) reproduces the dense state-trajectory
-        distribution exactly.  ``connections_made`` may undercount
-        passive done–done connections outside the closure.
-        """
-        if not self._sparse_ok:
+        hit = self.frontier.closure(self.dg, r, self._sparse_limit)
+        if hit is None:
             return False
-        assert self.dg is not None
-        force = self._sparse_mode == "force"
-        total = self.replicas * self.n
-        if not force and total < _SPARSE_MIN_N:
-            return False
-        if not self._ensure_frontier():
-            return False
-        u_idx = self._undone_fidx
-        assert u_idx is not None
-        limit = _SPARSE_MAX_FRACTION * total
-        if not force and u_idx.size > limit:
-            return False
-        graph = self.dg.graph_at(r)
-        reach = unique_nodes(
-            np.concatenate([u_idx, self._gather_flat(graph, u_idx)])
-        )
-        rows = unique_nodes(
-            np.concatenate([reach, self._gather_flat(graph, reach)])
-        )
-        if not force and rows.size > limit:
-            return False
+        graph, rows = hit
         if self._all_active is None:
             self._all_active = np.ones(self.n, dtype=bool)
         # Sparse preconditions (sync activation, no faults) mean every
         # node is live this round.
         self.last_active = self._all_active
-        self._sparse_step(r, graph, rows)
-        return True
-
-    def _sparse_step(self, r: int, graph: Graph, rows: np.ndarray) -> None:
-        """One batched round touching only the flat ids in ``rows``."""
-        T, n = self.replicas, self.n
         rng = self._rng
         coins = self.algo.sparse_senders_flat(self.state, rows, rng)
-        sflat = rows[coins]
-        verts = self._row_of[sflat]
-        d = self._degrees(graph)[verts]
-        ok = d > 0
-        if not ok.all():
-            sflat, verts, d = sflat[ok], verts[ok], d[ok]
-        if sflat.size:
-            offsets = (rng.random(d.size) * d).astype(np.int64)
-            tloc = graph.indices[graph.indptr[verts] + offsets]
-            tflat = (sflat - verts) + tloc
-        else:
-            tflat = sflat
-        trace = self.trace
-        tr_acc = tr_win = None
-        if sflat.size:
-            proposed = self._proposed
-            proposed[sflat] = True
-            keep = np.flatnonzero(~proposed[tflat])
-            proposed[sflat] = False
-            acc_flat, win_flat = segmented_uniform_accept_pairs(
-                sflat.take(keep), tflat.take(keep), rng
-            )
-            if trace is not None:
-                tr_acc, tr_win = acc_flat, win_flat
-            if acc_flat.size:
-                arep = acc_flat // n
-                self.connections_made += np.bincount(arep, minlength=T)
-                self.algo.exchange(self.state, arep, win_flat % n, acc_flat % n)
-                self._frontier_absorb(win_flat, acc_flat)
+        sflat, tflat = self._pick_shared(graph, rows[coins])
+        acc_flat, win_flat = connect(self._proposed, sflat, tflat, rng)
+        self._exchange(win_flat, acc_flat)
         # end_round is a contractual no-op for sparse-compatible algorithms.
-        if trace is not None:
-            trace.append_round(
-                r, sflat, tflat, tr_win, tr_acc, None, self.activation <= r
+        if self.trace is not None:
+            self.trace.append_round(
+                r, sflat, tflat, win_flat, acc_flat, None, self.activation <= r
             )
+        return True
 
     # -- single round --------------------------------------------------------
 
@@ -641,7 +737,7 @@ class BatchedVectorizedEngine:
         """Execute global round ``r`` (1-indexed) in every live replica."""
         from repro.graphs.adversary import AdaptiveDynamicGraph
 
-        if self._try_sparse_step(r):
+        if self._sparse_limit is not None and self._sparse_step(r):
             return
 
         T, n = self.replicas, self.n
@@ -728,24 +824,7 @@ class BatchedVectorizedEngine:
         elif self.dg is not None:
             graph = self.dg.graph_at(r)
             if nb_mask is None:
-                # Unmasked shared CSR: gather each sender's degree and
-                # draw its neighbor offset directly — no pick grid at all.
-                sflat = np.flatnonzero(sender)
-                rows = self._row_of[sflat]
-                d = self._degrees(graph)[rows]
-                ok = d > 0
-                if not ok.all():
-                    sflat, rows, d = sflat[ok], rows[ok], d[ok]
-                if sflat.size:
-                    # floor(u * d) for u ~ U[0, 1): uniform over [0, d)
-                    # up to an O(d / 2^53) rounding bias — immaterial
-                    # here, and roughly half the cost of a per-element
-                    # bounded integer draw.
-                    offsets = (rng.random(d.size) * d).astype(np.int64)
-                    tloc = graph.indices[graph.indptr[rows] + offsets]
-                    tflat = (sflat - rows) + tloc
-                else:
-                    tflat = sflat
+                sflat, tflat = self._pick_shared(graph, np.flatnonzero(sender))
             else:
                 picks = batched_random_pick(
                     graph.indptr, graph.indices, rng, sender, neighbor_mask=nb_mask
@@ -770,37 +849,20 @@ class BatchedVectorizedEngine:
             sflat = np.flatnonzero(flat_picks >= 0)
             tflat = flat_picks[sflat]
 
-        trace = self.trace
-        tr_acc = tr_win = None
-        if sflat.size:
-            # A node that issued a proposal cannot receive one (per replica).
-            proposed = self._proposed
-            proposed[sflat] = True
-            keep = np.flatnonzero(~proposed[tflat])
-            proposed[sflat] = False  # reset only the touched scratch entries
-            acc_flat, win_flat = segmented_uniform_accept_pairs(
-                sflat.take(keep), tflat.take(keep), rng
-            )
-            if faults is not None and acc_flat.size:
-                # Established connections drop before the payload exchange;
-                # connections_made counts only survivors.
-                keepc = faults.connection_keep(acc_flat.size)
-                if keepc is not None:
-                    acc_flat, win_flat = acc_flat[keepc], win_flat[keepc]
-            if trace is not None:
-                tr_acc, tr_win = acc_flat, win_flat
-            if acc_flat.size:
-                arep = acc_flat // n
-                self.connections_made += np.bincount(arep, minlength=T)
-                self.algo.exchange(self.state, arep, win_flat % n, acc_flat % n)
-                # Keep the sparse frontier current across dense rounds
-                # (no-op until a sparse round has materialized it).
-                self._frontier_absorb(win_flat, acc_flat)
+        acc_flat, win_flat = connect(self._proposed, sflat, tflat, rng)
+        if faults is not None and acc_flat.size:
+            # Established connections drop before the payload exchange;
+            # connections_made counts only survivors.
+            keepc = faults.connection_keep(acc_flat.size)
+            if keepc is not None:
+                acc_flat, win_flat = acc_flat[keepc], win_flat[keepc]
+        # Also keeps the sparse frontier current across dense rounds.
+        self._exchange(win_flat, acc_flat)
 
         self.algo.end_round(self.state, r, local_rounds, active, self.live)
 
-        if trace is not None:
-            trace.append_round(r, sflat, tflat, tr_win, tr_acc, tags, active)
+        if self.trace is not None:
+            self.trace.append_round(r, sflat, tflat, win_flat, acc_flat, tags, active)
 
     # -- full runs -----------------------------------------------------------
 

@@ -11,21 +11,23 @@ vertices**:
    target with :func:`~repro.util.csrops.segmented_random_pick_subset` —
    the working set per slab is O(``chunk_nodes``) beyond the CSR and the
    compact proposal list it appends to;
-2. *Accept pass* (global, over the compact proposal list): apply the
-   "a proposer cannot receive" rule through a persistent O(``n``) scratch
-   mask, resolve acceptances with
-   :func:`~repro.util.csrops.segmented_uniform_accept_pairs`, and apply
-   the exchange.
+2. *Accept pass* (global, over the compact proposal list):
+   :func:`~repro.core.batched.connect` applies the "a proposer cannot
+   receive" rule through a persistent O(``n``) scratch mask and resolves
+   acceptances; then the exchange is applied.
 
 Both passes consume randomness per slab in slab order, so runs are
 deterministic in ``(seed, chunk_nodes)``; different chunk sizes are
 different (equally valid) samples of the same round distribution.
 
-Once stabilization is near (most nodes done), rounds switch to the same
-2-hop **sparse frontier** as
-:meth:`repro.core.vectorized.VectorizedEngine._try_sparse_step`, touching
-only the undone set and its competition neighborhood — the endgame of a
-``10^6``-node run costs the frontier, not the network.
+Once stabilization is near (most nodes done), rounds switch to the
+2-hop :class:`~repro.core.batched.SparseFrontier` and the same sparse
+round as :class:`~repro.core.vectorized.VectorizedEngine`, touching only
+the undone set and its competition neighborhood — the endgame of a
+``10^6``-node run costs the frontier, not the network.  Unlike the
+vectorized engine there is no size floor and no ``REPRO_SPARSE`` switch:
+a round is sparse whenever the closure covers at most a quarter of the
+nodes.
 
 Scope: the engine requires a ``sparse_compatible`` algorithm with
 ``b = 0``, synchronized activation, no fault plan, and no trace (use the
@@ -41,19 +43,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batched import _SPARSE_MAX_FRACTION, connect
 from repro.core.trace import RunResult
-from repro.core.vectorized import (
-    _SPARSE_MAX_FRACTION,
-    VectorizedAlgorithm,
-)
+from repro.core.vectorized import VectorizedAlgorithm, _SingleReplicaRounds
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.static import Graph
-from repro.util.csrops import (
-    gather_rows,
-    unique_nodes,
-    segmented_random_pick_subset,
-    segmented_uniform_accept_pairs,
-)
+from repro.util.csrops import segmented_random_pick_subset
 from repro.util.rng import make_rng
 
 __all__ = ["LargeNEngine"]
@@ -63,7 +58,7 @@ __all__ = ["LargeNEngine"]
 DEFAULT_CHUNK_NODES = 65536
 
 
-class LargeNEngine:
+class LargeNEngine(_SingleReplicaRounds):
     """Runs a ``sparse_compatible`` :class:`VectorizedAlgorithm` in slabs.
 
     Parameters
@@ -120,83 +115,14 @@ class LargeNEngine:
         #: endgame rounds undercount passive done–done connections.
         self.connections_made = 0
         self._proposed = np.zeros(self.n, dtype=bool)
-        # Sparse endgame frontier (materialized lazily on first use).
-        self._undone_mask: np.ndarray | None = None
-        self._undone_idx: np.ndarray | None = None
-
-    # -- sparse endgame ------------------------------------------------------
-
-    def _ensure_frontier(self) -> bool:
-        if self._undone_mask is not None:
-            return True
-        done = self.algo.node_done(self.state)
-        if done is None:
-            return False
-        self._undone_mask = ~np.asarray(done, dtype=bool)
-        self._undone_idx = np.flatnonzero(self._undone_mask)
-        return True
-
-    def _frontier_absorb(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
-        mask = self._undone_mask
-        if mask is None:
-            return
-        parts = np.concatenate([winners, acceptors])
-        cand = unique_nodes(parts[mask[parts]])
-        if cand.size == 0:
-            return
-        fin = cand[self.algo.node_done_subset(self.state, cand)]
-        if fin.size:
-            mask[fin] = False
-            assert self._undone_idx is not None
-            self._undone_idx = self._undone_idx[mask[self._undone_idx]]
-
-    def _try_sparse_step(self, r: int) -> bool:
-        """Endgame path: same 2-hop frontier as the vectorized engine."""
-        if not self._ensure_frontier():
-            return False
-        u_idx = self._undone_idx
-        assert u_idx is not None
-        limit = _SPARSE_MAX_FRACTION * self.n
-        if u_idx.size > limit:
-            return False
-        graph = self.dg.graph_at(r)
-        indptr, indices = graph.indptr, graph.indices
-        reach = unique_nodes(
-            np.concatenate([u_idx, gather_rows(indptr, indices, u_idx)])
-        )
-        rows = unique_nodes(
-            np.concatenate([reach, gather_rows(indptr, indices, reach)])
-        )
-        if rows.size > limit:
-            return False
-        rng = self._rng
-        coins = self.algo.sparse_senders(self.state, rows, rng)
-        senders = rows[coins]
-        picks = segmented_random_pick_subset(indptr, indices, rng, senders)
-        ok = picks >= 0
-        self._resolve(picks[ok], senders[ok])
-        return True
+        #: Undone-node set of the sparse endgame.
+        self.frontier = self._make_frontier()
 
     # -- chunked round -------------------------------------------------------
 
-    def _resolve(self, targets: np.ndarray, proposers: np.ndarray) -> None:
-        """Accept pass: proposer-cannot-receive, accept, exchange."""
-        prop = self._proposed
-        prop[proposers] = True
-        keep = ~prop[targets]
-        prop[proposers] = False
-        proposers, targets = proposers[keep], targets[keep]
-        acceptors, winners = segmented_uniform_accept_pairs(
-            proposers, targets, self._rng
-        )
-        if acceptors.size:
-            self.connections_made += int(acceptors.size)
-            self.algo.exchange(self.state, winners, acceptors)
-            self._frontier_absorb(winners, acceptors)
-
     def step(self, r: int) -> None:
         """Execute global round ``r`` (1-indexed)."""
-        if self._try_sparse_step(r):
+        if self._sparse_round(r, _SPARSE_MAX_FRACTION * self.n) is not None:
             return
         graph: Graph = self.dg.graph_at(r)
         indptr, indices = graph.indptr, graph.indices
@@ -212,7 +138,10 @@ class LargeNEngine:
             ok = picks >= 0
             prop_parts.append(senders[ok])
             targ_parts.append(picks[ok])
-        self._resolve(np.concatenate(targ_parts), np.concatenate(prop_parts))
+        acceptors, winners = connect(
+            self._proposed, np.concatenate(prop_parts), np.concatenate(targ_parts), rng
+        )
+        self._exchange(winners, acceptors)
 
     # -- full runs -----------------------------------------------------------
 

@@ -7,11 +7,10 @@ profiling-guided optimization of the per-node loops):
 1. the algorithm produces per-node tags and a sender mask;
 2. :func:`~repro.util.csrops.segmented_random_pick` chooses each sender's
    proposal target uniformly among its eligible neighbors;
-3. proposals to nodes that themselves (effectively) proposed are dropped —
-   a proposer cannot receive;
-4. :func:`~repro.util.csrops.segmented_uniform_accept` has each remaining
-   target accept one proposal uniformly at random;
-5. the algorithm applies the state exchange for the connected pairs.
+3. :func:`~repro.core.batched.connect` drops proposals to nodes that
+   themselves proposed — a proposer cannot receive — and has each
+   remaining target accept one proposal uniformly at random;
+4. the algorithm applies the state exchange for the connected pairs.
 
 Algorithms plug in via :class:`VectorizedAlgorithm`, operating on a state
 object of NumPy arrays.  Each algorithm in :mod:`repro.algorithms` ships
@@ -26,47 +25,22 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from repro.core.batched import (
+    SparseFrontier,
+    _frontier_limit,
+    _resolve_sparse_mode,
+    connect,
+)
 from repro.core.trace import RoundRecord, RunResult, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.faults.plan import FaultPlan
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.static import Graph
-from repro.util.csrops import (
-    gather_rows,
-    unique_nodes,
-    segmented_random_pick,
-    segmented_random_pick_subset,
-    segmented_uniform_accept,
-    segmented_uniform_accept_pairs,
-)
+from repro.util.csrops import segmented_random_pick, segmented_random_pick_subset
 from repro.util.rng import make_rng
 
 __all__ = ["VectorizedAlgorithm", "VectorizedEngine"]
-
-import os
-
-#: Below this vertex count, sparse-activity rounds cannot beat the dense
-#: kernels' fixed dispatch overhead; ``auto`` mode stays dense.
-_SPARSE_MIN_N = 4096
-#: ``auto`` mode runs a sparse round only while the 2-hop frontier covers
-#: at most this fraction of the vertices.
-_SPARSE_MAX_FRACTION = 0.25
-
-
-def _resolve_sparse_mode(requested: str | None) -> str:
-    """Sparse-round mode: explicit argument, else ``REPRO_SPARSE``, else auto.
-
-    ``force`` engages sparse rounds wherever the algorithm is compatible
-    (regardless of size thresholds — used by the conformance fuzzer to
-    exercise the sparse path at tiny n); ``off`` disables them; ``auto``
-    applies the density heuristics.
-    """
-    mode = requested if requested is not None else os.environ.get("REPRO_SPARSE", "auto")
-    mode = mode.strip().lower() or "auto"
-    if mode not in ("auto", "force", "off"):
-        raise ValueError(f"sparse mode must be auto/force/off, got {mode!r}")
-    return mode
 
 
 class VectorizedAlgorithm(ABC):
@@ -233,7 +207,54 @@ class VectorizedAlgorithm(ABC):
         return None
 
 
-class VectorizedEngine:
+class _SingleReplicaRounds:
+    """Round pieces :class:`VectorizedEngine` and ``LargeNEngine`` share.
+
+    Both engines keep ``dg``, ``algo``, ``state``, ``_rng``,
+    ``connections_made``, an all-False ``(n,)`` scratch mask
+    ``_proposed`` for :func:`~repro.core.batched.connect`, and a
+    one-replica :class:`~repro.core.batched.SparseFrontier`.
+    """
+
+    def _make_frontier(self) -> SparseFrontier:
+        algo, state = self.algo, self.state
+        return SparseFrontier(
+            self.n,
+            1,
+            lambda: algo.node_done(state),
+            lambda ids: algo.node_done_subset(state, ids),
+        )
+
+    def _exchange(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
+        """Apply the exchange for the connected pairs."""
+        if acceptors.size:
+            self.connections_made += int(acceptors.size)
+            self.algo.exchange(self.state, winners, acceptors)
+            self.frontier.absorb(winners, acceptors)
+
+    def _sparse_round(self, r: int, limit: float):
+        """Run round ``r`` on the frontier's 2-hop closure if it fits ``limit``.
+
+        Returns ``None`` when the round must run dense instead; otherwise
+        the issued proposals and the connections as ``(proposers,
+        targets, winners, acceptors)``.
+        """
+        hit = self.frontier.closure(self.dg, r, limit)
+        if hit is None:
+            return None
+        graph, rows = hit
+        rng = self._rng
+        coins = self.algo.sparse_senders(self.state, rows, rng)
+        senders = rows[coins]
+        picks = segmented_random_pick_subset(graph.indptr, graph.indices, rng, senders)
+        ok = picks >= 0
+        proposers, targets = senders[ok], picks[ok]
+        acceptors, winners = connect(self._proposed, proposers, targets, rng)
+        self._exchange(winners, acceptors)
+        return proposers, targets, winners, acceptors
+
+
+class VectorizedEngine(_SingleReplicaRounds):
     """Runs a :class:`VectorizedAlgorithm` over a dynamic graph."""
 
     def __init__(
@@ -293,143 +314,55 @@ class VectorizedEngine:
         # one seed stay identical.
         from repro.graphs.adversary import AdaptiveDynamicGraph
 
-        self._sparse_mode = _resolve_sparse_mode(sparse)
-        self._sparse_ok = (
-            self._sparse_mode != "off"
-            and algorithm.sparse_compatible
+        sparse_ok = (
+            algorithm.sparse_compatible
             and algorithm.tag_length == 0
             and self._faults is None
             and bool((self.activation == 1).all())
             and not isinstance(dynamic_graph, AdaptiveDynamicGraph)
         )
-        self._undone_mask: np.ndarray | None = None
-        self._undone_idx: np.ndarray | None = None
-        self._proposed: np.ndarray | None = None
+        mode = _resolve_sparse_mode(sparse)
+        #: Frontier-size limit of a sparse round; ``None`` = dense only.
+        self._sparse_limit = _frontier_limit(mode, self.n) if sparse_ok else None
+        #: Undone-node set of the sparse endgame.
+        self.frontier = self._make_frontier()
+        self._proposed = np.zeros(self.n, dtype=bool)
         self._all_active: np.ndarray | None = None
         #: Live/active mask of the most recent round (``None`` before the
         #: first).  Open-world monitors read it after each ``step``.
         self.last_active: np.ndarray | None = None
 
-    # -- sparse-activity rounds -------------------------------------------
-
-    def _ensure_frontier(self) -> bool:
-        """Initialize the undone-node frontier lazily (one O(n) scan)."""
-        if self._undone_mask is not None:
-            return True
-        done = self.algo.node_done(self.state)
-        if done is None:
-            self._sparse_ok = False
-            return False
-        self._undone_mask = ~done
-        self._undone_idx = np.flatnonzero(self._undone_mask)
-        return True
-
-    def _frontier_absorb(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
-        """Retire exchange participants that just became done.
-
-        Doneness is absorbing and (for sparse-compatible algorithms) only
-        changes through exchanges, so rechecking the round's participants
-        keeps the frontier exact at O(connections) per round.
-        """
-        if self._undone_mask is None:
-            return
-        parts = np.concatenate([winners, acceptors])
-        cand = parts[self._undone_mask[parts]]
-        if cand.size == 0:
-            return
-        cand = unique_nodes(cand)
-        fin = cand[self.algo.node_done_subset(self.state, cand)]
-        if fin.size:
-            self._undone_mask[fin] = False
-            self._undone_idx = self._undone_idx[self._undone_mask[self._undone_idx]]
-
     def _try_sparse_step(self, r: int) -> bool:
-        """Run round ``r`` on the 2-hop frontier when profitable.
+        """Run round ``r`` on the sparse frontier when profitable.
 
-        The frontier ``S = U ∪ N(U) ∪ N(N(U))`` over the undone set ``U``
-        contains every node whose proposal can compete for an exchange
-        with an undone endpoint: a state-changing exchange has an endpoint
-        in ``U``, its receiver is in ``U ∪ N(U)``, and every rival
-        proposer of that receiver is a neighbor of it — hence in ``S``.
-        Drawing sender coins only for ``S``, keeping all their proposals,
-        and accepting uniformly over the kept proposals therefore yields
-        the dense round's exact distribution over state trajectories;
-        proposals entirely between passive nodes are no-op exchanges and
-        are skipped (``connections_made`` undercounts those no-ops, which
-        is why instrumented runs with ``on_connections`` stay dense).
+        Instrumented runs (``on_connections``) stay dense: the callback
+        must see the passive done–done connections the frontier skips.
         """
-        if not self._sparse_ok or self.on_connections is not None:
+        if self._sparse_limit is None or self.on_connections is not None:
             return False
-        force = self._sparse_mode == "force"
-        n = self.n
-        if not force and n < _SPARSE_MIN_N:
-            return False
-        if not self._ensure_frontier():
-            return False
-        u_idx = self._undone_idx
-        limit = _SPARSE_MAX_FRACTION * n
-        if not force and u_idx.size > limit:
-            return False
-        graph = self.dg.graph_at(r)
-        indptr, indices = graph.indptr, graph.indices
-        reach = unique_nodes(
-            np.concatenate([u_idx, gather_rows(indptr, indices, u_idx)])
-        )
-        rows = unique_nodes(
-            np.concatenate([reach, gather_rows(indptr, indices, reach)])
-        )
-        if not force and rows.size > limit:
+        sparse = self._sparse_round(r, self._sparse_limit)
+        if sparse is None:
             return False
         if self._all_active is None:
             self._all_active = np.ones(self.n, dtype=bool)
         # Sparse preconditions (sync activation, no faults) mean every
         # node is live this round.
         self.last_active = self._all_active
-        self._sparse_step(r, graph, rows)
-        return True
-
-    def _sparse_step(self, r: int, graph: Graph, rows: np.ndarray) -> None:
-        """One frontier-restricted round (same shape as the dense round)."""
-        rng = self._rng
-        n = self.n
-        coins = self.algo.sparse_senders(self.state, rows, rng)
-        senders = rows[coins]
-        picks = segmented_random_pick_subset(graph.indptr, graph.indices, rng, senders)
-        ok = picks >= 0
-        proposers = senders[ok]
-        targets = picks[ok]
         if self.trace is not None:
-            tr_proposals = np.column_stack([proposers, targets]).reshape(-1, 2)
-
-        # A node that issued a proposal cannot receive one (the dense
-        # rule, applied via a persistent O(n) scratch mask).
-        if self._proposed is None:
-            self._proposed = np.zeros(n, dtype=bool)
-        prop = self._proposed
-        prop[proposers] = True
-        keep = ~prop[targets]
-        prop[proposers] = False
-        proposers, targets = proposers[keep], targets[keep]
-
-        acceptors, winners = segmented_uniform_accept_pairs(proposers, targets, rng)
-        if acceptors.size:
-            self.connections_made += int(acceptors.size)
-            self.algo.exchange(self.state, winners, acceptors)
-            self._frontier_absorb(winners, acceptors)
-
-        if self.trace is not None:
+            proposers, targets, winners, acceptors = sparse
             # tag_length == 0 and all-sync activation are preconditions of
             # the sparse path, so tags are all zeros and everyone is
             # active — same records the dense round would produce.
             self.trace.append(
                 RoundRecord(
                     round_index=r,
-                    proposals=tr_proposals,
+                    proposals=np.column_stack([proposers, targets]).reshape(-1, 2),
                     connections=np.column_stack([winners, acceptors]).reshape(-1, 2),
-                    tags=np.zeros(n, dtype=np.int64),
-                    active=np.ones(n, dtype=bool),
+                    tags=np.zeros(self.n, dtype=np.int64),
+                    active=np.ones(self.n, dtype=bool),
                 )
             )
+        return True
 
     def step(self, r: int) -> None:
         """Execute global round ``r`` (1-indexed)."""
@@ -485,21 +418,9 @@ class VectorizedEngine:
         picks = segmented_random_pick(
             graph.indptr, graph.indices, rng, active=sender_mask, flat_mask=flat
         )
-        effective = picks >= 0  # senders that actually issued a proposal
-        proposers = np.flatnonzero(effective)
+        proposers = np.flatnonzero(picks >= 0)  # senders that issued a proposal
         targets = picks[proposers]
-        if self.trace is not None:
-            # All issued proposals, ascending by proposer — before the
-            # proposer-cannot-receive filter, matching the reference.
-            tr_proposals = np.column_stack([proposers, targets]).reshape(-1, 2)
-
-        # A node that issued a proposal cannot receive one.
-        keep = ~effective[targets]
-        proposers, targets = proposers[keep], targets[keep]
-
-        accepted = segmented_uniform_accept(proposers, targets, self.n, rng)
-        acceptors = np.flatnonzero(accepted >= 0)
-        winners = accepted[acceptors]
+        acceptors, winners = connect(self._proposed, proposers, targets, rng)
 
         if faults is not None and acceptors.size:
             # Established connections drop before the payload exchange;
@@ -508,15 +429,9 @@ class VectorizedEngine:
             if keep is not None:
                 acceptors, winners = acceptors[keep], winners[keep]
 
-        if acceptors.size:
-            self.connections_made += int(acceptors.size)
-            self.algo.exchange(self.state, winners, acceptors)
-            self._frontier_absorb(winners, acceptors)
-            if self.on_connections is not None:
-                self.on_connections(r, winners, acceptors)
-        elif self.on_connections is not None:
-            empty = np.empty(0, dtype=np.int64)
-            self.on_connections(r, empty, empty)
+        self._exchange(winners, acceptors)
+        if self.on_connections is not None:
+            self.on_connections(r, winners, acceptors)
 
         self.algo.end_round(self.state, r, local_rounds, active)
 
@@ -524,7 +439,9 @@ class VectorizedEngine:
             self.trace.append(
                 RoundRecord(
                     round_index=r,
-                    proposals=tr_proposals,
+                    # All issued proposals, ascending by proposer — before
+                    # the proposer-cannot-receive filter, as the reference.
+                    proposals=np.column_stack([proposers, targets]).reshape(-1, 2),
                     connections=np.column_stack([winners, acceptors]).reshape(-1, 2),
                     tags=np.where(active, tags, -1).astype(np.int64),
                     active=active.copy(),

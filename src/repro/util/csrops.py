@@ -9,7 +9,7 @@ primitives executed once per simulated round:
     restricted by a boolean predicate over neighbors (e.g. "neighbors
     currently advertising tag 1");
 
-``segmented_uniform_accept``
+``segmented_uniform_accept_pairs``
     every *receiver* with at least one incoming proposal accepts one
     uniformly at random.
 
@@ -19,17 +19,12 @@ workflow.  The reference engine implements the same semantics with plain
 per-node loops and the two are cross-validated in the test suite.
 
 The batched round engine (:mod:`repro.core.batched`) runs ``T``
-independent replicas of one configuration at once and needs the same two
-primitives with a leading replica axis:
-
-``batched_random_pick``
-    per-replica uniform neighbor choice over a *shared* CSR topology,
-    with ``(T, n)``/``(T, nnz)`` masks — one kernel dispatch covers all
-    replicas of a round;
-
-``batched_uniform_accept``
-    per-(replica, receiver) uniform acceptance over flat proposal arrays
-    carrying a replica id — one sort covers all replicas.
+independent replicas of one configuration at once.  It accepts over flat
+``t*n + v`` ids with the same ``segmented_uniform_accept_pairs`` (one
+sort covers all replicas) and picks with :func:`batched_random_pick`:
+per-replica uniform neighbor choice over a *shared* CSR topology, with
+``(T, n)``/``(T, nnz)`` masks — one kernel dispatch covers all replicas
+of a round.
 
 Replicas with *distinct* topologies come in two tiers.  Isomorphic churn
 (relabelings of one shared base graph — the dominant dynamic workload) is
@@ -71,11 +66,9 @@ __all__ = [
     "unique_nodes",
     "segmented_random_pick",
     "segmented_random_pick_subset",
-    "segmented_uniform_accept",
     "segmented_uniform_accept_pairs",
     "batched_random_pick",
     "batched_permuted_pick",
-    "batched_uniform_accept",
     "invert_permutations",
     "stack_csr",
 ]
@@ -423,44 +416,23 @@ def segmented_random_pick_subset(
     return pick
 
 
-def segmented_uniform_accept(
-    senders: np.ndarray,
-    targets: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform acceptance of one incoming proposal per receiver.
-
-    Given parallel arrays ``senders``/``targets`` (``senders[i]`` proposed to
-    ``targets[i]``), selects for each distinct target one proposer uniformly
-    at random, matching the model's rule that a receiving node accepts an
-    incoming proposal chosen uniformly from the arrivals.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``accepted`` of length ``n`` with ``accepted[v]`` the sender whose
-        proposal ``v`` accepted, or ``-1`` if ``v`` received none.
-    """
-    accepted = np.full(n, -1, dtype=np.int64)
-    receivers, winners = segmented_uniform_accept_pairs(senders, targets, rng)
-    accepted[receivers] = winners
-    return accepted
-
-
 def segmented_uniform_accept_pairs(
     senders: np.ndarray,
     targets: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Compact form of :func:`segmented_uniform_accept`.
+    """Uniform acceptance of one incoming proposal per receiver.
 
-    Same acceptance rule and identical RNG consumption, but instead of a
-    dense length-``n`` array it returns the parallel pair
-    ``(receivers, winners)``: each distinct target exactly once, with the
-    sender whose proposal it accepted.  The engines' hot path uses this
-    form to avoid materializing (and re-scanning) a dense per-vertex
-    array when only the established connections matter.
+    Given parallel arrays ``senders``/``targets`` (``senders[i]`` proposed
+    to ``targets[i]``), selects for each distinct target one proposer
+    uniformly at random, matching the model's rule that a receiving node
+    accepts an incoming proposal chosen uniformly from the arrivals.
+
+    Returns
+    -------
+    tuple of numpy.ndarray
+        ``(receivers, winners)``: each distinct target exactly once, in
+        ascending order, with the sender whose proposal it accepted.
     """
     senders = np.asarray(senders, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
@@ -687,41 +659,6 @@ def invert_permutations(perm: np.ndarray) -> np.ndarray:
         inv, perm, np.arange(perm.shape[1], dtype=perm.dtype)[None, :], axis=1
     )
     return inv
-
-
-def batched_uniform_accept(
-    rep: np.ndarray,
-    senders: np.ndarray,
-    targets: np.ndarray,
-    T: int,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform acceptance of one incoming proposal per (replica, receiver).
-
-    Proposals across all replicas arrive as parallel flat arrays
-    (``senders[i]`` proposed to ``targets[i]`` inside replica ``rep[i]``);
-    a single stable sort on the combined ``(replica, target)`` key groups
-    every replica's arrivals at once — equivalent to ``T`` independent
-    :func:`segmented_uniform_accept` calls, at one dispatch cost.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(T, n)`` with ``accepted[t, v]`` the sender whose proposal ``v``
-        accepted in replica ``t``, or ``-1``.
-    """
-    rep = np.asarray(rep, dtype=np.int64)
-    senders = np.asarray(senders, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if not (rep.shape == senders.shape == targets.shape):
-        raise ValueError("rep, senders, and targets must have equal shape")
-    if rep.size and (targets.min() < 0 or targets.max() >= n):
-        raise ValueError("target out of range")
-    if rep.size and (rep.min() < 0 or rep.max() >= T):
-        raise ValueError("replica id out of range")
-    flat = segmented_uniform_accept(senders, rep * n + targets, T * n, rng)
-    return flat.reshape(T, n)
 
 
 def stack_csr(

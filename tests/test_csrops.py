@@ -13,7 +13,7 @@ from repro.util.csrops import (
     gather_rows,
     segmented_random_pick,
     segmented_random_pick_subset,
-    segmented_uniform_accept,
+    segmented_uniform_accept_pairs,
     unique_nodes,
 )
 
@@ -241,34 +241,34 @@ class TestSegmentedRandomPick:
 
 class TestSegmentedUniformAccept:
     def test_single_proposal_accepted(self):
-        acc = segmented_uniform_accept(
-            np.array([3]), np.array([1]), 5, np.random.default_rng(0)
+        receivers, winners = segmented_uniform_accept_pairs(
+            np.array([3]), np.array([1]), np.random.default_rng(0)
         )
-        assert acc[1] == 3
-        assert (acc[[0, 2, 3, 4]] == -1).all()
+        assert receivers.tolist() == [1]
+        assert winners.tolist() == [3]
 
     def test_empty(self):
-        acc = segmented_uniform_accept(
-            np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4,
+        receivers, winners = segmented_uniform_accept_pairs(
+            np.array([], dtype=np.int64), np.array([], dtype=np.int64),
             np.random.default_rng(0),
         )
-        assert (acc == -1).all()
+        assert receivers.size == winners.size == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            segmented_uniform_accept(
-                np.array([1]), np.array([1, 2]), 4, np.random.default_rng(0)
+            segmented_uniform_accept_pairs(
+                np.array([1]), np.array([1, 2]), np.random.default_rng(0)
             )
 
     def test_each_target_accepts_one_of_its_proposers(self):
         senders = np.array([0, 1, 2, 3, 4])
-        targets = np.array([5, 5, 5, 6, 6])
+        targets = np.array([6, 5, 6, 5, 6])
         rng = np.random.default_rng(0)
         for _ in range(50):
-            acc = segmented_uniform_accept(senders, targets, 7, rng)
-            assert acc[5] in (0, 1, 2)
-            assert acc[6] in (3, 4)
-            assert (acc[:5] == -1).all()
+            receivers, winners = segmented_uniform_accept_pairs(senders, targets, rng)
+            assert receivers.tolist() == [5, 6]  # each target once, ascending
+            assert winners[0] in (1, 3)
+            assert winners[1] in (0, 2, 4)
 
     def test_acceptance_roughly_uniform(self):
         senders = np.array([0, 1, 2])
@@ -277,7 +277,7 @@ class TestSegmentedUniformAccept:
         counts = np.zeros(3, dtype=int)
         trials = 3000
         for _ in range(trials):
-            counts[segmented_uniform_accept(senders, targets, 4, rng)[3]] += 1
+            counts[segmented_uniform_accept_pairs(senders, targets, rng)[1][0]] += 1
         for s in range(3):
             assert abs(counts[s] / trials - 1 / 3) < 0.05
 

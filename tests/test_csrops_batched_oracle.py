@@ -303,62 +303,6 @@ class TestMaskedPickBitIdentity:
         assert ra.random() == rb.random()
 
 
-class TestBatchedAcceptAgainstUnbatched:
-    @given(
-        st.integers(1, 4),
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 5), st.integers(0, 5)),
-            max_size=24,
-        ).filter(lambda ps: all(s != t for _, s, t in ps)),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_accepted_winner_proposed_in_that_replica(self, T, proposals, seed):
-        n = 6
-        proposals = [(r % T, s, t) for r, s, t in proposals]
-        rep = np.array([r for r, _, _ in proposals], dtype=np.int64)
-        senders = np.array([s for _, s, _ in proposals], dtype=np.int64)
-        targets = np.array([t for _, _, t in proposals], dtype=np.int64)
-        rng = np.random.default_rng(seed)
-        accepted = csrops.batched_uniform_accept(rep, senders, targets, T, n, rng)
-        assert accepted.shape == (T, n)
-        proposal_set = set(zip(rep.tolist(), senders.tolist(), targets.tolist()))
-        targeted = set(zip(rep.tolist(), targets.tolist()))
-        for r in range(T):
-            for t in range(n):
-                if (r, t) in targeted:
-                    assert accepted[r, t] >= 0
-                    assert (r, int(accepted[r, t]), t) in proposal_set
-                else:
-                    assert accepted[r, t] == -1
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_unbatched_on_single_replica(self, seed):
-        rng = np.random.default_rng(seed)
-        m, n = 12, 6
-        senders = rng.integers(0, n, size=m)
-        targets = (senders + 1 + rng.integers(0, n - 1, size=m)) % n
-        rep = np.zeros(m, dtype=np.int64)
-        a = csrops.batched_uniform_accept(
-            rep, senders, targets, 1, n, np.random.default_rng(seed)
-        )
-        b = csrops.segmented_uniform_accept(
-            senders, targets, n, np.random.default_rng(seed)
-        )
-        assert np.array_equal(a[0], b)
-
-    def test_validates_ranges(self):
-        rng = np.random.default_rng(0)
-        ok = np.array([0], dtype=np.int64)
-        with pytest.raises(ValueError):
-            csrops.batched_uniform_accept(np.array([2]), ok, np.array([1]), 2, 3, rng)
-        with pytest.raises(ValueError):
-            csrops.batched_uniform_accept(ok, ok, np.array([3]), 2, 3, rng)
-        with pytest.raises(ValueError):
-            csrops.batched_uniform_accept(ok, ok, np.array([1, 2]), 2, 3, rng)
-
-
 class TestStackCsr:
     @given(
         st.lists(

@@ -127,15 +127,12 @@ class TestAcceptAgainstOracle:
         senders = np.array([s for s, _ in proposals], dtype=np.int64)
         targets = np.array([t for _, t in proposals], dtype=np.int64)
         rng = np.random.default_rng(seed)
-        accepted = csrops.segmented_uniform_accept(senders, targets, 10, rng)
+        receivers, winners = csrops.segmented_uniform_accept_pairs(senders, targets, rng)
         proposal_set = set(zip(senders.tolist(), targets.tolist()))
-        targeted = set(targets.tolist())
-        for t in range(10):
-            if t in targeted:
-                assert accepted[t] >= 0
-                assert (int(accepted[t]), t) in proposal_set
-            else:
-                assert accepted[t] == -1
+        # Every targeted vertex accepts exactly once, in ascending order.
+        assert receivers.tolist() == sorted(set(targets.tolist()))
+        for w, t in zip(winners.tolist(), receivers.tolist()):
+            assert (w, t) in proposal_set
 
 
 class TestSubsetPickAgainstOracle:

@@ -131,4 +131,4 @@ class TestRuns:
     def test_sparse_endgame_engages(self):
         eng = _engine(512, 0, chunk_nodes=128)
         eng.run(5000)
-        assert eng._undone_mask is not None
+        assert eng.frontier.undone is not None

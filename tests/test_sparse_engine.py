@@ -10,6 +10,8 @@ round counts to the plain loop.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,11 @@ from repro.algorithms.blind_gossip import (
     make_blind_gossip_nodes,
 )
 from repro.conformance import check_trace
-from repro.core.batched import BatchedVectorizedEngine
+from repro.core.batched import BatchedVectorizedEngine, _resolve_sparse_mode
 from repro.core.engine import ReferenceEngine
 from repro.core.monitor import all_leaders_are
 from repro.core.payload import UIDSpace
-from repro.core.vectorized import VectorizedEngine, _resolve_sparse_mode
+from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.harness.experiments import uid_keys_random
@@ -65,17 +67,17 @@ class TestGating:
     def test_off_never_builds_a_frontier(self):
         eng = _engine(32, 0, sparse="off")
         eng.run(5000)
-        assert eng._undone_mask is None
+        assert eng.frontier.undone is None
 
     def test_force_builds_a_frontier(self):
         eng = _engine(32, 0, sparse="force")
         eng.run(5000)
-        assert eng._undone_mask is not None
+        assert eng.frontier.undone is not None
 
     def test_auto_stays_dense_below_min_n(self):
         eng = _engine(64, 0, sparse="auto")
         eng.run(5000)
-        assert eng._undone_mask is None
+        assert eng.frontier.undone is None
 
     def test_instrumented_runs_stay_dense(self):
         """A per-round connection callback must see every connection,
@@ -83,7 +85,7 @@ class TestGating:
         eng = _engine(32, 0, sparse="force")
         eng.on_connections = lambda r, winners, acceptors: None
         eng.run(5000)
-        assert eng._undone_mask is None
+        assert eng.frontier.undone is None
 
     def test_staggered_activation_disables_sparse(self):
         g = families.random_regular(16, 4, seed=7)
@@ -97,7 +99,7 @@ class TestGating:
             activation_rounds=act,
             sparse="force",
         )
-        assert not eng._sparse_ok
+        assert eng._sparse_limit is None
 
     def test_fault_plan_disables_sparse(self):
         from repro.faults import ConnectionDropModel, FaultPlan
@@ -111,7 +113,7 @@ class TestGating:
             fault_plan=FaultPlan(connection_drop=ConnectionDropModel(p=0.5)),
             sparse="force",
         )
-        assert not eng._sparse_ok
+        assert eng._sparse_limit is None
 
 
 class TestEquivalence:
@@ -164,7 +166,7 @@ class TestAutoEngagement:
         eng = _engine(4096, 0, sparse="auto")
         res = eng.run(5000)
         assert res.stabilized
-        assert eng._undone_mask is not None
+        assert eng.frontier.undone is not None
 
 
 class _NoQuiescence(BlindGossipVectorized):
@@ -235,7 +237,108 @@ class TestBatchedSparse:
     def test_force_builds_frontier_off_does_not(self):
         on = self._engine(2, 24, 0, sparse="force")
         on.run(5000)
-        assert on._undone_fmask is not None
+        assert on.frontier.undone is not None
         off = self._engine(2, 24, 0, sparse="off")
         off.run(5000)
-        assert off._undone_fmask is None
+        assert off.frontier.undone is None
+
+
+def _state_digest(rounds, connections_made, state) -> str:
+    """sha256 of ``(rounds, connections_made, final state)`` of one run."""
+    h = hashlib.sha256()
+    for value in (rounds, connections_made):
+        h.update(np.asarray(value, dtype=np.int64).tobytes())
+    names = getattr(type(state), "__slots__", None) or sorted(vars(state))
+    for name in names:
+        value = np.asarray(getattr(state, name))
+        h.update(f"{name}:{value.dtype}:{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()
+
+
+def _pin_vectorized(n, seed, sparse, *, degree=4):
+    eng = _engine(n, seed, degree=degree, sparse=sparse)
+    res = eng.run(5000)
+    return _state_digest(res.rounds, eng.connections_made, eng.state)
+
+
+def _pin_batched(T, n, seed, sparse, *, tau=None, fault_plan=None):
+    from repro.graphs.dynamic import PeriodicRelabelDynamicGraph
+
+    g = families.random_regular(n, 4, seed=7)
+    if tau is None:
+        dg = StaticDynamicGraph(g)
+    else:
+        dg = [PeriodicRelabelDynamicGraph(g, tau, seed=100 + t) for t in range(T)]
+    eng = BatchedVectorizedEngine(
+        dg,
+        BlindGossipBatched(uid_keys_random(n, 11)),
+        seeds=np.arange(seed, seed + T),
+        fault_plan=fault_plan,
+        sparse=sparse,
+    )
+    res = eng.run(5000)
+    return _state_digest(res.rounds, eng.connections_made, eng.state)
+
+
+def _pin_largen(n, seed, **kw):
+    from repro.core.largen import LargeNEngine
+
+    g = families.random_regular(n, 4, seed=7)
+    eng = LargeNEngine(
+        StaticDynamicGraph(g), BlindGossipVectorized(uid_keys_random(n, 11)), seed=seed, **kw
+    )
+    res = eng.run(5000)
+    return _state_digest(res.rounds, eng.connections_made, eng.state)
+
+
+def _drop_plan():
+    from repro.faults import ConnectionDropModel, FaultPlan
+
+    return FaultPlan(connection_drop=ConnectionDropModel(p=0.3))
+
+
+#: Digests of fixed-seed runs across the dense, sparse and chunked round
+#: paths.  The engines' RNG call order is part of their contract: any
+#: change here changes every seeded table and verdict.
+_PINS = {
+    "vectorized-off-64": (
+        lambda: _pin_vectorized(64, 3, "off"),
+        "9b837622a8f82266bd37d65bc6dd35f9f52d492198bdc775d8faa399686193fa",
+    ),
+    "vectorized-force-64": (
+        lambda: _pin_vectorized(64, 3, "force"),
+        "20322a7c3269f9b2e38399343e3e1689eea2016993c36e36c5b98389d5da25ba",
+    ),
+    "vectorized-auto-8192": (
+        lambda: _pin_vectorized(8192, 5, "auto"),
+        "496a5df33b5118b29d071dab04a5f7979a444bfcb44aca322460b26aaffafb3c",
+    ),
+    "batched-force-T4": (
+        lambda: _pin_batched(4, 64, 2, "force"),
+        "7b644ae1d802db4d8204924a1de70750eec10a50a2560209929e026a0f568384",
+    ),
+    "batched-auto-T8-n1024": (
+        lambda: _pin_batched(8, 1024, 4, "auto"),
+        "862f405c76cade025e319f078bff2b6abeda711a56ac0a8c273a684f69952cc7",
+    ),
+    "batched-churn-tau1-drops": (
+        lambda: _pin_batched(4, 64, 6, "auto", tau=1, fault_plan=_drop_plan()),
+        "79656738f590a23f017ad4f541856e0efb7a4082f38b6c4a667e10e7872837c2",
+    ),
+    "largen-512": (
+        lambda: _pin_largen(512, 0),
+        "f944be778840b10c38211148e030bfdf156de7d5fdde9b32930b65647a88ab51",
+    ),
+    "largen-8192-chunk1024": (
+        lambda: _pin_largen(8192, 1, chunk_nodes=1024),
+        "d036f77b97dc9977565301ea29d1932f7aff481dd980c9693dd2f3559c03c806",
+    ),
+}
+
+
+class TestBitIdentityPin:
+    @pytest.mark.parametrize("name", sorted(_PINS))
+    def test_run_digest_is_pinned(self, name):
+        run, expected = _PINS[name]
+        assert run() == expected

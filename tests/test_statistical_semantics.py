@@ -19,7 +19,7 @@ from repro.core.protocol import NodeProtocol
 from repro.core.vectorized import VectorizedAlgorithm, VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import StaticDynamicGraph
-from repro.util.csrops import build_csr, segmented_random_pick, segmented_uniform_accept
+from repro.util.csrops import build_csr, segmented_random_pick, segmented_uniform_accept_pairs
 
 
 def chi_square_uniform_ok(counts: np.ndarray, alpha: float = 1e-6) -> bool:
@@ -73,7 +73,7 @@ class TestAcceptDistribution:
         targets = np.full(5, 5)
         counts = np.zeros(5, dtype=int)
         for _ in range(10_000):
-            counts[segmented_uniform_accept(senders, targets, 6, rng)[5]] += 1
+            counts[segmented_uniform_accept_pairs(senders, targets, rng)[1][0]] += 1
         assert chi_square_uniform_ok(counts)
 
     def test_independent_across_targets(self):
@@ -82,8 +82,9 @@ class TestAcceptDistribution:
         targets = np.array([4, 4, 5, 5])
         joint = np.zeros((2, 2), dtype=int)
         for _ in range(8_000):
-            acc = segmented_uniform_accept(senders, targets, 6, rng)
-            joint[acc[4], acc[5] - 2] += 1
+            receivers, winners = segmented_uniform_accept_pairs(senders, targets, rng)
+            assert receivers.tolist() == [4, 5]
+            joint[winners[0], winners[1] - 2] += 1
         # All four joint outcomes equally likely.
         assert chi_square_uniform_ok(joint.ravel())
 
