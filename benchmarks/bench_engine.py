@@ -8,10 +8,9 @@ batched-vs-per-trial trial-throughput gap.
 
 import numpy as np
 
-from repro.algorithms.bit_convergence import BitConvergenceConfig, BitConvergenceVectorized
+from repro.algorithms.bit_convergence import BitConvergenceBatched, BitConvergenceConfig
 from repro.algorithms.blind_gossip import (
     BlindGossipBatched,
-    BlindGossipVectorized,
     make_blind_gossip_nodes,
 )
 from repro.core.batched import BatchedVectorizedEngine
@@ -36,7 +35,7 @@ REPLICAS = 32
 def test_vectorized_engine_round(benchmark):
     g = families.random_regular(N, DEGREE, seed=0)
     keys = uid_keys_random(N, 0)
-    eng = VectorizedEngine(StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=0)
+    eng = VectorizedEngine(StaticDynamicGraph(g), BlindGossipBatched(keys), seed=0)
     counter = iter(range(1, 10_000_000))
 
     benchmark(lambda: eng.step(next(counter)))
@@ -48,7 +47,7 @@ def test_vectorized_bit_convergence_round(benchmark):
     cfg = BitConvergenceConfig(n_upper=N, delta_bound=DEGREE, beta=1.0)
     eng = VectorizedEngine(
         StaticDynamicGraph(g),
-        BitConvergenceVectorized(keys, cfg, tag_seed=0, unique_tags=True),
+        BitConvergenceBatched(keys, cfg, tag_seed=0, unique_tags=True),
         seed=0,
     )
     counter = iter(range(1, 10_000_000))
@@ -69,7 +68,7 @@ def test_vectorized_engine_round_large(benchmark):
     """Scalability point: one vectorized round at n=4096."""
     g = families.random_regular(4096, 16, seed=0)
     keys = uid_keys_random(4096, 0)
-    eng = VectorizedEngine(StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=0)
+    eng = VectorizedEngine(StaticDynamicGraph(g), BlindGossipBatched(keys), seed=0)
     counter = iter(range(1, 10_000_000))
 
     benchmark(lambda: eng.step(next(counter)))
@@ -98,7 +97,7 @@ def _trial_throughput_setup(n: int):
 
 def _bench_trials_single(dg, keys):
     return run_trials(
-        lambda ts: VectorizedEngine(dg, BlindGossipVectorized(keys), seed=ts),
+        lambda ts: VectorizedEngine(dg, BlindGossipBatched(keys), seed=ts),
         trials=REPLICAS,
         max_rounds=100_000,
         seed=0,
@@ -296,7 +295,7 @@ def test_churn_trial_throughput():
         out = run_trials(
             lambda ts: VectorizedEngine(
                 PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                BlindGossipVectorized(keys),
+                BlindGossipBatched(keys),
                 seed=ts,
             ),
             trials=REPLICAS,
@@ -489,13 +488,13 @@ def _endgame_engine(dg, keys, sparse: str):
     few percent of the network.
     """
     eng = VectorizedEngine(
-        dg, BlindGossipVectorized(keys), seed=1, sparse=sparse
+        dg, BlindGossipBatched(keys), seed=1, sparse=sparse
     )
     st = eng.state
-    n = st.best.size
+    n = st.best.shape[1]
     undone = np.random.default_rng(7).choice(n, size=SPARSE_UNDONE, replace=False)
     st.best[:] = st.target
-    st.best[undone] = st.target + 1 + np.arange(SPARSE_UNDONE)
+    st.best[0, undone] = st.target + 1 + np.arange(SPARSE_UNDONE)
     if sparse != "off":
         # Materialize the frontier up front: a real run builds it once at
         # the first sparse round, not once per measured round.
@@ -556,13 +555,13 @@ def test_large_n_round_cost():
 
     dg5, keys5 = _large_setup(100_000)
     ms_1e5 = _ms_per_round(
-        lambda: LargeNEngine(dg5, BlindGossipVectorized(keys5), seed=2),
+        lambda: LargeNEngine(dg5, BlindGossipBatched(keys5), seed=2),
         rounds=20,
         repeats=3,
     )
     dg6, keys6 = _large_setup(1_000_000)
     ms_1e6 = _ms_per_round(
-        lambda: LargeNEngine(dg6, BlindGossipVectorized(keys6), seed=2),
+        lambda: LargeNEngine(dg6, BlindGossipBatched(keys6), seed=2),
         rounds=5,
         repeats=2,
     )
@@ -715,7 +714,7 @@ def test_async_vs_sync_round_ratio():
         _, res = _async_gossip_run(seed=int(ts), n=ASYNC_RATIO_N)
         async_ticks.append(res.rounds)
         vres = VectorizedEngine(
-            dg, BlindGossipVectorized(keys), seed=int(ts)
+            dg, BlindGossipBatched(keys), seed=int(ts)
         ).run(100_000, check_every=4)
         assert vres.stabilized
         sync_rounds.append(vres.rounds)

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from repro.algorithms import PushPullVectorized
+from repro.algorithms import PushPullBatched
 from repro.analysis.progress import SpreadCurve
 from repro.core import VectorizedEngine
 from repro.graphs import (
@@ -40,14 +40,14 @@ from repro.harness.tables import Table
 
 
 def run_once(dg, n, seed):
-    algo = PushPullVectorized(np.array([2]))
+    algo = PushPullBatched(np.array([2]))
     engine = VectorizedEngine(dg, algo, seed=seed)
     curve = SpreadCurve()
     curve.record(1)
     for r in range(1, 2_000_000):
         engine.step(r)
-        curve.record(algo.informed_count(engine.state))
-        if algo.converged(engine.state):
+        curve.record(int(algo.informed_count(engine.state)[0]))
+        if algo.converged(engine.state)[0]:
             return r, curve
     raise RuntimeError("did not complete")
 

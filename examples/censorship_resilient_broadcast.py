@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from repro.algorithms import PPushVectorized, PushPullVectorized
+from repro.algorithms import PPushBatched, PushPullBatched
 from repro.core import VectorizedEngine, classical_push_pull_rumor
 from repro.graphs import StaticDynamicGraph, families
 from repro.harness.tables import Table
@@ -65,11 +65,11 @@ def main() -> None:
         b0 = []
         b1 = []
         for t in range(trials):
-            eng = VectorizedEngine(dg, PushPullVectorized(source), seed=t)
+            eng = VectorizedEngine(dg, PushPullBatched(source), seed=t)
             res = eng.run(10**6)
             assert res.stabilized
             b0.append(res.rounds)
-            eng = VectorizedEngine(dg, PPushVectorized(source), seed=t)
+            eng = VectorizedEngine(dg, PPushBatched(source), seed=t)
             res = eng.run(10**6)
             assert res.stabilized
             b1.append(res.rounds)

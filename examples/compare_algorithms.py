@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from repro.algorithms import (
-    AsyncBitConvergenceVectorized,
+    AsyncBitConvergenceBatched,
     BitConvergenceConfig,
-    BitConvergenceVectorized,
-    BlindGossipVectorized,
+    BitConvergenceBatched,
+    BlindGossipBatched,
 )
 from repro.core import VectorizedEngine, classical_push_pull_leader
 from repro.graphs import StaticDynamicGraph, families
@@ -47,11 +47,11 @@ def main() -> None:
         keys = uid_keys_random(n, 7)
         cfg = BitConvergenceConfig(n_upper=n, delta_bound=g.max_degree, beta=1.0)
         algos = {
-            "blind gossip (b=0)": lambda ts: BlindGossipVectorized(keys),
-            "bit convergence (b=1)": lambda ts: BitConvergenceVectorized(
+            "blind gossip (b=0)": lambda ts: BlindGossipBatched(keys),
+            "bit convergence (b=1)": lambda ts: BitConvergenceBatched(
                 keys, cfg, tag_seed=ts, unique_tags=True
             ),
-            "async bit convergence": lambda ts: AsyncBitConvergenceVectorized(
+            "async bit convergence": lambda ts: AsyncBitConvergenceBatched(
                 keys, cfg, tag_seed=ts, unique_tags=True
             ),
         }

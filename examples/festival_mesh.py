@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from repro.algorithms import AsyncBitConvergenceVectorized, BitConvergenceConfig
+from repro.algorithms import AsyncBitConvergenceBatched, BitConvergenceConfig
 from repro.core import VectorizedEngine
 from repro.graphs import RandomWaypointDynamicGraph
 from repro.harness.experiments import uid_keys_random
@@ -64,7 +64,7 @@ def main() -> None:
             rng = np.random.default_rng(200 + t)
             activations = rng.integers(1, 41, size=n)  # arrivals over 40 rounds
             activations[rng.integers(0, n)] = 1
-            algo = AsyncBitConvergenceVectorized(
+            algo = AsyncBitConvergenceBatched(
                 keys, config, tag_seed=300 + t, unique_tags=True
             )
             engine = VectorizedEngine(
@@ -75,7 +75,7 @@ def main() -> None:
             rounds.append(res.rounds)
             rounds_after.append(res.rounds_after_last_activation)
             agreed &= bool(
-                (algo.leaders(engine.state) == engine.state.target_key).all()
+                (algo.leaders(engine.state)[0] == engine.state.target_key[0]).all()
             )
         table.add_row(
             f"{speed:g}",

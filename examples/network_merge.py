@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from repro.algorithms import AsyncBitConvergenceVectorized, BitConvergenceConfig
+from repro.algorithms import AsyncBitConvergenceBatched, BitConvergenceConfig
 from repro.algorithms.bit_convergence import draw_id_tags
 from repro.core import VectorizedEngine
 from repro.graphs import StaticDynamicGraph, families
@@ -56,26 +56,26 @@ def main() -> None:
         comp_rounds = []
         states = []
         for comp, g, sl in ((0, g1, slice(0, comp_n)), (1, g2, slice(comp_n, n))):
-            algo = AsyncBitConvergenceVectorized(
+            algo = AsyncBitConvergenceBatched(
                 keys[sl], config, initial_pairs=(tags[sl], keys[sl])
             )
             eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=90 + 2 * t + comp)
             res = eng.run(1_000_000)
             assert res.stabilized
             comp_rounds.append(res.rounds)
-            states.append((eng.state.ctag.copy(), eng.state.ckey.copy()))
+            states.append((eng.state.ctag[0].copy(), eng.state.ckey[0].copy()))
 
         union = g1.union(g2, [(0, 0), (comp_n // 2, comp_n // 2)])
         init = (
             np.concatenate([states[0][0], states[1][0]]),
             np.concatenate([states[0][1], states[1][1]]),
         )
-        algo = AsyncBitConvergenceVectorized(keys, config, initial_pairs=init)
+        algo = AsyncBitConvergenceBatched(keys, config, initial_pairs=init)
         eng = VectorizedEngine(StaticDynamicGraph(union), algo, seed=200 + t)
         merged = eng.run(1_000_000)
         assert merged.stabilized
 
-        fresh_algo = AsyncBitConvergenceVectorized(
+        fresh_algo = AsyncBitConvergenceBatched(
             keys, config, initial_pairs=(tags, keys)
         )
         fresh_eng = VectorizedEngine(StaticDynamicGraph(union), fresh_algo, seed=300 + t)

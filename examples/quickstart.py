@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from repro.algorithms import (
-    AsyncBitConvergenceVectorized,
+    AsyncBitConvergenceBatched,
     BitConvergenceConfig,
-    BitConvergenceVectorized,
-    BlindGossipVectorized,
+    BitConvergenceBatched,
+    BlindGossipBatched,
 )
 from repro.core import VectorizedEngine
 from repro.graphs import PeriodicRelabelDynamicGraph, StaticDynamicGraph, families
@@ -39,16 +39,16 @@ def main() -> None:
 
     def algorithms(trial_seed: int):
         return [
-            ("blind gossip (b=0)", BlindGossipVectorized(keys)),
+            ("blind gossip (b=0)", BlindGossipBatched(keys)),
             (
                 "bit convergence (b=1)",
-                BitConvergenceVectorized(
+                BitConvergenceBatched(
                     keys, config, tag_seed=trial_seed, unique_tags=True
                 ),
             ),
             (
                 "async bit convergence (b=loglog n)",
-                AsyncBitConvergenceVectorized(
+                AsyncBitConvergenceBatched(
                     keys, config, tag_seed=trial_seed, unique_tags=True
                 ),
             ),

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from repro.algorithms import AveragingVectorized
+from repro.algorithms import AveragingBatched
 from repro.analysis.progress import sparkline
 from repro.core import VectorizedEngine
 from repro.graphs.mobility import GroupWaypointDynamicGraph
@@ -52,13 +52,13 @@ def main() -> None:
             dg = GroupWaypointDynamicGraph(
                 n, tau=tau, groups=groups, radius=0.3, speed=0.06, seed=200 + t
             )
-            algo = AveragingVectorized(readings, eps=eps)
+            algo = AveragingBatched(readings, eps=eps)
             engine = VectorizedEngine(dg, algo, seed=t)
             errors = []
             for r in range(1, 2_000_000):
                 engine.step(r)
-                errors.append(algo.max_deviation(engine.state))
-                if algo.converged(engine.state):
+                errors.append(float(algo.max_deviation(engine.state)[0]))
+                if algo.converged(engine.state)[0]:
                     break
             rounds.append(r)
             final_err.append(errors[-1])

@@ -10,13 +10,13 @@ regenerates the shape of every theorem in the paper's evaluation.
 Quickstart
 ----------
 >>> from repro.graphs import families, StaticDynamicGraph
->>> from repro.algorithms import BlindGossipVectorized
+>>> from repro.algorithms import BlindGossipBatched
 >>> from repro.core import VectorizedEngine
 >>> from repro.harness.experiments import uid_keys_random
 >>> g = families.random_regular(64, 4, seed=1)
 >>> keys = uid_keys_random(64, seed=1)
 >>> engine = VectorizedEngine(StaticDynamicGraph(g),
-...                           BlindGossipVectorized(keys), seed=1)
+...                           BlindGossipBatched(keys), seed=1)
 >>> result = engine.run(max_rounds=100_000)
 >>> result.stabilized
 True

@@ -1,4 +1,4 @@
-"""The paper's algorithms, each in per-node and vectorized form.
+"""The paper's algorithms, each as a per-node protocol and one array kernel.
 
 ===========================  ===========  =====================  ==========
 Algorithm                    Tag bits b   Problem                Section
@@ -18,76 +18,68 @@ Consensus (extension)        log log n    single-value consensus conclusion
 
 from repro.algorithms.blind_gossip import (
     BlindGossipNode,
-    BlindGossipVectorized,
     BlindGossipBatched,
     make_blind_gossip_nodes,
 )
 from repro.algorithms.push_pull import (
     PushPullNode,
-    PushPullVectorized,
     PushPullBatched,
     make_push_pull_nodes,
 )
 from repro.algorithms.ppush import (
     PPushNode,
-    PPushVectorized,
     PPushBatched,
     make_ppush_nodes,
 )
 from repro.algorithms.bit_convergence import (
     BitConvergenceConfig,
     BitConvergenceNode,
-    BitConvergenceVectorized,
     BitConvergenceBatched,
     make_bit_convergence_nodes,
     draw_id_tags,
 )
 from repro.algorithms.async_bit_convergence import (
     AsyncBitConvergenceNode,
-    AsyncBitConvergenceVectorized,
+    AsyncBitConvergenceBatched,
     make_async_bit_convergence_nodes,
     async_tag_length,
 )
 from repro.algorithms.k_gossip import (
     KGossipNode,
-    KGossipVectorized,
+    KGossipBatched,
     make_k_gossip_nodes,
 )
 from repro.algorithms.averaging import (
     AveragingNode,
-    AveragingVectorized,
+    AveragingBatched,
     make_averaging_nodes,
 )
-from repro.algorithms.consensus import ConsensusVectorized
+from repro.algorithms.consensus import ConsensusBatched
 
 __all__ = [
     "BlindGossipNode",
-    "BlindGossipVectorized",
     "BlindGossipBatched",
     "make_blind_gossip_nodes",
     "PushPullNode",
-    "PushPullVectorized",
     "PushPullBatched",
     "make_push_pull_nodes",
     "PPushNode",
-    "PPushVectorized",
     "PPushBatched",
     "make_ppush_nodes",
     "BitConvergenceConfig",
     "BitConvergenceNode",
-    "BitConvergenceVectorized",
     "BitConvergenceBatched",
     "make_bit_convergence_nodes",
     "draw_id_tags",
     "AsyncBitConvergenceNode",
-    "AsyncBitConvergenceVectorized",
+    "AsyncBitConvergenceBatched",
     "make_async_bit_convergence_nodes",
     "async_tag_length",
     "KGossipNode",
-    "KGossipVectorized",
+    "KGossipBatched",
     "make_k_gossip_nodes",
     "AveragingNode",
-    "AveragingVectorized",
+    "AveragingBatched",
     "make_averaging_nodes",
-    "ConsensusVectorized",
+    "ConsensusBatched",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pair_less", "pair_min_inplace", "pairs_all_equal"]
+__all__ = ["pair_less", "pair_min_inplace", "pairs_all_equal", "smallest_pairs"]
 
 
 def pair_less(
@@ -40,3 +40,13 @@ def pair_min_inplace(
 def pairs_all_equal(tag: np.ndarray, key: np.ndarray, t: int, k: int) -> bool:
     """True when every (tag, key) pair equals ``(t, k)``."""
     return bool(((tag == t) & (key == k)).all())
+
+
+def smallest_pairs(tag: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's smallest pair of ``(T, n)`` arrays, as ``(T,)`` tags and keys.
+
+    The minimum tag, then the minimum key among the pairs holding it.
+    """
+    t = tag.min(axis=1)
+    k = np.where(tag == t[:, None], key, np.iinfo(np.int64).max).min(axis=1)
+    return t, k

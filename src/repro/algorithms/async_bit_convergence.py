@@ -41,17 +41,21 @@ import math
 
 import numpy as np
 
-from repro.algorithms._pairs import pair_less, pair_min_inplace
-from repro.algorithms.bit_convergence import BitConvergenceConfig, draw_id_tags
+from repro.algorithms._pairs import pair_min_inplace, smallest_pairs
+from repro.algorithms.bit_convergence import (
+    BitConvergenceConfig,
+    draw_id_tags,
+    replica_id_tags,
+)
+from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import IDPair, Message, UID, UIDSpace
 from repro.core.protocol import LeaderElectionProtocol, RoundView
-from repro.core.vectorized import VectorizedAlgorithm
 from repro.util.bits import bit_at
 
 __all__ = [
     "async_tag_length",
     "AsyncBitConvergenceNode",
-    "AsyncBitConvergenceVectorized",
+    "AsyncBitConvergenceBatched",
     "make_async_bit_convergence_nodes",
 ]
 
@@ -139,8 +143,8 @@ def make_async_bit_convergence_nodes(
     ]
 
 
-class AsyncBitConvergenceVectorized(VectorizedAlgorithm):
-    """Array-kernel non-synchronized bit convergence.
+class AsyncBitConvergenceBatched(BatchedAlgorithm):
+    """Array-kernel non-synchronized bit convergence for every array engine.
 
     Parameters
     ----------
@@ -149,7 +153,10 @@ class AsyncBitConvergenceVectorized(VectorizedAlgorithm):
     config
         Shared :class:`~repro.algorithms.bit_convergence.BitConvergenceConfig`.
     tag_seed
-        Seed for drawing fresh ID tags (ignored if ``initial_pairs`` given).
+        Seed every replica draws its ID tags from (ignored if
+        ``initial_pairs`` given); by default replica ``t`` draws from its
+        trial seed (see
+        :func:`~repro.algorithms.bit_convergence.replica_id_tags`).
     unique_tags
         Draw distinct ID tags, conditioning on the paper's w.h.p.
         uniqueness event (see
@@ -157,7 +164,8 @@ class AsyncBitConvergenceVectorized(VectorizedAlgorithm):
     initial_pairs
         Optional ``(tags, keys)`` arrays representing each node's current
         smallest ID pair from an arbitrary prior execution — the
-        self-stabilization entry point used by experiment E9.
+        self-stabilization entry point used by experiment E9.  Every
+        replica starts from them.
     """
 
     def __init__(
@@ -186,110 +194,117 @@ class AsyncBitConvergenceVectorized(VectorizedAlgorithm):
             self.target_tag = target_tag
             self.target_key = target_key
 
-    def init_state(self, n: int, rng: np.random.Generator):
+    def init_state(self, n: int, seeds: np.ndarray):
         if self._keys.shape != (n,):
             raise ValueError("uid_keys must have one key per vertex")
+        T = len(seeds)
         if self._initial_pairs is not None:
-            ctag = np.asarray(self._initial_pairs[0], dtype=np.int64).copy()
-            ckey = np.asarray(self._initial_pairs[1], dtype=np.int64).copy()
-            if ctag.shape != (n,) or ckey.shape != (n,):
+            tags = np.asarray(self._initial_pairs[0], dtype=np.int64)
+            keys = np.asarray(self._initial_pairs[1], dtype=np.int64)
+            if tags.shape != (n,) or keys.shape != (n,):
                 raise ValueError("initial_pairs must provide n tags and n keys")
+            ctag = np.tile(tags, (T, 1))
+            ckey = np.tile(keys, (T, 1))
         else:
-            ctag = draw_id_tags(n, self.config, self._tag_seed, unique=self._unique_tags)
-            ckey = self._keys.copy()
-        order = np.lexsort((ckey, ctag))
-        win = order[0]
-        pos = np.ones(n, dtype=np.int64)
-        return self.State(ctag, ckey, pos, int(ctag[win]), int(ckey[win]))
+            ctag = replica_id_tags(
+                n, self.config, seeds, self._tag_seed, unique=self._unique_tags
+            )
+            ckey = np.tile(self._keys, (T, 1))
+        pos = np.ones((T, n), dtype=np.int64)
+        return self.State(ctag, ckey, pos, *smallest_pairs(ctag, ckey))
 
     # -- round hooks --------------------------------------------------------
 
     def tags(self, state, local_rounds, active, rng) -> np.ndarray:
         gl, k = self.config.group_len, self.config.k
+        # Group boundaries follow each node's local clock, shared by replicas.
         new_group = active & ((np.maximum(local_rounds, 1) - 1) % gl == 0)
         cnt = int(new_group.sum())
         if cnt:
-            state.pos[new_group] = rng.integers(1, k + 1, size=cnt)
+            state.pos[:, new_group] = rng.integers(
+                1, k + 1, size=(state.pos.shape[0], cnt)
+            )
         bit = (state.ctag >> (k - state.pos)) & 1
         return (state.pos - 1) * 2 + bit
 
     def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
         return (tags & 1) == 0
 
-    def eligible_flat(self, state, tags, graph, sender_mask, local_rounds):
+    def eligible_flat(self, state, tags, graph):
         # Target must advertise the sender's position with bit 1.
-        n_pos, n_bit = _decode_positions(tags[graph.indices])
-        row_pos = np.repeat(state.pos, graph.degrees)
+        n_pos, n_bit = _decode_positions(tags[:, graph.indices])
+        row_pos = np.repeat(state.pos, graph.degrees, axis=1)
         return (n_bit == 1) & (n_pos == row_pos)
 
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
-        # Snapshot both sides first: adoption is immediate and symmetric,
+    def exchange(self, state, proposers, acceptors) -> None:
+        # Gather both sides first: adoption is immediate and symmetric,
         # so each endpoint must see the other's *pre-round* pair.
-        ptag, pkey = state.ctag[proposers].copy(), state.ckey[proposers].copy()
-        atag, akey = state.ctag[acceptors].copy(), state.ckey[acceptors].copy()
-        pair_min_inplace(state.ctag, state.ckey, acceptors, ptag, pkey)
-        pair_min_inplace(state.ctag, state.ckey, proposers, atag, akey)
+        ctag, ckey = state.ctag.reshape(-1), state.ckey.reshape(-1)
+        ptag, pkey = ctag[proposers], ckey[proposers]
+        atag, akey = ctag[acceptors], ckey[acceptors]
+        pair_min_inplace(ctag, ckey, acceptors, ptag, pkey)
+        pair_min_inplace(ctag, ckey, proposers, atag, akey)
 
-    def converged(self, state) -> bool:
-        t, k = state.target_tag, state.target_key
-        return bool(((state.ctag == t) & (state.ckey == k)).all())
+    def converged(self, state) -> np.ndarray:
+        return self.node_done(state).all(axis=1)
 
     def node_done(self, state) -> np.ndarray:
-        t, k = state.target_tag, state.target_key
-        return (state.ctag == t) & (state.ckey == k)
+        return (state.ctag == state.target_tag[:, None]) & (
+            state.ckey == state.target_key[:, None]
+        )
 
     def corrupt_state(self, state, victims, rng) -> None:
         """Give victims adversarial pairs from a fictional prior execution.
 
         Victims receive *distinct* fresh ID tags not held by any survivor
-        — corruption models joining nodes from an arbitrary prior run
-        (Section VIII's self-stabilization setting), and the paper's
-        w.h.p. tag-uniqueness event is what makes stabilization
-        guaranteed rather than merely likely (duplicate tags can make
-        position-matched proposals starve).  Keys are fresh draws on the
-        simulator's ``[0, 10n)`` scale; the convergence target is
-        recomputed over the corrupted state.  (No crash/rejoin
+        of their replica — corruption models joining nodes from an
+        arbitrary prior run (Section VIII's self-stabilization setting),
+        and the paper's w.h.p. tag-uniqueness event is what makes
+        stabilization guaranteed rather than merely likely (duplicate
+        tags can make position-matched proposals starve).  Keys are fresh
+        draws on the simulator's ``[0, 10n)`` scale; the convergence
+        target is recomputed over the corrupted state.  (No crash/rejoin
         ``reset_nodes`` is provided: the algorithm is self-stabilizing,
         so "rebooted with arbitrary state" is this same hook.)
         """
-        n = state.ctag.shape[0]
+        n = state.ctag.shape[1]
         k = self.config.k
-        mask = np.zeros(n, dtype=bool)
-        mask[victims] = True
-        taken = set(state.ctag[~mask].tolist())
-        fresh = [t for t in rng.permutation(1 << k).tolist() if t not in taken]
-        if len(fresh) < victims.size:
-            raise ValueError(
-                f"cannot draw {victims.size} distinct fresh tags at k={k}"
-            )
-        state.ctag[victims] = np.asarray(fresh[: victims.size], dtype=np.int64)
-        state.ckey[victims] = rng.integers(0, 10 * n, size=victims.size)
-        order = np.lexsort((state.ckey, state.ctag))
-        win = order[0]
-        state.target_tag = int(state.ctag[win])
-        state.target_key = int(state.ckey[win])
+        for ctag, ckey, vic in zip(state.ctag, state.ckey, victims):
+            mask = np.zeros(n, dtype=bool)
+            mask[vic] = True
+            taken = set(ctag[~mask].tolist())
+            fresh = [t for t in rng.permutation(1 << k).tolist() if t not in taken]
+            if len(fresh) < vic.size:
+                raise ValueError(
+                    f"cannot draw {vic.size} distinct fresh tags at k={k}"
+                )
+            ctag[vic] = np.asarray(fresh[: vic.size], dtype=np.int64)
+            ckey[vic] = rng.integers(0, 10 * n, size=vic.size)
+        state.target_tag, state.target_key = smallest_pairs(state.ctag, state.ckey)
 
-    def observable(self, state):
+    def observable(self, state) -> np.ndarray:
         # An adaptive adversary may watch who already holds the eventual
         # winner's pair.
-        return (state.ctag == state.target_tag) & (state.ckey == state.target_key)
+        return self.node_done(state)
 
     # -- instrumentation ------------------------------------------------------
 
     def leaders(self, state) -> np.ndarray:
-        """Current leader key per node."""
+        """Current leader key per node per replica."""
         return state.ckey
 
-    def settled_prefix(self, state) -> int:
-        """Longest tag prefix (in bits) on which all nodes agree with the target.
+    def settled_prefix(self, state) -> np.ndarray:
+        """Per replica, the longest tag prefix (in bits) on which all nodes
+        agree with the target.
 
         The quantity Lemma VIII.1 proves monotone: once every node matches
         the minimum tag ``t̂`` on its first ``i`` bits, that agreement is
-        permanent.
+        permanent.  Agreement on ``i`` bits implies it on fewer, so the
+        count of agreeing prefix lengths is the longest one.
         """
-        k = self.config.k
-        for i in range(1, k + 1):
-            shift = k - i
-            if not ((state.ctag >> shift) == (state.target_tag >> shift)).all():
-                return i - 1
-        return k
+        shifts = self.config.k - np.arange(1, self.config.k + 1)
+        agree = (
+            (state.ctag[:, None, :] >> shifts[None, :, None])
+            == (state.target_tag[:, None, None] >> shifts[None, :, None])
+        ).all(axis=2)
+        return agree.sum(axis=1)

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import Message, UID
 from repro.core.protocol import NodeProtocol, RoundView
-from repro.core.vectorized import VectorizedAlgorithm
 
-__all__ = ["AveragingNode", "AveragingVectorized", "make_averaging_nodes"]
+__all__ = ["AveragingNode", "AveragingBatched", "make_averaging_nodes"]
 
 
 class AveragingNode(NodeProtocol):
@@ -69,13 +69,13 @@ def make_averaging_nodes(uid_space, values: np.ndarray) -> list[AveragingNode]:
     ]
 
 
-class AveragingVectorized(VectorizedAlgorithm):
-    """Array-kernel averaging gossip.
+class AveragingBatched(BatchedAlgorithm):
+    """Array-kernel averaging gossip for every array engine.
 
     Parameters
     ----------
     values
-        Initial per-node values.
+        Initial per-node values, shared by every replica.
     eps
         Convergence tolerance: done when ``max|value - mean| < eps``.
     """
@@ -95,27 +95,27 @@ class AveragingVectorized(VectorizedAlgorithm):
 
         def __init__(self, values: np.ndarray):
             self.values = values
-            self.mean = float(values.mean())
+            self.mean = values.mean(axis=1)
 
-    def init_state(self, n: int, rng: np.random.Generator) -> "AveragingVectorized.State":
+    def init_state(self, n: int, seeds: np.ndarray) -> "AveragingBatched.State":
         if self._values.shape != (n,):
             raise ValueError("values must have one entry per vertex")
-        return self.State(self._values.copy())
+        return self.State(np.tile(self._values, (len(seeds), 1)))
 
-    def tags(self, state, local_rounds, active, rng) -> np.ndarray:
-        return np.zeros(state.values.shape[0], dtype=np.int64)
+    # tags: inherited None (b = 0, no advertising).
 
     def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
-        return rng.random(state.values.shape[0]) < 0.5
+        return rng.random(state.values.shape) < 0.5
 
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
-        mean = (state.values[proposers] + state.values[acceptors]) / 2.0
-        state.values[proposers] = mean
-        state.values[acceptors] = mean
+    def exchange(self, state, proposers, acceptors) -> None:
+        values = state.values.reshape(-1)
+        mean = (values[proposers] + values[acceptors]) / 2.0
+        values[proposers] = mean
+        values[acceptors] = mean
 
-    def converged(self, state) -> bool:
-        return bool(np.abs(state.values - state.mean).max() < self.eps)
+    def converged(self, state) -> np.ndarray:
+        return self.max_deviation(state) < self.eps
 
-    def max_deviation(self, state) -> float:
-        """Current worst-case error against the true mean."""
-        return float(np.abs(state.values - state.mean).max())
+    def max_deviation(self, state) -> np.ndarray:
+        """Current worst-case error against the true mean, per replica."""
+        return np.abs(state.values - state.mean[:, None]).max(axis=1)

@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms._pairs import pair_less, pair_min_inplace
+from repro.algorithms._pairs import pair_min_inplace, smallest_pairs
 from repro.analysis.bounds import group_length, tag_bits
 from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import IDPair, Message, UID, UIDSpace
 from repro.core.protocol import LeaderElectionProtocol, RoundView
-from repro.core.vectorized import VectorizedAlgorithm
 from repro.util.bits import bit_at
 from repro.util.csrops import all_distinct
 from repro.util.rng import make_rng
@@ -43,10 +42,10 @@ from repro.util.rng import make_rng
 __all__ = [
     "BitConvergenceConfig",
     "BitConvergenceNode",
-    "BitConvergenceVectorized",
     "BitConvergenceBatched",
     "make_bit_convergence_nodes",
     "draw_id_tags",
+    "replica_id_tags",
 ]
 
 
@@ -159,6 +158,24 @@ def draw_id_tags(
     return out
 
 
+def replica_id_tags(
+    n: int,
+    config: BitConvergenceConfig,
+    seeds: np.ndarray,
+    tag_seed: int | None = None,
+    *,
+    unique: bool = False,
+) -> np.ndarray:
+    """``(T, n)`` ID tags for ``T = len(seeds)`` replicas.
+
+    Replica ``t`` draws from its trial seed ``seeds[t]``; a ``tag_seed``
+    instead gives every replica the tags drawn from it.
+    """
+    if tag_seed is not None:
+        return np.tile(draw_id_tags(n, config, tag_seed, unique=unique), (len(seeds), 1))
+    return np.stack([draw_id_tags(n, config, int(s), unique=unique) for s in seeds])
+
+
 class BitConvergenceNode(LeaderElectionProtocol):
     """Per-node bit convergence state machine (reference semantics)."""
 
@@ -238,8 +255,14 @@ def make_bit_convergence_nodes(
     ]
 
 
-class BitConvergenceVectorized(VectorizedAlgorithm):
-    """Array-kernel bit convergence for the vectorized engine."""
+class BitConvergenceBatched(BatchedAlgorithm):
+    """Array-kernel bit convergence for every array engine.
+
+    Replica ``t`` draws its ID tags from its trial seed ``seeds[t]`` (see
+    :func:`replica_id_tags`), or every replica from ``tag_seed`` when one
+    is given.  Because tags differ per replica, the eventual winner (and
+    hence the convergence target) is per-replica state.
+    """
 
     tag_length = 1
 
@@ -269,150 +292,16 @@ class BitConvergenceVectorized(VectorizedAlgorithm):
             self.target_tag = target_tag
             self.target_key = target_key
 
-    def init_state(self, n: int, rng: np.random.Generator):
-        if self._keys.shape != (n,):
-            raise ValueError("uid_keys must have one key per vertex")
-        tags = draw_id_tags(n, self.config, self._tag_seed, unique=self._unique_tags)
-        # The eventual winner is the lexicographically smallest (tag, key).
-        order = np.lexsort((self._keys, tags))
-        win = order[0]
-        return self.State(
-            tags.copy(), self._keys.copy(), int(tags[win]), int(self._keys[win])
-        )
-
-    # -- round hooks -----------------------------------------------------
-
-    def _positions(self, local_rounds: np.ndarray) -> np.ndarray:
-        gl, k = self.config.group_len, self.config.k
-        group_index = (np.maximum(local_rounds, 1) - 1) // gl
-        return (group_index % k) + 1
-
-    def tags(self, state, local_rounds, active, rng) -> np.ndarray:
-        i = self._positions(local_rounds)
-        return (state.ctag >> (self.config.k - i)) & 1
-
-    def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
-        return tags == 0
-
-    def eligible_flat(self, state, tags, graph, sender_mask, local_rounds):
-        # 0-bit senders target neighbors currently advertising 1.
-        return tags[graph.indices] == 1
-
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
-        # Both endpoints receive the other's *committed* pair into pending.
-        pair_min_inplace(
-            state.ptag, state.pkey, acceptors, state.ctag[proposers], state.ckey[proposers]
-        )
-        pair_min_inplace(
-            state.ptag, state.pkey, proposers, state.ctag[acceptors], state.ckey[acceptors]
-        )
-
-    def end_round(self, state, round_index, local_rounds, active) -> None:
-        boundary = active & (local_rounds % self.config.phase_len == 0)
-        if np.any(boundary):
-            state.ctag[boundary] = state.ptag[boundary]
-            state.ckey[boundary] = state.pkey[boundary]
-
-    def converged(self, state) -> bool:
-        t, k = state.target_tag, state.target_key
-        return bool(
-            ((state.ctag == t) & (state.ckey == k)).all()
-            and ((state.ptag == t) & (state.pkey == k)).all()
-        )
-
-    def node_done(self, state) -> np.ndarray:
-        t, k = state.target_tag, state.target_key
-        return (
-            (state.ctag == t) & (state.ckey == k)
-            & (state.ptag == t) & (state.pkey == k)
-        )
-
-    def observable(self, state):
-        # An adaptive adversary may watch who already committed the
-        # eventual winner's pair.
-        return (state.ctag == state.target_tag) & (state.ckey == state.target_key)
-
-    # -- instrumentation ---------------------------------------------------
-
-    def leaders(self, state) -> np.ndarray:
-        """Current leader key per node."""
-        return state.ckey
-
-    def max_difference_bit(self, state) -> int | None:
-        """The paper's ``b_i``: most significant differing committed-tag bit.
-
-        Returns ``None`` (the paper's ``⊥``) when all committed tags agree.
-        """
-        from repro.util.bits import msb_difference_position
-
-        return msb_difference_position(state.ctag, self.config.k)
-
-    def zero_set_size(self, state) -> int | None:
-        """``|S_i|``: nodes with a 0 in position ``b_i`` of their committed tag.
-
-        ``None`` when ``b_i = ⊥``.
-        """
-        bi = self.max_difference_bit(state)
-        if bi is None:
-            return None
-        bits = (state.ctag >> (self.config.k - bi)) & 1
-        return int((bits == 0).sum())
-
-
-class BitConvergenceBatched(BatchedAlgorithm):
-    """Replica-batched bit convergence for the batched engine.
-
-    Replica ``t`` draws its ID tags from trial seed ``seeds[t]`` exactly
-    as a single :class:`BitConvergenceVectorized` built with
-    ``tag_seed=seeds[t]`` would, so initial states match the per-trial
-    engines bit for bit.  Because tags differ per replica, the eventual
-    winner (and hence the convergence target) is per-replica state.
-    """
-
-    tag_length = 1
-
-    def __init__(
-        self,
-        uid_keys: np.ndarray,
-        config: BitConvergenceConfig,
-        *,
-        unique_tags: bool = False,
-    ):
-        self._keys = np.asarray(uid_keys, dtype=np.int64)
-        if not all_distinct(self._keys):
-            raise ValueError("UID keys must be unique")
-        self.config = config
-        self._unique_tags = unique_tags
-
-    class State:
-        __slots__ = ("ctag", "ckey", "ptag", "pkey", "target_tag", "target_key")
-
-        def __init__(self, ctag, ckey, target_tag, target_key):
-            self.ctag = ctag
-            self.ckey = ckey
-            self.ptag = ctag.copy()
-            self.pkey = ckey.copy()
-            self.target_tag = target_tag
-            self.target_key = target_key
-
     def init_state(self, n: int, seeds: np.ndarray) -> "BitConvergenceBatched.State":
         if self._keys.shape != (n,):
             raise ValueError("uid_keys must have one key per vertex")
-        T = len(seeds)
-        ctag = np.empty((T, n), dtype=np.int64)
-        for t in range(T):
-            ctag[t] = draw_id_tags(
-                n, self.config, int(seeds[t]), unique=self._unique_tags
-            )
-        ckey = np.tile(self._keys, (T, 1))
-        # Per replica, the eventual winner is the lexicographically
-        # smallest (tag, key): minimum tag, then minimum key among ties.
-        target_tag = ctag.min(axis=1)
-        key_of_min = np.where(
-            ctag == target_tag[:, None], ckey, np.iinfo(np.int64).max
+        ctag = replica_id_tags(
+            n, self.config, seeds, self._tag_seed, unique=self._unique_tags
         )
-        target_key = key_of_min.min(axis=1)
-        return self.State(ctag, ckey, target_tag, target_key)
+        ckey = np.tile(self._keys, (len(seeds), 1))
+        # Per replica, the eventual winner is the lexicographically
+        # smallest (tag, key).
+        return self.State(ctag, ckey, *smallest_pairs(ctag, ckey))
 
     def _positions(self, local_rounds: np.ndarray) -> np.ndarray:
         gl, k = self.config.group_len, self.config.k
@@ -427,20 +316,15 @@ class BitConvergenceBatched(BatchedAlgorithm):
         return tags == 0
 
     def receiver_mask(self, state, tags) -> np.ndarray:
-        # 0-bit senders target vertices currently advertising 1.
+        # 0-bit senders target neighbors currently advertising 1.
         return tags == 1
 
-    def exchange(self, state, rep, proposers, acceptors) -> None:
-        # Both endpoints receive the other's *committed* pair into
-        # pending.  Flat (replica, vertex) indices let the shared
-        # pair kernels run over the whole batch at once.
-        n = state.ctag.shape[1]
-        fp = rep * n + proposers
-        fa = rep * n + acceptors
+    def exchange(self, state, proposers, acceptors) -> None:
+        # Both endpoints receive the other's *committed* pair into pending.
         ptag, pkey = state.ptag.reshape(-1), state.pkey.reshape(-1)
         ctag, ckey = state.ctag.reshape(-1), state.ckey.reshape(-1)
-        pair_min_inplace(ptag, pkey, fa, ctag[fp], ckey[fp])
-        pair_min_inplace(ptag, pkey, fp, ctag[fa], ckey[fa])
+        pair_min_inplace(ptag, pkey, acceptors, ctag[proposers], ckey[proposers])
+        pair_min_inplace(ptag, pkey, proposers, ctag[acceptors], ckey[acceptors])
 
     def end_round(self, state, round_index, local_rounds, active, live) -> None:
         # Committing in a converged replica copies the target over
@@ -467,10 +351,33 @@ class BitConvergenceBatched(BatchedAlgorithm):
         )
 
     def observable(self, state) -> np.ndarray:
+        # An adaptive adversary may watch who already committed the
+        # eventual winner's pair.
         return (state.ctag == state.target_tag[:, None]) & (
             state.ckey == state.target_key[:, None]
         )
 
+    # -- instrumentation ---------------------------------------------------
+
     def leaders(self, state) -> np.ndarray:
         """Current leader key per node per replica."""
         return state.ckey
+
+    def max_difference_bit(self, state) -> list[int | None]:
+        """The paper's ``b_i`` per replica: most significant differing
+        committed-tag bit, or ``None`` (the paper's ``⊥``) when all
+        committed tags agree."""
+        from repro.util.bits import msb_difference_position
+
+        return [msb_difference_position(row, self.config.k) for row in state.ctag]
+
+    def zero_set_size(self, state) -> list[int | None]:
+        """``|S_i|`` per replica: nodes with a 0 in position ``b_i`` of
+        their committed tag (``None`` when ``b_i = ⊥``)."""
+        sizes: list[int | None] = []
+        for row, bi in zip(state.ctag, self.max_difference_bit(state)):
+            if bi is None:
+                sizes.append(None)
+            else:
+                sizes.append(int((((row >> (self.config.k - bi)) & 1) == 0).sum()))
+        return sizes

@@ -23,12 +23,10 @@ import numpy as np
 from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import Message, UID, UIDSpace
 from repro.core.protocol import LeaderElectionProtocol, RoundView
-from repro.core.vectorized import VectorizedAlgorithm
 from repro.util.csrops import all_distinct
 
 __all__ = [
     "BlindGossipNode",
-    "BlindGossipVectorized",
     "BlindGossipBatched",
     "make_blind_gossip_nodes",
 ]
@@ -75,12 +73,14 @@ def make_blind_gossip_nodes(uid_space: UIDSpace) -> list[BlindGossipNode]:
     return [BlindGossipNode(v, uid_space.uid_of(v)) for v in range(len(uid_space))]
 
 
-class BlindGossipVectorized(VectorizedAlgorithm):
-    """Array-kernel blind gossip for the vectorized engine.
+class BlindGossipBatched(BatchedAlgorithm):
+    """Array-kernel blind gossip for every array engine.
 
     Operates on the simulator-internal integer UID keys (the black-box
     abstraction is a property of the *protocol* API; engine-level kernels
-    are trusted simulator code).
+    are trusted simulator code).  Every replica shares the UID assignment
+    (the trial axis varies only the randomness, exactly as ``run_trials``
+    does).
     """
 
     tag_length = 0
@@ -88,76 +88,6 @@ class BlindGossipVectorized(VectorizedAlgorithm):
     # changes through exchanges; exchanges between done nodes are no-ops.
     sparse_compatible = True
     quiescent_when_done = True
-
-    def __init__(self, uid_keys: np.ndarray):
-        self._keys = np.asarray(uid_keys, dtype=np.int64)
-        if not all_distinct(self._keys):
-            raise ValueError("UID keys must be unique")
-
-    class State:
-        __slots__ = ("best", "target")
-
-        def __init__(self, best: np.ndarray, target: int):
-            self.best = best
-            self.target = target
-
-    def init_state(self, n: int, rng: np.random.Generator) -> "BlindGossipVectorized.State":
-        if self._keys.shape != (n,):
-            raise ValueError("uid_keys must have one key per vertex")
-        return self.State(self._keys.copy(), int(self._keys.min()))
-
-    def tags(self, state, local_rounds, active, rng) -> np.ndarray:
-        return np.zeros(active.shape[0], dtype=np.int64)
-
-    def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
-        return rng.random(active.shape[0]) < 0.5
-
-    def sparse_senders(self, state, rows, rng) -> np.ndarray:
-        return rng.random(rows.shape[0]) < 0.5
-
-    def node_done_subset(self, state, nodes) -> np.ndarray:
-        return state.best[nodes] == state.target
-
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
-        lo = np.minimum(state.best[proposers], state.best[acceptors])
-        state.best[proposers] = lo
-        state.best[acceptors] = lo
-
-    def converged(self, state) -> bool:
-        return bool((state.best == state.target).all())
-
-    def node_done(self, state) -> np.ndarray:
-        return state.best == state.target
-
-    def corrupt_state(self, state, victims, rng) -> None:
-        state.best[victims] = rng.integers(0, 10 * self._keys.size, size=victims.size)
-        # The eventual winner is the min over the *corrupted* state.
-        state.target = int(state.best.min())
-
-    def reset_nodes(self, state, nodes, rng) -> None:
-        state.best[nodes] = self._keys[nodes]
-        state.target = int(state.best.min())
-
-    def observable(self, state):
-        # An adaptive adversary may watch who already holds the minimum.
-        return state.best == state.target
-
-    def leaders(self, state) -> np.ndarray:
-        """Current leader key per node (for instrumentation)."""
-        return state.best
-
-
-class BlindGossipBatched(BatchedAlgorithm):
-    """Replica-batched blind gossip for the batched engine.
-
-    Same kernel as :class:`BlindGossipVectorized` with a leading replica
-    axis; every replica shares the UID assignment (the trial axis varies
-    only the randomness, exactly as ``run_trials`` does).
-    """
-
-    tag_length = 0
-    # Same absorbing per-node doneness as the vectorized kernel, replica-wise.
-    sparse_compatible = True
 
     def __init__(self, uid_keys: np.ndarray):
         self._keys = np.asarray(uid_keys, dtype=np.int64)
@@ -193,10 +123,11 @@ class BlindGossipBatched(BatchedAlgorithm):
             return best == np.broadcast_to(target, state.best.shape).reshape(-1)[flat_rows]
         return best == target
 
-    def exchange(self, state, rep, proposers, acceptors) -> None:
-        lo = np.minimum(state.best[rep, proposers], state.best[rep, acceptors])
-        state.best[rep, proposers] = lo
-        state.best[rep, acceptors] = lo
+    def exchange(self, state, proposers, acceptors) -> None:
+        best = state.best.reshape(-1)
+        lo = np.minimum(best[proposers], best[acceptors])
+        best[proposers] = lo
+        best[acceptors] = lo
 
     def converged(self, state) -> np.ndarray:
         return (state.best == state.target).all(axis=1)
@@ -217,8 +148,14 @@ class BlindGossipBatched(BatchedAlgorithm):
         state.target = state.best.min(axis=1, keepdims=True)
 
     def observable(self, state) -> np.ndarray:
+        # An adaptive adversary may watch who already holds the minimum.
         return state.best == state.target
 
     def leaders(self, state) -> np.ndarray:
         """Current leader key per node per replica (for instrumentation)."""
         return state.best
+
+
+#: Former name of :class:`BlindGossipBatched`; ``perfbench/workloads.py``
+#: (the large-n workload) imports it.
+BlindGossipVectorized = BlindGossipBatched

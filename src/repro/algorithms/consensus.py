@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms._pairs import pair_less, pair_min_inplace
+from repro.algorithms._pairs import pair_less
 from repro.algorithms.async_bit_convergence import (
+    AsyncBitConvergenceBatched,
     AsyncBitConvergenceNode,
-    AsyncBitConvergenceVectorized,
 )
 from repro.algorithms.bit_convergence import BitConvergenceConfig, draw_id_tags
 from repro.core.payload import IDPair, Message, UID
 
-__all__ = ["ConsensusNode", "ConsensusVectorized", "make_consensus_nodes"]
+__all__ = ["ConsensusNode", "ConsensusBatched", "make_consensus_nodes"]
 
 
 class ConsensusNode(AsyncBitConvergenceNode):
@@ -94,7 +94,7 @@ def make_consensus_nodes(
     ]
 
 
-class ConsensusVectorized(AsyncBitConvergenceVectorized):
+class ConsensusBatched(AsyncBitConvergenceBatched):
     """Array-kernel consensus: async bit convergence carrying proposals.
 
     Parameters
@@ -126,7 +126,7 @@ class ConsensusVectorized(AsyncBitConvergenceVectorized):
         if self._proposals.ndim != 1:
             raise ValueError("proposals must be a 1-D array")
 
-    class State(AsyncBitConvergenceVectorized.State):
+    class State(AsyncBitConvergenceBatched.State):
         __slots__ = ("carried",)
 
         def __init__(self, ctag, ckey, pos, target_tag, target_key, carried=None):
@@ -135,37 +135,37 @@ class ConsensusVectorized(AsyncBitConvergenceVectorized):
             # the pair state; init_state below attaches the proposals.
             self.carried = carried
 
-    def init_state(self, n: int, rng: np.random.Generator):
+    def init_state(self, n: int, seeds: np.ndarray):
         if self._proposals.shape != (n,):
             raise ValueError("need one proposal per vertex")
-        state = super().init_state(n, rng)  # builds self.State (carried=None)
-        state.carried = self._proposals.copy()
+        state = super().init_state(n, seeds)  # builds self.State (carried=None)
+        state.carried = np.tile(self._proposals, (len(seeds), 1))
         return state
 
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
+    def exchange(self, state, proposers, acceptors) -> None:
         # Carry the attached value alongside the pair: whoever adopts the
         # other endpoint's (smaller) pair adopts its value too.
-        ptag, pkey = state.ctag[proposers].copy(), state.ckey[proposers].copy()
-        pval = state.carried[proposers].copy()
-        atag, akey = state.ctag[acceptors].copy(), state.ckey[acceptors].copy()
-        aval = state.carried[acceptors].copy()
+        ctag, ckey = state.ctag.reshape(-1), state.ckey.reshape(-1)
+        carried = state.carried.reshape(-1)
+        ptag, pkey, pval = ctag[proposers], ckey[proposers], carried[proposers]
+        atag, akey, aval = ctag[acceptors], ckey[acceptors], carried[acceptors]
 
         adopt_a = pair_less(ptag, pkey, atag, akey)  # acceptors adopting proposers'
         sel = acceptors[adopt_a]
-        state.ctag[sel] = ptag[adopt_a]
-        state.ckey[sel] = pkey[adopt_a]
-        state.carried[sel] = pval[adopt_a]
+        ctag[sel] = ptag[adopt_a]
+        ckey[sel] = pkey[adopt_a]
+        carried[sel] = pval[adopt_a]
 
         adopt_p = pair_less(atag, akey, ptag, pkey)
         sel = proposers[adopt_p]
-        state.ctag[sel] = atag[adopt_p]
-        state.ckey[sel] = akey[adopt_p]
-        state.carried[sel] = aval[adopt_p]
+        ctag[sel] = atag[adopt_p]
+        ckey[sel] = akey[adopt_p]
+        carried[sel] = aval[adopt_p]
 
     def decisions(self, state) -> np.ndarray:
-        """Current decision per node (meaningful once converged)."""
+        """Current decision per node per replica (meaningful once converged)."""
         return state.carried
 
-    def decided(self, state) -> bool:
+    def decided(self, state) -> np.ndarray:
         """Alias of :meth:`converged` in consensus vocabulary."""
         return self.converged(state)

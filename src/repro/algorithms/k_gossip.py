@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import Message, UID
 from repro.core.protocol import NodeProtocol, RoundView
-from repro.core.vectorized import VectorizedAlgorithm
+from repro.util.rng import make_rng
 
-__all__ = ["KGossipNode", "KGossipVectorized", "make_k_gossip_nodes"]
+__all__ = ["KGossipNode", "KGossipBatched", "make_k_gossip_nodes"]
 
 
 class KGossipNode(NodeProtocol):
@@ -73,12 +74,12 @@ def make_k_gossip_nodes(uid_space) -> list[KGossipNode]:
     return [KGossipNode(v, uid_space.uid_of(v), n) for v in range(n)]
 
 
-class KGossipVectorized(VectorizedAlgorithm):
-    """Array-kernel k-gossip for the vectorized engine.
+class KGossipBatched(BatchedAlgorithm):
+    """Array-kernel k-gossip for every array engine.
 
-    State is the boolean knowledge matrix ``known[u, r]`` (node ``u``
-    knows rumor ``r``), so memory is ``n²`` bits — fine for the sweep
-    sizes the experiments use.
+    State is the boolean knowledge tensor ``known[t, u, r]`` (node ``u``
+    of replica ``t`` knows rumor ``r``), so memory is ``T·n²`` bits —
+    fine for the sweep sizes the experiments use.
     """
 
     tag_length = 0
@@ -90,14 +91,19 @@ class KGossipVectorized(VectorizedAlgorithm):
             self.known = known
             self.rng = rng  # private stream for the per-connection rumor picks
 
-    def init_state(self, n: int, rng: np.random.Generator) -> "KGossipVectorized.State":
-        return self.State(np.eye(n, dtype=bool), rng)
+    def init_state(self, n: int, seeds: np.ndarray) -> "KGossipBatched.State":
+        T = len(seeds)
+        # One rumor-pick stream per batch: the trial seed's "vec-init"
+        # stream at T = 1, keyed on (seeds[0], T) otherwise, like the
+        # batched engine's round stream.
+        key = () if T == 1 else (T,)
+        rng = make_rng(int(seeds[0]), "vec-init", *key)
+        return self.State(np.tile(np.eye(n, dtype=bool), (T, 1, 1)), rng)
 
-    def tags(self, state, local_rounds, active, rng) -> np.ndarray:
-        return np.zeros(state.known.shape[0], dtype=np.int64)
+    # tags: inherited None (b = 0, no advertising).
 
     def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
-        return rng.random(state.known.shape[0]) < 0.5
+        return rng.random(state.known.shape[:2]) < 0.5
 
     @staticmethod
     def _pick_random_known(known: np.ndarray, rows: np.ndarray, rng) -> np.ndarray:
@@ -110,17 +116,19 @@ class KGossipVectorized(VectorizedAlgorithm):
         # First column where csum > j.
         return (csum > j[:, None]).argmax(axis=1)
 
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
-        # Snapshot-free: both picks read pre-exchange knowledge because
-        # the writes touch disjoint (row, column) pairs per connection.
-        from_p = self._pick_random_known(state.known, proposers, state.rng)
-        from_a = self._pick_random_known(state.known, acceptors, state.rng)
-        state.known[acceptors, from_p] = True
-        state.known[proposers, from_a] = True
+    def exchange(self, state, proposers, acceptors) -> None:
+        # One knowledge row per flat (replica, node) id.  Snapshot-free:
+        # both picks read pre-exchange knowledge because the writes touch
+        # disjoint (row, column) pairs per connection.
+        known = state.known.reshape(-1, state.known.shape[2])
+        from_p = self._pick_random_known(known, proposers, state.rng)
+        from_a = self._pick_random_known(known, acceptors, state.rng)
+        known[acceptors, from_p] = True
+        known[proposers, from_a] = True
 
-    def converged(self, state) -> bool:
-        return bool(state.known.all())
+    def converged(self, state) -> np.ndarray:
+        return state.known.all(axis=(1, 2))
 
-    def knowledge_count(self, state) -> int:
-        """Total (node, rumor) pairs known — monotone progress measure."""
-        return int(state.known.sum())
+    def knowledge_count(self, state) -> np.ndarray:
+        """Total (node, rumor) pairs known per replica — monotone progress."""
+        return state.known.sum(axis=(1, 2))

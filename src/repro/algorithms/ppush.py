@@ -20,9 +20,8 @@ import numpy as np
 from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import Message, UID
 from repro.core.protocol import RoundView, RumorProtocol
-from repro.core.vectorized import VectorizedAlgorithm
 
-__all__ = ["PPushNode", "PPushVectorized", "PPushBatched", "make_ppush_nodes"]
+__all__ = ["PPushNode", "PPushBatched", "make_ppush_nodes"]
 
 #: Tag advertised by informed nodes (paper: informed → 0, uninformed → 1).
 TAG_INFORMED = 0
@@ -80,64 +79,8 @@ def make_ppush_nodes(uid_space, sources: set[int]) -> list[PPushNode]:
     ]
 
 
-class PPushVectorized(VectorizedAlgorithm):
-    """Array-kernel PPUSH for the vectorized engine."""
-
-    tag_length = 1
-
-    def __init__(self, sources: np.ndarray):
-        self._sources = np.asarray(sources, dtype=np.int64)
-        if self._sources.size == 0:
-            raise ValueError("need at least one source")
-
-    class State:
-        __slots__ = ("informed",)
-
-        def __init__(self, informed: np.ndarray):
-            self.informed = informed
-
-    def init_state(self, n: int, rng: np.random.Generator) -> "PPushVectorized.State":
-        informed = np.zeros(n, dtype=bool)
-        informed[self._sources] = True
-        return self.State(informed)
-
-    def tags(self, state, local_rounds, active, rng) -> np.ndarray:
-        return np.where(state.informed, TAG_INFORMED, TAG_UNINFORMED).astype(np.int64)
-
-    def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
-        return state.informed.copy()
-
-    def eligible_flat(self, state, tags, graph, sender_mask, local_rounds):
-        # Informed senders target only neighbors advertising "uninformed".
-        return tags[graph.indices] == TAG_UNINFORMED
-
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
-        # Proposers are informed by construction; acceptors learn the rumor.
-        state.informed[acceptors] = True
-
-    def converged(self, state) -> bool:
-        return bool(state.informed.all())
-
-    def node_done(self, state) -> np.ndarray:
-        return state.informed
-
-    def corrupt_state(self, state, victims, rng) -> None:
-        state.informed[victims] = np.isin(victims, self._sources)
-
-    def reset_nodes(self, state, nodes, rng) -> None:
-        state.informed[nodes] = np.isin(nodes, self._sources)
-
-    def observable(self, state):
-        # An adaptive adversary may watch who is informed.
-        return state.informed
-
-    def informed_count(self, state) -> int:
-        """Number of informed nodes (for per-round progress metrics)."""
-        return int(state.informed.sum())
-
-
 class PPushBatched(BatchedAlgorithm):
-    """Replica-batched PPUSH for the batched engine."""
+    """Array-kernel PPUSH for every array engine."""
 
     tag_length = 1
 
@@ -164,12 +107,12 @@ class PPushBatched(BatchedAlgorithm):
         return state.informed.copy()
 
     def receiver_mask(self, state, tags) -> np.ndarray:
-        # Informed senders target only vertices advertising "uninformed".
+        # Informed senders target only neighbors advertising "uninformed".
         return tags == TAG_UNINFORMED
 
-    def exchange(self, state, rep, proposers, acceptors) -> None:
+    def exchange(self, state, proposers, acceptors) -> None:
         # Proposers are informed by construction; acceptors learn the rumor.
-        state.informed[rep, acceptors] = True
+        state.informed.reshape(-1)[acceptors] = True
 
     def converged(self, state) -> np.ndarray:
         return state.informed.all(axis=1)
@@ -185,6 +128,7 @@ class PPushBatched(BatchedAlgorithm):
         state.informed[:, nodes] = np.isin(nodes, self._sources)[None, :]
 
     def observable(self, state) -> np.ndarray:
+        # An adaptive adversary may watch who is informed.
         return state.informed
 
     def informed_count(self, state) -> np.ndarray:

@@ -19,11 +19,9 @@ import numpy as np
 from repro.core.batched import BatchedAlgorithm
 from repro.core.payload import Message, UID
 from repro.core.protocol import RoundView, RumorProtocol
-from repro.core.vectorized import VectorizedAlgorithm
 
 __all__ = [
     "PushPullNode",
-    "PushPullVectorized",
     "PushPullBatched",
     "make_push_pull_nodes",
 ]
@@ -107,78 +105,12 @@ def make_push_pull_nodes(
     ]
 
 
-class PushPullVectorized(VectorizedAlgorithm):
-    """Array-kernel b=0 PUSH-PULL for the vectorized engine.
+class PushPullBatched(BatchedAlgorithm):
+    """Array-kernel b=0 PUSH-PULL for every array engine.
 
     ``direction`` restricts rumor flow over a connection (the A3
     ablation): ``"both"`` (the paper's PUSH-PULL), ``"push"``
     (proposer→acceptor only), or ``"pull"`` (acceptor→proposer only).
-    """
-
-    tag_length = 0
-
-    def __init__(self, sources: np.ndarray, direction: str = "both"):
-        self._sources = np.asarray(sources, dtype=np.int64)
-        if self._sources.size == 0:
-            raise ValueError("need at least one source")
-        self._direction = _check_direction(direction)
-
-    class State:
-        __slots__ = ("informed",)
-
-        def __init__(self, informed: np.ndarray):
-            self.informed = informed
-
-    def init_state(self, n: int, rng: np.random.Generator) -> "PushPullVectorized.State":
-        informed = np.zeros(n, dtype=bool)
-        informed[self._sources] = True
-        return self.State(informed)
-
-    def tags(self, state, local_rounds, active, rng) -> np.ndarray:
-        return np.zeros(active.shape[0], dtype=np.int64)
-
-    def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
-        return rng.random(active.shape[0]) < 0.5
-
-    def exchange(self, state, proposers: np.ndarray, acceptors: np.ndarray) -> None:
-        if self._direction in ("both", "push"):
-            # PUSH: informed proposers inform their acceptors.
-            state.informed[acceptors[state.informed[proposers]]] = True
-        if self._direction in ("both", "pull"):
-            # PULL: informed acceptors inform their proposers.  Note the
-            # pre-exchange snapshot is irrelevant here: under "both" a
-            # newly-pushed acceptor was informed either way, and under
-            # "pull" the push branch never ran.
-            state.informed[proposers[state.informed[acceptors]]] = True
-
-    def converged(self, state) -> bool:
-        return bool(state.informed.all())
-
-    def node_done(self, state) -> np.ndarray:
-        return state.informed
-
-    def corrupt_state(self, state, victims, rng) -> None:
-        # Corruption knocks victims back to their initial status (see
-        # PushPullNode.corrupt): sources re-seed, others forget.
-        state.informed[victims] = np.isin(victims, self._sources)
-
-    def reset_nodes(self, state, nodes, rng) -> None:
-        state.informed[nodes] = np.isin(nodes, self._sources)
-
-    def observable(self, state):
-        # An adaptive adversary may watch who is informed.
-        return state.informed
-
-    def informed_count(self, state) -> int:
-        """Number of informed nodes (for per-round progress metrics)."""
-        return int(state.informed.sum())
-
-
-class PushPullBatched(BatchedAlgorithm):
-    """Replica-batched b=0 PUSH-PULL for the batched engine.
-
-    ``direction`` restricts rumor flow exactly as in
-    :class:`PushPullVectorized`.
     """
 
     tag_length = 0
@@ -205,13 +137,15 @@ class PushPullBatched(BatchedAlgorithm):
     def senders(self, state, tags, local_rounds, active, rng) -> np.ndarray:
         return rng.random(state.informed.shape) < 0.5
 
-    def exchange(self, state, rep, proposers, acceptors) -> None:
+    def exchange(self, state, proposers, acceptors) -> None:
+        informed = state.informed.reshape(-1)
         if self._direction in ("both", "push"):
-            sel = state.informed[rep, proposers]
-            state.informed[rep[sel], acceptors[sel]] = True
+            # PUSH: informed proposers inform their acceptors.
+            informed[acceptors[informed[proposers]]] = True
         if self._direction in ("both", "pull"):
-            sel = state.informed[rep, acceptors]
-            state.informed[rep[sel], proposers[sel]] = True
+            # PULL: informed acceptors inform their proposers.  Under
+            # "both" a newly-pushed acceptor was informed either way.
+            informed[proposers[informed[acceptors]]] = True
 
     def converged(self, state) -> np.ndarray:
         return state.informed.all(axis=1)
@@ -220,6 +154,8 @@ class PushPullBatched(BatchedAlgorithm):
         return state.informed
 
     def corrupt_state(self, state, victims, rng) -> None:
+        # Corruption knocks victims back to their initial status (see
+        # PushPullNode.corrupt): sources re-seed, others forget.
         rows = np.arange(victims.shape[0])[:, None]
         state.informed[rows, victims] = np.isin(victims, self._sources)
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.algorithms.bit_convergence import BitConvergenceVectorized
+from repro.algorithms.bit_convergence import BitConvergenceBatched
 from repro.analysis.bounds import f_approx, tau_hat
 from repro.core.vectorized import VectorizedEngine
 
@@ -139,7 +139,7 @@ class PhaseClassifier:
     ----------
     engine
         A :class:`~repro.core.vectorized.VectorizedEngine` whose algorithm
-        is a :class:`~repro.algorithms.bit_convergence.BitConvergenceVectorized`.
+        is a :class:`~repro.algorithms.bit_convergence.BitConvergenceBatched`.
     alpha
         The (dynamic) vertex expansion used in the goodness threshold.
     tau
@@ -157,8 +157,8 @@ class PhaseClassifier:
         tau: float,
         c: float = 1.0,
     ):
-        if not isinstance(engine.algo, BitConvergenceVectorized):
-            raise TypeError("PhaseClassifier requires a BitConvergenceVectorized run")
+        if not isinstance(engine.algo, BitConvergenceBatched):
+            raise TypeError("PhaseClassifier requires a BitConvergenceBatched run")
         self.engine = engine
         self.algo = engine.algo
         self.config = engine.algo.config
@@ -169,8 +169,9 @@ class PhaseClassifier:
         self.records: list[PhaseRecord] = []
 
     def _snapshot(self):
-        b = self.algo.max_difference_bit(self.engine.state)
-        s = self.algo.zero_set_size(self.engine.state)
+        # The engine runs one replica: read replica 0.
+        b = self.algo.max_difference_bit(self.engine.state)[0]
+        s = self.algo.zero_set_size(self.engine.state)[0]
         return b, s
 
     def run(self, max_phases: int) -> list[PhaseRecord]:

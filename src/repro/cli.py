@@ -517,12 +517,12 @@ def _cmd_simulate(
             fault_plan_path, chunk_nodes, delta, scheduler,
         )
     from repro.algorithms import (
-        AsyncBitConvergenceVectorized,
+        AsyncBitConvergenceBatched,
+        BitConvergenceBatched,
         BitConvergenceConfig,
-        BitConvergenceVectorized,
-        BlindGossipVectorized,
-        PPushVectorized,
-        PushPullVectorized,
+        BlindGossipBatched,
+        PPushBatched,
+        PushPullBatched,
     )
     from repro.analysis.progress import SpreadCurve
     from repro.core.vectorized import VectorizedEngine
@@ -548,15 +548,15 @@ def _cmd_simulate(
     keys = uid_keys_random(n, seed)
     config = BitConvergenceConfig(n_upper=max(n, 2), delta_bound=g.max_degree, beta=1.0)
     algos = {
-        "blind_gossip": lambda: BlindGossipVectorized(keys),
-        "bit_convergence": lambda: BitConvergenceVectorized(
+        "blind_gossip": lambda: BlindGossipBatched(keys),
+        "bit_convergence": lambda: BitConvergenceBatched(
             keys, config, tag_seed=seed, unique_tags=True
         ),
-        "async_bit_convergence": lambda: AsyncBitConvergenceVectorized(
+        "async_bit_convergence": lambda: AsyncBitConvergenceBatched(
             keys, config, tag_seed=seed, unique_tags=True
         ),
-        "push_pull": lambda: PushPullVectorized(np.array([0])),
-        "ppush": lambda: PPushVectorized(np.array([0])),
+        "push_pull": lambda: PushPullBatched(np.array([0])),
+        "ppush": lambda: PPushBatched(np.array([0])),
     }
     algo = algos[algorithm]()
     dg = (
@@ -593,12 +593,12 @@ def _cmd_simulate(
     progress = getattr(algo, "observable", lambda s: None)
     for r in range(1, max_rounds + 1):
         engine.step(r)
-        obs = progress(engine.state)
+        obs = progress(engine.state)  # (1, n): the engine runs one replica
         if obs is not None:
             curve.record(int(np.asarray(obs).sum()))
         # With a fault plan, convergence only counts after the last
         # scheduled fault (transient events can fake agreement).
-        if r >= gate and algo.converged(engine.state):
+        if r >= gate and algo.converged(engine.state)[0]:
             print(f"algorithm  : {algorithm}")
             print(f"topology   : {family} (n={n}, Delta={g.max_degree}, tau={tau})")
             print(f"stabilized : round {r}")

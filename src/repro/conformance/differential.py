@@ -302,25 +302,27 @@ def _activation_rounds(cfg: FuzzConfig) -> np.ndarray | None:
 
 
 class _AlgoBundle:
-    """The three per-tier forms of one algorithm for one configuration."""
+    """The per-node and array forms of one algorithm for one configuration.
+
+    ``make_algo()`` builds the one array kernel every array tier runs;
+    seeded state (bit convergence's ID tags) comes from each replica's
+    trial seed.
+    """
 
     def __init__(self, cfg: FuzzConfig):
         from repro.algorithms.bit_convergence import (
             BitConvergenceBatched,
             BitConvergenceConfig,
             BitConvergenceNode,
-            BitConvergenceVectorized,
             draw_id_tags,
         )
         from repro.algorithms.blind_gossip import (
             BlindGossipBatched,
-            BlindGossipVectorized,
             make_blind_gossip_nodes,
         )
-        from repro.algorithms.ppush import PPushBatched, PPushVectorized, make_ppush_nodes
+        from repro.algorithms.ppush import PPushBatched, make_ppush_nodes
         from repro.algorithms.push_pull import (
             PushPullBatched,
-            PushPullVectorized,
             make_push_pull_nodes,
         )
 
@@ -336,22 +338,19 @@ class _AlgoBundle:
         if cfg.algorithm == "blind_gossip":
             self.tag_length = 0
             self.protected = {int(np.argmin(keys))}
-            self.make_vec = lambda: BlindGossipVectorized(keys)
-            self.make_batched = lambda: BlindGossipBatched(keys)
+            self.make_algo = lambda: BlindGossipBatched(keys)
             self.make_protocols = lambda: make_blind_gossip_nodes(uids)
             self.stop_when = all_leaders_are(uids.min_uid())
         elif cfg.algorithm == "push_pull":
             self.tag_length = 0
             self.protected = {0}
-            self.make_vec = lambda: PushPullVectorized(src)
-            self.make_batched = lambda: PushPullBatched(src)
+            self.make_algo = lambda: PushPullBatched(src)
             self.make_protocols = lambda: make_push_pull_nodes(uids, sources={0})
             self.stop_when = rumor_complete
         elif cfg.algorithm == "ppush":
             self.tag_length = 1
             self.protected = {0}
-            self.make_vec = lambda: PPushVectorized(src)
-            self.make_batched = lambda: PPushBatched(src)
+            self.make_algo = lambda: PPushBatched(src)
             self.make_protocols = lambda: make_ppush_nodes(uids, sources={0})
             self.stop_when = rumor_complete
         elif cfg.algorithm == "bit_convergence":
@@ -360,11 +359,7 @@ class _AlgoBundle:
             )
             self.tag_length = 1
             self.protected = set()
-            self.make_vec_seeded = lambda ts: BitConvergenceVectorized(
-                keys, bc_cfg, tag_seed=ts, unique_tags=True
-            )
-            self.make_vec = None
-            self.make_batched = lambda: BitConvergenceBatched(
+            self.make_algo = lambda: BitConvergenceBatched(
                 keys, bc_cfg, unique_tags=True
             )
 
@@ -379,11 +374,6 @@ class _AlgoBundle:
             self.stop_when = None  # per-seed winner, computed at run time
         else:
             raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-
-    def vec_algo(self, ts: int):
-        if self.make_vec is not None:
-            return self.make_vec()
-        return self.make_vec_seeded(ts)
 
     def protocols(self, ts: int):
         if hasattr(self, "make_protocols_seeded"):
@@ -521,7 +511,7 @@ def _run_async_config(cfg: FuzzConfig, report: ConfigReport) -> None:
         vec_results.append(
             VectorizedEngine(
                 dg,
-                bundle.vec_algo(int(ts)),
+                bundle.make_algo(),
                 seed=int(ts),
                 activation_rounds=activation,
                 fault_plan=plan,
@@ -576,8 +566,8 @@ def _run_config_inner(
         dg = _dg_for(cfg, graph, i)
         vec_dgs.append(dg)
         kw = dict(seed=int(ts), activation_rounds=activation, fault_plan=plan)
-        traced = VectorizedEngine(dg, bundle.vec_algo(int(ts)), collect_trace=True, **kw).run(horizon)
-        plain = VectorizedEngine(dg, bundle.vec_algo(int(ts)), **kw).run(horizon)
+        traced = VectorizedEngine(dg, bundle.make_algo(), collect_trace=True, **kw).run(horizon)
+        plain = VectorizedEngine(dg, bundle.make_algo(), **kw).run(horizon)
         if (traced.stabilized, traced.rounds) != (plain.stabilized, plain.rounds):
             report.mismatches.append(
                 f"vectorized traced != untraced for seed {ts}: "
@@ -591,7 +581,7 @@ def _run_config_inner(
             acceptance.add_trace(traced.trace)
         if i == 0:
             again = VectorizedEngine(
-                dg, bundle.vec_algo(int(ts)), collect_trace=True, **kw
+                dg, bundle.make_algo(), collect_trace=True, **kw
             ).run(horizon)
             if not traces_equal(traced.trace, again.trace):
                 report.mismatches.append(
@@ -609,9 +599,9 @@ def _run_config_inner(
         bdg = batched_dgs
     kw = dict(seeds=seeds, activation_rounds=activation, fault_plan=plan)
     btraced = BatchedVectorizedEngine(
-        bdg, bundle.make_batched(), collect_trace=True, **kw
+        bdg, bundle.make_algo(), collect_trace=True, **kw
     ).run(horizon)
-    bplain = BatchedVectorizedEngine(bdg, bundle.make_batched(), **kw).run(horizon)
+    bplain = BatchedVectorizedEngine(bdg, bundle.make_algo(), **kw).run(horizon)
     if not (
         np.array_equal(btraced.stabilized, bplain.stabilized)
         and np.array_equal(btraced.rounds, bplain.rounds)
@@ -628,7 +618,7 @@ def _run_config_inner(
         for i, ts in enumerate(seeds):
             lgn_results.append(
                 LargeNEngine(
-                    vec_dgs[i], bundle.make_vec(), seed=int(ts), chunk_nodes=chunk
+                    vec_dgs[i], bundle.make_algo(), seed=int(ts), chunk_nodes=chunk
                 ).run(horizon)
             )
 

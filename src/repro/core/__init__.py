@@ -27,7 +27,7 @@ from repro.core.protocol import (
     RumorProtocol,
 )
 from repro.core.engine import ReferenceEngine, ModelViolation
-from repro.core.vectorized import VectorizedEngine, VectorizedAlgorithm
+from repro.core.vectorized import VectorizedEngine
 from repro.core.batched import BatchedVectorizedEngine, BatchedAlgorithm
 from repro.core.largen import LargeNEngine
 from repro.core.trace import Trace, RoundRecord, RunResult, BatchedRunResult
@@ -48,7 +48,6 @@ __all__ = [
     "ReferenceEngine",
     "ModelViolation",
     "VectorizedEngine",
-    "VectorizedAlgorithm",
     "BatchedVectorizedEngine",
     "BatchedAlgorithm",
     "LargeNEngine",

@@ -27,16 +27,18 @@ axis ``(T, n)``, and each round is a single batch of kernel calls:
    incrementally (only the segments whose topology changed);
 3. :func:`connect` drops proposals to nodes that themselves proposed and
    resolves all replicas' acceptances with one sort over flat ids;
-4. the algorithm applies the exchange for the flat (replica, pair) lists.
+4. the algorithm applies the exchange for the connected pairs, as flat
+   ``t*n + v`` ids into its state arrays.
 
 Replicas that satisfy their convergence predicate are *masked out* (their
 senders go silent), so finished replicas stop contributing work while the
 stragglers run on — the batch finishes when the slowest replica does.
 
-Randomness: replica ``t``'s **initial state** is derived from trial seed
-``seeds[t]`` exactly as the single-replica engine derives it (same
-``make_rng(seed, "vec-init")`` labels), so initial states are
-bit-for-bit identical to ``T`` separate :class:`VectorizedEngine` runs.
+Randomness: replica ``t``'s **initial state arrays** depend only on trial
+seed ``seeds[t]``, and the single-replica engines call the same
+:meth:`BatchedAlgorithm.init_state` with ``[seed]``, so initial states
+are bit-for-bit identical to ``T`` separate :class:`VectorizedEngine`
+runs.
 Round randomness comes from one engine-wide stream (keyed off
 ``seeds[0]`` and the replica count); per-replica slices of that stream
 are mutually independent, so replicas remain independent trials — the
@@ -241,37 +243,43 @@ class SparseFrontier:
 
 
 class BatchedAlgorithm(ABC):
-    """Replica-batched array-kernel form of an algorithm.
+    """Array-kernel form of an algorithm, batched over ``T`` replicas.
 
     State is an algorithm-owned object of ``(T, n)`` NumPy arrays; the
-    engine threads it through the hooks below.  The single-replica
-    counterpart is :class:`~repro.core.vectorized.VectorizedAlgorithm`;
-    hooks mirror it with a leading replica axis, except that target
-    eligibility is expressed per *vertex* (``receiver_mask``) rather than
-    per CSR entry — every ported algorithm's eligibility depends only on
-    the target's advertised tag, and a vertex mask batches over distinct
-    replica topologies for free.
+    engine threads it through the hooks below.  Every array engine runs
+    this one interface: :class:`BatchedVectorizedEngine` at ``T`` trials,
+    :class:`~repro.core.vectorized.VectorizedEngine` and
+    :class:`~repro.core.largen.LargeNEngine` at ``T = 1``.  Target
+    eligibility is expressed per *vertex* (:meth:`receiver_mask`), which
+    batches over distinct replica topologies for free, or per CSR entry
+    (:meth:`eligible_flat`) when it depends on the (sender, target) pair.
     """
 
     #: Advertising tag length ``b`` this algorithm requires.
     tag_length: int = 0
 
-    #: Whether the engine may run sparse-activity rounds for this
-    #: algorithm (see :class:`~repro.core.vectorized.VectorizedAlgorithm`
-    #: for the contract: per-node absorbing doneness, state changes only
-    #: through :meth:`exchange`, done–done exchanges are no-ops, and the
+    #: True when the engine may run *sparse-activity rounds* for this
+    #: algorithm.  The contract: doneness is absorbing and per-node
+    #: (:meth:`node_done` decomposes), state changes only through
+    #: :meth:`exchange` (``end_round`` is a no-op), an exchange between two
+    #: done nodes changes nothing, ``b = 0`` with no receiver mask, and the
     #: ``sparse_senders_flat`` / ``node_done_subset_flat`` hooks are
-    #: implemented).  Sparse-compatible batched algorithms must also have
-    #: ``b = 0`` and no receiver mask.
+    #: implemented.
     sparse_compatible: bool = False
+
+    #: True when a converged state makes every further round a no-op, so
+    #: single-replica engines may count rounds burned toward a fixed
+    #: horizon arithmetically instead of simulating them (see
+    #: :meth:`~repro.core.vectorized.VectorizedEngine.run`).
+    quiescent_when_done: bool = False
 
     @abstractmethod
     def init_state(self, n: int, seeds: np.ndarray) -> object:
         """Initial ``(T, n)`` state for ``T = len(seeds)`` replicas.
 
-        ``seeds[t]`` is replica ``t``'s trial seed; implementations must
-        derive replica ``t``'s initial state exactly as their vectorized
-        counterpart does for a single engine built with that seed.
+        ``seeds[t]`` is replica ``t``'s trial seed; replica ``t``'s
+        state arrays must not depend on the other seeds, so they equal
+        those of a one-replica run with seed ``seeds[t]``.
         """
 
     def tags(
@@ -307,18 +315,29 @@ class BatchedAlgorithm(ABC):
         """
         return None
 
+    def eligible_flat(
+        self, state: object, tags: np.ndarray, graph: Graph
+    ) -> np.ndarray | None:
+        """Optional ``(T, nnz)`` per-CSR-entry eligibility of proposal targets.
+
+        Entry ``[t, i]`` covers CSR entry ``graph.indices[i]`` in the row
+        of its source vertex, in replica ``t``; it is combined (AND) with
+        :meth:`receiver_mask`.  Use it when eligibility depends on the
+        (sender, target) pair.  It indexes one CSR, so
+        :class:`BatchedVectorizedEngine` rejects algorithms that override
+        it on per-replica or permuted topologies.
+        """
+        return None
+
     @abstractmethod
     def exchange(
-        self,
-        state: object,
-        rep: np.ndarray,
-        proposers: np.ndarray,
-        acceptors: np.ndarray,
+        self, state: object, proposers: np.ndarray, acceptors: np.ndarray
     ) -> None:
         """Apply the exchange for connected pairs across all replicas.
 
-        ``proposers[i]`` connected to ``acceptors[i]`` inside replica
-        ``rep[i]`` (flat parallel arrays).
+        ``proposers[i]`` connected to ``acceptors[i]``, both as flat
+        ``t*n + v`` ids of one replica ``t`` — indices into each state
+        array's ``reshape(-1)`` view, so at ``T = 1`` they are vertex ids.
         """
 
     def end_round(
@@ -389,10 +408,10 @@ class BatchedAlgorithm(ABC):
 
         Engine hook for :class:`~repro.faults.plan.StateCorruptionEvent`:
         row ``t`` of ``victims`` lists the ``k`` corrupted vertices of
-        replica ``t``.  Implementations must mirror their vectorized
-        counterpart's ``corrupt_state`` distribution and recompute any
-        convergence target.  The default raises so unsupported fault
-        plans fail loudly.
+        replica ``t``.  Implementations replace the victims' state with
+        values drawn from ``rng`` (replica by replica, in row order) and
+        recompute any convergence target over the corrupted state.  The
+        default raises so unsupported fault plans fail loudly.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement state corruption"
@@ -506,6 +525,13 @@ class BatchedVectorizedEngine:
                 self._perm_base = dgs[0].base
 
         self.algo = algorithm
+        entry_masks = type(algorithm).eligible_flat is not BatchedAlgorithm.eligible_flat
+        if entry_masks and self.dg is None:
+            raise ValueError(
+                f"{type(algorithm).__name__} restricts targets per CSR entry "
+                "(eligible_flat), which needs one shared dynamic graph; "
+                "per-replica and permuted topologies are unsupported"
+            )
         if activation_rounds is None:
             self.activation = np.ones(self.n, dtype=np.int64)
         else:
@@ -697,10 +723,10 @@ class BatchedVectorizedEngine:
     def _exchange(self, win_flat: np.ndarray, acc_flat: np.ndarray) -> None:
         """Apply the exchange for the connected flat pairs."""
         if acc_flat.size:
-            n = self.n
-            arep = acc_flat // n
-            self.connections_made += np.bincount(arep, minlength=self.replicas)
-            self.algo.exchange(self.state, arep, win_flat % n, acc_flat % n)
+            self.connections_made += np.bincount(
+                acc_flat // self.n, minlength=self.replicas
+            )
+            self.algo.exchange(self.state, win_flat, acc_flat)
             self.frontier.absorb(win_flat, acc_flat)
 
     def _sparse_step(self, r: int) -> bool:
@@ -823,11 +849,17 @@ class BatchedVectorizedEngine:
             )
         elif self.dg is not None:
             graph = self.dg.graph_at(r)
-            if nb_mask is None:
+            entry = self.algo.eligible_flat(self.state, tags, graph)
+            if nb_mask is None and entry is None:
                 sflat, tflat = self._pick_shared(graph, np.flatnonzero(sender))
             else:
                 picks = batched_random_pick(
-                    graph.indptr, graph.indices, rng, sender, neighbor_mask=nb_mask
+                    graph.indptr,
+                    graph.indices,
+                    rng,
+                    sender,
+                    neighbor_mask=nb_mask,
+                    flat_mask=entry,
                 )
                 pf = picks.reshape(T * n)
                 sflat = np.flatnonzero(pf >= 0)

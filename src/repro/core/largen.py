@@ -7,7 +7,7 @@ same round semantics in **cache-friendly slabs of ``chunk_nodes``
 vertices**:
 
 1. *Pick pass* (per slab): draw the slab's sender coins via the
-   algorithm's ``sparse_senders`` hook and choose each sender's proposal
+   algorithm's ``sparse_senders_flat`` hook and choose each sender's proposal
    target with :func:`~repro.util.csrops.segmented_random_pick_subset` —
    the working set per slab is O(``chunk_nodes``) beyond the CSR and the
    compact proposal list it appends to;
@@ -32,9 +32,10 @@ nodes.
 Scope: the engine requires a ``sparse_compatible`` algorithm with
 ``b = 0``, synchronized activation, no fault plan, and no trace (use the
 vectorized engine for instrumented runs — at ``10^6`` nodes a full trace
-would dwarf the state anyway).  Initial state is derived with the same
-``"vec-init"`` stream label as :class:`~repro.core.vectorized.VectorizedEngine`,
-so a ``LargeNEngine(seed=s)`` starts bit-identical to a
+would dwarf the state anyway).  Like
+:class:`~repro.core.vectorized.VectorizedEngine` it runs a
+:class:`~repro.core.batched.BatchedAlgorithm` at one replica with trial
+seed ``seed``, so a ``LargeNEngine(seed=s)`` starts bit-identical to a
 ``VectorizedEngine(seed=s)``; round randomness is an independent
 ``"largen-engine"`` stream.
 """
@@ -43,9 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batched import _SPARSE_MAX_FRACTION, connect
+from repro.core.batched import _SPARSE_MAX_FRACTION, BatchedAlgorithm, connect
 from repro.core.trace import RunResult
-from repro.core.vectorized import VectorizedAlgorithm, _SingleReplicaRounds
+from repro.core.vectorized import _SingleReplicaRounds, _trial_seed
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.static import Graph
 from repro.util.csrops import segmented_random_pick_subset
@@ -59,7 +60,7 @@ DEFAULT_CHUNK_NODES = 65536
 
 
 class LargeNEngine(_SingleReplicaRounds):
-    """Runs a ``sparse_compatible`` :class:`VectorizedAlgorithm` in slabs.
+    """Runs a ``sparse_compatible`` :class:`BatchedAlgorithm` in slabs, at one replica.
 
     Parameters
     ----------
@@ -69,8 +70,8 @@ class LargeNEngine(_SingleReplicaRounds):
     algorithm
         Must declare ``sparse_compatible`` and ``tag_length == 0``.
     seed
-        Root seed; initial state uses the ``"vec-init"`` label (so it is
-        bit-identical to the vectorized engine's), round randomness the
+        Trial seed of the one replica (``None``: fresh OS entropy); the
+        initial state is the vectorized engine's, round randomness the
         ``"largen-engine"`` label.
     chunk_nodes
         Slab width of the pick pass (default
@@ -81,7 +82,7 @@ class LargeNEngine(_SingleReplicaRounds):
     def __init__(
         self,
         dynamic_graph: DynamicGraph,
-        algorithm: VectorizedAlgorithm,
+        algorithm: BatchedAlgorithm,
         *,
         seed: int | None = None,
         chunk_nodes: int = DEFAULT_CHUNK_NODES,
@@ -106,8 +107,9 @@ class LargeNEngine(_SingleReplicaRounds):
         self.algo = algorithm
         self.n = dynamic_graph.n
         self.chunk_nodes = int(chunk_nodes)
+        seed = _trial_seed(seed)
         self._rng = make_rng(seed, "largen-engine")
-        self.state = algorithm.init_state(self.n, make_rng(seed, "vec-init"))
+        self.state = algorithm.init_state(self.n, np.array([seed], dtype=np.int64))
         #: Kept for engine-API parity; this engine never records traces.
         self.trace = None
         self.rounds_executed = 0
@@ -132,7 +134,7 @@ class LargeNEngine(_SingleReplicaRounds):
         targ_parts: list[np.ndarray] = []
         for lo in range(0, n, self.chunk_nodes):
             rows = np.arange(lo, min(lo + self.chunk_nodes, n), dtype=np.int64)
-            coins = self.algo.sparse_senders(self.state, rows, rng)
+            coins = self.algo.sparse_senders_flat(self.state, rows, rng)
             senders = rows[coins]
             picks = segmented_random_pick_subset(indptr, indices, rng, senders)
             ok = picks >= 0
@@ -160,7 +162,7 @@ class LargeNEngine(_SingleReplicaRounds):
         for r in range(1, max_rounds + 1):
             self.step(r)
             self.rounds_executed = r
-            converged = bool(self.algo.converged(self.state))
+            converged = self._converged()
             if r % check_every == 0 and converged:
                 return RunResult(
                     stabilized=True,
@@ -178,7 +180,7 @@ class LargeNEngine(_SingleReplicaRounds):
                     trace=None,
                 )
         return RunResult(
-            stabilized=bool(self.algo.converged(self.state)),
+            stabilized=self._converged(),
             rounds=max_rounds,
             rounds_after_last_activation=max_rounds,
             trace=None,

@@ -112,7 +112,7 @@ class NodeProtocol(ABC):
         :class:`~repro.faults.plan.StateCorruptionEvent` victims; ``n``
         is the network size, giving replacement draws the simulator's
         key scale (UID keys live in ``[0, 10n)``).  Implementations must
-        match the distribution of their vectorized counterpart's
+        match the distribution of their array kernel's
         ``corrupt_state`` so the engine tiers stay cross-validatable.
         """
         raise NotImplementedError(

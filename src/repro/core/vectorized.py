@@ -12,20 +12,22 @@ profiling-guided optimization of the per-node loops):
    remaining target accept one proposal uniformly at random;
 4. the algorithm applies the state exchange for the connected pairs.
 
-Algorithms plug in via :class:`VectorizedAlgorithm`, operating on a state
-object of NumPy arrays.  Each algorithm in :mod:`repro.algorithms` ships
-both a per-node protocol (reference semantics) and one of these kernels;
-the test suite cross-validates the two statistically.
+Algorithms plug in via :class:`~repro.core.batched.BatchedAlgorithm`,
+the one array-kernel interface every array engine runs; this engine runs
+it at one replica, so every state array carries a length-1 replica axis.
+Each algorithm in :mod:`repro.algorithms` ships both a per-node protocol
+(reference semantics) and one such kernel; the test suite
+cross-validates the two statistically.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.core.batched import (
+    BatchedAlgorithm,
     SparseFrontier,
     _frontier_limit,
     _resolve_sparse_mode,
@@ -36,194 +38,39 @@ from repro.core.trace import RoundRecord, RunResult, Trace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.faults.plan import FaultPlan
 from repro.graphs.dynamic import DynamicGraph
-from repro.graphs.static import Graph
 from repro.util.csrops import segmented_random_pick, segmented_random_pick_subset
 from repro.util.rng import make_rng
 
-__all__ = ["VectorizedAlgorithm", "VectorizedEngine"]
+__all__ = ["VectorizedEngine"]
 
 
-class VectorizedAlgorithm(ABC):
-    """Array-kernel form of an algorithm for :class:`VectorizedEngine`.
-
-    State is an algorithm-owned object (typically a small namespace of
-    NumPy arrays); the engine threads it through the hooks below.
-    """
-
-    #: Advertising tag length ``b`` this algorithm requires.
-    tag_length: int = 0
-
-    #: True when the engine may run *sparse-activity rounds* for this
-    #: algorithm.  The contract: doneness is absorbing and per-node
-    #: (:meth:`node_done` decomposes), state changes only through
-    #: :meth:`exchange` (``end_round`` is a no-op), an exchange between two
-    #: done nodes changes nothing, and :meth:`sparse_senders` /
-    #: :meth:`node_done_subset` are implemented.
-    sparse_compatible: bool = False
-
-    #: True when a converged state makes every further round a no-op, so
-    #: rounds burned toward a fixed horizon can be counted arithmetically
-    #: instead of simulated (see :meth:`VectorizedEngine.run`).
-    quiescent_when_done: bool = False
-
-    @abstractmethod
-    def init_state(self, n: int, rng: np.random.Generator) -> object:
-        """Initial per-network state for ``n`` nodes."""
-
-    @abstractmethod
-    def tags(
-        self,
-        state: object,
-        local_rounds: np.ndarray,
-        active: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Advertised tag per node (ignored entries for inactive nodes)."""
-
-    @abstractmethod
-    def senders(
-        self,
-        state: object,
-        tags: np.ndarray,
-        local_rounds: np.ndarray,
-        active: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Boolean mask of nodes that attempt to send a proposal."""
-
-    def eligible_flat(
-        self,
-        state: object,
-        tags: np.ndarray,
-        graph: Graph,
-        sender_mask: np.ndarray,
-        local_rounds: np.ndarray,
-    ) -> np.ndarray | None:
-        """Optional per-CSR-entry eligibility mask for proposal targets.
-
-        ``None`` means senders choose uniformly among all (active)
-        neighbors.  Entry ``i`` of the returned array corresponds to the
-        CSR entry ``graph.indices[i]`` in the row of its source vertex.
-        """
-        return None
-
-    @abstractmethod
-    def exchange(
-        self, state: object, proposers: np.ndarray, acceptors: np.ndarray
-    ) -> None:
-        """Apply the symmetric message exchange for the connected pairs."""
-
-    def end_round(
-        self,
-        state: object,
-        round_index: int,
-        local_rounds: np.ndarray,
-        active: np.ndarray,
-    ) -> None:
-        """Hook after connections (phase-boundary state transitions)."""
-
-    @abstractmethod
-    def converged(self, state: object) -> bool:
-        """Absorbing stabilization predicate over the current state."""
-
-    def sparse_senders(
-        self, state: object, rows: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sender coin flips for the frontier rows only (sparse rounds).
-
-        Must draw exactly one decision per entry of ``rows`` with the same
-        per-node distribution as :meth:`senders` (the RNG *consumption*
-        may differ from the dense path — sparse rounds are
-        distribution-equivalent, not bit-equivalent, to dense rounds).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement sparse sender coins"
-        )
-
-    def node_done_subset(self, state: object, nodes: np.ndarray) -> np.ndarray:
-        """Per-node doneness restricted to ``nodes`` (sparse bookkeeping).
-
-        Default routes through the dense :meth:`node_done`;
-        sparse-compatible algorithms override with an O(len(nodes))
-        gather so frontier updates never touch the full state.
-        """
-        done = self.node_done(state)
-        if done is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} has no per-node doneness decomposition"
-            )
-        return done[nodes]
-
-    def node_done(self, state: object) -> np.ndarray | None:
-        """Optional ``(n,)`` per-node form of :meth:`converged`.
-
-        ``converged()`` must equal ``node_done().all()``.  Engines use the
-        per-node form to exclude permanently crashed nodes (their state is
-        frozen, so demanding their agreement would make stabilization
-        unreachable).  ``None`` (the default) means the predicate has no
-        per-node decomposition; permanent-crash plans then fall back to
-        the whole-network predicate.
-        """
-        return None
-
-    # -- fault hooks (repro.faults) ----------------------------------------
-
-    def corrupt_state(
-        self, state: object, victims: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Overwrite ``victims``' state with arbitrary values.
-
-        Engine hook for :class:`~repro.faults.plan.StateCorruptionEvent`:
-        the implementation must replace the victims' algorithm state with
-        values drawn from ``rng`` and recompute its convergence target
-        over the corrupted state (the semilattice the algorithm computes
-        over).  The default raises so unsupported fault plans fail loudly.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement state corruption"
-        )
-
-    def reset_nodes(
-        self, state: object, nodes: np.ndarray, rng: np.random.Generator
-    ) -> None:
-        """Restore ``nodes`` to their initial state (crash/rejoin reset).
-
-        Engine hook for :class:`~repro.faults.plan.CrashWindow` rejoins
-        with ``reset_on_rejoin``; implementations must also refresh their
-        convergence target if the reset can change it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement crash/rejoin reset"
-        )
-
-    def observable(self, state: object) -> object | None:
-        """What an adaptive adversary may observe each round.
-
-        Spreading-type algorithms return their boolean progress mask (the
-        informed set, or "holds the eventual winner"); ``None`` exposes
-        nothing.  Consumed by
-        :class:`repro.graphs.adversary.AdaptiveDynamicGraph`.
-        """
-        return None
+def _trial_seed(seed: int | None) -> int:
+    """The one replica's trial seed; fresh OS entropy when ``seed`` is None."""
+    return int(make_rng(None).integers(2**62)) if seed is None else int(seed)
 
 
 class _SingleReplicaRounds:
     """Round pieces :class:`VectorizedEngine` and ``LargeNEngine`` share.
 
-    Both engines keep ``dg``, ``algo``, ``state``, ``_rng``,
+    Both engines run a :class:`~repro.core.batched.BatchedAlgorithm` at
+    one replica and keep ``dg``, ``algo``, ``state``, ``_rng``,
     ``connections_made``, an all-False ``(n,)`` scratch mask
     ``_proposed`` for :func:`~repro.core.batched.connect`, and a
-    one-replica :class:`~repro.core.batched.SparseFrontier`.
+    one-replica :class:`~repro.core.batched.SparseFrontier`.  At one
+    replica flat ``t*n + v`` ids are vertex ids.
     """
 
     def _make_frontier(self) -> SparseFrontier:
-        algo, state = self.algo, self.state
+        algo, state, n = self.algo, self.state, self.n
         return SparseFrontier(
-            self.n,
+            n,
             1,
             lambda: algo.node_done(state),
-            lambda ids: algo.node_done_subset(state, ids),
+            lambda ids: algo.node_done_subset_flat(state, ids, n),
         )
+
+    def _converged(self) -> bool:
+        return bool(self.algo.converged(self.state)[0])
 
     def _exchange(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
         """Apply the exchange for the connected pairs."""
@@ -244,7 +91,7 @@ class _SingleReplicaRounds:
             return None
         graph, rows = hit
         rng = self._rng
-        coins = self.algo.sparse_senders(self.state, rows, rng)
+        coins = self.algo.sparse_senders_flat(self.state, rows, rng)
         senders = rows[coins]
         picks = segmented_random_pick_subset(graph.indptr, graph.indices, rng, senders)
         ok = picks >= 0
@@ -255,12 +102,18 @@ class _SingleReplicaRounds:
 
 
 class VectorizedEngine(_SingleReplicaRounds):
-    """Runs a :class:`VectorizedAlgorithm` over a dynamic graph."""
+    """Runs a :class:`~repro.core.batched.BatchedAlgorithm` at one replica.
+
+    ``seed`` is the replica's trial seed: ``init_state`` receives
+    ``[seed]``, round randomness is the ``"vec-engine"`` stream and fault
+    randomness the ``"faults"`` stream off it.  ``None`` draws a fresh
+    seed from OS entropy.
+    """
 
     def __init__(
         self,
         dynamic_graph: DynamicGraph,
-        algorithm: VectorizedAlgorithm,
+        algorithm: BatchedAlgorithm,
         *,
         seed: int | None = None,
         activation_rounds: Sequence[int] | np.ndarray | None = None,
@@ -277,6 +130,7 @@ class VectorizedEngine(_SingleReplicaRounds):
             self.activation = np.asarray(activation_rounds, dtype=np.int64)
             if self.activation.shape != (self.n,) or self.activation.min() < 1:
                 raise ValueError("activation_rounds must be n 1-indexed rounds")
+        seed = _trial_seed(seed)
         self._rng = make_rng(seed, "vec-engine")
         # An empty plan normalizes to no plan: the fault stream (a separate
         # "faults" label off the trial seed) is then never created, keeping
@@ -294,7 +148,8 @@ class VectorizedEngine(_SingleReplicaRounds):
             )
         else:
             self._faults = None
-        self.state = self.algo.init_state(self.n, make_rng(seed, "vec-init"))
+        self.state = self.algo.init_state(self.n, np.array([seed], dtype=np.int64))
+        self._live = np.ones(1, dtype=bool)
         #: Optional full trace, in the reference engine's record format.
         self.trace = Trace() if collect_trace else None
         self.rounds_executed = 0
@@ -373,12 +228,13 @@ class VectorizedEngine(_SingleReplicaRounds):
         faults = self._faults
         if isinstance(self.dg, AdaptiveDynamicGraph):
             obs = self.algo.observable(self.state)
-            if obs is not None and faults is not None:
-                # Dead slots are invisible: the adversary may not react
-                # to state frozen in a crashed/departed slot.
-                up = faults.up_mask(r)
+            if obs is not None:
+                obs = obs[0]  # the one replica's (n,) observation
+                up = faults.up_mask(r) if faults is not None else None
                 if up is not None:
-                    obs = np.asarray(obs) & up
+                    # Dead slots are invisible: the adversary may not react
+                    # to state frozen in a crashed/departed slot.
+                    obs = obs & up
             self.dg.observe(r, obs)
         graph = self.dg.graph_at(r)
         active = self.activation <= r
@@ -391,7 +247,7 @@ class VectorizedEngine(_SingleReplicaRounds):
             if nodes.size:
                 self.algo.reset_nodes(self.state, nodes, faults.rng)
             for victims in faults.corruption_victims(r):
-                self.algo.corrupt_state(self.state, victims, faults.rng)
+                self.algo.corrupt_state(self.state, victims[None], faults.rng)
             up = faults.up_mask(r)
             if up is not None:
                 active = active & up
@@ -400,20 +256,21 @@ class VectorizedEngine(_SingleReplicaRounds):
 
         tags = self.algo.tags(self.state, local_rounds, active, rng)
         sender_mask = (
-            self.algo.senders(self.state, tags, local_rounds, active, rng) & active
+            self.algo.senders(self.state, tags, local_rounds, active, rng)[0] & active
         )
-        if faults is not None:
+        if faults is not None and tags is not None:
             # Corrupt at the advertiser's radio: the sender decision used
             # the intended tag; eligibility below sees the corrupted one.
             tags = faults.corrupt_tags(tags, active)
 
         # Eligibility: target must be active; algorithms may restrict further.
         flat = active[graph.indices]
-        algo_flat = self.algo.eligible_flat(
-            self.state, tags, graph, sender_mask, local_rounds
-        )
-        if algo_flat is not None:
-            flat = flat & algo_flat
+        recv = self.algo.receiver_mask(self.state, tags)
+        if recv is not None:
+            flat &= recv[0][graph.indices]
+        entry = self.algo.eligible_flat(self.state, tags, graph)
+        if entry is not None:
+            flat &= entry[0]
 
         picks = segmented_random_pick(
             graph.indptr, graph.indices, rng, active=sender_mask, flat_mask=flat
@@ -433,7 +290,7 @@ class VectorizedEngine(_SingleReplicaRounds):
         if self.on_connections is not None:
             self.on_connections(r, winners, acceptors)
 
-        self.algo.end_round(self.state, r, local_rounds, active)
+        self.algo.end_round(self.state, r, local_rounds, active, self._live)
 
         if self.trace is not None:
             self.trace.append(
@@ -443,7 +300,9 @@ class VectorizedEngine(_SingleReplicaRounds):
                     # the proposer-cannot-receive filter, as the reference.
                     proposals=np.column_stack([proposers, targets]).reshape(-1, 2),
                     connections=np.column_stack([winners, acceptors]).reshape(-1, 2),
-                    tags=np.where(active, tags, -1).astype(np.int64),
+                    tags=np.where(active, 0 if tags is None else tags[0], -1).astype(
+                        np.int64
+                    ),
                     active=active.copy(),
                 )
             )
@@ -463,7 +322,7 @@ class VectorizedEngine(_SingleReplicaRounds):
         gate = self._faults.gate if self._faults is not None else 0
         perma = self._faults.perma_down if self._faults is not None else None
         if perma is None:
-            converged = lambda: self.algo.converged(self.state)  # noqa: E731
+            converged = self._converged
         else:
             # Permanently crashed nodes are frozen forever; stabilization
             # is agreement among the nodes that can still change state.
@@ -472,8 +331,8 @@ class VectorizedEngine(_SingleReplicaRounds):
             def converged() -> bool:
                 done = self.algo.node_done(self.state)
                 if done is None:
-                    return self.algo.converged(self.state)
-                return bool(done[live].all())
+                    return self._converged()
+                return bool(done[0, live].all())
 
         # Quiet-round fast-forward: once every node is done and the
         # algorithm certifies further rounds are no-ops, rounds burned

@@ -20,16 +20,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.algorithms.async_bit_convergence import AsyncBitConvergenceVectorized
+from repro.algorithms.async_bit_convergence import AsyncBitConvergenceBatched
 from repro.algorithms.bit_convergence import (
     BitConvergenceBatched,
     BitConvergenceConfig,
-    BitConvergenceVectorized,
     draw_id_tags,
 )
-from repro.algorithms.blind_gossip import BlindGossipBatched, BlindGossipVectorized
-from repro.algorithms.ppush import PPushBatched, PPushVectorized
-from repro.algorithms.push_pull import PushPullBatched, PushPullVectorized
+from repro.algorithms.blind_gossip import BlindGossipBatched
+from repro.algorithms.ppush import PPushBatched
+from repro.algorithms.push_pull import PushPullBatched
 from repro.analysis import bounds
 from repro.analysis.expansion import vertex_expansion, vertex_expansion_exact
 from repro.analysis.matching import gamma_exact
@@ -221,12 +220,12 @@ def exp_ppush_matching(
         fractions = []
         for t in range(trials):
             g = build_graph(t, r)
-            algo = PPushVectorized(np.arange(m))
+            algo = PPushBatched(np.arange(m))
             engine = VectorizedEngine(
                 StaticDynamicGraph(g), algo, seed=seed + 31 * t + r
             )
             engine.run(r, check_every=r + 1)  # exactly r rounds, no early stop
-            fractions.append((algo.informed_count(engine.state) - m) / m)
+            fractions.append((int(algo.informed_count(engine.state)[0]) - m) / m)
         return fractions
 
     for r in range(1, log_delta + 1):
@@ -310,13 +309,13 @@ def exp_blind_gossip_scaling(
 
             def build_static(ts: int, base=base, keys=keys) -> VectorizedEngine:
                 return VectorizedEngine(
-                    StaticDynamicGraph(base), BlindGossipVectorized(keys), seed=ts
+                    StaticDynamicGraph(base), BlindGossipBatched(keys), seed=ts
                 )
 
             def build_churn(ts: int, base=base, keys=keys) -> VectorizedEngine:
                 return VectorizedEngine(
                     PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                    BlindGossipVectorized(keys),
+                    BlindGossipBatched(keys),
                     seed=ts,
                 )
 
@@ -392,7 +391,7 @@ def exp_lower_bound_line_of_stars(
 
             def build(ts: int, g=g, keys=keys) -> VectorizedEngine:
                 return VectorizedEngine(
-                    StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=ts
+                    StaticDynamicGraph(g), BlindGossipBatched(keys), seed=ts
                 )
 
             med = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
@@ -459,13 +458,13 @@ def exp_push_pull(
 
             def build_static(ts: int, base=base, source=source) -> VectorizedEngine:
                 return VectorizedEngine(
-                    StaticDynamicGraph(base), PushPullVectorized(source), seed=ts
+                    StaticDynamicGraph(base), PushPullBatched(source), seed=ts
                 )
 
             def build_churn(ts: int, base=base, source=source) -> VectorizedEngine:
                 return VectorizedEngine(
                     PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                    PushPullVectorized(source),
+                    PushPullBatched(source),
                     seed=ts,
                 )
 
@@ -590,7 +589,7 @@ def exp_bit_convergence_tau(
             def build_obliv(ts: int, tau=tau) -> VectorizedEngine:
                 return VectorizedEngine(
                     _churn(base, tau, ts),
-                    BitConvergenceVectorized(
+                    BitConvergenceBatched(
                         keys, config, tag_seed=ts, unique_tags=True
                     ),
                     seed=ts,
@@ -603,7 +602,7 @@ def exp_bit_convergence_tau(
                     dg = PackingAdversary(star_base, tau=int(tau))
                 return VectorizedEngine(
                     dg,
-                    BitConvergenceVectorized(
+                    BitConvergenceBatched(
                         star_keys, star_config, tag_seed=ts, unique_tags=True
                     ),
                     seed=ts,
@@ -684,13 +683,13 @@ def exp_gap_b0_b1(
 
             def build_bg(ts: int, tau=tau) -> VectorizedEngine:
                 return VectorizedEngine(
-                    _churn(base, tau, ts), BlindGossipVectorized(keys), seed=ts
+                    _churn(base, tau, ts), BlindGossipBatched(keys), seed=ts
                 )
 
             def build_bc(ts: int, tau=tau) -> VectorizedEngine:
                 return VectorizedEngine(
                     _churn(base, tau, ts),
-                    BitConvergenceVectorized(
+                    BitConvergenceBatched(
                         keys, config, tag_seed=ts, unique_tags=True
                     ),
                     seed=ts,
@@ -736,14 +735,14 @@ def exp_async(
     def build_sync(ts: int) -> VectorizedEngine:
         return VectorizedEngine(
             StaticDynamicGraph(base),
-            BitConvergenceVectorized(keys, config, tag_seed=ts, unique_tags=True),
+            BitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
             seed=ts,
         )
 
     def build_async_simul(ts: int) -> VectorizedEngine:
         return VectorizedEngine(
             StaticDynamicGraph(base),
-            AsyncBitConvergenceVectorized(keys, config, tag_seed=ts, unique_tags=True),
+            AsyncBitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
             seed=ts,
         )
 
@@ -752,7 +751,7 @@ def exp_async(
         act[int(np.argmin(act))] = 1  # someone starts at round 1
         return VectorizedEngine(
             StaticDynamicGraph(base),
-            AsyncBitConvergenceVectorized(keys, config, tag_seed=ts, unique_tags=True),
+            AsyncBitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
             seed=ts,
             activation_rounds=act,
         )
@@ -840,7 +839,7 @@ def exp_self_stabilization(
             (0, g1, slice(0, component_n)),
             (1, g2, slice(component_n, n_total)),
         ):
-            algo = AsyncBitConvergenceVectorized(
+            algo = AsyncBitConvergenceBatched(
                 keys[key_slice],
                 config,
                 initial_pairs=(all_tags[key_slice], keys[key_slice]),
@@ -849,12 +848,12 @@ def exp_self_stabilization(
             res = eng.run(max_rounds)
             if not res.stabilized:
                 raise RuntimeError("component failed to stabilize; raise max_rounds")
-            states.append((eng.state.ctag.copy(), eng.state.ckey.copy()))
+            states.append((eng.state.ctag[0].copy(), eng.state.ckey[0].copy()))
 
         # Join: continue from the components' converged states.
         init_tags = np.concatenate([states[0][0], states[1][0]])
         init_keys = np.concatenate([states[0][1], states[1][1]])
-        algo_joined = AsyncBitConvergenceVectorized(
+        algo_joined = AsyncBitConvergenceBatched(
             keys, config, initial_pairs=(init_tags, init_keys)
         )
         eng_joined = VectorizedEngine(
@@ -866,7 +865,7 @@ def exp_self_stabilization(
         joined_rounds.append(res_joined.rounds)
 
         # Baseline: a fresh start on the same union topology.
-        algo_fresh = AsyncBitConvergenceVectorized(keys, config, tag_seed=ts + 31, unique_tags=True)
+        algo_fresh = AsyncBitConvergenceBatched(keys, config, tag_seed=ts + 31, unique_tags=True)
         eng_fresh = VectorizedEngine(StaticDynamicGraph(union), algo_fresh, seed=ts + 37)
         res_fresh = eng_fresh.run(max_rounds)
         if not res_fresh.stabilized:
@@ -928,12 +927,12 @@ def exp_classical_vs_mobile(
 
         def build_b0(ts: int, base=base, source=source) -> VectorizedEngine:
             return VectorizedEngine(
-                StaticDynamicGraph(base), PushPullVectorized(source), seed=ts
+                StaticDynamicGraph(base), PushPullBatched(source), seed=ts
             )
 
         def build_b1(ts: int, base=base, source=source) -> VectorizedEngine:
             return VectorizedEngine(
-                StaticDynamicGraph(base), PPushVectorized(source), seed=ts
+                StaticDynamicGraph(base), PPushBatched(source), seed=ts
             )
 
         classical = [
@@ -1044,7 +1043,7 @@ def exp_dynamic_comparison(
             def build(ts: int, *, base, cfg, tau) -> VectorizedEngine:
                 return VectorizedEngine(
                     _churn(base, tau, ts),
-                    BitConvergenceVectorized(keys, cfg, tag_seed=ts, unique_tags=True),
+                    BitConvergenceBatched(keys, cfg, tag_seed=ts, unique_tags=True),
                     seed=ts,
                 )
 
@@ -1139,19 +1138,19 @@ def exp_adaptive_adversary(
 
             def build_static(ts: int, base=base) -> VectorizedEngine:
                 return VectorizedEngine(
-                    StaticDynamicGraph(base), PushPullVectorized(source), seed=ts
+                    StaticDynamicGraph(base), PushPullBatched(source), seed=ts
                 )
 
             def build_obliv(ts: int, base=base) -> VectorizedEngine:
                 return VectorizedEngine(
                     PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                    PushPullVectorized(source),
+                    PushPullBatched(source),
                     seed=ts,
                 )
 
             def build_adaptive(ts: int, base=base) -> VectorizedEngine:
                 return VectorizedEngine(
-                    PackingAdversary(base, tau=1), PushPullVectorized(source), seed=ts
+                    PackingAdversary(base, tau=1), PushPullBatched(source), seed=ts
                 )
 
             med_static = _median_rounds(
@@ -1209,7 +1208,7 @@ def exp_ppush_vs_classical(
         ]
 
         def build(ts: int, dg=dg) -> VectorizedEngine:
-            return VectorizedEngine(dg, PPushVectorized(np.array([0])), seed=ts)
+            return VectorizedEngine(dg, PPushBatched(np.array([0])), seed=ts)
 
         med_cl = float(np.median(classical))
         med_pp = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
@@ -1279,7 +1278,7 @@ def exp_productive_phases(
         total = 0
         for t in range(trials):
             ts = seed + 41 * t
-            algo = BlindGossipVectorized(kk)
+            algo = BlindGossipBatched(kk)
             eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=ts)
             holders = lambda: int((eng.state.best == eng.state.target).sum())
             productive = 0
@@ -1379,7 +1378,7 @@ def exp_good_phase_frequency(
         def mk_benign(ts: int, tau=tau) -> VectorizedEngine:
             return VectorizedEngine(
                 _churn(base, tau, ts),
-                BitConvergenceVectorized(keys, config, tag_seed=ts, unique_tags=True),
+                BitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
                 seed=ts,
             )
 
@@ -1391,7 +1390,7 @@ def exp_good_phase_frequency(
             )
             return VectorizedEngine(
                 dg,
-                BitConvergenceVectorized(
+                BitConvergenceBatched(
                     star_keys, star_config, tag_seed=ts, unique_tags=True
                 ),
                 seed=ts,
@@ -1466,11 +1465,11 @@ def exp_communication_cost(
     cases = [
         (
             "blind gossip (b=0)",
-            lambda ts, kk: BlindGossipVectorized(kk),
+            lambda ts, kk: BlindGossipBatched(kk),
         ),
         (
             "bit convergence (b=1)",
-            lambda ts, kk: BitConvergenceVectorized(
+            lambda ts, kk: BitConvergenceBatched(
                 kk,
                 cfg if kk is keys else star_cfg,
                 tag_seed=ts,
@@ -1479,7 +1478,7 @@ def exp_communication_cost(
         ),
         (
             "async bit convergence",
-            lambda ts, kk: AsyncBitConvergenceVectorized(
+            lambda ts, kk: AsyncBitConvergenceBatched(
                 kk,
                 cfg if kk is keys else star_cfg,
                 tag_seed=ts,
@@ -1514,7 +1513,7 @@ def exp_k_gossip(
     ≤ n per round ⇒ at least ``n - 1`` rounds even on a clique.  We
     measure the scaling on cliques and sparse regular graphs.
     """
-    from repro.algorithms.k_gossip import KGossipVectorized
+    from repro.algorithms.k_gossip import KGossipBatched
 
     table = Table(
         title="E16 (extension): k-gossip — all-to-all dissemination at b=0",
@@ -1531,10 +1530,10 @@ def exp_k_gossip(
         reg = families.random_regular(n, degree, seed=seed + n)
 
         def build_clique(ts: int, g=clique) -> VectorizedEngine:
-            return VectorizedEngine(StaticDynamicGraph(g), KGossipVectorized(), seed=ts)
+            return VectorizedEngine(StaticDynamicGraph(g), KGossipBatched(), seed=ts)
 
         def build_reg(ts: int, g=reg) -> VectorizedEngine:
-            return VectorizedEngine(StaticDynamicGraph(g), KGossipVectorized(), seed=ts)
+            return VectorizedEngine(StaticDynamicGraph(g), KGossipBatched(), seed=ts)
 
         med_clique = _median_rounds(
             build_clique, trials=trials, max_rounds=max_rounds, seed=seed
@@ -1575,7 +1574,7 @@ def exp_averaging(
     same α story as leader election, on the aggregation problem the
     paper's conclusion proposes.
     """
-    from repro.algorithms.averaging import AveragingVectorized
+    from repro.algorithms.averaging import AveragingBatched
 
     cases = [
         ("clique", families.clique(n)),
@@ -1600,7 +1599,7 @@ def exp_averaging(
 
         def build(ts: int, g=g, values=values) -> VectorizedEngine:
             return VectorizedEngine(
-                StaticDynamicGraph(g), AveragingVectorized(values, eps=eps), seed=ts
+                StaticDynamicGraph(g), AveragingBatched(values, eps=eps), seed=ts
             )
 
         med = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
@@ -1630,7 +1629,7 @@ def exp_consensus(
     time (the value rides the winning pair for free), and agreement +
     validity hold in every trial.
     """
-    from repro.algorithms.consensus import ConsensusVectorized
+    from repro.algorithms.consensus import ConsensusBatched
 
     base = families.random_regular(n, degree, seed=seed)
     delta = base.max_degree
@@ -1661,7 +1660,7 @@ def exp_consensus(
 
             le = VectorizedEngine(
                 _churn(base, tau, ts),
-                AsyncBitConvergenceVectorized(keys, cfg, tag_seed=ts, unique_tags=True),
+                AsyncBitConvergenceBatched(keys, cfg, tag_seed=ts, unique_tags=True),
                 seed=ts,
             )
             res = le.run(max_rounds)
@@ -1669,7 +1668,7 @@ def exp_consensus(
                 raise RuntimeError("leader election did not stabilize")
             le_rounds.append(res.rounds)
 
-            algo = ConsensusVectorized(
+            algo = ConsensusBatched(
                 keys, cfg, proposals, tag_seed=ts, unique_tags=True
             )
             ce = VectorizedEngine(_churn(base, tau, ts), algo, seed=ts)
@@ -1677,7 +1676,7 @@ def exp_consensus(
             if not res.stabilized:
                 raise RuntimeError("consensus did not stabilize")
             cons_rounds.append(res.rounds)
-            decisions = algo.decisions(ce.state)
+            decisions = algo.decisions(ce.state)[0]
             tags = draw_id_tags(n, cfg, ts, unique=True)
             win = np.lexsort((keys, tags))[0]
             ok &= bool((decisions == proposals[win]).all())
@@ -1750,7 +1749,7 @@ def exp_ablation_group_len(
             def build(ts: int, config=config) -> VectorizedEngine:
                 return VectorizedEngine(
                     PeriodicRelabelDynamicGraph(base, tau, seed=ts),
-                    BitConvergenceVectorized(keys, config, tag_seed=ts, unique_tags=True),
+                    BitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
                     seed=ts,
                 )
 
@@ -1797,7 +1796,7 @@ def exp_ablation_async_tag_width(
         def build(ts: int, config=config) -> VectorizedEngine:
             return VectorizedEngine(
                 StaticDynamicGraph(base),
-                AsyncBitConvergenceVectorized(keys, config, tag_seed=ts, unique_tags=True),
+                AsyncBitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
                 seed=ts,
             )
 
@@ -1843,14 +1842,14 @@ def exp_ablation_push_pull_direction(
         def build_star(ts: int, direction=direction) -> VectorizedEngine:
             return VectorizedEngine(
                 StaticDynamicGraph(star),
-                PushPullVectorized(np.array([2]), direction=direction),
+                PushPullBatched(np.array([2]), direction=direction),
                 seed=ts,
             )
 
         def build_reg(ts: int, direction=direction) -> VectorizedEngine:
             return VectorizedEngine(
                 StaticDynamicGraph(reg),
-                PushPullVectorized(np.array([0]), direction=direction),
+                PushPullBatched(np.array([0]), direction=direction),
                 seed=ts,
             )
 
@@ -1921,7 +1920,7 @@ def exp_async_delta_sweep(
 
     def build_sync(ts: int) -> VectorizedEngine:
         return VectorizedEngine(
-            StaticDynamicGraph(base), BlindGossipVectorized(keys), seed=ts
+            StaticDynamicGraph(base), BlindGossipBatched(keys), seed=ts
         )
 
     sync_med = _median_rounds(
@@ -2093,7 +2092,7 @@ def exp_fault_drop_inflation(
 
     def build_gossip(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
         return VectorizedEngine(
-            StaticDynamicGraph(base), BlindGossipVectorized(keys), seed=ts,
+            StaticDynamicGraph(base), BlindGossipBatched(keys), seed=ts,
             fault_plan=plan,
         )
 
@@ -2102,7 +2101,7 @@ def exp_fault_drop_inflation(
 
     def build_ppush(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
         return VectorizedEngine(
-            StaticDynamicGraph(base), PPushVectorized(sources), seed=ts,
+            StaticDynamicGraph(base), PPushBatched(sources), seed=ts,
             fault_plan=plan,
         )
 
@@ -2171,7 +2170,7 @@ def exp_fault_state_corruption(
 
     def build(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
         return VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=ts,
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=ts,
             fault_plan=plan,
         )
 
@@ -2252,7 +2251,7 @@ def exp_fault_crash_churn(
 
     def build(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
         return VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=ts,
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=ts,
             fault_plan=plan,
         )
 
@@ -2368,7 +2367,7 @@ def exp_scaling_large_n(
         def build(ts: int, g=g, keys=keys) -> LargeNEngine:
             return LargeNEngine(
                 StaticDynamicGraph(g),
-                BlindGossipVectorized(keys),
+                BlindGossipBatched(keys),
                 seed=ts,
                 chunk_nodes=chunk_nodes,
             )

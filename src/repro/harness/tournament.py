@@ -39,9 +39,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.algorithms.blind_gossip import BlindGossipVectorized
-from repro.algorithms.ppush import PPushVectorized
-from repro.algorithms.push_pull import PushPullVectorized
+from repro.algorithms.blind_gossip import BlindGossipBatched
+from repro.algorithms.ppush import PPushBatched
+from repro.algorithms.push_pull import PushPullBatched
 from repro.core.monitor import LiveAgreementMonitor
 from repro.core.vectorized import VectorizedEngine
 from repro.faults import (
@@ -172,21 +172,21 @@ def run_tournament_trial(
     source = int(np.argmin(keys))
 
     if algorithm == "blind_gossip":
-        algo = BlindGossipVectorized(keys)
+        algo = BlindGossipBatched(keys)
         monitor = LiveAgreementMonitor(tau, leader_keys=keys)
-        values = lambda state: state.best  # noqa: E731
+        values = lambda state: state.best[0]  # noqa: E731
         protect: tuple[int, ...] = ()
     elif algorithm == "push_pull":
-        algo = PushPullVectorized(np.array([source]))
+        algo = PushPullBatched(np.array([source]))
         monitor = LiveAgreementMonitor(tau)
-        values = lambda state: state.informed  # noqa: E731
+        values = lambda state: state.informed[0]  # noqa: E731
         # A rumor source that never exists makes the cell unwinnable for
         # reasons independent of the algorithm; keep it in the network.
         protect = (source,)
     elif algorithm == "ppush":
-        algo = PPushVectorized(np.array([source]))
+        algo = PPushBatched(np.array([source]))
         monitor = LiveAgreementMonitor(tau)
-        values = lambda state: state.informed  # noqa: E731
+        values = lambda state: state.informed[0]  # noqa: E731
         protect = (source,)
     else:
         raise ValueError(f"unknown tournament algorithm {algorithm!r}")

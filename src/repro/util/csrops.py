@@ -43,8 +43,8 @@ frontier is small never touches the full ``(n,)``/``(nnz,)`` arrays).
 
 Masked picks
 ------------
-Every masked pick — batched, single-replica and row-subset — runs
-through one kernel, :func:`_pick_eligible`: per-row eligible counts from
+Every masked pick — batched and single-replica — runs through one
+kernel, :func:`_pick_eligible`: per-row eligible counts from
 a single ``np.add.reduceat`` over the eligibility, one bounded draw per
 row with an eligible neighbor, and a direct lookup of the ``j``-th
 eligible entry in the flat list of eligible positions.  Replicas with no
@@ -170,28 +170,6 @@ def csr_degrees(indptr: np.ndarray) -> np.ndarray:
     return indptr[1:] - indptr[:-1]
 
 
-def _subset_flat_positions(
-    indptr: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat CSR positions of ``rows``' entries, concatenated in row order.
-
-    Returns ``(pos, starts, ends)`` where ``pos`` indexes ``indices`` and
-    ``starts[i]..ends[i]`` delimit row ``i``'s segment inside ``pos``.
-    """
-    deg = indptr[rows + 1] - indptr[rows]
-    ends = np.cumsum(deg)
-    starts = ends - deg
-    total = int(ends[-1]) if ends.size else 0
-    if total == 0:
-        return np.empty(0, dtype=np.int64), starts, ends
-    pos = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(starts, deg)
-        + np.repeat(indptr[rows], deg)
-    )
-    return pos, starts, ends
-
-
 def gather_rows(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
@@ -202,9 +180,17 @@ def gather_rows(
     repeat; empty rows contribute nothing.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
+    deg = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(deg)
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
         return np.empty(0, dtype=np.int64)
-    pos, _, _ = _subset_flat_positions(indptr, rows)
+    # Entry i of row k sits at indptr[rows[k]] + (i - start of row k).
+    pos = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(ends - deg, deg)
+        + np.repeat(indptr[rows], deg)
+    )
     return indices[pos]
 
 
@@ -357,62 +343,31 @@ def segmented_random_pick_subset(
     indices: np.ndarray,
     rng: np.random.Generator,
     vertices: np.ndarray,
-    *,
-    neighbor_mask: np.ndarray | None = None,
-    flat_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform random neighbor choice for an explicit row subset.
 
     Sparse-frontier form of :func:`segmented_random_pick`: only the rows
-    listed in ``vertices`` are touched, so the cost is
-    ``O(sum deg(vertices))`` instead of ``O(nnz)``.  Masks keep their
-    global shapes (``neighbor_mask`` over vertices, ``flat_mask`` aligned
-    with ``indices``); there is no ``active`` mask — callers pass exactly
-    the rows that should pick.
+    listed in ``vertices`` are touched, so the cost is ``O(len(vertices))``
+    instead of ``O(n)``.  There is no ``active`` mask and no eligibility
+    mask — callers pass exactly the rows that should pick, and every
+    neighbor is eligible.
 
     Returns
     -------
     numpy.ndarray
         ``pick`` aligned with ``vertices``: the chosen neighbor of
-        ``vertices[i]`` or ``-1`` when no neighbor is eligible.
+        ``vertices[i]`` or ``-1`` when it has no neighbor.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    k = vertices.size
-    pick = np.full(k, -1, dtype=np.int64)
-    if flat_mask is not None:
-        _check_mask("flat_mask", flat_mask, indices.shape)
-    if neighbor_mask is not None:
-        _check_mask("neighbor_mask", neighbor_mask, (indptr.shape[0] - 1,))
-    if k == 0:
+    pick = np.full(vertices.size, -1, dtype=np.int64)
+    if vertices.size == 0:
         return pick
-
-    if neighbor_mask is None and flat_mask is None:
-        deg = indptr[vertices + 1] - indptr[vertices]
-        rows = np.flatnonzero(deg > 0)
-        if rows.size == 0:
-            return pick
-        offsets = rng.integers(0, deg[rows])
-        pick[rows] = indices[indptr[vertices[rows]] + offsets]
+    deg = indptr[vertices + 1] - indptr[vertices]
+    rows = np.flatnonzero(deg > 0)
+    if rows.size == 0:
         return pick
-
-    # Masked: gather the selected rows' CSR segments into one flat run —
-    # itself a CSR over the k selected rows — and run the masked kernel on
-    # that O(sum deg(vertices)) run instead of the full nnz array.
-    pos, starts, _ = _subset_flat_positions(indptr, vertices)
-    if pos.size == 0:
-        return pick
-    nbrs = indices[pos]
-    if neighbor_mask is not None:
-        eligible = neighbor_mask[nbrs]
-        if flat_mask is not None:
-            eligible &= flat_mask[pos]
-    else:
-        eligible = flat_mask[pos]
-    run_indptr = np.append(starts, pos.size)
-    rows, loc = _pick_eligible(
-        run_indptr, rng, np.ones((1, k), dtype=bool), eligible[None, :]
-    )
-    pick[rows] = nbrs[loc]
+    offsets = rng.integers(0, deg[rows])
+    pick[rows] = indices[indptr[vertices[rows]] + offsets]
     return pick
 
 

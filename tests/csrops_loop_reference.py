@@ -60,14 +60,9 @@ def segmented_random_pick(
     return pick
 
 
-def segmented_random_pick_subset(
-    indptr, indices, rng, vertices, *, neighbor_mask=None, flat_mask=None
-):
-    _check_masks(indptr, indices, neighbor_mask, flat_mask)
+def segmented_random_pick_subset(indptr, indices, rng, vertices):
     vertices = np.asarray(vertices, dtype=np.int64)
-    return _pick_cells(
-        indptr, indices, rng, [(int(v), neighbor_mask, flat_mask) for v in vertices]
-    )
+    return _pick_cells(indptr, indices, rng, [(int(v), None, None) for v in vertices])
 
 
 def batched_random_pick(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.push_pull import PushPullVectorized, make_push_pull_nodes
+from repro.algorithms.push_pull import PushPullBatched, make_push_pull_nodes
 from repro.core.engine import ReferenceEngine
 from repro.core.monitor import rumor_complete
 from repro.core.payload import UIDSpace
@@ -113,7 +113,7 @@ class TestAdversaryEndToEnd:
     def test_rumor_still_completes_vectorized(self):
         base = families.double_star(8)
         adv = PackingAdversary(base, tau=1)
-        eng = VectorizedEngine(adv, PushPullVectorized(np.array([2])), seed=0)
+        eng = VectorizedEngine(adv, PushPullBatched(np.array([2])), seed=0)
         res = eng.run(500_000)
         assert res.stabilized
 
@@ -132,7 +132,7 @@ class TestAdversaryEndToEnd:
             [
                 VectorizedEngine(
                     PackingAdversary(base, tau=1),
-                    PushPullVectorized(np.array([2])),
+                    PushPullBatched(np.array([2])),
                     seed=t,
                 ).run(10**6).rounds
                 for t in range(5)
@@ -144,7 +144,7 @@ class TestAdversaryEndToEnd:
             [
                 VectorizedEngine(
                     PeriodicRelabelDynamicGraph(base, 1, seed=t),
-                    PushPullVectorized(np.array([2])),
+                    PushPullBatched(np.array([2])),
                     seed=t,
                 ).run(10**6).rounds
                 for t in range(5)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.algorithms.async_bit_convergence import (
     AsyncBitConvergenceNode,
-    AsyncBitConvergenceVectorized,
+    AsyncBitConvergenceBatched,
     async_tag_length,
     make_async_bit_convergence_nodes,
 )
@@ -150,7 +150,7 @@ class TestVectorizedConvergence:
     def test_converges_static(self):
         n = 16
         keys = uid_keys_random(n, 0)
-        algo = AsyncBitConvergenceVectorized(keys, CFG, tag_seed=1, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, CFG, tag_seed=1, unique_tags=True)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 4, seed=0)), algo, seed=2
         )
@@ -160,7 +160,7 @@ class TestVectorizedConvergence:
     def test_converges_with_staggered_activation(self):
         n = 16
         keys = uid_keys_random(n, 0)
-        algo = AsyncBitConvergenceVectorized(keys, CFG, tag_seed=1, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, CFG, tag_seed=1, unique_tags=True)
         act = (np.arange(n) % 7) + 1
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 4, seed=0)),
@@ -176,7 +176,7 @@ class TestVectorizedConvergence:
         n = 16
         base = families.random_regular(n, 4, seed=3)
         keys = uid_keys_random(n, 0)
-        algo = AsyncBitConvergenceVectorized(keys, CFG, tag_seed=1, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, CFG, tag_seed=1, unique_tags=True)
         eng = VectorizedEngine(
             PeriodicRelabelDynamicGraph(base, 2, seed=4), algo, seed=2
         )
@@ -185,7 +185,7 @@ class TestVectorizedConvergence:
     def test_smallest_pairs_monotone(self):
         n = 16
         keys = uid_keys_random(n, 0)
-        algo = AsyncBitConvergenceVectorized(keys, CFG, tag_seed=1, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, CFG, tag_seed=1, unique_tags=True)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.clique(n)), algo, seed=2
         )
@@ -206,7 +206,7 @@ class TestLemmaVIII1PrefixLock:
     def test_settled_prefix_never_regresses(self, seed):
         n = 16
         keys = uid_keys_random(n, seed)
-        algo = AsyncBitConvergenceVectorized(keys, CFG, tag_seed=seed, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, CFG, tag_seed=seed, unique_tags=True)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 4, seed=seed)),
             algo,
@@ -215,7 +215,7 @@ class TestLemmaVIII1PrefixLock:
         best = 0
         for r in range(1, 20_000):
             eng.step(r)
-            cur = algo.settled_prefix(eng.state)
+            cur = algo.settled_prefix(eng.state)[0]
             assert cur >= best, "prefix agreement regressed"
             best = cur
             if best == CFG.k and algo.converged(eng.state):
@@ -280,7 +280,7 @@ class TestEventTierCrossCheck:
         keys = uid_keys_random(n, 0)
         expected = {2: 101, 5: 77}
         for engine_seed, rounds in expected.items():
-            algo = AsyncBitConvergenceVectorized(keys, CFG, tag_seed=1, unique_tags=True)
+            algo = AsyncBitConvergenceBatched(keys, CFG, tag_seed=1, unique_tags=True)
             eng = VectorizedEngine(
                 StaticDynamicGraph(families.random_regular(n, 4, seed=0)),
                 algo,
@@ -302,18 +302,18 @@ class TestSelfStabilization:
         g2 = families.random_regular(comp_n, degree, seed=3)
         states = []
         for comp, g, sl in ((0, g1, slice(0, comp_n)), (1, g2, slice(comp_n, n))):
-            algo = AsyncBitConvergenceVectorized(
+            algo = AsyncBitConvergenceBatched(
                 keys[sl], cfg, initial_pairs=(all_tags[sl], keys[sl])
             )
             eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=4 + comp)
             assert eng.run(500_000).stabilized
-            states.append((eng.state.ctag.copy(), eng.state.ckey.copy()))
+            states.append((eng.state.ctag[0].copy(), eng.state.ckey[0].copy()))
         union = g1.union(g2, [(0, 0)])
         init = (
             np.concatenate([states[0][0], states[1][0]]),
             np.concatenate([states[0][1], states[1][1]]),
         )
-        algo = AsyncBitConvergenceVectorized(keys, cfg, initial_pairs=init)
+        algo = AsyncBitConvergenceBatched(keys, cfg, initial_pairs=init)
         eng = VectorizedEngine(StaticDynamicGraph(union), algo, seed=9)
         res = eng.run(500_000)
         assert res.stabilized
@@ -323,7 +323,7 @@ class TestSelfStabilization:
 
     def test_initial_pairs_shape_validated(self):
         keys = uid_keys_random(4, 0)
-        algo = AsyncBitConvergenceVectorized(
+        algo = AsyncBitConvergenceBatched(
             keys, CFG, initial_pairs=(np.zeros(3), np.zeros(3))
         )
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.averaging import (
     AveragingNode,
-    AveragingVectorized,
+    AveragingBatched,
     make_averaging_nodes,
 )
 from repro.core.engine import ReferenceEngine
@@ -49,7 +49,7 @@ class TestVectorized:
     def test_sum_conserved_exactly(self):
         n = 16
         values = np.random.default_rng(0).random(n)
-        algo = AveragingVectorized(values)
+        algo = AveragingBatched(values)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 4, seed=0)), algo, seed=1
         )
@@ -61,14 +61,14 @@ class TestVectorized:
     def test_deviation_monotone_nonincreasing(self):
         n = 16
         values = np.random.default_rng(1).random(n)
-        algo = AveragingVectorized(values)
+        algo = AveragingBatched(values)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.clique(n)), algo, seed=2
         )
-        prev = algo.max_deviation(eng.state)
+        prev = algo.max_deviation(eng.state)[0]
         for r in range(1, 2000):
             eng.step(r)
-            cur = algo.max_deviation(eng.state)
+            cur = algo.max_deviation(eng.state)[0]
             assert cur <= prev + 1e-12
             prev = cur
             if algo.converged(eng.state):
@@ -78,7 +78,7 @@ class TestVectorized:
     def test_converges_to_true_mean(self):
         n = 20
         values = np.random.default_rng(3).random(n) * 100
-        algo = AveragingVectorized(values, eps=1e-4)
+        algo = AveragingBatched(values, eps=1e-4)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 4, seed=1)), algo, seed=4
         )
@@ -90,21 +90,21 @@ class TestVectorized:
         n = 12
         base = families.ring(n)
         values = np.random.default_rng(4).random(n)
-        algo = AveragingVectorized(values, eps=1e-3)
+        algo = AveragingBatched(values, eps=1e-3)
         eng = VectorizedEngine(PeriodicRelabelDynamicGraph(base, 1, seed=5), algo, seed=6)
         assert eng.run(300_000).stabilized
 
     def test_constant_values_instantly_converged(self):
-        algo = AveragingVectorized(np.full(8, 3.5))
-        state = algo.init_state(8, np.random.default_rng(0))
-        assert algo.converged(state)
+        algo = AveragingBatched(np.full(8, 3.5))
+        state = algo.init_state(8, np.array([0]))
+        assert algo.converged(state)[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AveragingVectorized(np.array([]))
+            AveragingBatched(np.array([]))
         with pytest.raises(ValueError):
-            AveragingVectorized(np.ones(4), eps=0.0)
-        algo = AveragingVectorized(np.ones(4))
+            AveragingBatched(np.ones(4), eps=0.0)
+        algo = AveragingBatched(np.ones(4))
         with pytest.raises(ValueError):
             VectorizedEngine(
                 StaticDynamicGraph(families.ring(5)), algo, seed=0
@@ -116,7 +116,7 @@ class TestVectorized:
         values = np.random.default_rng(5).random(n)
 
         def rounds_for(g, seed):
-            algo = AveragingVectorized(values, eps=1e-3)
+            algo = AveragingBatched(values, eps=1e-3)
             eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=seed)
             res = eng.run(500_000)
             assert res.stabilized

@@ -20,11 +20,10 @@ import pytest
 from repro.algorithms.bit_convergence import (
     BitConvergenceBatched,
     BitConvergenceConfig,
-    BitConvergenceVectorized,
 )
-from repro.algorithms.blind_gossip import BlindGossipBatched, BlindGossipVectorized
-from repro.algorithms.ppush import PPushBatched, PPushVectorized
-from repro.algorithms.push_pull import PushPullBatched, PushPullVectorized
+from repro.algorithms.blind_gossip import BlindGossipBatched
+from repro.algorithms.ppush import PPushBatched
+from repro.algorithms.push_pull import PushPullBatched
 from repro.algorithms.blind_gossip import make_blind_gossip_nodes
 from repro.core.batched import BatchedVectorizedEngine
 from repro.core.engine import ReferenceEngine
@@ -71,7 +70,7 @@ class TestBlindGossipBatchedEquivalence:
             build_b, trials=TRIALS, max_rounds=MAX_ROUNDS, seed=7
         )
         single = run_trials(
-            lambda ts: VectorizedEngine(dg, BlindGossipVectorized(keys), seed=ts),
+            lambda ts: VectorizedEngine(dg, BlindGossipBatched(keys), seed=ts),
             trials=TRIALS,
             max_rounds=MAX_ROUNDS,
             seed=7,
@@ -105,7 +104,7 @@ class TestBlindGossipBatchedEquivalence:
         single = run_trials(
             lambda ts: VectorizedEngine(
                 PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                BlindGossipVectorized(keys),
+                BlindGossipBatched(keys),
                 seed=ts,
             ),
             trials=TRIALS,
@@ -140,7 +139,7 @@ class TestBlindGossipBatchedEquivalence:
         single = run_trials(
             lambda ts: VectorizedEngine(
                 PeriodicRelabelDynamicGraph(families.double_star(6), 1, seed=ts),
-                BlindGossipVectorized(keys),
+                BlindGossipBatched(keys),
                 seed=ts,
             ),
             trials=TRIALS,
@@ -201,7 +200,7 @@ class TestPPushBatchedEquivalence:
             seed=1,
         )
         single = run_trials(
-            lambda ts: VectorizedEngine(dg, PPushVectorized(src), seed=ts),
+            lambda ts: VectorizedEngine(dg, PPushBatched(src), seed=ts),
             trials=TRIALS,
             max_rounds=100_000,
             seed=1,
@@ -227,7 +226,7 @@ class TestPushPullBatchedEquivalence:
             seed=2,
         )
         single = run_trials(
-            lambda ts: VectorizedEngine(dg, PushPullVectorized(src), seed=ts),
+            lambda ts: VectorizedEngine(dg, PushPullBatched(src), seed=ts),
             trials=TRIALS,
             max_rounds=MAX_ROUNDS,
             seed=2,
@@ -258,7 +257,7 @@ class TestBitConvergenceBatchedEquivalence:
         single = run_trials(
             lambda ts: VectorizedEngine(
                 dg,
-                BitConvergenceVectorized(keys, cfg, tag_seed=ts, unique_tags=True),
+                BitConvergenceBatched(keys, cfg, tag_seed=ts, unique_tags=True),
                 seed=ts,
             ),
             trials=TRIALS,
@@ -283,6 +282,56 @@ class TestBitConvergenceBatchedEquivalence:
         for t, ts in enumerate(seeds):
             expected = draw_id_tags(16, cfg, ts, unique=True)
             assert np.array_equal(state.ctag[t], expected)
+
+
+class TestEntryMaskAlgorithmsBatchedEquivalence:
+    """Async bit convergence and consensus restrict targets per CSR entry
+    (``eligible_flat``); the batched engine honours that on one shared
+    topology and rejects it elsewhere."""
+
+    CFG = BitConvergenceConfig(n_upper=16, delta_bound=4, beta=1.0)
+
+    @classmethod
+    def _algo(cls, name, keys):
+        from repro.algorithms.async_bit_convergence import AsyncBitConvergenceBatched
+        from repro.algorithms.consensus import ConsensusBatched
+
+        if name == "async_bit_convergence":
+            return AsyncBitConvergenceBatched(keys, cls.CFG, unique_tags=True)
+        return ConsensusBatched(keys, cls.CFG, np.arange(keys.size), unique_tags=True)
+
+    @pytest.mark.parametrize("name", ["async_bit_convergence", "consensus"])
+    def test_static_round_distributions_match(self, name):
+        graph = families.random_regular(16, 4, seed=0)
+        dg = StaticDynamicGraph(graph)
+        keys = keys_for(graph.n)
+        batched = run_trials_batched(
+            lambda seeds: (dg, self._algo(name, keys)),
+            trials=TRIALS,
+            max_rounds=MAX_ROUNDS,
+            seed=4,
+        )
+        single = run_trials(
+            lambda ts: VectorizedEngine(dg, self._algo(name, keys), seed=ts),
+            trials=TRIALS,
+            max_rounds=MAX_ROUNDS,
+            seed=4,
+        )
+        assert all(o.stabilized for o in batched)
+        assert all(o.stabilized for o in single)
+        ratio = median_ratio(
+            [o.rounds for o in batched], [o.rounds for o in single]
+        )
+        assert 0.4 < ratio < 2.5
+
+    def test_per_replica_churn_list_rejected(self):
+        base = families.random_regular(16, 4, seed=0)
+        seeds = trial_seeds_for(2, 4)
+        dgs = [PeriodicRelabelDynamicGraph(base, 2, seed=int(ts)) for ts in seeds]
+        with pytest.raises(ValueError, match="eligible_flat"):
+            BatchedVectorizedEngine(
+                dgs, self._algo("async_bit_convergence", keys_for(16)), seeds=seeds
+            )
 
 
 class TestBatchedEngineBehavior:
@@ -367,7 +416,7 @@ class TestChurnBatchedEquivalence:
         single = run_trials(
             lambda ts: VectorizedEngine(
                 PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                BitConvergenceVectorized(keys, cfg, tag_seed=ts, unique_tags=True),
+                BitConvergenceBatched(keys, cfg, tag_seed=ts, unique_tags=True),
                 seed=ts,
             ),
             trials=TRIALS,
@@ -397,7 +446,7 @@ class TestChurnBatchedEquivalence:
         )
         single = run_trials(
             lambda ts: VectorizedEngine(
-                PackingAdversary(base, tau=1), PushPullVectorized(src), seed=ts
+                PackingAdversary(base, tau=1), PushPullBatched(src), seed=ts
             ),
             trials=TRIALS,
             max_rounds=MAX_ROUNDS,
@@ -476,7 +525,7 @@ class TestFaultPlanCrossEngine:
         )
         single = run_trials(
             lambda ts: VectorizedEngine(
-                dg, BlindGossipVectorized(keys), seed=ts, fault_plan=plan
+                dg, BlindGossipBatched(keys), seed=ts, fault_plan=plan
             ),
             trials=TRIALS,
             max_rounds=MAX_ROUNDS,

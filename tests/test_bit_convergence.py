@@ -16,7 +16,7 @@ import pytest
 from repro.algorithms.bit_convergence import (
     BitConvergenceConfig,
     BitConvergenceNode,
-    BitConvergenceVectorized,
+    BitConvergenceBatched,
     draw_id_tags,
     make_bit_convergence_nodes,
 )
@@ -182,12 +182,12 @@ class TestVectorizedConvergence:
         cfg = BitConvergenceConfig(n_upper=graph.n, delta_bound=delta, beta=1.0)
         eng = VectorizedEngine(
             StaticDynamicGraph(graph),
-            BitConvergenceVectorized(keys, cfg, tag_seed=1, unique_tags=True),
+            BitConvergenceBatched(keys, cfg, tag_seed=1, unique_tags=True),
             seed=2,
         )
         res = eng.run(200_000)
         assert res.stabilized
-        assert (eng.algo.leaders(eng.state) == eng.state.target_key).all()
+        assert (eng.algo.leaders(eng.state)[0] == eng.state.target_key[0]).all()
 
     def test_converges_under_tau1_churn(self):
         base = families.random_regular(16, 4, seed=0)
@@ -195,7 +195,7 @@ class TestVectorizedConvergence:
         cfg = BitConvergenceConfig(n_upper=16, delta_bound=4, beta=1.0)
         eng = VectorizedEngine(
             PeriodicRelabelDynamicGraph(base, 1, seed=5),
-            BitConvergenceVectorized(keys, cfg, tag_seed=1, unique_tags=True),
+            BitConvergenceBatched(keys, cfg, tag_seed=1, unique_tags=True),
             seed=2,
         )
         assert eng.run(200_000).stabilized
@@ -206,7 +206,7 @@ class TestVectorizedConvergence:
         n = 16
         keys = uid_keys_random(n, 0)
         cfg = BitConvergenceConfig(n_upper=n, delta_bound=15, beta=1.0)
-        algo = BitConvergenceVectorized(keys, cfg, tag_seed=1, unique_tags=True)
+        algo = BitConvergenceBatched(keys, cfg, tag_seed=1, unique_tags=True)
         eng = VectorizedEngine(StaticDynamicGraph(families.clique(n)), algo, seed=2)
         res = eng.run(100_000)
         assert res.stabilized
@@ -220,14 +220,17 @@ class TestLemmaVII1Invariants:
         g = families.random_regular(16, 4, seed=seed)
         keys = uid_keys_random(16, seed)
         cfg = BitConvergenceConfig(n_upper=16, delta_bound=4, beta=1.0)
-        algo = BitConvergenceVectorized(keys, cfg, tag_seed=seed, unique_tags=True)
+        algo = BitConvergenceBatched(keys, cfg, tag_seed=seed, unique_tags=True)
         eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=seed)
         history = []
         for r in range(1, 4000):
             eng.step(r)
             if r % cfg.phase_len == 0:  # phase boundary snapshots
                 history.append(
-                    (algo.max_difference_bit(eng.state), algo.zero_set_size(eng.state))
+                    (
+                        algo.max_difference_bit(eng.state)[0],
+                        algo.zero_set_size(eng.state)[0],
+                    )
                 )
             if algo.converged(eng.state):
                 break
@@ -261,7 +264,7 @@ class TestLemmaVII1Invariants:
         g = families.random_regular(16, 4, seed=9)
         keys = uid_keys_random(16, 9)
         cfg = BitConvergenceConfig(n_upper=16, delta_bound=4, beta=1.0)
-        algo = BitConvergenceVectorized(keys, cfg, tag_seed=9, unique_tags=True)
+        algo = BitConvergenceBatched(keys, cfg, tag_seed=9, unique_tags=True)
         eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=9)
         prev_t = eng.state.ctag.copy()
         prev_k = eng.state.ckey.copy()

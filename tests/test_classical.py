@@ -75,7 +75,7 @@ class TestClassicalLeader:
 
     def test_faster_than_mobile_on_double_star(self):
         """The headline E10 effect in miniature: unbounded accepts win."""
-        from repro.algorithms.push_pull import PushPullVectorized
+        from repro.algorithms.push_pull import PushPullBatched
         from repro.core.vectorized import VectorizedEngine
 
         base = families.double_star(16)
@@ -89,7 +89,7 @@ class TestClassicalLeader:
         mobile = np.median(
             [
                 VectorizedEngine(
-                    dg, PushPullVectorized(np.array([2])), seed=s
+                    dg, PushPullBatched(np.array([2])), seed=s
                 ).run(10**6).rounds
                 for s in range(5)
             ]

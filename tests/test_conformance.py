@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.blind_gossip import make_blind_gossip_nodes
-from repro.algorithms.ppush import PPushBatched, PPushVectorized, make_ppush_nodes
+from repro.algorithms.ppush import PPushBatched, make_ppush_nodes
 from repro.conformance import (
     AcceptanceStats,
     FuzzConfig,
@@ -242,7 +242,7 @@ class TestEngineTracesAreClean:
         )
         dg = PeriodicRelabelDynamicGraph(g, 2, seed=9)
         eng = VectorizedEngine(
-            dg, PPushVectorized(np.array([0])), seed=9, fault_plan=plan,
+            dg, PPushBatched(np.array([0])), seed=9, fault_plan=plan,
             collect_trace=True,
         )
         res = eng.run(500)
@@ -277,7 +277,7 @@ class TestCrossEngineTraceParity:
             ).run(50, rumor_complete)
             vec = VectorizedEngine(
                 StaticDynamicGraph(g),
-                PPushVectorized(np.array([0])),
+                PPushBatched(np.array([0])),
                 seed=seed,
                 collect_trace=True,
             ).run(50)
@@ -294,7 +294,7 @@ class TestCrossEngineTraceParity:
         ).run(60)
         for t, seed in enumerate(seeds):
             vec = VectorizedEngine(
-                StaticDynamicGraph(g), PPushVectorized(np.array([0])),
+                StaticDynamicGraph(g), PPushBatched(np.array([0])),
                 seed=seed, collect_trace=True,
             ).run(60)
             # The batched engine stops at the last replica's round; the
@@ -317,7 +317,7 @@ class TestTraceCaptureIsPassive:
         for seed in (0, 7):
             runs = [
                 VectorizedEngine(
-                    StaticDynamicGraph(g), PPushVectorized(np.array([0])),
+                    StaticDynamicGraph(g), PPushBatched(np.array([0])),
                     seed=seed, collect_trace=ct,
                 ).run(400)
                 for ct in (True, False)
@@ -342,7 +342,7 @@ class TestTraceCaptureIsPassive:
     def test_traced_rerun_is_bit_identical(self):
         g = families.ring(10)
         mk = lambda: VectorizedEngine(  # noqa: E731
-            StaticDynamicGraph(g), PPushVectorized(np.array([0])),
+            StaticDynamicGraph(g), PPushBatched(np.array([0])),
             seed=13, collect_trace=True,
         ).run(300)
         assert traces_equal(mk().trace, mk().trace)
@@ -417,7 +417,7 @@ class TestPermanentCrashStabilization:
     def test_vectorized_stabilizes_past_dead_node(self):
         g = families.clique(8)
         res = VectorizedEngine(
-            StaticDynamicGraph(g), PPushVectorized(np.array([0])), seed=4,
+            StaticDynamicGraph(g), PPushBatched(np.array([0])), seed=4,
             fault_plan=self.PLAN,
         ).run(500)
         assert res.stabilized

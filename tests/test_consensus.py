@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bit_convergence import BitConvergenceConfig, draw_id_tags
-from repro.algorithms.consensus import ConsensusVectorized
+from repro.algorithms.consensus import ConsensusBatched
 from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import PeriodicRelabelDynamicGraph, StaticDynamicGraph
@@ -23,7 +23,7 @@ def make_engine(n=16, seed=0, tau=None, proposals=None, graph=None):
         if proposals is not None
         else np.arange(100, 100 + n, dtype=np.int64)
     )
-    algo = ConsensusVectorized(
+    algo = ConsensusBatched(
         keys, CFG, proposals, tag_seed=seed, unique_tags=True
     )
     dg = (
@@ -40,7 +40,7 @@ class TestConsensusProperties:
         eng, algo, _, _ = make_engine(seed=seed)
         res = eng.run(500_000)
         assert res.stabilized
-        decisions = algo.decisions(eng.state)
+        decisions = algo.decisions(eng.state)[0]
         assert np.unique(decisions).size == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -51,31 +51,31 @@ class TestConsensusProperties:
         # The winner is the lexicographically smallest (tag, key) pair.
         tags = draw_id_tags(16, CFG, seed, unique=True)
         win = np.lexsort((keys, tags))[0]
-        assert (algo.decisions(eng.state) == proposals[win]).all()
+        assert (algo.decisions(eng.state)[0] == proposals[win]).all()
 
     def test_decided_alias(self):
         eng, algo, _, _ = make_engine(seed=4)
-        assert not algo.decided(eng.state)
+        assert not algo.decided(eng.state)[0]
         eng.run(500_000)
-        assert algo.decided(eng.state)
+        assert algo.decided(eng.state)[0]
 
     def test_under_churn(self):
         eng, algo, _, _ = make_engine(seed=5, tau=1)
         res = eng.run(500_000)
         assert res.stabilized
-        assert np.unique(algo.decisions(eng.state)).size == 1
+        assert np.unique(algo.decisions(eng.state)[0]).size == 1
 
     def test_duplicate_proposals_fine(self):
         proposals = np.array([7] * 8 + [9] * 8, dtype=np.int64)
         eng, algo, _, props = make_engine(seed=6, proposals=proposals)
         res = eng.run(500_000)
         assert res.stabilized
-        decided = np.unique(algo.decisions(eng.state))
+        decided = np.unique(algo.decisions(eng.state)[0])
         assert decided.size == 1 and decided[0] in (7, 9)
 
     def test_proposal_shape_validated(self):
         keys = uid_keys_random(8, 0)
-        algo = ConsensusVectorized(keys, CFG, np.zeros(7))
+        algo = ConsensusBatched(keys, CFG, np.zeros(7))
         with pytest.raises(ValueError):
             VectorizedEngine(
                 StaticDynamicGraph(families.random_regular(8, 3, seed=0)),
@@ -119,7 +119,7 @@ class TestConsensusProperties:
         valid = set(proposals.tolist())
         for r in range(1, 2000):
             eng.step(r)
-            assert set(eng.state.carried.tolist()) <= valid
+            assert set(eng.state.carried[0].tolist()) <= valid
             if algo.converged(eng.state):
                 break
         assert algo.converged(eng.state)

@@ -17,12 +17,12 @@ import pytest
 from repro.algorithms.bit_convergence import (
     BitConvergenceConfig,
     BitConvergenceNode,
-    BitConvergenceVectorized,
+    BitConvergenceBatched,
     draw_id_tags,
 )
-from repro.algorithms.blind_gossip import BlindGossipVectorized, make_blind_gossip_nodes
-from repro.algorithms.ppush import PPushVectorized, make_ppush_nodes
-from repro.algorithms.push_pull import PushPullVectorized, make_push_pull_nodes
+from repro.algorithms.blind_gossip import BlindGossipBatched, make_blind_gossip_nodes
+from repro.algorithms.ppush import PPushBatched, make_ppush_nodes
+from repro.algorithms.push_pull import PushPullBatched, make_push_pull_nodes
 from repro.core.engine import ReferenceEngine
 from repro.core.monitor import all_leaders_are, rumor_complete
 from repro.core.payload import UIDSpace
@@ -56,7 +56,7 @@ class TestBlindGossipEquivalence:
             ref_rounds.append(res.rounds)
 
             keys = np.array([us.uid_of(v)._key for v in range(n)], dtype=np.int64)
-            veng = VectorizedEngine(dg, BlindGossipVectorized(keys), seed=t)
+            veng = VectorizedEngine(dg, BlindGossipBatched(keys), seed=t)
             vres = veng.run(200_000)
             assert vres.stabilized
             vec_rounds.append(vres.rounds)
@@ -76,7 +76,7 @@ class TestPushPullEquivalence:
             assert res.stabilized
             ref_rounds.append(res.rounds)
 
-            veng = VectorizedEngine(dg, PushPullVectorized(np.array([2])), seed=t)
+            veng = VectorizedEngine(dg, PushPullBatched(np.array([2])), seed=t)
             vres = veng.run(300_000)
             assert vres.stabilized
             vec_rounds.append(vres.rounds)
@@ -96,7 +96,7 @@ class TestPPushEquivalence:
             assert res.stabilized
             ref_rounds.append(res.rounds)
 
-            veng = VectorizedEngine(dg, PPushVectorized(np.array([0])), seed=t)
+            veng = VectorizedEngine(dg, PPushBatched(np.array([0])), seed=t)
             vres = veng.run(100_000)
             assert vres.stabilized
             vec_rounds.append(vres.rounds)
@@ -107,7 +107,7 @@ class TestPPushEquivalence:
 
 class TestKGossipEquivalence:
     def test_round_distributions_match(self):
-        from repro.algorithms.k_gossip import KGossipVectorized, make_k_gossip_nodes
+        from repro.algorithms.k_gossip import KGossipBatched, make_k_gossip_nodes
 
         graph = families.clique(10)
         dg = StaticDynamicGraph(graph)
@@ -120,7 +120,7 @@ class TestKGossipEquivalence:
             assert res.stabilized
             ref_rounds.append(res.rounds)
 
-            veng = VectorizedEngine(dg, KGossipVectorized(), seed=t)
+            veng = VectorizedEngine(dg, KGossipBatched(), seed=t)
             vres = veng.run(100_000)
             assert vres.stabilized
             vec_rounds.append(vres.rounds)
@@ -130,7 +130,7 @@ class TestKGossipEquivalence:
 class TestAveragingEquivalence:
     def test_round_distributions_match(self):
         from repro.algorithms.averaging import (
-            AveragingVectorized,
+            AveragingBatched,
             make_averaging_nodes,
         )
 
@@ -150,7 +150,7 @@ class TestAveragingEquivalence:
             assert res.stabilized
             ref_rounds.append(res.rounds)
 
-            veng = VectorizedEngine(dg, AveragingVectorized(values, eps=eps), seed=t)
+            veng = VectorizedEngine(dg, AveragingBatched(values, eps=eps), seed=t)
             vres = veng.run(200_000)
             assert vres.stabilized
             vec_rounds.append(vres.rounds)
@@ -177,7 +177,7 @@ class TestBitConvergenceEquivalence:
             ref_rounds.append(res.rounds)
 
             keys = np.array([us.uid_of(v)._key for v in range(graph.n)], dtype=np.int64)
-            algo = BitConvergenceVectorized(keys, cfg, tag_seed=t, unique_tags=True)
+            algo = BitConvergenceBatched(keys, cfg, tag_seed=t, unique_tags=True)
             veng = VectorizedEngine(dg, algo, seed=t)
             vres = veng.run(300_000)
             assert vres.stabilized

@@ -12,7 +12,6 @@ from repro.util.csrops import (
     csr_degrees,
     gather_rows,
     segmented_random_pick,
-    segmented_random_pick_subset,
     segmented_uniform_accept_pairs,
     unique_nodes,
 )
@@ -285,16 +284,6 @@ class TestSegmentedUniformAccept:
 class TestMaskShapesChecked:
     """Every masked kernel rejects a mis-shaped flat_mask, whether or not
     neighbor_mask is also given."""
-
-    @pytest.mark.parametrize("with_neighbor_mask", [False, True])
-    def test_subset_pick(self, with_neighbor_mask):
-        indptr, indices = triangle_csr()
-        nmask = np.ones(3, dtype=bool) if with_neighbor_mask else None
-        with pytest.raises(ValueError, match="flat_mask"):
-            segmented_random_pick_subset(
-                indptr, indices, np.random.default_rng(0), np.array([0, 2]),
-                neighbor_mask=nmask, flat_mask=np.array([True]),
-            )
 
     @pytest.mark.parametrize("with_neighbor_mask", [False, True])
     def test_batched_pick_rejects_unbatched_flat_mask(self, with_neighbor_mask):

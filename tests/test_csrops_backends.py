@@ -60,14 +60,13 @@ class TestBitIdentity:
     def test_segmented_random_pick_subset(self, seed):
         indptr, indices = _random_graph(20, seed)
         vertices = np.flatnonzero(np.random.default_rng(seed + 51).random(20) < 0.5)
-        for kw in _mask_variants(20, indices.size, seed + 100):
-            a = KERNEL["segmented_random_pick_subset"](
-                indptr, indices, np.random.default_rng(seed), vertices, **kw
-            )
-            b = LOOP["segmented_random_pick_subset"](
-                indptr, indices, np.random.default_rng(seed), vertices, **kw
-            )
-            assert np.array_equal(a, b)
+        a = KERNEL["segmented_random_pick_subset"](
+            indptr, indices, np.random.default_rng(seed), vertices
+        )
+        b = LOOP["segmented_random_pick_subset"](
+            indptr, indices, np.random.default_rng(seed), vertices
+        )
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_segmented_uniform_accept_pairs(self, seed):

@@ -257,30 +257,39 @@ class TestMaskedPickBitIdentity:
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     def test_subset(self, graph, mode):
         """The subset kernel equals the running-sum pick over the CSR of
-        the gathered rows (repeats and isolated rows included)."""
+        the gathered rows (repeats and isolated rows included).
+
+        The kernel takes no masks: callers pass exactly the rows that
+        should pick, as a sparse round passes its frontier.  ``mode``
+        picks that row subset out of the same random rows by the mode's
+        masks — a vertex mask, rows with an eligible entry, or both — and
+        every neighbor of a kept row is eligible."""
         indptr, indices = GRAPHS[graph]()
         n = indptr.size - 1
         _, nmask, fmask = replica_masks(n, indices.size, mode, 5)
-        nm = None if nmask is None else nmask[3]
-        fm = None if fmask is None else fmask[3]
         vertices = np.random.default_rng(5).integers(0, n, size=2 * n)
+        keep = np.ones(vertices.size, dtype=bool)
+        if nmask is not None:
+            keep &= nmask[3][vertices]
+        if fmask is not None:
+            row_has_entry = np.array(
+                [fmask[3][indptr[v]:indptr[v + 1]].any() for v in range(n)],
+                dtype=bool,
+            )
+            keep &= row_has_entry[vertices]
+        vertices = vertices[keep]
         deg = indptr[vertices + 1] - indptr[vertices]
         run_indptr = np.concatenate([[0], np.cumsum(deg)])
         pos = np.concatenate(
-            [np.arange(indptr[v], indptr[v + 1]) for v in vertices]
+            [np.empty(0, dtype=np.int64)]
+            + [np.arange(indptr[v], indptr[v + 1]) for v in vertices]
         ).astype(np.int64)
-        run_eligible = np.ones(pos.size, dtype=bool)
-        if nm is not None:
-            run_eligible &= nm[indices[pos]]
-        if fm is not None:
-            run_eligible &= fm[pos]
         ra, rb = np.random.default_rng(9), np.random.default_rng(9)
-        got = csrops.segmented_random_pick_subset(
-            indptr, indices, ra, vertices, neighbor_mask=nm, flat_mask=fm
-        )
+        got = csrops.segmented_random_pick_subset(indptr, indices, ra, vertices)
         want = running_sum_pick(
             run_indptr, indices[pos], rb,
-            np.ones((1, vertices.size), dtype=bool), run_eligible[None, :],
+            np.ones((1, vertices.size), dtype=bool),
+            np.ones((1, pos.size), dtype=bool),
         )
         assert np.array_equal(got, want[0])
         assert ra.random() == rb.random()

@@ -142,16 +142,13 @@ class TestSubsetPickAgainstOracle:
     @given(csr_cases(), st.integers(0, 2**31 - 1))
     @settings(max_examples=100)
     def test_subset_picks_in_reference_support(self, case, seed):
-        indptr, indices, _active, nmask, fmask = case
+        indptr, indices = case[:2]
         n = indptr.shape[0] - 1
         rng = np.random.default_rng(seed)
         vertices = np.flatnonzero(np.random.default_rng(seed + 1).random(n) < 0.6)
-        support = reference_pick_support(indptr, indices, None, nmask, fmask)
+        support = reference_pick_support(indptr, indices, None, None, None)
         for _ in range(3):
-            pick = csrops.segmented_random_pick_subset(
-                indptr, indices, rng, vertices,
-                neighbor_mask=nmask, flat_mask=fmask,
-            )
+            pick = csrops.segmented_random_pick_subset(indptr, indices, rng, vertices)
             assert pick.shape == vertices.shape
             for i, u in enumerate(vertices):
                 assert int(pick[i]) in support[u], (int(u), int(pick[i]), support[u])
@@ -159,18 +156,15 @@ class TestSubsetPickAgainstOracle:
     @given(csr_cases(), st.integers(0, 2**31 - 1))
     @settings(max_examples=40)
     def test_every_support_element_reachable(self, case, seed):
-        indptr, indices, _active, nmask, fmask = case
+        indptr, indices = case[:2]
         n = indptr.shape[0] - 1
         rng = np.random.default_rng(seed)
         vertices = np.flatnonzero(np.random.default_rng(seed + 1).random(n) < 0.6)
-        support = reference_pick_support(indptr, indices, None, nmask, fmask)
+        support = reference_pick_support(indptr, indices, None, None, None)
         seen: list[set[int]] = [set() for _ in range(vertices.size)]
         # Max degree 9, 200 draws: miss probability < 9 * (8/9)^200 ~ 1e-10.
         for _ in range(200):
-            pick = csrops.segmented_random_pick_subset(
-                indptr, indices, rng, vertices,
-                neighbor_mask=nmask, flat_mask=fmask,
-            )
+            pick = csrops.segmented_random_pick_subset(indptr, indices, rng, vertices)
             for i, p in enumerate(pick):
                 seen[i].add(int(p))
         for i, u in enumerate(vertices):

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.algorithms.blind_gossip import BlindGossipBatched, BlindGossipVectorized
+from repro.algorithms.blind_gossip import BlindGossipBatched
 from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import StaticDynamicGraph
@@ -44,7 +44,7 @@ GRAPH = families.double_star(4)
 def good_build(seed: int) -> VectorizedEngine:
     return VectorizedEngine(
         StaticDynamicGraph(GRAPH),
-        BlindGossipVectorized(uid_keys_random(GRAPH.n, seed)),
+        BlindGossipBatched(uid_keys_random(GRAPH.n, seed)),
         seed=seed,
     )
 

@@ -17,38 +17,38 @@ from repro.graphs.static import Graph
 class TestTinyNetworks:
     def test_two_node_blind_gossip(self):
         """The smallest possible election: a single edge."""
-        from repro.algorithms import BlindGossipVectorized
+        from repro.algorithms import BlindGossipBatched
         from repro.core import VectorizedEngine
 
         keys = np.array([5, 3], dtype=np.int64)
         eng = VectorizedEngine(
-            StaticDynamicGraph(families.path(2)), BlindGossipVectorized(keys), seed=0
+            StaticDynamicGraph(families.path(2)), BlindGossipBatched(keys), seed=0
         )
         res = eng.run(10_000)
         assert res.stabilized
         assert (eng.state.best == 3).all()
 
     def test_two_node_bit_convergence(self):
-        from repro.algorithms import BitConvergenceConfig, BitConvergenceVectorized
+        from repro.algorithms import BitConvergenceConfig, BitConvergenceBatched
         from repro.core import VectorizedEngine
 
         cfg = BitConvergenceConfig(n_upper=2, delta_bound=1, beta=2.0)
         keys = np.array([5, 3], dtype=np.int64)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.path(2)),
-            BitConvergenceVectorized(keys, cfg, tag_seed=0, unique_tags=True),
+            BitConvergenceBatched(keys, cfg, tag_seed=0, unique_tags=True),
             seed=0,
         )
         assert eng.run(50_000).stabilized
 
     def test_single_node_quorum(self):
         """n=1: already stabilized at round 1 (its own leader)."""
-        from repro.algorithms import BlindGossipVectorized
+        from repro.algorithms import BlindGossipBatched
         from repro.core import VectorizedEngine
 
         eng = VectorizedEngine(
             StaticDynamicGraph(Graph(1, [])),
-            BlindGossipVectorized(np.array([7], dtype=np.int64)),
+            BlindGossipBatched(np.array([7], dtype=np.int64)),
             seed=0,
         )
         res = eng.run(5)
@@ -98,17 +98,17 @@ class TestEngineCheckEvery:
     def test_check_every_never_misses_absorbing_state(self):
         """Stabilization is absorbing, so a coarse check stride can only
         delay the report, never lose it."""
-        from repro.algorithms import BlindGossipVectorized
+        from repro.algorithms import BlindGossipBatched
         from repro.core import VectorizedEngine
         from repro.harness.experiments import uid_keys_random
 
         keys = uid_keys_random(16, 0)
         g = families.random_regular(16, 4, seed=0)
         exact = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=1
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=1
         ).run(10_000, check_every=1)
         coarse = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=1
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=1
         ).run(10_000, check_every=7)
         assert exact.stabilized and coarse.stabilized
         assert coarse.rounds >= exact.rounds

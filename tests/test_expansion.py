@@ -138,7 +138,7 @@ class TestSpectralGap:
 
     def test_predicts_averaging_speed(self):
         """Larger spectral gap → faster averaging gossip (E17's mechanism)."""
-        from repro.algorithms.averaging import AveragingVectorized
+        from repro.algorithms.averaging import AveragingBatched
         from repro.analysis.expansion import spectral_gap
         from repro.core.vectorized import VectorizedEngine
         from repro.graphs.dynamic import StaticDynamicGraph
@@ -149,7 +149,7 @@ class TestSpectralGap:
         for g in (families.clique(n), families.ring(n)):
             rounds = []
             for t in range(5):
-                algo = AveragingVectorized(values, eps=1e-3)
+                algo = AveragingBatched(values, eps=1e-3)
                 eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=t)
                 res = eng.run(500_000)
                 assert res.stabilized

@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.async_bit_convergence import AsyncBitConvergenceVectorized
+from repro.algorithms.async_bit_convergence import AsyncBitConvergenceBatched
 from repro.algorithms.bit_convergence import BitConvergenceConfig
-from repro.algorithms.blind_gossip import BlindGossipVectorized
+from repro.algorithms.blind_gossip import BlindGossipBatched
 from repro.core.vectorized import VectorizedEngine
 from repro.faults import FaultPlan, StateCorruptionEvent
 from repro.graphs import families
@@ -38,7 +38,7 @@ class TestBlindGossipCorruption:
         stabilization: min-gossip re-converges to the post-corruption min."""
         n = 16
         keys = uid_keys_random(n, 0)
-        algo = BlindGossipVectorized(keys)
+        algo = BlindGossipBatched(keys)
         # Transient fault: a third of the nodes get arbitrary values at
         # round 30; the semilattice target becomes the post-corruption min.
         plan = FaultPlan(
@@ -68,7 +68,7 @@ class TestAsyncBitConvergenceCorruption:
         n = 16
         cfg = BitConvergenceConfig(n_upper=n, delta_bound=4, beta=1.0)
         keys = uid_keys_random(n, seed)
-        algo = AsyncBitConvergenceVectorized(keys, cfg, tag_seed=seed, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, cfg, tag_seed=seed, unique_tags=True)
         plan = FaultPlan(
             state_corruption=(
                 StateCorruptionEvent(round=40, fraction=corrupt_fraction),
@@ -102,23 +102,23 @@ class TestAsyncBitConvergenceCorruption:
         n = 8
         cfg = BitConvergenceConfig(n_upper=n, delta_bound=3, beta=1.0)
         keys = uid_keys_random(n, 3)
-        algo = AsyncBitConvergenceVectorized(keys, cfg, tag_seed=3, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, cfg, tag_seed=3, unique_tags=True)
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 3, seed=3)), algo, seed=3
         )
         eng.step(1)
         # Force two nodes to share the minimal tag with different keys.
         eng.state.ctag[:] = 5
-        eng.state.ckey[0] = 1
-        eng.state.ckey[1] = 2
-        eng.state.ckey[2:] = np.arange(3, n + 1)
-        eng.state.target_tag, eng.state.target_key = 5, 1
+        eng.state.ckey[0, 0] = 1
+        eng.state.ckey[0, 1] = 2
+        eng.state.ckey[0, 2:] = np.arange(3, n + 1)
+        eng.state.target_tag, eng.state.target_key = np.array([5]), np.array([1])
         for r in range(2, 3000):
             eng.step(r)
         # Identical tags advertise identical bits: node 1 can never adopt
         # (5, 1), so convergence never completes.
-        assert not algo.converged(eng.state)
-        assert eng.state.ckey[1] == 2
+        assert not algo.converged(eng.state)[0]
+        assert eng.state.ckey[0, 1] == 2
 
 
 class TestLateJoiners:
@@ -128,7 +128,7 @@ class TestLateJoiners:
         n = 12
         cfg = BitConvergenceConfig(n_upper=n, delta_bound=4, beta=1.0)
         keys = uid_keys_random(n, 4)
-        algo = AsyncBitConvergenceVectorized(keys, cfg, tag_seed=4, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, cfg, tag_seed=4, unique_tags=True)
         act = np.ones(n, dtype=np.int64)
         act[[3, 7]] = 4000  # two stragglers join much later
         eng = VectorizedEngine(

@@ -16,7 +16,6 @@ import pytest
 
 from repro.algorithms.blind_gossip import (
     BlindGossipBatched,
-    BlindGossipVectorized,
     make_blind_gossip_nodes,
 )
 from repro.core.batched import BatchedVectorizedEngine
@@ -65,7 +64,7 @@ def _build_vec_mixed(trial_seed: int) -> VectorizedEngine:
     graph = families.random_regular(16, 4, seed=0)
     return VectorizedEngine(
         StaticDynamicGraph(graph),
-        BlindGossipVectorized(keys_for(16)),
+        BlindGossipBatched(keys_for(16)),
         seed=trial_seed,
         fault_plan=_MIXED_PLAN,
     )
@@ -119,7 +118,7 @@ class TestSchemaValidation:
         with pytest.raises(ValueError):
             VectorizedEngine(
                 StaticDynamicGraph(families.clique(8)),
-                BlindGossipVectorized(keys_for(8)),
+                BlindGossipBatched(keys_for(8)),
                 seed=0,
                 fault_plan=plan,
             )
@@ -404,7 +403,7 @@ class TestVectorizedEngineFaults:
         def outcome(fault_plan):
             eng = VectorizedEngine(
                 StaticDynamicGraph(g),
-                BlindGossipVectorized(keys_for(16)),
+                BlindGossipBatched(keys_for(16)),
                 seed=5,
                 fault_plan=fault_plan,
             )
@@ -422,11 +421,11 @@ class TestVectorizedEngineFaults:
             state_corruption=(StateCorruptionEvent(round=10_000, fraction=0.5),)
         )
         faulty = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys_for(16)),
+            StaticDynamicGraph(g), BlindGossipBatched(keys_for(16)),
             seed=5, fault_plan=plan,
         )
         clean = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys_for(16)), seed=5
+            StaticDynamicGraph(g), BlindGossipBatched(keys_for(16)), seed=5
         )
         for r in range(1, 60):
             faulty.step(r)
@@ -441,7 +440,7 @@ class TestVectorizedEngineFaults:
         )
         eng = VectorizedEngine(
             StaticDynamicGraph(g),
-            BlindGossipVectorized(keys_for(16)),
+            BlindGossipBatched(keys_for(16)),
             seed=5,
             fault_plan=plan,
         )

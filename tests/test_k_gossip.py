@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.k_gossip import (
     KGossipNode,
-    KGossipVectorized,
+    KGossipBatched,
     make_k_gossip_nodes,
 )
 from repro.core.engine import ReferenceEngine
@@ -65,20 +65,20 @@ class TestReferenceRuns:
 
 class TestVectorized:
     def test_initial_knowledge_is_identity(self):
-        algo = KGossipVectorized()
-        state = algo.init_state(5, np.random.default_rng(0))
-        assert np.array_equal(state.known, np.eye(5, dtype=bool))
+        algo = KGossipBatched()
+        state = algo.init_state(5, np.array([0]))
+        assert np.array_equal(state.known[0], np.eye(5, dtype=bool))
 
     def test_knowledge_monotone_and_completes(self):
         n = 12
-        algo = KGossipVectorized()
+        algo = KGossipBatched()
         eng = VectorizedEngine(
             StaticDynamicGraph(families.clique(n)), algo, seed=0
         )
         prev = n
         for r in range(1, 100_000):
             eng.step(r)
-            cur = algo.knowledge_count(eng.state)
+            cur = algo.knowledge_count(eng.state)[0]
             assert cur >= prev
             prev = cur
             if algo.converged(eng.state):
@@ -87,18 +87,18 @@ class TestVectorized:
 
     def test_own_rumor_never_lost(self):
         n = 8
-        algo = KGossipVectorized()
+        algo = KGossipBatched()
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 3, seed=0)), algo, seed=1
         )
         for r in range(1, 200):
             eng.step(r)
-            assert np.diag(eng.state.known).all()
+            assert np.diag(eng.state.known[0]).all()
 
     def test_completion_respects_information_floor(self):
         # Even a clique needs >= n-1 rounds (n rumor moves per round max).
         n = 16
-        algo = KGossipVectorized()
+        algo = KGossipBatched()
         eng = VectorizedEngine(StaticDynamicGraph(families.clique(n)), algo, seed=2)
         res = eng.run(200_000)
         assert res.stabilized
@@ -107,12 +107,12 @@ class TestVectorized:
     def test_completes_under_churn(self):
         n = 10
         base = families.random_regular(n, 3, seed=4)
-        algo = KGossipVectorized()
+        algo = KGossipBatched()
         eng = VectorizedEngine(PeriodicRelabelDynamicGraph(base, 1, seed=5), algo, seed=3)
         assert eng.run(300_000).stabilized
 
     def test_pick_random_known_uniform(self):
-        algo = KGossipVectorized()
+        algo = KGossipBatched()
         known = np.zeros((1, 6), dtype=bool)
         known[0, [1, 3, 4]] = True
         rng = np.random.default_rng(0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.blind_gossip import BlindGossipVectorized
+from repro.algorithms.blind_gossip import BlindGossipBatched
 from repro.core.largen import DEFAULT_CHUNK_NODES, LargeNEngine
 from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
@@ -18,7 +18,7 @@ def _engine(n, seed, *, degree=4, chunk_nodes=DEFAULT_CHUNK_NODES):
     keys = uid_keys_random(n, 11)
     return LargeNEngine(
         StaticDynamicGraph(g),
-        BlindGossipVectorized(keys),
+        BlindGossipBatched(keys),
         seed=seed,
         chunk_nodes=chunk_nodes,
     )
@@ -26,16 +26,16 @@ def _engine(n, seed, *, degree=4, chunk_nodes=DEFAULT_CHUNK_NODES):
 
 class TestConstruction:
     def test_requires_sparse_compatible_algorithm(self):
-        from repro.algorithms.ppush import PPushVectorized
+        from repro.algorithms.ppush import PPushBatched
 
         g = families.random_regular(16, 4, seed=7)
         with pytest.raises(ValueError, match="sparse_compatible"):
             LargeNEngine(
-                StaticDynamicGraph(g), PPushVectorized(np.arange(4)), seed=0
+                StaticDynamicGraph(g), PPushBatched(np.arange(4)), seed=0
             )
 
     def test_rejects_tagged_algorithms(self):
-        class Tagged(BlindGossipVectorized):
+        class Tagged(BlindGossipBatched):
             tag_length = 1
 
         g = families.random_regular(16, 4, seed=7)
@@ -50,7 +50,7 @@ class TestConstruction:
         g = families.random_regular(16, 4, seed=7)
         with pytest.raises(ValueError, match="[Aa]daptive"):
             LargeNEngine(
-                PackingAdversary(g), BlindGossipVectorized(uid_keys_random(16, 0))
+                PackingAdversary(g), BlindGossipBatched(uid_keys_random(16, 0))
             )
 
     def test_rejects_bad_chunk_size(self):
@@ -66,8 +66,8 @@ class TestConstruction:
         engine (both derive it from the "vec-init" stream)."""
         g = families.random_regular(64, 4, seed=7)
         keys = uid_keys_random(64, 11)
-        a = LargeNEngine(StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=3)
-        b = VectorizedEngine(StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=3)
+        a = LargeNEngine(StaticDynamicGraph(g), BlindGossipBatched(keys), seed=3)
+        b = VectorizedEngine(StaticDynamicGraph(g), BlindGossipBatched(keys), seed=3)
         assert np.array_equal(a.state.best, b.state.best)
         assert a.state.target == b.state.target
 
@@ -102,14 +102,14 @@ class TestRuns:
         keys = uid_keys_random(96, 11)
         largen = [
             LargeNEngine(
-                StaticDynamicGraph(g), BlindGossipVectorized(keys),
+                StaticDynamicGraph(g), BlindGossipBatched(keys),
                 seed=s, chunk_nodes=32,
             ).run(5000).rounds
             for s in range(25)
         ]
         dense = [
             VectorizedEngine(
-                StaticDynamicGraph(g), BlindGossipVectorized(keys),
+                StaticDynamicGraph(g), BlindGossipBatched(keys),
                 seed=s, sparse="off",
             ).run(5000).rounds
             for s in range(25)

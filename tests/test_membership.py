@@ -7,7 +7,6 @@ import pytest
 
 from repro.algorithms.blind_gossip import (
     BlindGossipBatched,
-    BlindGossipVectorized,
     make_blind_gossip_nodes,
 )
 from repro.core.batched import BatchedVectorizedEngine
@@ -228,7 +227,7 @@ class TestCrossTierApplication:
         )
         vec = VectorizedEngine(
             StaticDynamicGraph(g),
-            BlindGossipVectorized(keys),
+            BlindGossipBatched(keys),
             seed=1,
             fault_plan=plan,
             collect_trace=True,
@@ -270,14 +269,14 @@ class TestCrossTierApplication:
             n=n,
         )
         eng = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=2, fault_plan=plan
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=2, fault_plan=plan
         )
         for r in range(1, 12):
             eng.step(r)
         # On a clique everyone holds the minimum by round 5; the crash-like
         # departure freezes that adopted value, the clean one wipes it.
-        assert int(eng.state.best[frozen]) == int(keys[winner])
-        assert int(eng.state.best[cleaned]) == int(keys[cleaned])
+        assert int(eng.state.best[0, frozen]) == int(keys[winner])
+        assert int(eng.state.best[0, cleaned]) == int(keys[cleaned])
 
     def test_join_brings_fresh_state(self):
         n = 8
@@ -292,7 +291,7 @@ class TestCrossTierApplication:
             n=n,
         )
         eng = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=2, fault_plan=plan
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=2, fault_plan=plan
         )
         for r in range(1, 7):
             eng.step(r)
@@ -391,7 +390,7 @@ class TestPermanentExclusionEdgeCases:
             n=n,
         )
         res = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=4, fault_plan=plan
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=4, fault_plan=plan
         ).run(300)
         assert res.stabilized
 
@@ -458,13 +457,13 @@ class TestLiveAgreementMonitor:
         keys = _keys(n)
         plan = _churn_plan(n)
         eng = VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=3, fault_plan=plan
+            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=3, fault_plan=plan
         )
         mon = LiveAgreementMonitor(4, leader_keys=keys)
         done = None
         for r in range(1, 60):
             eng.step(r)
-            if mon.observe(r, eng.state.best, eng.last_active):
+            if mon.observe(r, eng.state.best[0], eng.last_active):
                 done = r
                 break
         assert done is not None and mon.stabilized

@@ -70,11 +70,11 @@ class TestEngineMatchesClosedForm:
         ``directed=True`` counts only connections where ``edge[0]`` is the
         proposer and ``edge[1]`` the acceptor.
         """
-        from repro.algorithms.blind_gossip import BlindGossipVectorized
+        from repro.algorithms.blind_gossip import BlindGossipBatched
 
         keys = uid_keys_random(graph.n, seed)
         eng = VectorizedEngine(
-            StaticDynamicGraph(graph), BlindGossipVectorized(keys), seed=seed
+            StaticDynamicGraph(graph), BlindGossipBatched(keys), seed=seed
         )
         hits = 0
         a, b = edge

@@ -82,7 +82,7 @@ class TestGroupWaypoint:
             GroupWaypointDynamicGraph(10, tau=0)
 
     def test_leader_election_over_group_mobility(self):
-        from repro.algorithms import AsyncBitConvergenceVectorized, BitConvergenceConfig
+        from repro.algorithms import AsyncBitConvergenceBatched, BitConvergenceConfig
         from repro.core import VectorizedEngine
         from repro.graphs.mobility import GroupWaypointDynamicGraph
         from repro.harness.experiments import uid_keys_random
@@ -91,7 +91,7 @@ class TestGroupWaypoint:
         dg = GroupWaypointDynamicGraph(n, tau=4, groups=2, seed=3)
         cfg = BitConvergenceConfig(n_upper=n, delta_bound=n - 1, beta=1.0)
         keys = uid_keys_random(n, 5)
-        algo = AsyncBitConvergenceVectorized(keys, cfg, tag_seed=6, unique_tags=True)
+        algo = AsyncBitConvergenceBatched(keys, cfg, tag_seed=6, unique_tags=True)
         eng = VectorizedEngine(dg, algo, seed=7)
         assert eng.run(500_000).stabilized
 

@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.bit_convergence import (
     BitConvergenceConfig,
-    BitConvergenceVectorized,
+    BitConvergenceBatched,
 )
-from repro.algorithms.blind_gossip import BlindGossipVectorized, make_blind_gossip_nodes
-from repro.algorithms.ppush import PPushVectorized
+from repro.algorithms.blind_gossip import BlindGossipBatched, make_blind_gossip_nodes
+from repro.algorithms.ppush import PPushBatched
 from repro.core.engine import ReferenceEngine
 from repro.core.monitor import all_leaders_are
 from repro.core.payload import UIDSpace
@@ -83,7 +83,7 @@ class TestMinUidMonotonicityEverywhere:
     def test_blind_gossip_converges_and_is_absorbing(self, graph, seed):
         n = graph.n
         keys = uid_keys_random(n, seed)
-        algo = BlindGossipVectorized(keys)
+        algo = BlindGossipBatched(keys)
         eng = VectorizedEngine(StaticDynamicGraph(graph), algo, seed=seed)
         res = eng.run(500_000)
         assert res.stabilized
@@ -93,12 +93,12 @@ class TestMinUidMonotonicityEverywhere:
     @given(small_topologies(), st.integers(0, 1000))
     @settings(max_examples=15)
     def test_ppush_informed_set_monotone(self, graph, seed):
-        algo = PPushVectorized(np.array([0]))
+        algo = PPushBatched(np.array([0]))
         eng = VectorizedEngine(StaticDynamicGraph(graph), algo, seed=seed)
         prev = 1
         for r in range(1, 300):
             eng.step(r)
-            cur = algo.informed_count(eng.state)
+            cur = algo.informed_count(eng.state)[0]
             assert cur >= prev
             prev = cur
             if cur == graph.n:
@@ -114,7 +114,7 @@ class TestBitConvergenceEverywhere:
         cfg = BitConvergenceConfig(
             n_upper=max(n, 4), delta_bound=graph.max_degree, beta=2.0
         )
-        algo = BitConvergenceVectorized(keys, cfg, tag_seed=seed, unique_tags=True)
+        algo = BitConvergenceBatched(keys, cfg, tag_seed=seed, unique_tags=True)
         eng = VectorizedEngine(StaticDynamicGraph(graph), algo, seed=seed)
         res = eng.run(500_000)
         assert res.stabilized
@@ -130,14 +130,14 @@ class TestBitConvergenceEverywhere:
         cfg = BitConvergenceConfig(
             n_upper=max(n, 4), delta_bound=graph.max_degree, beta=1.5
         )
-        algo = BitConvergenceVectorized(keys, cfg, tag_seed=seed, unique_tags=True)
+        algo = BitConvergenceBatched(keys, cfg, tag_seed=seed, unique_tags=True)
         eng = VectorizedEngine(dg, algo, seed=seed)
         prev = 0
         for r in range(1, 600):
             eng.step(r)
             if r % cfg.phase_len:
                 continue
-            b = algo.max_difference_bit(eng.state)
+            b = algo.max_difference_bit(eng.state)[0]
             if b is None:
                 break
             assert b >= prev

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.ppush import (
     PPushNode,
-    PPushVectorized,
+    PPushBatched,
     TAG_INFORMED,
     TAG_UNINFORMED,
     make_ppush_nodes,
@@ -78,14 +78,14 @@ class TestReferenceConvergence:
 class TestVectorized:
     def test_faster_than_blind_push_pull_on_double_star(self):
         """PPUSH's focused proposals beat blind PUSH-PULL where Δ is large."""
-        from repro.algorithms.push_pull import PushPullVectorized
+        from repro.algorithms.push_pull import PushPullBatched
 
         base = families.double_star(16)
         dg = StaticDynamicGraph(base)
         ppush = np.median(
             [
                 VectorizedEngine(
-                    dg, PPushVectorized(np.array([2])), seed=t
+                    dg, PPushBatched(np.array([2])), seed=t
                 ).run(10**6).rounds
                 for t in range(5)
             ]
@@ -93,7 +93,7 @@ class TestVectorized:
         blind = np.median(
             [
                 VectorizedEngine(
-                    dg, PushPullVectorized(np.array([2])), seed=t
+                    dg, PushPullBatched(np.array([2])), seed=t
                 ).run(10**6).rounds
                 for t in range(5)
             ]
@@ -103,7 +103,7 @@ class TestVectorized:
     def test_star_completion_near_linear(self):
         # Informed hub can inform exactly one leaf per round.
         n = 33
-        algo = PPushVectorized(np.array([0]))
+        algo = PPushBatched(np.array([0]))
         eng = VectorizedEngine(StaticDynamicGraph(families.star(n)), algo, seed=0)
         res = eng.run(10_000)
         assert res.stabilized
@@ -111,14 +111,14 @@ class TestVectorized:
 
     def test_informed_monotone(self):
         n = 24
-        algo = PPushVectorized(np.array([0]))
+        algo = PPushBatched(np.array([0]))
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 4, seed=1)), algo, seed=0
         )
         prev = 1
         for r in range(1, 5000):
             eng.step(r)
-            cur = algo.informed_count(eng.state)
+            cur = algo.informed_count(eng.state)[0]
             assert cur >= prev
             prev = cur
             if cur == n:
@@ -128,7 +128,7 @@ class TestVectorized:
     def test_no_proposals_between_informed(self):
         """In PPUSH every connection strictly grows the informed set."""
         n = 20
-        algo = PPushVectorized(np.array([0]))
+        algo = PPushBatched(np.array([0]))
         eng = VectorizedEngine(
             StaticDynamicGraph(families.clique(n)), algo, seed=0
         )
@@ -138,7 +138,7 @@ class TestVectorized:
             growth.append(acceptors.size)
 
         eng.on_connections = on_conn
-        before = algo.informed_count(eng.state)
+        before = algo.informed_count(eng.state)[0]
         eng.step(1)
-        after = algo.informed_count(eng.state)
+        after = algo.informed_count(eng.state)[0]
         assert after - before == growth[0]

@@ -9,9 +9,9 @@ import pytest
 
 from repro.algorithms.bit_convergence import (
     BitConvergenceConfig,
-    BitConvergenceVectorized,
+    BitConvergenceBatched,
 )
-from repro.algorithms.push_pull import PushPullVectorized
+from repro.algorithms.push_pull import PushPullBatched
 from repro.analysis.progress import (
     PhaseClassifier,
     PhaseRecord,
@@ -71,13 +71,13 @@ class TestSpreadCurve:
     def test_integration_with_push_pull(self):
         n = 24
         g = families.random_regular(n, 4, seed=0)
-        algo = PushPullVectorized(np.array([0]))
+        algo = PushPullBatched(np.array([0]))
         eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=1)
         curve = SpreadCurve()
-        curve.record(algo.informed_count(eng.state))
+        curve.record(algo.informed_count(eng.state)[0])
         for r in range(1, 5000):
             eng.step(r)
-            curve.record(algo.informed_count(eng.state))
+            curve.record(algo.informed_count(eng.state)[0])
             if algo.converged(eng.state):
                 break
         assert curve.counts[0] == 1 and curve.counts[-1] == n
@@ -98,13 +98,13 @@ class TestPhaseClassifier:
         g = families.random_regular(n, degree, seed=seed)
         keys = uid_keys_random(n, seed)
         cfg = BitConvergenceConfig(n_upper=n, delta_bound=degree, beta=1.0)
-        algo = BitConvergenceVectorized(keys, cfg, tag_seed=seed, unique_tags=True)
+        algo = BitConvergenceBatched(keys, cfg, tag_seed=seed, unique_tags=True)
         eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=seed)
         return PhaseClassifier(eng, alpha=0.5, tau=math.inf)
 
     def test_requires_bit_convergence(self):
         g = families.ring(6)
-        algo = PushPullVectorized(np.array([0]))
+        algo = PushPullBatched(np.array([0]))
         eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=0)
         with pytest.raises(TypeError):
             PhaseClassifier(eng, alpha=0.5, tau=1)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms.push_pull import (
     PushPullNode,
-    PushPullVectorized,
+    PushPullBatched,
     make_push_pull_nodes,
 )
 from repro.core.engine import ReferenceEngine
@@ -61,14 +61,14 @@ class TestReferenceConvergence:
 class TestVectorized:
     def test_completes_and_monotone(self):
         n = 24
-        algo = PushPullVectorized(np.array([0]))
+        algo = PushPullBatched(np.array([0]))
         eng = VectorizedEngine(
             StaticDynamicGraph(families.random_regular(n, 3, seed=0)), algo, seed=1
         )
         prev = 1
         for r in range(1, 20_000):
             eng.step(r)
-            cur = algo.informed_count(eng.state)
+            cur = algo.informed_count(eng.state)[0]
             assert cur >= prev
             prev = cur
             if cur == n:
@@ -76,17 +76,17 @@ class TestVectorized:
         assert prev == n
 
     def test_multiple_sources(self):
-        algo = PushPullVectorized(np.array([0, 5, 9]))
+        algo = PushPullBatched(np.array([0, 5, 9]))
         eng = VectorizedEngine(
             StaticDynamicGraph(families.ring(10)), algo, seed=1
         )
-        assert algo.informed_count(eng.state) == 3
+        assert algo.informed_count(eng.state)[0] == 3
         res = eng.run(50_000)
         assert res.stabilized
 
     def test_under_churn(self):
         base = families.double_star(6)
-        algo = PushPullVectorized(np.array([2]))
+        algo = PushPullBatched(np.array([2]))
         eng = VectorizedEngine(
             PeriodicRelabelDynamicGraph(base, 1, seed=2), algo, seed=1
         )
@@ -94,7 +94,7 @@ class TestVectorized:
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
-            PushPullVectorized(np.array([], dtype=np.int64))
+            PushPullBatched(np.array([], dtype=np.int64))
 
 
 class TestDirectionRestriction:
@@ -102,32 +102,32 @@ class TestDirectionRestriction:
 
     def test_invalid_direction_rejected(self):
         with pytest.raises(ValueError):
-            PushPullVectorized(np.array([0]), direction="sideways")
+            PushPullBatched(np.array([0]), direction="sideways")
         from repro.core.payload import UID
 
         with pytest.raises(ValueError):
             PushPullNode(0, UID(1), informed=True, direction="sideways")
 
     def test_push_only_exchange_semantics(self):
-        algo = PushPullVectorized(np.array([0]), direction="push")
-        state = algo.init_state(4, np.random.default_rng(0))
+        algo = PushPullBatched(np.array([0]), direction="push")
+        state = algo.init_state(4, np.array([0]))
         # Connection (proposer=1 uninformed, acceptor=0 informed): under
         # push-only the informed acceptor must NOT inform its proposer.
         algo.exchange(state, np.array([1]), np.array([0]))
-        assert not state.informed[1]
+        assert not state.informed[0, 1]
         # Connection (proposer=0 informed, acceptor=2): push works.
         algo.exchange(state, np.array([0]), np.array([2]))
-        assert state.informed[2]
+        assert state.informed[0, 2]
 
     def test_pull_only_exchange_semantics(self):
-        algo = PushPullVectorized(np.array([0]), direction="pull")
-        state = algo.init_state(4, np.random.default_rng(0))
+        algo = PushPullBatched(np.array([0]), direction="pull")
+        state = algo.init_state(4, np.array([0]))
         # (proposer=0 informed, acceptor=2): push forbidden.
         algo.exchange(state, np.array([0]), np.array([2]))
-        assert not state.informed[2]
+        assert not state.informed[0, 2]
         # (proposer=1, acceptor=0 informed): pull works.
         algo.exchange(state, np.array([1]), np.array([0]))
-        assert state.informed[1]
+        assert state.informed[0, 1]
 
     def test_node_push_only_rejects_pull(self):
         from repro.core.payload import Message, UID
@@ -154,7 +154,7 @@ class TestDirectionRestriction:
     @pytest.mark.parametrize("direction", ["push", "pull"])
     def test_single_direction_still_completes(self, direction):
         g = families.random_regular(16, 4, seed=0)
-        algo = PushPullVectorized(np.array([0]), direction=direction)
+        algo = PushPullBatched(np.array([0]), direction=direction)
         eng = VectorizedEngine(StaticDynamicGraph(g), algo, seed=1)
         assert eng.run(200_000).stabilized
 
@@ -165,7 +165,7 @@ class TestDirectionRestriction:
             rounds = [
                 VectorizedEngine(
                     StaticDynamicGraph(g),
-                    PushPullVectorized(np.array([2]), direction=direction),
+                    PushPullBatched(np.array([2]), direction=direction),
                     seed=t,
                 ).run(10**6).rounds
                 for t in range(7)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms import (
-    AsyncBitConvergenceVectorized,
+    AsyncBitConvergenceBatched,
     BitConvergenceConfig,
-    BitConvergenceVectorized,
-    BlindGossipVectorized,
-    PPushVectorized,
+    BitConvergenceBatched,
+    BlindGossipBatched,
+    PPushBatched,
 )
 from repro.core import VectorizedEngine
 from repro.graphs import PeriodicRelabelDynamicGraph, StaticDynamicGraph, families
@@ -28,7 +28,7 @@ class TestScale:
     def test_blind_gossip_at_512(self):
         keys = uid_keys_random(self.N, 0)
         eng = VectorizedEngine(
-            StaticDynamicGraph(self._graph()), BlindGossipVectorized(keys), seed=1
+            StaticDynamicGraph(self._graph()), BlindGossipBatched(keys), seed=1
         )
         res = eng.run(100_000)
         assert res.stabilized
@@ -38,7 +38,7 @@ class TestScale:
     def test_ppush_at_512(self):
         eng = VectorizedEngine(
             StaticDynamicGraph(self._graph()),
-            PPushVectorized(np.array([0])),
+            PPushBatched(np.array([0])),
             seed=1,
         )
         res = eng.run(100_000)
@@ -52,7 +52,7 @@ class TestScale:
         )
         eng = VectorizedEngine(
             PeriodicRelabelDynamicGraph(self._graph(), 1, seed=2),
-            BitConvergenceVectorized(keys, cfg, tag_seed=3, unique_tags=True),
+            BitConvergenceBatched(keys, cfg, tag_seed=3, unique_tags=True),
             seed=1,
         )
         res = eng.run(200_000)
@@ -66,7 +66,7 @@ class TestScale:
         act = (np.arange(self.N) % 50) + 1
         eng = VectorizedEngine(
             StaticDynamicGraph(self._graph()),
-            AsyncBitConvergenceVectorized(keys, cfg, tag_seed=3, unique_tags=True),
+            AsyncBitConvergenceBatched(keys, cfg, tag_seed=3, unique_tags=True),
             seed=1,
             activation_rounds=act,
         )

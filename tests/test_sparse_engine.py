@@ -17,7 +17,6 @@ import pytest
 
 from repro.algorithms.blind_gossip import (
     BlindGossipBatched,
-    BlindGossipVectorized,
     make_blind_gossip_nodes,
 )
 from repro.conformance import check_trace
@@ -36,7 +35,7 @@ def _engine(n, seed, *, degree=4, sparse=None, collect_trace=False):
     keys = uid_keys_random(n, 11)
     return VectorizedEngine(
         StaticDynamicGraph(g),
-        BlindGossipVectorized(keys),
+        BlindGossipBatched(keys),
         seed=seed,
         sparse=sparse,
         collect_trace=collect_trace,
@@ -94,7 +93,7 @@ class TestGating:
         act[3] = 5
         eng = VectorizedEngine(
             StaticDynamicGraph(g),
-            BlindGossipVectorized(keys),
+            BlindGossipBatched(keys),
             seed=0,
             activation_rounds=act,
             sparse="force",
@@ -108,7 +107,7 @@ class TestGating:
         keys = uid_keys_random(16, 11)
         eng = VectorizedEngine(
             StaticDynamicGraph(g),
-            BlindGossipVectorized(keys),
+            BlindGossipBatched(keys),
             seed=0,
             fault_plan=FaultPlan(connection_drop=ConnectionDropModel(p=0.5)),
             sparse="force",
@@ -150,7 +149,7 @@ class TestEquivalence:
         keys = uid_keys_random(32, 11)
         eng = VectorizedEngine(
             StaticDynamicGraph(g),
-            BlindGossipVectorized(keys),
+            BlindGossipBatched(keys),
             seed=2,
             sparse="force",
             collect_trace=True,
@@ -169,7 +168,7 @@ class TestAutoEngagement:
         assert eng.frontier.undone is not None
 
 
-class _NoQuiescence(BlindGossipVectorized):
+class _NoQuiescence(BlindGossipBatched):
     """Same algorithm, fast-forward declaration withdrawn."""
 
     quiescent_when_done = False
@@ -182,7 +181,7 @@ class TestQuietRoundFastForward:
         keys = uid_keys_random(32, 11)
         for seed in range(5):
             fast = VectorizedEngine(
-                StaticDynamicGraph(g), BlindGossipVectorized(keys), seed=seed
+                StaticDynamicGraph(g), BlindGossipBatched(keys), seed=seed
             ).run(5000, check_every=check_every)
             plain = VectorizedEngine(
                 StaticDynamicGraph(g), _NoQuiescence(keys), seed=seed
@@ -244,14 +243,27 @@ class TestBatchedSparse:
 
 
 def _state_digest(rounds, connections_made, state) -> str:
-    """sha256 of ``(rounds, connections_made, final state)`` of one run."""
+    """sha256 of ``(rounds, connections_made, final state)`` of one run.
+
+    Each state field contributes its name, dtype and flattened bytes but
+    not its shape, so a single-replica state digests the same with or
+    without a length-1 replica axis.  A generator field contributes its
+    bit-generator state.
+    """
     h = hashlib.sha256()
     for value in (rounds, connections_made):
         h.update(np.asarray(value, dtype=np.int64).tobytes())
-    names = getattr(type(state), "__slots__", None) or sorted(vars(state))
-    for name in names:
-        value = np.asarray(getattr(state, name))
-        h.update(f"{name}:{value.dtype}:{value.shape}".encode())
+    names = {
+        name for cls in type(state).__mro__ for name in getattr(cls, "__slots__", ())
+    }
+    names.update(getattr(state, "__dict__", {}))
+    for name in sorted(names):
+        value = getattr(state, name)
+        if isinstance(value, np.random.Generator):
+            h.update(f"{name}:{value.bit_generator.state!r}".encode())
+            continue
+        value = np.asarray(value)
+        h.update(f"{name}:{value.dtype}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     return h.hexdigest()
 
@@ -286,7 +298,7 @@ def _pin_largen(n, seed, **kw):
 
     g = families.random_regular(n, 4, seed=7)
     eng = LargeNEngine(
-        StaticDynamicGraph(g), BlindGossipVectorized(uid_keys_random(n, 11)), seed=seed, **kw
+        StaticDynamicGraph(g), BlindGossipBatched(uid_keys_random(n, 11)), seed=seed, **kw
     )
     res = eng.run(5000)
     return _state_digest(res.rounds, eng.connections_made, eng.state)
@@ -298,41 +310,175 @@ def _drop_plan():
     return FaultPlan(connection_drop=ConnectionDropModel(p=0.3))
 
 
+def _pin_single(algo, dg, seed, max_rounds, **kw):
+    eng = VectorizedEngine(dg, algo, seed=seed, **kw)
+    res = eng.run(max_rounds)
+    return _state_digest(res.rounds, eng.connections_made, eng.state)
+
+
+def _bc_config(n):
+    from repro.algorithms.bit_convergence import BitConvergenceConfig
+
+    return BitConvergenceConfig(n_upper=n, delta_bound=5)
+
+
+def _pin_bit_convergence():
+    from repro.algorithms.bit_convergence import BitConvergenceBatched
+    from repro.faults import (
+        ConnectionDropModel,
+        CrashSchedule,
+        CrashWindow,
+        FaultPlan,
+        TagCorruptionModel,
+    )
+
+    n = 48
+    plan = FaultPlan(
+        crashes=CrashSchedule(
+            (
+                CrashWindow(node=3, start=5, end=40, reset_on_rejoin=False),
+                CrashWindow(node=17, start=20, end=90, reset_on_rejoin=False),
+            )
+        ),
+        connection_drop=ConnectionDropModel(p=0.1),
+        tag_corruption=TagCorruptionModel(q=0.02),
+    )
+    algo = BitConvergenceBatched(
+        uid_keys_random(n, 11), _bc_config(n), tag_seed=9, unique_tags=True
+    )
+    g = families.random_regular(n, 4, seed=7)
+    return _pin_single(algo, StaticDynamicGraph(g), 9, 3000, fault_plan=plan)
+
+
+def _pin_ppush_packing():
+    from repro.algorithms.ppush import PPushBatched
+    from repro.graphs.adversary import PackingAdversary
+
+    g = families.random_regular(64, 4, seed=7)
+    return _pin_single(PPushBatched(np.array([0])), PackingAdversary(g, tau=2), 4, 3000)
+
+
+def _pin_push_pull_pull():
+    from repro.algorithms.push_pull import PushPullBatched
+
+    g = families.random_regular(64, 4, seed=7)
+    algo = PushPullBatched(np.array([0, 5]), direction="pull")
+    return _pin_single(algo, StaticDynamicGraph(g), 5, 3000)
+
+
+def _pin_k_gossip():
+    from repro.algorithms.k_gossip import KGossipBatched
+
+    g = families.random_regular(24, 4, seed=7)
+    return _pin_single(KGossipBatched(), StaticDynamicGraph(g), 6, 3000)
+
+
+def _pin_averaging():
+    from repro.algorithms.averaging import AveragingBatched
+
+    values = np.random.default_rng(3).normal(size=48)
+    g = families.random_regular(48, 4, seed=7)
+    return _pin_single(AveragingBatched(values), StaticDynamicGraph(g), 7, 3000)
+
+
+def _pin_async_bit_convergence():
+    from repro.algorithms.async_bit_convergence import AsyncBitConvergenceBatched
+    from repro.faults import FaultPlan, StateCorruptionEvent
+
+    n = 48
+    algo = AsyncBitConvergenceBatched(
+        uid_keys_random(n, 11), _bc_config(n), tag_seed=8, unique_tags=True
+    )
+    activation = 1 + (np.arange(n) * 7) % 30
+    plan = FaultPlan(state_corruption=(StateCorruptionEvent(round=40, fraction=0.25),))
+    g = families.random_regular(n, 4, seed=7)
+    return _pin_single(
+        algo,
+        StaticDynamicGraph(g),
+        8,
+        5000,
+        activation_rounds=activation,
+        fault_plan=plan,
+    )
+
+
+def _pin_consensus():
+    from repro.algorithms.consensus import ConsensusBatched
+
+    n = 48
+    proposals = np.arange(n, dtype=np.int64) * 3
+    algo = ConsensusBatched(
+        uid_keys_random(n, 11), _bc_config(n), proposals, tag_seed=10, unique_tags=True
+    )
+    g = families.random_regular(n, 4, seed=7)
+    return _pin_single(algo, StaticDynamicGraph(g), 10, 5000)
+
+
 #: Digests of fixed-seed runs across the dense, sparse and chunked round
-#: paths.  The engines' RNG call order is part of their contract: any
-#: change here changes every seeded table and verdict.
+#: paths, plus one single-replica run per other algorithm (``vec-*``:
+#: its round, fault and adversary hooks).  The engines' RNG call order
+#: is part of their contract: any change here changes every seeded table
+#: and verdict.
 _PINS = {
     "vectorized-off-64": (
         lambda: _pin_vectorized(64, 3, "off"),
-        "9b837622a8f82266bd37d65bc6dd35f9f52d492198bdc775d8faa399686193fa",
+        "46ea9ba98602a23dd9ebd1d12d68fb3c41177be483064e79155be62ce078f054",
     ),
     "vectorized-force-64": (
         lambda: _pin_vectorized(64, 3, "force"),
-        "20322a7c3269f9b2e38399343e3e1689eea2016993c36e36c5b98389d5da25ba",
+        "2278c0ca3aecb312d5cc7ffa172e39542248fcbb6d720c46fbbb2a13004d3109",
     ),
     "vectorized-auto-8192": (
         lambda: _pin_vectorized(8192, 5, "auto"),
-        "496a5df33b5118b29d071dab04a5f7979a444bfcb44aca322460b26aaffafb3c",
+        "60ec0c5f6bd15072c35de10043a75080b3a624260784436a740a3b00f47d6af2",
     ),
     "batched-force-T4": (
         lambda: _pin_batched(4, 64, 2, "force"),
-        "7b644ae1d802db4d8204924a1de70750eec10a50a2560209929e026a0f568384",
+        "ac40ce97634d428bf9a5087d419bec861cf34488a427c5eb64ec7fff6f6bb81d",
     ),
     "batched-auto-T8-n1024": (
         lambda: _pin_batched(8, 1024, 4, "auto"),
-        "862f405c76cade025e319f078bff2b6abeda711a56ac0a8c273a684f69952cc7",
+        "a61482b80c63e8976b41ad0dd26723766382cf23be27f28076f2df6d71ca0397",
     ),
     "batched-churn-tau1-drops": (
         lambda: _pin_batched(4, 64, 6, "auto", tau=1, fault_plan=_drop_plan()),
-        "79656738f590a23f017ad4f541856e0efb7a4082f38b6c4a667e10e7872837c2",
+        "73e2d3ca3a9a8af241501506a797ce9804c309154e6b738ef079b62ec0746c75",
     ),
     "largen-512": (
         lambda: _pin_largen(512, 0),
-        "f944be778840b10c38211148e030bfdf156de7d5fdde9b32930b65647a88ab51",
+        "8f5d1d36ab2a6f80bb98b78effdf05f3b0d247e8700e4f18dce2c3bd04f15cf6",
     ),
     "largen-8192-chunk1024": (
         lambda: _pin_largen(8192, 1, chunk_nodes=1024),
-        "d036f77b97dc9977565301ea29d1932f7aff481dd980c9693dd2f3559c03c806",
+        "f57b1321bfb11c89c16cf12a4e3c6ea9a6dacedee94e473792a5e9fe4cde2058",
+    ),
+    "vec-bit-convergence-faults": (
+        _pin_bit_convergence,
+        "fdf18c0606fd36cfc58aaa7d0bf797170f71d484861a1c3bc6a66f249e11b854",
+    ),
+    "vec-ppush-packing-tau2": (
+        _pin_ppush_packing,
+        "abe0191bf76e96c4df1c8332f0cecbf5998c30ded70130b2b99dc94448025763",
+    ),
+    "vec-push-pull-pull": (
+        _pin_push_pull_pull,
+        "79e161206420e87887f24ef9c6acfbaadfaf16d9074c28e0317e8d55b56cb505",
+    ),
+    "vec-k-gossip": (
+        _pin_k_gossip,
+        "d054c541bef31fca398661397563c50c818af375ea682bc99e771892a2ba0f71",
+    ),
+    "vec-averaging": (
+        _pin_averaging,
+        "370d89b085dc8134955a9d08c6b983487ab62110196dc6a408e4f084f523f715",
+    ),
+    "vec-async-bit-convergence-staggered-corrupt": (
+        _pin_async_bit_convergence,
+        "5324132d5e61f319040898a0e61da076b28c7d3538d187505aa9531e35bb259f",
+    ),
+    "vec-consensus": (
+        _pin_consensus,
+        "f72c112c95d16671d1fe83da65cc428f8dd02a7192e10ac8e31e29a6fc25fe59",
     ),
 }
 

@@ -16,7 +16,6 @@ from scipy import stats
 from repro.core.engine import ReferenceEngine
 from repro.core.payload import Message, UIDSpace
 from repro.core.protocol import NodeProtocol
-from repro.core.vectorized import VectorizedAlgorithm, VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import StaticDynamicGraph
 from repro.util.csrops import build_csr, segmented_random_pick, segmented_uniform_accept_pairs
@@ -122,10 +121,10 @@ class TestReferenceEngineAcceptance:
 class TestCoinFairness:
     def test_blind_gossip_send_rate(self):
         """The vectorized sender mask is a fair coin."""
-        from repro.algorithms.blind_gossip import BlindGossipVectorized
+        from repro.algorithms.blind_gossip import BlindGossipBatched
 
-        algo = BlindGossipVectorized(np.arange(10, dtype=np.int64))
-        state = algo.init_state(10, np.random.default_rng(0))
+        algo = BlindGossipBatched(np.arange(10, dtype=np.int64))
+        state = algo.init_state(10, np.array([0]))
         rng = np.random.default_rng(5)
         total = np.zeros(10, dtype=int)
         rounds = 4_000
@@ -133,6 +132,6 @@ class TestCoinFairness:
         lr = np.ones(10, dtype=np.int64)
         tags = np.zeros(10, dtype=np.int64)
         for _ in range(rounds):
-            total += algo.senders(state, tags, lr, active, rng)
+            total += algo.senders(state, tags, lr, active, rng)[0]
         freq = total / rounds
         assert np.all(np.abs(freq - 0.5) < 0.05)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.vectorized import VectorizedAlgorithm, VectorizedEngine
+from repro.core.batched import BatchedAlgorithm
+from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import StaticDynamicGraph
 
 
-class RecordingAlgo(VectorizedAlgorithm):
+class RecordingAlgo(BatchedAlgorithm):
     """Everyone flips a coin to send; connections are recorded."""
 
     tag_length = 0
@@ -25,14 +26,11 @@ class RecordingAlgo(VectorizedAlgorithm):
             self.n = n
             self.done = False
 
-    def init_state(self, n, rng):
+    def init_state(self, n, seeds):
         return self.State(n)
 
-    def tags(self, state, local_rounds, active, rng):
-        return np.zeros(state.n, dtype=np.int64)
-
     def senders(self, state, tags, local_rounds, active, rng):
-        return rng.random(state.n) < self.send_prob
+        return rng.random((1, state.n)) < self.send_prob
 
     def exchange(self, state, proposers, acceptors):
         self._round += 1
@@ -40,7 +38,7 @@ class RecordingAlgo(VectorizedAlgorithm):
             self.connections.append((self._round, int(s), int(t)))
 
     def converged(self, state):
-        return state.done
+        return np.array([state.done])
 
 
 class TestVectorizedMechanics:
@@ -90,7 +88,7 @@ class TestVectorizedMechanics:
         class HalfSend(RecordingAlgo):
             def senders(self, state, tags, local_rounds, active, rng):
                 # Node 0 and 2 always send; node 1 listens.
-                mask = np.array([True, False, True])
+                mask = np.array([[True, False, True]])
                 return mask
 
         algo = HalfSend()
@@ -122,7 +120,7 @@ class TestVectorizedMechanics:
         algo = RecordingAlgo()
 
         class StopAt3(RecordingAlgo):
-            def end_round(self, state, round_index, local_rounds, active):
+            def end_round(self, state, round_index, local_rounds, active, live):
                 if round_index >= 3:
                     state.done = True
 
@@ -157,3 +155,46 @@ class TestVectorizedMechanics:
             return algo.connections
 
         assert run_once() == run_once()
+
+
+class TestReproducibleIdTags:
+    """Kernels built without ``tag_seed`` draw ID tags from the trial seed,
+    so two engines with one seed agree."""
+
+    @staticmethod
+    def _algo(name, n):
+        from repro.algorithms import (
+            AsyncBitConvergenceBatched,
+            BitConvergenceBatched,
+            BitConvergenceConfig,
+            ConsensusBatched,
+        )
+        from repro.harness.experiments import uid_keys_random
+
+        keys = uid_keys_random(n, 1)
+        cfg = BitConvergenceConfig(n_upper=n, delta_bound=4, beta=1.0)
+        if name == "bit_convergence":
+            return BitConvergenceBatched(keys, cfg, unique_tags=True)
+        if name == "async_bit_convergence":
+            return AsyncBitConvergenceBatched(keys, cfg, unique_tags=True)
+        return ConsensusBatched(keys, cfg, np.arange(n), unique_tags=True)
+
+    @pytest.mark.parametrize(
+        "name", ["bit_convergence", "async_bit_convergence", "consensus"]
+    )
+    def test_same_seed_same_run(self, name):
+        from repro.algorithms import BitConvergenceConfig, draw_id_tags
+
+        n = 16
+        g = families.random_regular(n, 4, seed=2)
+        runs = []
+        for _ in range(2):
+            eng = VectorizedEngine(StaticDynamicGraph(g), self._algo(name, n), seed=5)
+            tags = eng.state.ctag[0].copy()
+            res = eng.run(200_000)
+            runs.append((tags, res.rounds, eng.state.ckey[0].copy()))
+        (t0, r0, k0), (t1, r1, k1) = runs
+        cfg = BitConvergenceConfig(n_upper=n, delta_bound=4, beta=1.0)
+        assert np.array_equal(t0, draw_id_tags(n, cfg, 5, unique=True))
+        assert np.array_equal(t0, t1)
+        assert r0 == r1 and np.array_equal(k0, k1)
