@@ -107,12 +107,12 @@ class PackingAdversary(AdaptiveDynamicGraph):
         self._base = base
         self.n = base.n
         self.tau = tau
-        self._order = (
+        self.packing_order = (
             packing_order_for(base)
             if packing_order is None
             else np.asarray(packing_order, dtype=np.int64)
         )
-        if sorted(self._order.tolist()) != list(range(self.n)):
+        if sorted(self.packing_order.tolist()) != list(range(self.n)):
             raise ValueError("packing_order must be a permutation of 0..n-1")
         self._current = base
         self._current_epoch = -1
@@ -137,7 +137,7 @@ class PackingAdversary(AdaptiveDynamicGraph):
         # Node nodes[j] takes the structural role order[j]: the relabel
         # permutation renames base vertex order[j] to nodes[j].
         perm = np.empty(self.n, dtype=np.int64)
-        perm[self._order] = nodes
+        perm[self.packing_order] = nodes
         self._current = self._base.relabel(perm)
 
     def graph_at(self, r: int) -> Graph:
@@ -182,12 +182,12 @@ class BatchedPackingAdversary(BatchedPermutedDynamicGraph):
         self.n = base.n
         self.tau = tau
         self.replicas = replicas
-        self._order = (
+        self.packing_order = (
             packing_order_for(base)
             if packing_order is None
             else np.asarray(packing_order, dtype=np.int64)
         )
-        if sorted(self._order.tolist()) != list(range(self.n)):
+        if sorted(self.packing_order.tolist()) != list(range(self.n)):
             raise ValueError("packing_order must be a permutation of 0..n-1")
         self._perms = np.tile(np.arange(self.n, dtype=np.int64), (replicas, 1))
         self._current_epoch = -1
@@ -212,7 +212,7 @@ class BatchedPackingAdversary(BatchedPermutedDynamicGraph):
         # Node nodes[t, j] takes the structural role order[j]: the relabel
         # permutation renames base vertex order[j] to nodes[t, j].
         perms = np.empty_like(nodes)
-        perms[:, self._order] = nodes
+        perms[:, self.packing_order] = nodes
         self._perms = perms  # fresh object: signals the change to the engine
 
     def permutations_at(self, r: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,13 +45,20 @@ from repro.faults import (
     random_crash_schedule,
 )
 from repro.graphs import families
+from repro.graphs.adversary import BatchedPackingAdversary, PackingAdversary
 from repro.graphs.dynamic import (
+    BatchedPermutedDynamicGraph,
     DynamicGraph,
     PeriodicRelabelDynamicGraph,
     StaticDynamicGraph,
 )
 from repro.graphs.static import Graph
-from repro.harness.runner import run_trials, run_trials_batched, trial_summary
+from repro.harness.runner import (
+    TrialOutcome,
+    run_trials,
+    run_trials_batched,
+    trial_summary,
+)
 from repro.harness.tables import Table
 from repro.harness.tournament import (
     exp_tournament_blind_gossip,
@@ -114,28 +122,68 @@ def _churn_batched(
     return [PeriodicRelabelDynamicGraph(base, int(tau), seed=int(ts)) for ts in seeds]
 
 
-def _median_rounds(build, *, trials: int, max_rounds: int, seed: int) -> float:
-    outcomes = run_trials(build, trials=trials, max_rounds=max_rounds, seed=seed)
-    return trial_summary(outcomes).median
+def _one_replica(
+    topology: DynamicGraph | list[DynamicGraph] | BatchedPermutedDynamicGraph,
+) -> DynamicGraph:
+    """The single-replica topology a builder returned for ``build([ts])``.
+
+    A one-element per-replica list unwraps to its graph; a one-replica
+    :class:`~repro.graphs.adversary.BatchedPackingAdversary` becomes the
+    :class:`~repro.graphs.adversary.PackingAdversary` with the same base,
+    τ and packing order (no second Fiedler solve).  A shared
+    :class:`~repro.graphs.dynamic.DynamicGraph` passes through.
+    """
+    if isinstance(topology, list):
+        (topology,) = topology
+    elif isinstance(topology, BatchedPackingAdversary):
+        return PackingAdversary(
+            topology.base, topology.tau, packing_order=topology.packing_order
+        )
+    return topology
 
 
-def _median_rounds_batched(
-    build_batched, *, trials: int, max_rounds: int, seed: int, fault_plan=None
-) -> float:
-    outcomes = run_trials_batched(
-        build_batched,
-        trials=trials,
-        max_rounds=max_rounds,
-        seed=seed,
-        fault_plan=fault_plan,
-    )
-    return trial_summary(outcomes).median
+def _outcomes(
+    build,
+    *,
+    engine: str,
+    trials: int,
+    max_rounds: int,
+    seed: int,
+    fault_plan: FaultPlan | None = None,
+) -> list[TrialOutcome]:
+    """Run one experiment cell on the chosen engine tier.
 
-
-def _check_engine(engine: str) -> str:
+    ``build(seeds)`` returns the cell's ``(topology, BatchedAlgorithm)``
+    pair and never branches on ``len(seeds)``.  ``"batched"`` runs every
+    trial as a replica of one
+    :class:`~repro.core.batched.BatchedVectorizedEngine`; ``"single"``
+    runs ``build([ts])`` per trial seed ``ts`` on a
+    :class:`~repro.core.vectorized.VectorizedEngine`, with the same trial
+    seeds, ID tags and relabel streams.
+    """
     if engine not in ("single", "batched"):
         raise ValueError(f"engine must be 'single' or 'batched', got {engine!r}")
-    return engine
+    if engine == "batched":
+        return run_trials_batched(
+            build,
+            trials=trials,
+            max_rounds=max_rounds,
+            seed=seed,
+            fault_plan=fault_plan,
+        )
+
+    def single(ts: int) -> VectorizedEngine:
+        topology, algo = build([ts])
+        return VectorizedEngine(
+            _one_replica(topology), algo, seed=ts, fault_plan=fault_plan
+        )
+
+    return run_trials(single, trials=trials, max_rounds=max_rounds, seed=seed)
+
+
+def _median(build, **kwargs) -> float:
+    """Median rounds of :func:`_outcomes` (same keyword arguments)."""
+    return trial_summary(_outcomes(build, **kwargs)).median
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +319,6 @@ def exp_blind_gossip_scaling(
     :class:`~repro.core.batched.BatchedVectorizedEngine` (statistically
     equivalent, much faster at small n).
     """
-    _check_engine(engine)
     table = Table(
         title="E3 (Thm VI.1): blind gossip stabilization vs Delta (double star)",
         columns=["Delta", "n", "alpha", "rounds static", "rounds tau=1", "bound shape"],
@@ -280,51 +327,20 @@ def exp_blind_gossip_scaling(
             "bound shape = (1/alpha)*Delta^2*log2(n)^2 (unnormalized constant).",
         ],
     )
+    cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
     deltas, rounds_static = [], []
     for k in leaf_counts:
         base = families.double_star(k)
         n = base.n
         delta = base.max_degree
-        alpha = families.star_expansion(n) if False else 1.0 / (n // 2)
+        alpha = 1.0 / (n // 2)
         keys = uid_keys_random(n, seed + k)
 
-        if engine == "batched":
+        def build(seeds, tau, base=base, keys=keys):
+            return _churn_batched(base, tau, seeds), BlindGossipBatched(keys)
 
-            def build_static_b(seeds, base=base, keys=keys):
-                return StaticDynamicGraph(base), BlindGossipBatched(keys)
-
-            def build_churn_b(seeds, base=base, keys=keys):
-                dgs = [
-                    PeriodicRelabelDynamicGraph(base, 1, seed=int(ts)) for ts in seeds
-                ]
-                return dgs, BlindGossipBatched(keys)
-
-            med_static = _median_rounds_batched(
-                build_static_b, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-            med_churn = _median_rounds_batched(
-                build_churn_b, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
-        else:
-
-            def build_static(ts: int, base=base, keys=keys) -> VectorizedEngine:
-                return VectorizedEngine(
-                    StaticDynamicGraph(base), BlindGossipBatched(keys), seed=ts
-                )
-
-            def build_churn(ts: int, base=base, keys=keys) -> VectorizedEngine:
-                return VectorizedEngine(
-                    PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                    BlindGossipBatched(keys),
-                    seed=ts,
-                )
-
-            med_static = _median_rounds(
-                build_static, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-            med_churn = _median_rounds(
-                build_churn, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
+        med_static = cell(partial(build, tau=math.inf), seed=seed)
+        med_churn = cell(partial(build, tau=1), seed=seed + 1)
         table.add_row(
             delta,
             n,
@@ -371,7 +387,6 @@ def exp_lower_bound_line_of_stars(
             "ratio = measured / (Delta^2 * s); shape holds if roughly constant.",
         ],
     )
-    _check_engine(engine)
     ss, measured = [], []
     for s in star_sizes:
         g = families.line_of_stars(s, s)
@@ -379,22 +394,12 @@ def exp_lower_bound_line_of_stars(
         alpha = families.line_of_stars_expansion(s, s)
         keys = uid_keys_with_min_at(n, 0, seed + s)
 
-        if engine == "batched":
+        def build(seeds, g=g, keys=keys):
+            return StaticDynamicGraph(g), BlindGossipBatched(keys)
 
-            def build_b(seeds, g=g, keys=keys):
-                return StaticDynamicGraph(g), BlindGossipBatched(keys)
-
-            med = _median_rounds_batched(
-                build_b, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-        else:
-
-            def build(ts: int, g=g, keys=keys) -> VectorizedEngine:
-                return VectorizedEngine(
-                    StaticDynamicGraph(g), BlindGossipBatched(keys), seed=ts
-                )
-
-            med = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
+        med = _median(
+            build, engine=engine, trials=trials, max_rounds=max_rounds, seed=seed
+        )
         pred = delta * delta * s
         table.add_row(s, n, delta, alpha, med, pred, med / pred)
         ss.append(s)
@@ -421,7 +426,6 @@ def exp_push_pull(
     engine: str = "single",
 ) -> Table:
     """PUSH-PULL completion vs Δ on the double star (source at a hub-1 leaf)."""
-    _check_engine(engine)
     table = Table(
         title="E5 (Cor VI.6): b=0 PUSH-PULL rumor spreading vs Delta (double star)",
         columns=["Delta", "n", "rounds static", "rounds tau=1", "bound shape"],
@@ -430,6 +434,7 @@ def exp_push_pull(
             "rounds at b=0, any tau >= 1 (Corollary VI.6).",
         ],
     )
+    cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
     deltas, measured = [], []
     for k in leaf_counts:
         base = families.double_star(k)
@@ -437,43 +442,11 @@ def exp_push_pull(
         alpha = 1.0 / (n // 2)
         source = np.array([2])  # first leaf of hub 0: rumor must cross both hubs
 
-        if engine == "batched":
+        def build(seeds, tau, base=base, source=source):
+            return _churn_batched(base, tau, seeds), PushPullBatched(source)
 
-            def build_static_b(seeds, base=base, source=source):
-                return StaticDynamicGraph(base), PushPullBatched(source)
-
-            def build_churn_b(seeds, base=base, source=source):
-                dgs = [
-                    PeriodicRelabelDynamicGraph(base, 1, seed=int(ts)) for ts in seeds
-                ]
-                return dgs, PushPullBatched(source)
-
-            med_static = _median_rounds_batched(
-                build_static_b, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-            med_churn = _median_rounds_batched(
-                build_churn_b, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
-        else:
-
-            def build_static(ts: int, base=base, source=source) -> VectorizedEngine:
-                return VectorizedEngine(
-                    StaticDynamicGraph(base), PushPullBatched(source), seed=ts
-                )
-
-            def build_churn(ts: int, base=base, source=source) -> VectorizedEngine:
-                return VectorizedEngine(
-                    PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                    PushPullBatched(source),
-                    seed=ts,
-                )
-
-            med_static = _median_rounds(
-                build_static, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-            med_churn = _median_rounds(
-                build_churn, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
+        med_static = cell(partial(build, tau=math.inf), seed=seed)
+        med_churn = cell(partial(build, tau=1), seed=seed + 1)
         table.add_row(
             delta, n, med_static, med_churn, bounds.push_pull_upper(n, alpha, delta)
         )
@@ -523,10 +496,6 @@ def exp_bit_convergence_tau(
     :class:`~repro.graphs.adversary.BatchedPackingAdversary` reacting to
     the whole ``(T, n)`` observation at once.
     """
-    from repro.graphs.adversary import BatchedPackingAdversary, PackingAdversary
-
-    _check_engine(engine)
-
     base = families.random_regular(n, degree, seed=seed)
     star_base = families.double_star(max(2, degree - 1))
     delta = base.max_degree
@@ -558,62 +527,26 @@ def exp_bit_convergence_tau(
             "constructs.",
         ],
     )
+    cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
     for tau in taus:
-        if engine == "batched":
 
-            def build_obliv_b(seeds, tau=tau):
-                return (
-                    _churn_batched(base, tau, seeds),
-                    BitConvergenceBatched(keys, config, unique_tags=True),
-                )
-
-            def build_adaptive_b(seeds, tau=tau):
-                if math.isinf(tau):
-                    dg = StaticDynamicGraph(star_base)
-                else:
-                    dg = BatchedPackingAdversary(
-                        star_base, tau=int(tau), replicas=len(seeds)
-                    )
-                return dg, BitConvergenceBatched(
-                    star_keys, star_config, unique_tags=True
-                )
-
-            med_obliv = _median_rounds_batched(
-                build_obliv_b, trials=trials, max_rounds=max_rounds, seed=seed
+        def build_obliv(seeds, tau=tau):
+            return (
+                _churn_batched(base, tau, seeds),
+                BitConvergenceBatched(keys, config, unique_tags=True),
             )
-            med_adapt = _median_rounds_batched(
-                build_adaptive_b, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
-        else:
 
-            def build_obliv(ts: int, tau=tau) -> VectorizedEngine:
-                return VectorizedEngine(
-                    _churn(base, tau, ts),
-                    BitConvergenceBatched(
-                        keys, config, tag_seed=ts, unique_tags=True
-                    ),
-                    seed=ts,
+        def build_adaptive(seeds, tau=tau):
+            if math.isinf(tau):
+                dg = StaticDynamicGraph(star_base)
+            else:
+                dg = BatchedPackingAdversary(
+                    star_base, tau=int(tau), replicas=len(seeds)
                 )
+            return dg, BitConvergenceBatched(star_keys, star_config, unique_tags=True)
 
-            def build_adaptive(ts: int, tau=tau) -> VectorizedEngine:
-                if math.isinf(tau):
-                    dg = StaticDynamicGraph(star_base)
-                else:
-                    dg = PackingAdversary(star_base, tau=int(tau))
-                return VectorizedEngine(
-                    dg,
-                    BitConvergenceBatched(
-                        star_keys, star_config, tag_seed=ts, unique_tags=True
-                    ),
-                    seed=ts,
-                )
-
-            med_obliv = _median_rounds(
-                build_obliv, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-            med_adapt = _median_rounds(
-                build_adaptive, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
+        med_obliv = cell(build_obliv, seed=seed)
+        med_adapt = cell(build_adaptive, seed=seed + 1)
         table.add_row(
             "inf" if math.isinf(tau) else int(tau),
             bounds.tau_hat(tau if not math.isinf(tau) else delta, delta),
@@ -644,7 +577,6 @@ def exp_gap_b0_b1(
     The paper's headline gap: as τ grows from 1 to ``log Δ``, the advantage
     of the 1-bit algorithm grows from ``~Δ`` to ``~Δ²`` (log factors aside).
     """
-    _check_engine(engine)
     base = families.double_star(leaves)
     n, delta = base.n, base.max_degree
     config = BitConvergenceConfig(n_upper=n, delta_bound=delta, beta=beta)
@@ -661,46 +593,20 @@ def exp_gap_b0_b1(
             f"Workload: double star, Delta={delta}, n={n}.",
         ],
     )
+    cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
     for tau in taus:
-        if engine == "batched":
 
-            def build_bg_b(seeds, tau=tau):
-                return _churn_batched(base, tau, seeds), BlindGossipBatched(keys)
+        def build_bg(seeds, tau=tau):
+            return _churn_batched(base, tau, seeds), BlindGossipBatched(keys)
 
-            def build_bc_b(seeds, tau=tau):
-                return (
-                    _churn_batched(base, tau, seeds),
-                    BitConvergenceBatched(keys, config, unique_tags=True),
-                )
-
-            bg = _median_rounds_batched(
-                build_bg_b, trials=trials, max_rounds=max_rounds, seed=seed
+        def build_bc(seeds, tau=tau):
+            return (
+                _churn_batched(base, tau, seeds),
+                BitConvergenceBatched(keys, config, unique_tags=True),
             )
-            bc = _median_rounds_batched(
-                build_bc_b, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
-        else:
 
-            def build_bg(ts: int, tau=tau) -> VectorizedEngine:
-                return VectorizedEngine(
-                    _churn(base, tau, ts), BlindGossipBatched(keys), seed=ts
-                )
-
-            def build_bc(ts: int, tau=tau) -> VectorizedEngine:
-                return VectorizedEngine(
-                    _churn(base, tau, ts),
-                    BitConvergenceBatched(
-                        keys, config, tag_seed=ts, unique_tags=True
-                    ),
-                    seed=ts,
-                )
-
-            bg = _median_rounds(
-                build_bg, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-            bc = _median_rounds(
-                build_bc, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
+        bg = cell(build_bg, seed=seed)
+        bc = cell(build_bc, seed=seed + 1)
         table.add_row("inf" if math.isinf(tau) else int(tau), bg, bc, bg / bc)
     return table
 
@@ -732,18 +638,16 @@ def exp_async(
     keys = uid_keys_random(n, seed)
     spread = 4 * config.group_len
 
-    def build_sync(ts: int) -> VectorizedEngine:
-        return VectorizedEngine(
+    def build_sync(seeds):
+        return (
             StaticDynamicGraph(base),
-            BitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
-            seed=ts,
+            BitConvergenceBatched(keys, config, unique_tags=True),
         )
 
-    def build_async_simul(ts: int) -> VectorizedEngine:
-        return VectorizedEngine(
+    def build_async_simul(seeds):
+        return (
             StaticDynamicGraph(base),
-            AsyncBitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
-            seed=ts,
+            AsyncBitConvergenceBatched(keys, config, unique_tags=True),
         )
 
     def build_async_staggered(ts: int) -> VectorizedEngine:
@@ -751,7 +655,7 @@ def exp_async(
         act[int(np.argmin(act))] = 1  # someone starts at round 1
         return VectorizedEngine(
             StaticDynamicGraph(base),
-            AsyncBitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
+            AsyncBitConvergenceBatched(keys, config, unique_tags=True),
             seed=ts,
             activation_rounds=act,
         )
@@ -767,14 +671,11 @@ def exp_async(
             f"staggered activations spread over {spread} rounds.",
         ],
     )
-    sync_out = run_trials(build_sync, trials=trials, max_rounds=max_rounds, seed=seed)
-    sync_med = trial_summary(sync_out).median
+    cell = partial(_median, engine="single", trials=trials, max_rounds=max_rounds)
+    sync_med = cell(build_sync, seed=seed)
     table.add_row("bit convergence (sync)", 1, sync_med, 1.0)
 
-    simul_out = run_trials(
-        build_async_simul, trials=trials, max_rounds=max_rounds, seed=seed + 1
-    )
-    simul_med = trial_summary(simul_out).median
+    simul_med = cell(build_async_simul, seed=seed + 1)
     table.add_row("async, simultaneous starts", config_tag_bits(config), simul_med, simul_med / sync_med)
 
     stag_out = run_trials(
@@ -919,21 +820,18 @@ def exp_classical_vs_mobile(
             "graphs; the b=0 mobile model provably cannot (Sec VI).",
         ],
     )
+    cell = partial(_median, engine="single", trials=trials, max_rounds=max_rounds)
     deltas, mob0 = [], []
     for k in leaf_counts:
         base = families.double_star(k)
         n, delta = base.n, base.max_degree
         source = np.array([2])
 
-        def build_b0(ts: int, base=base, source=source) -> VectorizedEngine:
-            return VectorizedEngine(
-                StaticDynamicGraph(base), PushPullBatched(source), seed=ts
-            )
+        def build_b0(seeds, base=base, source=source):
+            return StaticDynamicGraph(base), PushPullBatched(source)
 
-        def build_b1(ts: int, base=base, source=source) -> VectorizedEngine:
-            return VectorizedEngine(
-                StaticDynamicGraph(base), PPushBatched(source), seed=ts
-            )
+        def build_b1(seeds, base=base, source=source):
+            return StaticDynamicGraph(base), PPushBatched(source)
 
         classical = [
             classical_push_pull_rumor(
@@ -942,8 +840,8 @@ def exp_classical_vs_mobile(
             for t in range(trials)
         ]
         med_cl = float(np.median(classical))
-        med_b0 = _median_rounds(build_b0, trials=trials, max_rounds=max_rounds, seed=seed)
-        med_b1 = _median_rounds(build_b1, trials=trials, max_rounds=max_rounds, seed=seed + 1)
+        med_b0 = cell(build_b0, seed=seed)
+        med_b1 = cell(build_b1, seed=seed + 1)
         table.add_row(delta, n, med_cl, med_b0, med_b1)
         deltas.append(delta)
         mob0.append(med_b0)
@@ -1005,7 +903,7 @@ def exp_dynamic_comparison(
             "bound's per-round alpha is adversarial worst case.",
         ],
     )
-    _check_engine(engine)
+    cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
     for n in sizes:
         ring = families.ring(n)
         reg = families.random_regular(n, degree, seed=seed + n)
@@ -1013,53 +911,20 @@ def exp_dynamic_comparison(
         cfg_ring = BitConvergenceConfig(n_upper=n, delta_bound=2, beta=beta)
         cfg_reg = BitConvergenceConfig(n_upper=n, delta_bound=degree, beta=beta)
 
-        from functools import partial
+        def build(seeds, *, base, cfg, tau):
+            return (
+                _churn_batched(base, tau, seeds),
+                BitConvergenceBatched(keys, cfg, unique_tags=True),
+            )
 
-        if engine == "batched":
-
-            def build_b(seeds, *, base, cfg, tau):
-                return (
-                    _churn_batched(base, tau, seeds),
-                    BitConvergenceBatched(keys, cfg, unique_tags=True),
-                )
-
-            cell = partial(
-                _median_rounds_batched, trials=trials, max_rounds=max_rounds
-            )
-            ring_static = cell(
-                partial(build_b, base=ring, cfg=cfg_ring, tau=math.inf), seed=seed
-            )
-            reg_static = cell(
-                partial(build_b, base=reg, cfg=cfg_reg, tau=math.inf), seed=seed + 1
-            )
-            ring_churn = cell(
-                partial(build_b, base=ring, cfg=cfg_ring, tau=1), seed=seed + 2
-            )
-            reg_churn = cell(
-                partial(build_b, base=reg, cfg=cfg_reg, tau=1), seed=seed + 3
-            )
-        else:
-
-            def build(ts: int, *, base, cfg, tau) -> VectorizedEngine:
-                return VectorizedEngine(
-                    _churn(base, tau, ts),
-                    BitConvergenceBatched(keys, cfg, tag_seed=ts, unique_tags=True),
-                    seed=ts,
-                )
-
-            cell = partial(_median_rounds, trials=trials, max_rounds=max_rounds)
-            ring_static = cell(
-                partial(build, base=ring, cfg=cfg_ring, tau=math.inf), seed=seed
-            )
-            reg_static = cell(
-                partial(build, base=reg, cfg=cfg_reg, tau=math.inf), seed=seed + 1
-            )
-            ring_churn = cell(
-                partial(build, base=ring, cfg=cfg_ring, tau=1), seed=seed + 2
-            )
-            reg_churn = cell(
-                partial(build, base=reg, cfg=cfg_reg, tau=1), seed=seed + 3
-            )
+        ring_static = cell(
+            partial(build, base=ring, cfg=cfg_ring, tau=math.inf), seed=seed
+        )
+        reg_static = cell(
+            partial(build, base=reg, cfg=cfg_reg, tau=math.inf), seed=seed + 1
+        )
+        ring_churn = cell(partial(build, base=ring, cfg=cfg_ring, tau=1), seed=seed + 2)
+        reg_churn = cell(partial(build, base=reg, cfg=cfg_reg, tau=1), seed=seed + 3)
         table.add_row(
             n, ring_static, reg_static, ring_static / reg_static, ring_churn, reg_churn
         )
@@ -1090,9 +955,6 @@ def exp_adaptive_adversary(
     node per round.  Expected ordering: oblivious ≤ static ≤ adaptive,
     with the adaptive column growing ~linearly in n on top.
     """
-    from repro.graphs.adversary import BatchedPackingAdversary, PackingAdversary
-
-    _check_engine(engine)
     table = Table(
         title="E12 (extension): b=0 PUSH-PULL — oblivious vs adaptive tau=1 churn",
         columns=["Delta", "n", "static", "oblivious tau=1", "adaptive tau=1"],
@@ -1103,65 +965,27 @@ def exp_adaptive_adversary(
             "vertex every epoch (alpha and Delta preserved exactly).",
         ],
     )
+    cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
     for k in leaf_counts:
         base = families.double_star(k)
         n, delta = base.n, base.max_degree
         source = np.array([2])
 
-        if engine == "batched":
+        def build_static(seeds, base=base, source=source):
+            return StaticDynamicGraph(base), PushPullBatched(source)
 
-            def build_static_b(seeds, base=base):
-                return StaticDynamicGraph(base), PushPullBatched(source)
+        def build_obliv(seeds, base=base, source=source):
+            return _churn_batched(base, 1, seeds), PushPullBatched(source)
 
-            def build_obliv_b(seeds, base=base):
-                return (
-                    _churn_batched(base, 1, seeds),
-                    PushPullBatched(source),
-                )
-
-            def build_adaptive_b(seeds, base=base):
-                return (
-                    BatchedPackingAdversary(base, tau=1, replicas=len(seeds)),
-                    PushPullBatched(source),
-                )
-
-            med_static = _median_rounds_batched(
-                build_static_b, trials=trials, max_rounds=max_rounds, seed=seed
+        def build_adaptive(seeds, base=base, source=source):
+            return (
+                BatchedPackingAdversary(base, tau=1, replicas=len(seeds)),
+                PushPullBatched(source),
             )
-            med_obliv = _median_rounds_batched(
-                build_obliv_b, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
-            med_adapt = _median_rounds_batched(
-                build_adaptive_b, trials=trials, max_rounds=max_rounds, seed=seed + 2
-            )
-        else:
 
-            def build_static(ts: int, base=base) -> VectorizedEngine:
-                return VectorizedEngine(
-                    StaticDynamicGraph(base), PushPullBatched(source), seed=ts
-                )
-
-            def build_obliv(ts: int, base=base) -> VectorizedEngine:
-                return VectorizedEngine(
-                    PeriodicRelabelDynamicGraph(base, 1, seed=ts),
-                    PushPullBatched(source),
-                    seed=ts,
-                )
-
-            def build_adaptive(ts: int, base=base) -> VectorizedEngine:
-                return VectorizedEngine(
-                    PackingAdversary(base, tau=1), PushPullBatched(source), seed=ts
-                )
-
-            med_static = _median_rounds(
-                build_static, trials=trials, max_rounds=max_rounds, seed=seed
-            )
-            med_obliv = _median_rounds(
-                build_obliv, trials=trials, max_rounds=max_rounds, seed=seed + 1
-            )
-            med_adapt = _median_rounds(
-                build_adaptive, trials=trials, max_rounds=max_rounds, seed=seed + 2
-            )
+        med_static = cell(build_static, seed=seed)
+        med_obliv = cell(build_obliv, seed=seed + 1)
+        med_adapt = cell(build_adaptive, seed=seed + 2)
         table.add_row(delta, n, med_static, med_obliv, med_adapt)
     return table
 
@@ -1207,11 +1031,13 @@ def exp_ppush_vs_classical(
             for t in range(trials)
         ]
 
-        def build(ts: int, dg=dg) -> VectorizedEngine:
-            return VectorizedEngine(dg, PPushBatched(np.array([0])), seed=ts)
+        def build(seeds, dg=dg):
+            return dg, PPushBatched(np.array([0]))
 
         med_cl = float(np.median(classical))
-        med_pp = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
+        med_pp = _median(
+            build, engine="single", trials=trials, max_rounds=max_rounds, seed=seed
+        )
         ratio = med_pp / med_cl
         ratios.append(ratio)
         table.add_row(n, med_cl, med_pp, ratio, math.log2(n))
@@ -1328,7 +1154,6 @@ def exp_good_phase_frequency(
     of live bit convergence executions and report the measured frequency.
     """
     from repro.analysis.progress import PhaseClassifier
-    from repro.graphs.adversary import PackingAdversary
 
     base = families.random_regular(n, degree, seed=seed)
     star_base = families.double_star(max(2, n // 4))
@@ -1378,7 +1203,7 @@ def exp_good_phase_frequency(
         def mk_benign(ts: int, tau=tau) -> VectorizedEngine:
             return VectorizedEngine(
                 _churn(base, tau, ts),
-                BitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
+                BitConvergenceBatched(keys, config, unique_tags=True),
                 seed=ts,
             )
 
@@ -1390,9 +1215,7 @@ def exp_good_phase_frequency(
             )
             return VectorizedEngine(
                 dg,
-                BitConvergenceBatched(
-                    star_keys, star_config, tag_seed=ts, unique_tags=True
-                ),
+                BitConvergenceBatched(star_keys, star_config, unique_tags=True),
                 seed=ts,
             )
 
@@ -1454,7 +1277,7 @@ def exp_communication_cost(
         rounds, conns = [], []
         for t in range(trials):
             ts = seed + 53 * t
-            eng = VectorizedEngine(StaticDynamicGraph(graph), make_algo(ts, kk), seed=ts)
+            eng = VectorizedEngine(StaticDynamicGraph(graph), make_algo(kk), seed=ts)
             res = eng.run(max_rounds)
             if not res.stabilized:
                 raise RuntimeError("trial did not stabilize; raise max_rounds")
@@ -1463,26 +1286,17 @@ def exp_communication_cost(
         return float(np.median(rounds)), float(np.median(conns))
 
     cases = [
-        (
-            "blind gossip (b=0)",
-            lambda ts, kk: BlindGossipBatched(kk),
-        ),
+        ("blind gossip (b=0)", lambda kk: BlindGossipBatched(kk)),
         (
             "bit convergence (b=1)",
-            lambda ts, kk: BitConvergenceBatched(
-                kk,
-                cfg if kk is keys else star_cfg,
-                tag_seed=ts,
-                unique_tags=True,
+            lambda kk: BitConvergenceBatched(
+                kk, cfg if kk is keys else star_cfg, unique_tags=True
             ),
         ),
         (
             "async bit convergence",
-            lambda ts, kk: AsyncBitConvergenceBatched(
-                kk,
-                cfg if kk is keys else star_cfg,
-                tag_seed=ts,
-                unique_tags=True,
+            lambda kk: AsyncBitConvergenceBatched(
+                kk, cfg if kk is keys else star_cfg, unique_tags=True
             ),
         ),
     ]
@@ -1524,23 +1338,17 @@ def exp_k_gossip(
             "budget).",
         ],
     )
+    cell = partial(_median, engine="single", trials=trials, max_rounds=max_rounds)
     ns, clique_rounds = [], []
     for n in sizes:
         clique = families.clique(n)
         reg = families.random_regular(n, degree, seed=seed + n)
 
-        def build_clique(ts: int, g=clique) -> VectorizedEngine:
-            return VectorizedEngine(StaticDynamicGraph(g), KGossipBatched(), seed=ts)
+        def build(seeds, g):
+            return StaticDynamicGraph(g), KGossipBatched()
 
-        def build_reg(ts: int, g=reg) -> VectorizedEngine:
-            return VectorizedEngine(StaticDynamicGraph(g), KGossipBatched(), seed=ts)
-
-        med_clique = _median_rounds(
-            build_clique, trials=trials, max_rounds=max_rounds, seed=seed
-        )
-        med_reg = _median_rounds(
-            build_reg, trials=trials, max_rounds=max_rounds, seed=seed + 1
-        )
+        med_clique = cell(partial(build, g=clique), seed=seed)
+        med_reg = cell(partial(build, g=reg), seed=seed + 1)
         table.add_row(n, med_clique, med_reg, n - 1)
         ns.append(n)
         clique_rounds.append(med_clique)
@@ -1597,12 +1405,12 @@ def exp_averaging(
         alpha = vertex_expansion(g, seed=seed)
         values = make_rng(seed, "avg-values", g.n).random(g.n)
 
-        def build(ts: int, g=g, values=values) -> VectorizedEngine:
-            return VectorizedEngine(
-                StaticDynamicGraph(g), AveragingBatched(values, eps=eps), seed=ts
-            )
+        def build(seeds, g=g, values=values):
+            return StaticDynamicGraph(g), AveragingBatched(values, eps=eps)
 
-        med = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
+        med = _median(
+            build, engine="single", trials=trials, max_rounds=max_rounds, seed=seed
+        )
         table.add_row(name, g.n, alpha, med)
     return table
 
@@ -1660,7 +1468,7 @@ def exp_consensus(
 
             le = VectorizedEngine(
                 _churn(base, tau, ts),
-                AsyncBitConvergenceBatched(keys, cfg, tag_seed=ts, unique_tags=True),
+                AsyncBitConvergenceBatched(keys, cfg, unique_tags=True),
                 seed=ts,
             )
             res = le.run(max_rounds)
@@ -1668,9 +1476,7 @@ def exp_consensus(
                 raise RuntimeError("leader election did not stabilize")
             le_rounds.append(res.rounds)
 
-            algo = ConsensusBatched(
-                keys, cfg, proposals, tag_seed=ts, unique_tags=True
-            )
+            algo = ConsensusBatched(keys, cfg, proposals, unique_tags=True)
             ce = VectorizedEngine(_churn(base, tau, ts), algo, seed=ts)
             res = ce.run(max_rounds)
             if not res.stabilized:
@@ -1715,7 +1521,6 @@ def exp_ablation_group_len(
     ``τ̂``-stable stretch.  Shorter groups shrink the stable stretch PPUSH
     can exploit under churn; longer groups pay more rounds per phase.
     """
-    _check_engine(engine)
     base = families.random_regular(n, degree, seed=seed)
     delta = base.max_degree
     keys = uid_keys_random(n, seed)
@@ -1733,27 +1538,15 @@ def exp_ablation_group_len(
             n_upper=n, delta_bound=delta, beta=beta, group_multiplier=mult
         )
 
-        if engine == "batched":
-
-            def build_b(seeds, config=config):
-                return (
-                    _churn_batched(base, tau, seeds),
-                    BitConvergenceBatched(keys, config, unique_tags=True),
-                )
-
-            med = _median_rounds_batched(
-                build_b, trials=trials, max_rounds=max_rounds, seed=seed
+        def build(seeds, config=config):
+            return (
+                _churn_batched(base, tau, seeds),
+                BitConvergenceBatched(keys, config, unique_tags=True),
             )
-        else:
 
-            def build(ts: int, config=config) -> VectorizedEngine:
-                return VectorizedEngine(
-                    PeriodicRelabelDynamicGraph(base, tau, seed=ts),
-                    BitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
-                    seed=ts,
-                )
-
-            med = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
+        med = _median(
+            build, engine=engine, trials=trials, max_rounds=max_rounds, seed=seed
+        )
         table.add_row(mult, config.group_len, config.phase_len, med)
     return table
 
@@ -1793,14 +1586,15 @@ def exp_ablation_async_tag_width(
     for beta in betas:
         config = BitConvergenceConfig(n_upper=n, delta_bound=delta, beta=beta)
 
-        def build(ts: int, config=config) -> VectorizedEngine:
-            return VectorizedEngine(
+        def build(seeds, config=config):
+            return (
                 StaticDynamicGraph(base),
-                AsyncBitConvergenceBatched(keys, config, tag_seed=ts, unique_tags=True),
-                seed=ts,
+                AsyncBitConvergenceBatched(keys, config, unique_tags=True),
             )
 
-        med = _median_rounds(build, trials=trials, max_rounds=max_rounds, seed=seed)
+        med = _median(
+            build, engine="single", trials=trials, max_rounds=max_rounds, seed=seed
+        )
         table.add_row(beta, config.k, config_tag_bits(config), med)
     return table
 
@@ -1838,27 +1632,17 @@ def exp_ablation_push_pull_direction(
             "Median rounds to full dissemination, source at a leaf / vertex 0.",
         ],
     )
+    cell = partial(_median, engine="single", trials=trials, max_rounds=max_rounds)
     for direction in ("both", "push", "pull"):
-        def build_star(ts: int, direction=direction) -> VectorizedEngine:
-            return VectorizedEngine(
-                StaticDynamicGraph(star),
-                PushPullBatched(np.array([2]), direction=direction),
-                seed=ts,
+
+        def build(seeds, g, source, direction=direction):
+            return (
+                StaticDynamicGraph(g),
+                PushPullBatched(np.array([source]), direction=direction),
             )
 
-        def build_reg(ts: int, direction=direction) -> VectorizedEngine:
-            return VectorizedEngine(
-                StaticDynamicGraph(reg),
-                PushPullBatched(np.array([0]), direction=direction),
-                seed=ts,
-            )
-
-        med_star = _median_rounds(
-            build_star, trials=trials, max_rounds=max_rounds, seed=seed
-        )
-        med_reg = _median_rounds(
-            build_reg, trials=trials, max_rounds=max_rounds, seed=seed + 1
-        )
+        med_star = cell(partial(build, g=star, source=2), seed=seed)
+        med_reg = cell(partial(build, g=reg, source=0), seed=seed + 1)
         table.add_row(direction, med_star, med_reg)
     return table
 
@@ -1893,7 +1677,8 @@ def _async_median_ticks(
             progress=setup.progress,
         )
 
-    return _median_rounds(build, trials=trials, max_rounds=max_ticks, seed=seed)
+    outcomes = run_trials(build, trials=trials, max_rounds=max_ticks, seed=seed)
+    return trial_summary(outcomes).median
 
 
 def exp_async_delta_sweep(
@@ -1918,13 +1703,11 @@ def exp_async_delta_sweep(
     us = UIDSpace(n, seed=seed)
     keys = uid_keys_random(n, seed)
 
-    def build_sync(ts: int) -> VectorizedEngine:
-        return VectorizedEngine(
-            StaticDynamicGraph(base), BlindGossipBatched(keys), seed=ts
-        )
+    def build_sync(seeds):
+        return StaticDynamicGraph(base), BlindGossipBatched(keys)
 
-    sync_med = _median_rounds(
-        build_sync, trials=trials, max_rounds=max_rounds, seed=seed
+    sync_med = _median(
+        build_sync, engine="single", trials=trials, max_rounds=max_rounds, seed=seed
     )
     table = Table(
         title="A4 (async model): blind gossip stabilization vs delay bound Delta",
@@ -2015,38 +1798,6 @@ def exp_async_scheduler_adversary(
 # ---------------------------------------------------------------------------
 
 
-def _fault_outcomes(
-    build,
-    build_batched,
-    *,
-    engine: str,
-    trials: int,
-    max_rounds: int,
-    seed: int,
-    fault_plan: FaultPlan | None,
-):
-    """Run one faulted configuration on the chosen engine tier.
-
-    ``build(trial_seed, fault_plan)`` makes a single engine;
-    ``build_batched(seeds)`` returns the batch's (graph, algorithm) pair
-    — the plan itself is forwarded through the batched runner.
-    """
-    if engine == "batched":
-        return run_trials_batched(
-            build_batched,
-            trials=trials,
-            max_rounds=max_rounds,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-    return run_trials(
-        lambda ts: build(ts, fault_plan),
-        trials=trials,
-        max_rounds=max_rounds,
-        seed=seed,
-    )
-
-
 def exp_fault_drop_inflation(
     *,
     leaves: int = 16,
@@ -2066,7 +1817,6 @@ def exp_fault_drop_inflation(
     inflate by roughly ``1/(1-p)`` for both algorithms — a fault model
     sanity check that the drop hook sits after acceptance, not before.
     """
-    engine = _check_engine(engine)
     base = families.double_star(leaves)
     n = base.n
     keys = uid_keys_random(n, seed)
@@ -2090,39 +1840,18 @@ def exp_fault_drop_inflation(
         ],
     )
 
-    def build_gossip(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
-        return VectorizedEngine(
-            StaticDynamicGraph(base), BlindGossipBatched(keys), seed=ts,
-            fault_plan=plan,
-        )
-
-    def build_gossip_b(seeds):
+    def build_gossip(seeds):
         return StaticDynamicGraph(base), BlindGossipBatched(keys)
 
-    def build_ppush(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
-        return VectorizedEngine(
-            StaticDynamicGraph(base), PPushBatched(sources), seed=ts,
-            fault_plan=plan,
-        )
-
-    def build_ppush_b(seeds):
+    def build_ppush(seeds):
         return StaticDynamicGraph(base), PPushBatched(sources)
 
+    cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
     base_g = base_p = None
     for p in drop_ps:
         plan = FaultPlan(connection_drop=ConnectionDropModel(float(p)))
-        med_g = trial_summary(
-            _fault_outcomes(
-                build_gossip, build_gossip_b, engine=engine, trials=trials,
-                max_rounds=max_rounds, seed=seed, fault_plan=plan,
-            )
-        ).median
-        med_p = trial_summary(
-            _fault_outcomes(
-                build_ppush, build_ppush_b, engine=engine, trials=trials,
-                max_rounds=max_rounds, seed=seed + 1, fault_plan=plan,
-            )
-        ).median
+        med_g = cell(build_gossip, seed=seed, fault_plan=plan)
+        med_p = cell(build_ppush, seed=seed + 1, fault_plan=plan)
         if base_g is None:
             base_g, base_p = med_g, med_p
         table.add_row(
@@ -2164,25 +1893,16 @@ def exp_fault_state_corruption(
     corrupted fraction — corrupting *everyone* is exactly a fresh start
     with a new key assignment.
     """
-    engine = _check_engine(engine)
     g = families.random_regular(n, degree, seed=seed + n)
     keys = uid_keys_random(n, seed)
 
-    def build(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
-        return VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=ts,
-            fault_plan=plan,
-        )
-
-    def build_b(seeds):
+    def build(seeds):
         return StaticDynamicGraph(g), BlindGossipBatched(keys)
 
-    fresh = trial_summary(
-        _fault_outcomes(
-            build, build_b, engine=engine, trials=trials,
-            max_rounds=max_rounds, seed=seed, fault_plan=None,
-        )
-    ).median
+    cell = partial(
+        _outcomes, build, engine=engine, trials=trials, max_rounds=max_rounds, seed=seed
+    )
+    fresh = trial_summary(cell()).median
     # Corrupt well after every trial has certainly converged.
     event_round = int(8 * max(fresh, 1.0))
 
@@ -2203,10 +1923,7 @@ def exp_fault_state_corruption(
                 StateCorruptionEvent(round=event_round, fraction=float(f)),
             )
         )
-        outcomes = _fault_outcomes(
-            build, build_b, engine=engine, trials=trials,
-            max_rounds=max_rounds, seed=seed, fault_plan=plan,
-        )
+        outcomes = cell(fault_plan=plan)
         recoveries = [
             max(0, o.rounds - event_round) for o in outcomes if o.stabilized
         ]
@@ -2245,25 +1962,16 @@ def exp_fault_crash_churn(
     complete within a small factor of the clean run once the last node
     has rejoined (the plan's quiesce round).
     """
-    engine = _check_engine(engine)
     g = families.random_regular(n, degree, seed=seed + n)
     keys = uid_keys_random(n, seed)
 
-    def build(ts: int, plan: FaultPlan | None) -> VectorizedEngine:
-        return VectorizedEngine(
-            StaticDynamicGraph(g), BlindGossipBatched(keys), seed=ts,
-            fault_plan=plan,
-        )
-
-    def build_b(seeds):
+    def build(seeds):
         return StaticDynamicGraph(g), BlindGossipBatched(keys)
 
-    clean = trial_summary(
-        _fault_outcomes(
-            build, build_b, engine=engine, trials=trials,
-            max_rounds=max_rounds, seed=seed, fault_plan=None,
-        )
-    ).median
+    cell = partial(
+        _outcomes, build, engine=engine, trials=trials, max_rounds=max_rounds, seed=seed
+    )
+    clean = trial_summary(cell()).median
     # Crash windows land inside the convergence phase of the clean run.
     last_round = max(6, int(clean))
 
@@ -2298,10 +2006,7 @@ def exp_fault_crash_churn(
                 )
             )
             quiesce = plan.quiesce_round
-        outcomes = _fault_outcomes(
-            build, build_b, engine=engine, trials=trials,
-            max_rounds=max_rounds, seed=seed, fault_plan=plan,
-        )
+        outcomes = cell(fault_plan=plan)
         if not all(o.stabilized for o in outcomes):
             raise RuntimeError("churned trials failed to stabilize")
         med = trial_summary(outcomes).median

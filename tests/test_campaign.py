@@ -103,6 +103,41 @@ class TestFreshCampaign:
         assert any(e.kind == "error" for e in report.failures)
 
 
+class TestDegradationLadder:
+    """A cell whose profile requests the batched engine falls back to the
+    single engine (``profile -> single+processes=K -> single+serial``)
+    and checkpoints exactly the table the single engine produces."""
+
+    def test_broken_batched_engine_degrades_to_single_tier(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.batched import BatchedVectorizedEngine
+        from repro.harness.experiments import run_experiment
+
+        calls = []
+
+        def broken_run(self, max_rounds, *, check_every=1):
+            calls.append(max_rounds)
+            raise RuntimeError("batched kernel unavailable")
+
+        monkeypatch.setattr(BatchedVectorizedEngine, "run", broken_run)
+        config = small_config(
+            tmp_path,
+            exp_ids=("R1",),
+            overrides={"R1": {"engine": "batched"}},
+            max_retries=0,
+        )
+        report = run_campaign(config)
+        assert calls, "the profile tier never reached the batched engine"
+        (cell,) = report.cells
+        assert cell.status == "completed"
+        assert cell.tier.startswith("single+")
+        doc = load_document(checkpoint_path(config.checkpoint_dir, "R1", "quick"))
+        assert doc.extra["campaign"]["tier"] == cell.tier
+        direct = run_experiment("R1", "quick", engine="single")
+        assert doc.table.render() == direct.render()
+
+
 class TestResume:
     def test_resume_skips_completed_cells(self, tmp_path):
         config = small_config(tmp_path)

@@ -9,12 +9,18 @@ in full.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
+from repro.graphs import families
+from repro.graphs.adversary import BatchedPackingAdversary, PackingAdversary
+from repro.graphs.dynamic import PeriodicRelabelDynamicGraph, StaticDynamicGraph
 from repro.harness.experiments import (
     EXPERIMENTS,
+    _one_replica,
     run_experiment,
     uid_keys_random,
     uid_keys_with_min_at,
@@ -129,3 +135,104 @@ class TestTinySmoke:
         assert exp_id in table.title
         rendered = table.render()
         assert table.columns[0] in rendered
+
+
+# Every experiment with an ``engine=`` switch, at tiny kwargs.
+_TIER_CASES = {
+    "E3": dict(leaf_counts=(3, 5), trials=3, max_rounds=100_000),
+    "E4": dict(star_sizes=(3, 4), trials=3, max_rounds=200_000),
+    "E5": dict(leaf_counts=(3, 5), trials=3, max_rounds=100_000),
+    "E6": dict(n=16, degree=4, taus=(1, math.inf), trials=3),
+    "E7": dict(leaves=6, taus=(1, math.inf), trials=3),
+    "E11": dict(sizes=(8, 12), trials=2),
+    "E12": dict(leaf_counts=(4, 6), trials=2),
+    "A1": dict(n=12, degree=3, multipliers=(1, 2), trials=2),
+    "R1": dict(leaves=4, drop_ps=(0.0, 0.4), trials=2),
+    "R2": dict(n=12, degree=3, fractions=(0.5, 1.0), trials=2),
+    "R3": dict(n=12, degree=3, crash_fracs=(0.0, 0.25), trials=2),
+}
+
+# sha256 of each rendered table on each tier, pinned from the earlier
+# form with one hand-written builder per tier.  The one-builder cells
+# must reproduce both columns byte for byte: same trial seeds, ID tags,
+# relabel streams and fault streams on either tier.
+_TIER_DIGESTS = {
+    ("E3", "single"):
+        "ed3eb9600964c7adc82028ee07b6b33871fc8428c2a952fd798bffd4e89eac56",
+    ("E3", "batched"):
+        "d370021b156e7050fda23f616419729b729c6889e4479862d4dc845c6711a9b4",
+    ("E4", "single"):
+        "b139595fdadf96a226d8503d2c34967cc876e96fb8d2b41fc53b42c7bb881f33",
+    ("E4", "batched"):
+        "4d1c73ec70ba34f9365496b225c22e318427134855956d06c3802f1400d7797a",
+    ("E5", "single"):
+        "5ee80d3af419ffee1cd2a7ff7e2ec96be4035ee34a8069cc881c073432319d32",
+    ("E5", "batched"):
+        "5c7c89dc7135dc1cbb45e4bc80e73da0a65d39733199d1417d8e1ae5272e1b45",
+    ("E6", "single"):
+        "11976dc115f9518e365f45271d0bdfe11e628736a2d66a1b9709f5084160d99d",
+    ("E6", "batched"):
+        "11976dc115f9518e365f45271d0bdfe11e628736a2d66a1b9709f5084160d99d",
+    ("E7", "single"):
+        "64ca8bcca510d37b8efbb3aa652a90acdf1387043c921b10099794a9537f8f47",
+    ("E7", "batched"):
+        "0d4a28b29f0975c4393fc725a9912037d9fb10576c6a71943882503e7d465056",
+    ("E11", "single"):
+        "0538c5e92f5f38780955c9433ddfff3c061ba1e5e6e3d4469a219f46155a5918",
+    ("E11", "batched"):
+        "e04980171962fec8f4262fae5d8b3fca6c379059395e5c6b02f55827998843c9",
+    ("E12", "single"):
+        "642318e25c171e012a29a0abd987a1ccacc827697135f6e0f5e19aab59d9287f",
+    ("E12", "batched"):
+        "f2d2eeaebc86af0178e55d0c65e45a569ce0fc59fa61c19a4dd797a774c2edd9",
+    ("A1", "single"):
+        "d5c28adabb71c14efb0f257287832ecdd7d6abd7b53b65b261f6f843385e6b40",
+    ("A1", "batched"):
+        "d5c28adabb71c14efb0f257287832ecdd7d6abd7b53b65b261f6f843385e6b40",
+    ("R1", "single"):
+        "614001476374330b4176e9c2703ff6bf48696098d5a90c59a3c8b39c8db66612",
+    ("R1", "batched"):
+        "6b9bfc754be3ba021bc4bf38d6bf1e6a340c17d756a6e64b78227342ad58024e",
+    ("R2", "single"):
+        "bb4e06662f8bfccbd8c348236bc2c94ab591065454eca8f1f0c8f9412d24b8a8",
+    ("R2", "batched"):
+        "e36408967989dfacdb6a93e5bfc4916536163aade82f3e13419a36206fb7cf1e",
+    ("R3", "single"):
+        "20a4d5ff3ef1786510b1fbdf26a8ed5ba9279294363c5e0067f77a2398cfd5a1",
+    ("R3", "batched"):
+        "4f54941869d968f265435b7a0219bf227462aab2b36269f58e3ff0b7f45c3ce4",
+}
+
+
+class TestEngineTierDigestPins:
+    @pytest.mark.parametrize("exp_id,engine", sorted(_TIER_DIGESTS))
+    def test_rendered_table_is_pinned(self, exp_id, engine):
+        table = run_experiment(exp_id, "quick", engine=engine, **_TIER_CASES[exp_id])
+        digest = hashlib.sha256(table.render().encode()).hexdigest()
+        assert digest == _TIER_DIGESTS[exp_id, engine]
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="engine must be"):
+            run_experiment("E4", "quick", engine="gpu", **_TIER_CASES["E4"])
+
+
+class TestOneReplica:
+    """``build([ts])`` topologies become what a single engine runs."""
+
+    def test_per_replica_list_unwraps(self):
+        dg = PeriodicRelabelDynamicGraph(families.ring(8), 2, seed=3)
+        assert _one_replica([dg]) is dg
+        with pytest.raises(ValueError):
+            _one_replica([dg, dg])
+
+    def test_packing_adversary_keeps_base_tau_and_order(self):
+        batched = BatchedPackingAdversary(families.double_star(4), tau=3, replicas=1)
+        single = _one_replica(batched)
+        assert isinstance(single, PackingAdversary)
+        assert single.tau == 3
+        assert single.graph_at(1) is batched.base
+        np.testing.assert_array_equal(single.packing_order, batched.packing_order)
+
+    def test_shared_graph_passes_through(self):
+        dg = StaticDynamicGraph(families.ring(8))
+        assert _one_replica(dg) is dg
