@@ -10,12 +10,17 @@ cell is deterministically seeded, so cell-set identity implies table
 identity; per-cell wall times live in checkpoint ``extra`` metadata and
 are excluded from the diff).
 
-With ``--pool-workers K`` the killed and resumed campaigns run on the
-parallel execution plane (forked cell waves ``K`` wide, each child
-inheriting the parent's objects copy-on-write and free to fork its own
-trial waves); the
-uninterrupted reference stays serial, so the diff simultaneously proves
-kill-resume durability *and* pooled/serial table parity.
+With ``--pool-workers K`` the killed and resumed campaigns fork their
+cells in waves ``K`` wide (each child inheriting the parent's objects
+copy-on-write and free to fork its own trial waves); the uninterrupted
+reference runs one cell at a time in-process, so the diff
+simultaneously proves kill-resume durability *and* pooled/serial table
+parity.
+
+The gate fails when it would prove nothing: if the campaign exits
+before the SIGKILL lands, or the resume re-runs no cell, the resumed
+tables are just the killed run's own checkpoints.  It prints how many
+cells re-ran on resume.
 
 Usage::
 
@@ -121,7 +126,13 @@ def main() -> int:
                 print(f"[kill] SIGKILL after {done} checkpoint(s)", flush=True)
                 proc.send_signal(signal.SIGKILL)
         finally:
-            proc.wait(timeout=120)
+            returncode = proc.wait(timeout=120)
+        if returncode != -signal.SIGKILL:
+            print(
+                f"FAIL: the campaign exited (status {returncode}) before the "
+                "SIGKILL landed, so no cell would re-run on resume"
+            )
+            return 1
         survivors = [c for c in cells if checkpoint_path(killed_dir, c, "quick").exists()]
         print(f"[kill] checkpoints surviving the kill: {survivors}", flush=True)
         if not survivors:
@@ -137,6 +148,13 @@ def main() -> int:
         if resume.returncode != 0:
             print(f"FAIL: resume exited {resume.returncode}")
             return 1
+        rerun = [
+            line.split(":", 1)[0] for line in out.splitlines() if ": completed in " in line
+        ]
+        print(f"[resume] {len(rerun)} cell(s) re-ran on resume: {rerun}", flush=True)
+        if not rerun:
+            print("FAIL: no cell re-ran on resume, so the diff proves nothing")
+            return 1
         mismatches = []
         for c in cells:
             resumed = load_document(
@@ -150,7 +168,7 @@ def main() -> int:
         print(
             f"PASS: {len(cells)} resumed tables bit-identical to the clean run "
             f"({len(survivors)} cell(s) survived the kill, "
-            f"{len(cells) - len(survivors)} re-ran on resume)"
+            f"{len(rerun)} re-ran on resume)"
         )
         return 0
 

@@ -139,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument(
         "--pool-workers", type=int, default=None, metavar="K",
         help="run cells in forked waves at most K wide; the next cell forks "
-        "as soon as any finishes (default: serial scheduler; tables are "
-        "bit-identical either way)",
+        "as soon as any finishes (default: one cell at a time, in-process; "
+        "tables are bit-identical either way)",
     )
 
     p_graph = sub.add_parser("graph", help="inspect a graph family instance")

@@ -35,9 +35,6 @@ from repro.harness.durable import (
     DurablePolicy,
     FailureBudget,
     FailureBudgetExceeded,
-    TrialCheckpointStore,
-    run_trials_batched_durable,
-    run_trials_durable,
     use_policy,
 )
 from repro.harness.campaign import (
@@ -71,9 +68,6 @@ __all__ = [
     "DurablePolicy",
     "FailureBudget",
     "FailureBudgetExceeded",
-    "TrialCheckpointStore",
-    "run_trials_durable",
-    "run_trials_batched_durable",
     "use_policy",
     "CampaignConfig",
     "CampaignReport",

@@ -13,24 +13,27 @@ durable unit of work:
   truncated ones (``*.quarantined``), and re-runs exactly the missing
   cells — since every cell is deterministically seeded, the resumed
   tables are bit-identical to an uninterrupted run;
+* every campaign runs through **one cell scheduler**: waves of
+  :func:`~repro.harness.durable._run_wave` at most ``pool_workers``
+  wide (one cell at a time when unset).  Cells fork when
+  ``pool_workers`` is set or a timeout is configured (so a wedged cell
+  can be killed), and otherwise run in-process in registry order.  A
+  forked cell inherits whatever the parent built copy-on-write, only
+  its table crosses the pipe, and it may fork its own trial waves;
+* each cell is **completed the moment it reports** — verified, then
+  checkpointed atomically, then its progress line — while its siblings
+  keep running, so a SIGKILL loses only the cells still in flight;
 * cells execute under a :class:`~repro.harness.durable.DurablePolicy`
   (hung-trial timeouts, bounded retries with exponential backoff, a
-  campaign-wide failure budget) and, when any timeout is configured, in
-  a forked child so a whole wedged cell can be killed and retried;
+  campaign-wide failure budget); a failed cell is retried, after the
+  backoff, in the next wave;
 * a campaign-level **degradation ladder** mirrors the trial-level one:
   a cell whose profile requests ``engine="batched"`` falls back to
   ``engine="single"`` with ``processes=K`` and finally serial
   ``processes=1`` if the batched kernel keeps dying (same trial seeds;
-  see the equivalence contract in :mod:`repro.harness.durable`);
-* with ``pool_workers=K`` the whole registry runs on the **parallel
-  execution plane**: all runnable cells go through forked waves at most
-  ``K`` wide (:func:`~repro.harness.durable._run_wave`; the next cell
-  forks as soon as any finishes), each child inherits whatever the
-  parent built copy-on-write and only its table crosses the pipe, and
-  every durable guarantee above (timeouts, retries, budgets, ladders,
-  atomic checkpoints, bit-identical resume) is preserved — a cell's
-  child may fork its own trial waves, and ``pool_workers=1`` degrades
-  to the serial schedule with identical tables.
+  see the equivalence contract in :mod:`repro.harness.durable`).
+  Trial seeds are derived inside each cell from its experiment id and
+  profile, so tables are bit-identical for every ``pool_workers``.
 
 :func:`render_campaign_text` regenerates the ``standard_results.txt`` /
 ``quick_results.txt`` archive text purely from checkpoints, so a
@@ -40,6 +43,7 @@ tables without re-running anything.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,7 +56,6 @@ from repro.harness.durable import (
     FailureEvent,
     UnitFailure,
     _run_wave,
-    run_isolated,
     use_policy,
 )
 from repro.harness.experiments import EXPERIMENTS, registry_order, run_experiment
@@ -81,8 +84,9 @@ class CampaignConfig:
     ``overrides`` maps experiment id -> extra kwargs merged over the
     profile kwargs (used by tests to shrink cells; production campaigns
     leave it empty so checkpoints reproduce the published tables).
-    Cells fork exactly when a timeout is configured (:attr:`isolate_cells`),
-    since killing a wedged cell requires it to live in a child process.
+    Cells fork when ``pool_workers`` is set or a timeout is configured
+    (:attr:`isolate_cells`), since killing a wedged cell requires it to
+    live in a child process.
     """
 
     checkpoint_dir: str | Path
@@ -97,9 +101,9 @@ class CampaignConfig:
     processes: int | None = None
     verify: bool = True
     overrides: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
-    #: Run cells in forked waves at most this wide (the parallel
-    #: execution plane).  ``None`` keeps the serial scheduler; ``1`` still
-    #: forks every cell (useful to prove it degrades to serial).
+    #: Run cells in forked waves at most this wide.  ``None`` runs one
+    #: cell at a time, in-process unless :attr:`isolate_cells`; ``1``
+    #: still forks every cell (useful to prove it degrades to serial).
     pool_workers: int | None = None
 
     def policy(self) -> DurablePolicy:
@@ -194,28 +198,26 @@ def _cell_call(
     tier: str,
     tier_overrides: dict,
     policy: DurablePolicy,
-    budget_remaining: int,
+    budget: FailureBudget,
 ) -> Callable[[], tuple[object, float, list[FailureEvent]]]:
     """Build the thunk that runs one cell at one ladder tier.
 
     Returns ``(table, elapsed_s, failure_events)`` — the events are the
     trial-level failures the durable runner absorbed inside the cell, so
     the campaign can charge them against its own budget even when the
-    cell ran in a forked child."""
+    cell ran in a forked child.  The cell's own budget is what the
+    campaign has left when the cell starts."""
     overrides = dict(config.overrides.get(exp_id, {}))
     overrides.update(tier_overrides)
     if tier == "single+serial":
-        cell_policy = replace(policy, processes=1, failure_budget=budget_remaining)
+        processes = 1
     elif tier.startswith("single+processes"):
-        cell_policy = replace(
-            policy,
-            processes=config.processes or 2,
-            failure_budget=budget_remaining,
-        )
+        processes = config.processes or 2
     else:
-        cell_policy = replace(policy, failure_budget=budget_remaining)
+        processes = policy.processes
 
     def call() -> tuple[object, float, list[FailureEvent]]:
+        cell_policy = replace(policy, processes=processes, failure_budget=budget.remaining)
         cell_budget = cell_policy.new_budget()
         start = time.perf_counter()
         with use_policy(cell_policy, cell_budget):
@@ -264,83 +266,84 @@ def run_campaign(
 ) -> CampaignReport:
     """Run (or resume) a campaign; returns the per-cell report.
 
-    A failed cell (all ladder tiers exhausted) is recorded and the
-    campaign moves on — except when the campaign-wide failure budget is
-    exceeded, which aborts the remaining cells immediately.
+    Every still-pending cell contributes one unit (its current ladder
+    tier) to a wave at most ``pool_workers`` wide; the next queued cell
+    starts as soon as a running one has been completed, so a slow cell
+    never blocks the rest of the registry.  Checkpoints are written only
+    by this process, one atomic file per finished cell.  A failed cell
+    (all ladder tiers exhausted) is recorded and the campaign moves on —
+    except when the campaign-wide failure budget is exceeded, which
+    kills the running cells and aborts the rest immediately.
     """
     progress = progress or (lambda line: None)
-    if config.pool_workers is not None:
-        return _run_campaign_pooled(config, progress)
+    if config.pool_workers is not None and config.pool_workers < 1:
+        raise ValueError("pool_workers must be >= 1")
     directory = Path(config.checkpoint_dir)
     directory.mkdir(parents=True, exist_ok=True)
     order = registry_order(config.exp_ids)
     policy = config.policy()
     budget = policy.new_budget()
     report = CampaignReport(profile=config.profile, checkpoint_dir=directory)
+    done: dict[str, CellResult] = {}
 
+    pending: list[_PendingCell] = []
     for exp_id in order:
         path = checkpoint_path(directory, exp_id, config.profile)
         resumed = _try_resume(config, exp_id, path, progress)
         if resumed is not None:
-            report.cells.append(resumed)
+            done[exp_id] = resumed
             continue
-        try:
-            result = _run_cell(config, exp_id, path, policy, budget, progress)
-        except FailureBudgetExceeded as exc:
-            report.aborted = str(exc)
-            report.failures = list(budget.events)
-            progress(f"campaign aborted: {exc}")
-            return report
-        report.cells.append(result)
+        pending.append(
+            _PendingCell(exp_id=exp_id, path=path, tiers=_cell_tiers(config, exp_id))
+        )
+
+    if config.pool_workers is not None:
+        progress(f"parallel plane: {config.pool_workers} worker(s)")
+    fork = config.pool_workers is not None or config.isolate_cells
+    try:
+        while pending:
+            wave = [(cell, *cell.current_tier) for cell in pending]
+            units = [
+                (
+                    f"cell {cell.exp_id} [{tier}]",
+                    _cell_call(config, cell.exp_id, tier, tier_overrides, policy, budget),
+                    config.timeout_per_experiment,
+                )
+                for cell, tier, tier_overrides in wave
+            ]
+            retry_delay = 0.0
+            finished = _run_wave(units, width=config.pool_workers or 1, fork=fork)
+            with contextlib.closing(finished):
+                for idx, outcome in finished:
+                    cell, tier, _overrides = wave[idx]
+                    cell.attempts_total += 1
+                    if not isinstance(outcome, UnitFailure):
+                        table, elapsed, events = outcome
+                        budget.absorb(events)
+                        done[cell.exp_id] = _complete_cell(
+                            config, cell, tier, table, elapsed, progress
+                        )
+                        continue
+                    _charge_failure(cell, tier, outcome, budget, progress)
+                    if outcome.degrade_now or cell.attempt >= config.max_retries:
+                        cell.tier_idx += 1
+                        cell.attempt = 0
+                        if cell.tier_idx >= len(cell.tiers):
+                            done[cell.exp_id] = _fail_cell(cell, progress)
+                    else:
+                        cell.attempt += 1
+                        retry_delay = max(
+                            retry_delay, policy.backoff_delay(cell.attempt - 1)
+                        )
+            pending = [cell for cell in pending if cell.exp_id not in done]
+            if pending and retry_delay > 0:
+                policy.sleep(retry_delay)
+    except FailureBudgetExceeded as exc:
+        report.aborted = str(exc)
+        progress(f"campaign aborted: {exc}")
+    report.cells = [done[exp_id] for exp_id in order if exp_id in done]
     report.failures = list(budget.events)
     return report
-
-
-def _run_cell(
-    config: CampaignConfig,
-    exp_id: str,
-    path: Path,
-    policy: DurablePolicy,
-    budget: FailureBudget,
-    progress: Callable[[str], None],
-) -> CellResult:
-    cell = _PendingCell(exp_id=exp_id, path=path, tiers=_cell_tiers(config, exp_id))
-    for tier, tier_overrides in cell.tiers:
-        for attempt in range(config.max_retries + 1):
-            if attempt:
-                policy.sleep(policy.backoff_delay(attempt - 1))
-            cell.attempt = attempt
-            cell.attempts_total += 1
-            call = _cell_call(config, exp_id, tier, tier_overrides, policy, budget.remaining)
-            try:
-                if config.isolate_cells:
-                    table, elapsed, events = run_isolated(
-                        call,
-                        timeout=config.timeout_per_experiment,
-                        unit=f"cell {exp_id} [{tier}]",
-                    )
-                else:
-                    table, elapsed, events = call()
-            except FailureBudgetExceeded:
-                raise
-            except UnitFailure as exc:
-                _charge_failure(cell, tier, exc, budget, progress)
-                if exc.degrade_now:
-                    break  # deterministic failure: straight to the next tier
-                continue
-            except Exception as exc:  # noqa: BLE001 - in-process cell failure
-                detail = f"{type(exc).__name__}: {exc}"
-                failure = UnitFailure("error", detail, f"cell {exp_id}")
-                _charge_failure(cell, tier, failure, budget, progress, error=detail)
-                if isinstance(exc, MemoryError):
-                    break
-                continue
-            # Success: charge the cell's internal trial-level failures to
-            # the campaign budget, verify, checkpoint, and report.
-            budget.absorb(events)
-            return _complete_cell(config, cell, tier, table, elapsed, progress)
-        # retries at this tier exhausted (or deterministic failure): degrade
-    return _fail_cell(cell, progress)
 
 
 @dataclass
@@ -366,15 +369,13 @@ def _charge_failure(
     failure: UnitFailure,
     budget: FailureBudget,
     progress: Callable[[str], None],
-    *,
-    error: str | None = None,
 ) -> None:
     """Spend one campaign failure on a cell attempt and report it.  A
-    cell whose own budget ran out in its child aborts the campaign."""
+    cell whose own budget ran out aborts the campaign."""
     budget.spend(
         FailureEvent(kind=failure.kind, detail=failure.detail, tier=tier, unit=failure.unit)
     )
-    cell.last_error = error or str(failure)
+    cell.last_error = str(failure)
     progress(f"{cell.exp_id}: {tier} attempt {cell.attempt + 1} failed: {cell.last_error}")
     if "FailureBudgetExceeded" in failure.detail:
         raise FailureBudgetExceeded(failure.detail)
@@ -402,8 +403,9 @@ def _complete_cell(
     elapsed: float,
     progress: Callable[[str], None],
 ) -> CellResult:
-    """Verify + checkpoint one finished cell (one artifact for both
-    schedulers, so resume and rendering stay bit-compatible)."""
+    """Verify, checkpoint, then report one finished cell (one artifact
+    for every ``pool_workers``, so resume and rendering stay
+    bit-compatible)."""
     result = CellResult(
         exp_id=cell.exp_id,
         status="completed",
@@ -438,105 +440,6 @@ def _complete_cell(
     )
     progress(f"{cell.exp_id}: completed in {elapsed:.1f}s [{tier}]{verdict}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Parallel execution plane: bounded forked waves
-# ---------------------------------------------------------------------------
-
-
-def _run_campaign_pooled(
-    config: CampaignConfig,
-    progress: Callable[[str], None],
-) -> CampaignReport:
-    """The parallel execution plane: all runnable cells in forked waves
-    at most ``pool_workers`` wide.
-
-    Every still-pending cell contributes one unit (its current ladder
-    tier) to the wave; the next queued cell forks as soon as any running
-    one finishes, and failed cells advance their retry/tier state for
-    the next wave — so a slow cell never blocks the rest of the
-    registry.  Each cell's child may fork its own trial waves.
-    Checkpoints are written only by this parent process, one atomic file
-    per finished cell, exactly as in the serial scheduler; trial seeds
-    are derived inside each cell from its experiment id and profile, so
-    tables are bit-identical to a serial run.
-    """
-    if config.pool_workers < 1:
-        raise ValueError("pool_workers must be >= 1")
-    directory = Path(config.checkpoint_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    order = registry_order(config.exp_ids)
-    policy = config.policy()
-    budget = policy.new_budget()
-    report = CampaignReport(profile=config.profile, checkpoint_dir=directory)
-    results_by_id: dict[str, CellResult] = {}
-
-    pending: list[_PendingCell] = []
-    for exp_id in order:
-        path = checkpoint_path(directory, exp_id, config.profile)
-        resumed = _try_resume(config, exp_id, path, progress)
-        if resumed is not None:
-            results_by_id[exp_id] = resumed
-            continue
-        pending.append(
-            _PendingCell(exp_id=exp_id, path=path, tiers=_cell_tiers(config, exp_id))
-        )
-
-    progress(f"parallel plane: {config.pool_workers} worker(s)")
-    try:
-        while pending:
-            wave = [(cell, *cell.current_tier) for cell in pending]
-            results, failures = _run_wave(
-                {
-                    idx: (
-                        f"cell {cell.exp_id} [{tier}]",
-                        _cell_call(
-                            config, cell.exp_id, tier, tier_overrides, policy,
-                            budget.remaining,
-                        ),
-                        config.timeout_per_experiment,
-                    )
-                    for idx, (cell, tier, tier_overrides) in enumerate(wave)
-                },
-                width=config.pool_workers,
-            )
-            next_pending: list[_PendingCell] = []
-            retry_delay = 0.0
-            for idx, (cell, tier, _overrides) in enumerate(wave):
-                cell.attempts_total += 1
-                if idx in results:
-                    table, elapsed, events = results[idx]
-                    budget.absorb(events)
-                    results_by_id[cell.exp_id] = _complete_cell(
-                        config, cell, tier, table, elapsed, progress
-                    )
-                    continue
-                exc = failures[idx]
-                _charge_failure(cell, tier, exc, budget, progress)
-                if exc.degrade_now or cell.attempt >= config.max_retries:
-                    cell.tier_idx += 1
-                    cell.attempt = 0
-                    if cell.tier_idx >= len(cell.tiers):
-                        results_by_id[cell.exp_id] = _fail_cell(cell, progress)
-                        continue
-                else:
-                    cell.attempt += 1
-                    retry_delay = max(
-                        retry_delay, policy.backoff_delay(cell.attempt - 1)
-                    )
-                next_pending.append(cell)
-            if next_pending and retry_delay > 0:
-                policy.sleep(retry_delay)
-            pending = next_pending
-    except FailureBudgetExceeded as exc:
-        report.aborted = str(exc)
-        progress(f"campaign aborted: {exc}")
-    for exp_id in order:
-        if exp_id in results_by_id:
-            report.cells.append(results_by_id[exp_id])
-    report.failures = list(budget.events)
-    return report
 
 
 def _campaign_documents(

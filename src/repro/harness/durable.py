@@ -1,20 +1,20 @@
-"""Durable trial execution: timeouts, retries, backoff, degradation.
+"""Durable execution: one streaming wave loop, timeouts, retries, degradation.
 
 The paper's guarantees are w.h.p. statements, so every measured shape
 comes from long multi-trial sweeps — which makes the *execution layer*
 a single point of failure: one hung worker or one OOM-killed batch used
-to lose the whole campaign.  This module wraps the runner's execution
-strategies in the retry/timeout/checkpoint discipline distributed
-harnesses treat as table stakes:
+to lose the whole campaign.  This module is the harness's one
+scheduler and the retry discipline around it:
 
-* **One process primitive** — every forked unit in the harness (trial
-  chunks of ``run_trials(processes=K)``, durable retry waves, replica
-  batches, isolated and pooled experiment cells) runs through
-  :func:`_run_wave`: one fork per unit, at most ``width`` children
-  alive, the next unit forking as soon as any child finishes.  Units
-  are thunks, so closures need no pickling; only results cross the
-  pipe.  Children are ordinary (non-daemonic) processes, so a cell's
-  child may fork its own trial waves.
+* **One wave loop** — every unit of harness work (trial chunks of
+  ``run_trials(processes=K)``, replica batches, campaign cells) runs
+  through :func:`_run_wave`, which yields each unit's value or
+  :class:`UnitFailure` the moment that unit finishes.  Forked waves run
+  one child per unit, at most ``width`` alive, the next unit forking as
+  soon as any child finishes.  Units are thunks, so closures need no
+  pickling; only results cross the pipe.  Children are ordinary
+  (non-daemonic) processes, so a cell's child may fork its own trial
+  waves.  Unforked waves run the thunks in-process, in submission order.
 * **Wall-clock timeouts** — the parent kills a unit's child when it
   exceeds its budget (``timeout_per_trial × trials`` per unit), then
   re-dispatches it with the *same trial seeds*.
@@ -23,17 +23,13 @@ harnesses treat as table stakes:
   ``backoff_base · 2^attempt`` (capped) between waves; every failure
   spends from a per-campaign :class:`FailureBudget` so a systematically
   broken environment stops early instead of thrashing.
-* **A graceful-degradation ladder** — on ``MemoryError`` (deterministic;
-  retrying is pointless) or repeated worker death, execution falls to a
-  cheaper tier: the batched engine splits its replica batch into
-  sub-batches and finally singletons; the process-parallel runner falls
-  from ``processes=K`` to serial.  Trial seeds are preserved at every
-  tier, so the *same trials* run wherever they land.
-* **Crash-safe trial checkpoints** — :class:`TrialCheckpointStore`
-  persists completed outcome lists atomically (temp file +
-  ``os.replace`` + fsync, content-hashed), so a SIGKILL'd sweep resumes
-  from the last durable unit and quarantines corrupt files instead of
-  silently reloading them.
+* **A graceful-degradation ladder** — :func:`run_ladder` falls to a
+  cheaper tier on ``MemoryError`` (deterministic; retrying is
+  pointless) or repeated worker death: the batched engine splits its
+  replica batch into sub-batches and finally singletons; the
+  process-parallel runner falls from ``processes=K`` to serial.  Trial
+  seeds are preserved at every tier, so the *same trials* run wherever
+  they land.
 
 Equivalence contract: the *faultless* durable path is bit-identical to
 the plain runner (same seeds, same chunking-independent outcomes; a
@@ -45,25 +41,22 @@ trials (see ``tests/test_batched_cross_validation.py``).
 
 Activate the policy for a whole call tree (e.g. one experiment cell)
 with :func:`use_policy`; :func:`~repro.harness.runner.run_trials` and
-:func:`~repro.harness.runner.run_trials_batched` detect it and route
-through the durable executor automatically.
+:func:`~repro.harness.runner.run_trials_batched` read it.  With no
+active policy their ladder has one rung, no retries and no timeout, and
+a failure propagates as raised.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import hashlib
-import json
+import functools
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "DurablePolicy",
@@ -72,13 +65,9 @@ __all__ = [
     "FailureBudgetExceeded",
     "UnitFailure",
     "DurableExecutionError",
-    "TrialCheckpointStore",
     "use_policy",
     "active_policy",
-    "active_budget",
-    "run_isolated",
-    "run_trials_durable",
-    "run_trials_batched_durable",
+    "run_ladder",
 ]
 
 
@@ -152,7 +141,7 @@ class FailureBudget:
             )
 
     def absorb(self, events: Sequence[FailureEvent]) -> None:
-        """Account failures reported back from an isolated child run."""
+        """Account failures reported back from a finished campaign cell."""
         for event in events:
             self.spend(event)
 
@@ -171,8 +160,8 @@ class DurablePolicy:
     timeout_per_trial
         Wall-clock seconds allowed per trial; a work unit of ``t`` trials
         gets ``t × timeout_per_trial`` before its worker is killed.
-        ``None`` disables timeouts (units then run in-process when
-        serial — the cheap path).
+        ``None`` disables timeouts (a one-group tier then runs
+        in-process — the cheap path).
     max_retries
         Additional attempts per work unit and tier after the first.
     backoff_base, backoff_cap
@@ -219,12 +208,14 @@ _ACTIVE: contextvars.ContextVar[_ActiveContext | None] = contextvars.ContextVar(
 )
 
 
+#: What the runners use with no active policy: one wave, no retries.
+_PLAIN = DurablePolicy(max_retries=0)
+
+
 @contextlib.contextmanager
 def use_policy(policy: DurablePolicy | None, budget: FailureBudget | None = None):
-    """Route ``run_trials``/``run_trials_batched`` through the durable
-    executor for the duration of the block (``None`` deactivates, which
-    the executor itself uses to call the raw runner without recursing).
-    """
+    """Run ``run_trials``/``run_trials_batched`` under ``policy`` (and its
+    ladder) for the duration of the block; ``None`` deactivates it."""
     ctx = None
     if policy is not None:
         ctx = _ActiveContext(policy=policy, budget=budget or policy.new_budget())
@@ -241,14 +232,8 @@ def active_policy() -> DurablePolicy | None:
     return None if ctx is None else ctx.policy
 
 
-def active_budget() -> FailureBudget | None:
-    """Return the :class:`FailureBudget` installed by :func:`use_policy`, if any."""
-    ctx = _ACTIVE.get()
-    return None if ctx is None else ctx.budget
-
-
 # ---------------------------------------------------------------------------
-# Forked execution: bounded fork-per-unit waves with kill-on-timeout
+# The wave loop and the degradation ladder built on it
 # ---------------------------------------------------------------------------
 
 
@@ -342,40 +327,43 @@ class _Child:
 
 
 def _run_wave(
-    units: dict[int, tuple[str, Callable[[], object], float | None]],
+    units: Sequence[tuple[str, Callable[[], object], float | None]],
     *,
     width: int | None = None,
-) -> tuple[dict[int, object], dict[int, UnitFailure]]:
-    """Run a wave of units in forked children, at most ``width`` at once.
+    fork: bool = True,
+) -> Iterator[tuple[int, object]]:
+    """Run a wave of units, yielding ``(index, value or UnitFailure)`` as
+    each unit finishes.
 
-    ``units`` maps index -> (unit name, thunk, timeout).  Thunks may be
-    closures: a forked child inherits them, and only the return value
-    crosses the pipe.  ``width`` defaults to one child per unit; with
-    fewer, the next queued unit forks as soon as any child finishes, so
-    uneven units never serialize the tail.  The parent sleeps in
-    :func:`multiprocessing.connection.wait` on every child's pipe and
-    exit sentinel until one reports, dies, or reaches its deadline.
+    ``units`` lists (unit name, thunk, timeout).  Forked, each unit runs
+    in its own child, at most ``width`` at once (default: all): thunks
+    may be closures, since the child inherits them and only the return
+    value crosses the pipe, and the next queued unit forks as soon as a
+    finished one has been yielded, so uneven units never serialize the
+    tail.  The parent sleeps in :func:`multiprocessing.connection.wait`
+    on every child's pipe and exit sentinel until one reports, dies, or
+    reaches its deadline.  Unforked (``fork=False``, or no ``fork`` start
+    method), the thunks run in-process in submission order and timeouts
+    do not apply.
 
-    Returns per-index results and failures; a failure in one unit never
-    cancels the others (their results are kept for the retry wave).  On
-    any exception in the parent (e.g. ``KeyboardInterrupt``) every
-    running child is killed before it propagates.
+    A failure in one unit never cancels the others.  When the parent
+    raises (e.g. ``KeyboardInterrupt``) or closes the generator early,
+    every running child is killed.
     """
     if width is None:
         width = max(1, len(units))
     if width < 1:
         raise ValueError("width must be >= 1")
-    results: dict[int, object] = {}
-    failures: dict[int, UnitFailure] = {}
-    ctx = _fork_context()
-    if ctx is None:  # pragma: no cover - non-POSIX platforms
-        for idx, (unit, fn, _timeout) in units.items():
+    ctx = _fork_context() if fork else None
+    if ctx is None:
+        for idx, (unit, fn, _timeout) in enumerate(units):
             try:
-                results[idx] = fn()
-            except Exception as exc:  # noqa: BLE001
-                failures[idx] = UnitFailure("error", f"{type(exc).__name__}: {exc}", unit)
-        return results, failures
-    queue = list(units.items())
+                outcome = fn()
+            except Exception as exc:  # noqa: BLE001 - reported like a child's
+                outcome = UnitFailure("error", f"{type(exc).__name__}: {exc}", unit)
+            yield idx, outcome
+        return
+    queue = list(enumerate(units))
     running: dict[int, _Child] = {}
     try:
         while queue or running:
@@ -389,320 +377,96 @@ def _run_wave(
             )
             for idx, child in list(running.items()):
                 try:
-                    value = child.poll()
+                    outcome = child.poll()
                 except UnitFailure as exc:
-                    failures[idx] = exc
+                    outcome = exc
+                if outcome is not _PENDING:
                     del running[idx]
-                    continue
-                if value is not _PENDING:
-                    results[idx] = value
-                    del running[idx]
+                    yield idx, outcome
     finally:
         for child in running.values():
             child.kill()
-    return results, failures
 
 
-def run_isolated(fn: Callable[[], object], *, timeout: float | None = None, unit: str = "work"):
-    """Run ``fn()`` in a forked child, killed if it exceeds ``timeout``.
-
-    A one-unit :func:`_run_wave`: closures over engines/graphs need no
-    pickling, only the *return value* crosses the pipe.  Raises
-    :class:`UnitFailure` on timeout, worker death, or a worker-side
-    exception.
-    """
-    results, failures = _run_wave({0: (unit, fn, timeout)})
-    if failures:
-        raise failures[0]
-    return results[0]
-
-
-def _run_units_with_retry(
-    units: list[tuple[str, Callable[[], object], int]],
-    *,
-    policy: DurablePolicy,
-    budget: FailureBudget,
+def _run_tier(
     tier: str,
-) -> list[object]:
-    """Run every unit (name, thunk, trial count) in forked waves,
-    retrying failed ones in backoff-separated waves.  Returns results
-    in unit order; raises the last :class:`UnitFailure` if any unit is
-    still failing after ``max_retries`` extra waves (deterministic
-    ``MemoryError`` failures raise immediately so the ladder can degrade
-    without useless retries)."""
-    results: dict[int, object] = {}
+    groups: list[list[int]],
+    run_group: Callable[[list[int]], list],
+    label: str,
+    policy: DurablePolicy,
+    budget: FailureBudget | None,
+) -> list:
+    """One ladder rung: the outcomes of every seed group, in group order.
+
+    A lone group without a timeout runs in-process.  Otherwise each group
+    is one forked unit, and failed units are retried in backoff-separated
+    waves; the first failing unit's :class:`UnitFailure` is raised if any
+    still fails after ``max_retries`` extra waves (a deterministic
+    ``MemoryError`` raises at once, so the ladder degrades without
+    useless retries)."""
+    if len(groups) == 1 and policy.timeout_per_trial is None:
+        return run_group(groups[0])
+    results: dict[int, list] = {}
     failures: dict[int, UnitFailure] = {}
     for attempt in range(policy.max_retries + 1):
-        todo = {
-            idx: (unit, fn, policy.unit_timeout(trials))
-            for idx, (unit, fn, trials) in enumerate(units)
-            if idx not in results
-        }
+        todo = [idx for idx in range(len(groups)) if idx not in results]
         if not todo:
             break
         if attempt:
             policy.sleep(policy.backoff_delay(attempt - 1))
-        wave_results, failures = _run_wave(todo)
-        results.update(wave_results)
-        for failure in failures.values():
-            budget.spend(
-                FailureEvent(
-                    kind=failure.kind, detail=failure.detail, tier=tier,
-                    unit=failure.unit,
-                )
+        failures = {}
+        wave = [
+            (
+                f"{label} {idx + 1}/{len(groups)} ({len(groups[idx])} trials)",
+                functools.partial(run_group, groups[idx]),
+                policy.unit_timeout(len(groups[idx])),
             )
+            for idx in todo
+        ]
+        for j, outcome in _run_wave(wave):
+            if isinstance(outcome, UnitFailure):
+                failures[todo[j]] = outcome
+            else:
+                results[todo[j]] = outcome
+        for idx in sorted(failures):
+            failure = failures[idx]
+            if budget is not None:
+                budget.spend(
+                    FailureEvent(failure.kind, failure.detail, tier, failure.unit)
+                )
             if failure.degrade_now:
                 raise failure
     if failures:
-        raise next(iter(failures.values()))
-    return [results[idx] for idx in range(len(units))]
+        raise failures[min(failures)]
+    return [outcome for idx in range(len(groups)) for outcome in results[idx]]
 
 
-# ---------------------------------------------------------------------------
-# Durable runners (ladders over the raw execution strategies)
-# ---------------------------------------------------------------------------
-
-
-def _resolve(policy: DurablePolicy | None, budget: FailureBudget | None):
-    policy = policy or active_policy() or DurablePolicy()
-    budget = budget or active_budget() or policy.new_budget()
-    return policy, budget
-
-
-def run_trials_durable(
-    build,
+def run_ladder(
+    tiers: list[tuple[str, list[list[int]]]],
+    run_group: Callable[[list[int]], list],
     *,
-    trials: int,
-    max_rounds: int,
-    seed: int = 0,
-    check_every: int = 1,
-    processes: int | None = None,
-    policy: DurablePolicy | None = None,
-    budget: FailureBudget | None = None,
-    checkpoint: "TrialCheckpointStore | None" = None,
-    unit_id: str | None = None,
-):
-    """Durable counterpart of :func:`~repro.harness.runner.run_trials`.
+    label: str,
+) -> list:
+    """Run trial-seed groups down a degradation ladder.
 
-    Same trial seeds, same outcomes (see the module equivalence
-    contract), plus timeouts, retries, and the ``processes=K → serial``
-    degradation rung.  With ``checkpoint``, a completed run is persisted
-    and replayed on the next call instead of re-executed.
+    ``tiers`` lists ``(tier name, seed groups)`` from the preferred rung
+    down; ``run_group(seeds)`` returns one outcome per seed, and the
+    outcomes of a rung are concatenated in group order.  Under the
+    active policy a rung that keeps failing (or runs out of memory)
+    hands the same seeds to the next one, and :class:`DurableExecutionError`
+    reports a ladder with no rung left.  With no active policy only the
+    first rung runs, once, and its failure propagates as raised.
     """
-    from repro.harness.runner import (
-        _chunk_units,
-        _trial_chunk,
-        default_processes,
-        trial_seeds_for,
-    )
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    policy, budget = _resolve(policy, budget)
-    seeds = trial_seeds_for(seed, trials)
-    unit_id = unit_id or f"trials-s{seed}-t{trials}-r{max_rounds}"
-    if checkpoint is not None:
-        cached = checkpoint.load(unit_id, seeds)
-        if cached is not None:
-            return cached
-
-    k0 = processes or policy.processes or default_processes() or 1
-    tiers = [min(k0, trials), 1] if k0 > 1 and trials > 1 else [1]
-    last_failure: UnitFailure | None = None
-    for k in dict.fromkeys(tiers):
-        if k <= 1 and policy.timeout_per_trial is None:
-            # Cheapest rung: in-process serial (no fork, no kill needed).
-            outcomes = _trial_chunk(build, seeds, max_rounds, check_every)
-        else:
-            units = _chunk_units(build, seeds, k, max_rounds, check_every)
-            try:
-                chunk_results = _run_units_with_retry(
-                    units, policy=policy, budget=budget, tier=f"processes={k}"
-                )
-            except UnitFailure as exc:
-                last_failure = exc
-                continue  # degrade to the next rung with the same seeds
-            outcomes = [o for chunk in chunk_results for o in chunk]
-        if checkpoint is not None:
-            checkpoint.save(unit_id, seeds, outcomes)
-        return outcomes
-    raise DurableExecutionError(
-        f"all execution tiers failed for {unit_id}: {last_failure}"
-    ) from last_failure
-
-
-def run_trials_batched_durable(
-    build_batched,
-    *,
-    trials: int,
-    max_rounds: int,
-    seed: int = 0,
-    check_every: int = 1,
-    activation_rounds=None,
-    fault_plan=None,
-    policy: DurablePolicy | None = None,
-    budget: FailureBudget | None = None,
-    checkpoint: "TrialCheckpointStore | None" = None,
-    unit_id: str | None = None,
-):
-    """Durable counterpart of :func:`~repro.harness.runner.run_trials_batched`.
-
-    Degradation ladder over the replica axis: the full ``T``-replica
-    batch first; on kernel/``MemoryError`` or repeated worker death the
-    batch splits into ``K`` sub-batches, then singletons — the same
-    trial seeds throughout.  Tiers after the first restart the whole
-    stage so every outcome in a returned list comes from one consistent
-    batching (sub-batches draw batch-wide randomness per group, so
-    degraded outcomes are statistically equivalent, not trace-identical,
-    to the full batch; see the module docstring).
-    """
-    from repro.harness.runner import (
-        _run_batched_for_seeds,
-        default_processes,
-        trial_seeds_for,
-    )
-
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    policy, budget = _resolve(policy, budget)
-    seeds = trial_seeds_for(seed, trials)
-    unit_id = unit_id or f"batched-s{seed}-t{trials}-r{max_rounds}"
-    if checkpoint is not None:
-        cached = checkpoint.load(unit_id, seeds)
-        if cached is not None:
-            return cached
-
-    k = policy.processes or default_processes() or 2
-    stages: list[tuple[str, list[list[int]]]] = [("batched", [list(seeds)])]
-    if trials > 1:
-        split = [list(c) for c in np.array_split(seeds, min(k, trials))]
-        if len(split) > 1:
-            stages.append((f"batched/{len(split)} sub-batches", split))
-        if len(split) != trials:
-            stages.append(("batched/singletons", [[s] for s in seeds]))
-
-    def batch_thunk(group: list[int]):
-        def call():
-            # Deactivate the policy inside the unit so the raw runner
-            # executes directly instead of recursing into this ladder.
-            with use_policy(None):
-                return _run_batched_for_seeds(
-                    build_batched,
-                    group,
-                    max_rounds=max_rounds,
-                    check_every=check_every,
-                    activation_rounds=activation_rounds,
-                    fault_plan=fault_plan,
-                )
-
-        return call
-
-    last_failure: UnitFailure | None = None
-    for tier, groups in stages:
-        if policy.timeout_per_trial is None and len(groups) == 1:
-            try:
-                outcomes = batch_thunk(groups[0])()
-            except MemoryError as exc:
-                budget.spend(
-                    FailureEvent(
-                        kind="error", detail=f"MemoryError: {exc}", tier=tier,
-                        unit="full batch",
-                    )
-                )
-                last_failure = UnitFailure("error", f"MemoryError: {exc}", "full batch")
-                continue
-        else:
-            units = [
-                (
-                    f"replica batch {i + 1}/{len(groups)} ({len(g)} trials)",
-                    batch_thunk(g),
-                    len(g),
-                )
-                for i, g in enumerate(groups)
-            ]
-            try:
-                group_results = _run_units_with_retry(
-                    units, policy=policy, budget=budget, tier=tier
-                )
-            except UnitFailure as exc:
-                last_failure = exc
-                continue
-            outcomes = [o for group in group_results for o in group]
-        if checkpoint is not None:
-            checkpoint.save(unit_id, seeds, outcomes)
-        return outcomes
-    raise DurableExecutionError(
-        f"all batched tiers failed for {unit_id}: {last_failure}"
-    ) from last_failure
-
-
-# ---------------------------------------------------------------------------
-# Trial-level checkpoints
-# ---------------------------------------------------------------------------
-
-
-class TrialCheckpointStore:
-    """Crash-safe per-unit :class:`~repro.harness.runner.TrialOutcome`
-    checkpoints.
-
-    One JSON file per work unit, written atomically with a content hash;
-    a corrupt or mismatched file is quarantined (renamed aside) rather
-    than reloaded, and the unit simply re-runs.
-    """
-
-    FORMAT_VERSION = 1
-
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-
-    def path_for(self, unit_id: str) -> Path:
-        safe = "".join(c if c.isalnum() or c in "-._" else "_" for c in unit_id)
-        return self.directory / f"{safe}.json"
-
-    @staticmethod
-    def _hash(doc: dict) -> str:
-        payload = {k: v for k, v in doc.items() if k != "content_sha256"}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def save(self, unit_id: str, seeds: Sequence[int], outcomes) -> Path:
-        from repro.harness.persistence import atomic_write_text, encode_nonfinite
-
-        doc = {
-            "format_version": self.FORMAT_VERSION,
-            "kind": "trial-outcomes",
-            "unit_id": unit_id,
-            "seeds": [int(s) for s in seeds],
-            "outcomes": encode_nonfinite([asdict(o) for o in outcomes]),
-        }
-        doc["content_sha256"] = self._hash(doc)
-        return atomic_write_text(
-            self.path_for(unit_id),
-            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        )
-
-    def load(self, unit_id: str, seeds: Sequence[int]):
-        """Reload a unit's outcomes, or ``None`` (quarantining the file)
-        when it is missing, corrupt, or describes different seeds."""
-        from repro.harness.persistence import decode_nonfinite, quarantine_file
-        from repro.harness.runner import TrialOutcome
-
-        path = self.path_for(unit_id)
-        if not path.exists():
-            return None
+    ctx = _ACTIVE.get()
+    if ctx is None:
+        return _run_tier(*tiers[0], run_group, label, _PLAIN, None)
+    last: UnitFailure | None = None
+    for tier, groups in tiers:
         try:
-            doc = json.loads(path.read_text())
-            if (
-                doc.get("format_version") != self.FORMAT_VERSION
-                or doc.get("kind") != "trial-outcomes"
-                or doc.get("content_sha256") != self._hash(doc)
-                or doc.get("seeds") != [int(s) for s in seeds]
-            ):
-                quarantine_file(path)
-                return None
-            return [
-                TrialOutcome(**row) for row in decode_nonfinite(doc["outcomes"])
-            ]
-        except (OSError, json.JSONDecodeError, TypeError, KeyError, ValueError):
-            quarantine_file(path)
-            return None
+            return _run_tier(tier, groups, run_group, label, ctx.policy, ctx.budget)
+        except MemoryError as exc:  # an in-process rung
+            last = UnitFailure("error", f"MemoryError: {exc}", f"{label} 1/1")
+            ctx.budget.spend(FailureEvent(last.kind, last.detail, tier, last.unit))
+        except UnitFailure as exc:
+            last = exc
+    raise DurableExecutionError(f"all execution tiers failed: {last}") from last

@@ -6,13 +6,19 @@ distributional summaries (the q90 of rounds-to-stabilize is the natural
 empirical analogue of a w.h.p. bound).
 
 ``build`` callables receive a trial seed and return a fresh engine; trials
-can fan out over forked child processes (one bounded
+can fan out over forked child processes (one wave of
 :func:`~repro.harness.durable._run_wave`), so any builder works,
 closures and lambdas included — only the outcomes cross the pipe.
 :func:`run_trials_batched` instead executes *all* trials of
 one configuration as a single :class:`~repro.core.batched.BatchedVectorizedEngine`
 run — the fast path for static-topology *and* isomorphic-churn sweeps
 (relabelings of a shared base run permutation-natively).
+
+Each runner declares one degradation ladder over the same trial seeds
+and runs it through :func:`~repro.harness.durable.run_ladder`, which
+reads the active :class:`~repro.harness.durable.DurablePolicy`.  With no
+active policy only the first rung runs, with no retries and no timeout,
+and a failure propagates as raised.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from repro.analysis.statistics import Summary, summarize
 from repro.core.batched import BatchedAlgorithm, BatchedVectorizedEngine
 from repro.core.trace import RunResult
 from repro.graphs.dynamic import BatchedPermutedDynamicGraph, DynamicGraph
+from repro.harness.durable import active_policy, run_ladder
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -112,24 +119,12 @@ def _trial_chunk(
     return [_one_trial(build, s, max_rounds, check_every) for s in seeds]
 
 
-def _chunk_units(
-    build: Callable[[int], EngineLike],
-    seeds: Sequence[int],
-    k: int,
-    max_rounds: int,
-    check_every: int,
-) -> list[tuple[str, Callable[[], list[TrialOutcome]], int]]:
-    """Split ``seeds`` into ``k`` contiguous chunks: one ``(name, thunk,
-    trial count)`` work unit per chunk, in seed order."""
-    chunks = [list(c) for c in np.array_split(seeds, k)]
-    return [
-        (
-            f"trial chunk {i + 1}/{k} ({len(chunk)} trials)",
-            functools.partial(_trial_chunk, build, chunk, max_rounds, check_every),
-            len(chunk),
-        )
-        for i, chunk in enumerate(chunks)
-    ]
+def _split(seeds: list[int], k: int) -> list[list[int]]:
+    """``k`` contiguous chunks of ``seeds`` in order, the first
+    ``len(seeds) % k`` of them one seed longer (as ``np.array_split``)."""
+    q, r = divmod(len(seeds), k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_trials(
@@ -155,42 +150,32 @@ def run_trials(
         Convergence-check stride forwarded to the engine (checking every
         round is exact but can dominate runtime for cheap rounds).
     processes
-        Fan out over this many forked children.  ``None`` reads the
-        ``REPRO_PROCESSES`` environment variable; unset/empty (or ≤ 1)
-        runs serially.  Trial seeds are split into one contiguous chunk
-        per child, so cheap trials pay one fork and one result pickle
-        per child instead of one per trial.  A failing chunk raises the
-        first :class:`~repro.harness.durable.UnitFailure`.
+        Fan out over this many forked children.  ``None`` takes the
+        active policy's ``processes``, then the ``REPRO_PROCESSES``
+        environment variable; unset/empty (or ≤ 1) runs serially.  Trial
+        seeds are split into one contiguous chunk per child, so cheap
+        trials pay one fork and one result pickle per child instead of
+        one per trial.  Without an active policy a failing chunk raises
+        the first :class:`~repro.harness.durable.UnitFailure`; under one,
+        failed chunks are retried and then re-run serially.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    from repro.harness import durable as _durable
-
-    if _durable.active_policy() is not None:
-        # A durable policy is active (e.g. inside a campaign cell):
-        # execute through the timeout/retry/degradation ladder instead.
-        return _durable.run_trials_durable(
-            build,
-            trials=trials,
-            max_rounds=max_rounds,
-            seed=seed,
-            check_every=check_every,
-            processes=processes,
-            policy=_durable.active_policy(),
-            budget=_durable.active_budget(),
-        )
+    policy = active_policy()
     if processes is None:
-        processes = default_processes()
-    trial_seeds = trial_seeds_for(seed, trials)
-    if processes is None or processes <= 1 or trials == 1:
-        return _trial_chunk(build, trial_seeds, max_rounds, check_every)
-    units = _chunk_units(build, trial_seeds, min(processes, trials), max_rounds, check_every)
-    results, failures = _durable._run_wave(
-        {i: (name, fn, None) for i, (name, fn, _trials) in enumerate(units)}
+        processes = (policy and policy.processes) or default_processes()
+    k = max(1, min(processes or 1, trials))
+    seeds = trial_seeds_for(seed, trials)
+    tiers = [(f"processes={k}", _split(seeds, k))]
+    if policy is not None and k > 1:
+        tiers.append(("processes=1", [seeds]))
+    return run_ladder(
+        tiers,
+        functools.partial(
+            _trial_chunk, build, max_rounds=max_rounds, check_every=check_every
+        ),
+        label="trial chunk",
     )
-    if failures:
-        raise failures[min(failures)]
-    return [o for i in range(len(units)) for o in results[i]]
 
 
 def run_trials_batched(
@@ -249,28 +234,26 @@ def run_trials_batched(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    from repro.harness import durable as _durable
-
-    if _durable.active_policy() is not None:
-        return _durable.run_trials_batched_durable(
+    seeds = trial_seeds_for(seed, trials)
+    tiers = [("batched", [seeds])]
+    policy = active_policy()
+    if policy is not None:
+        k = min(policy.processes or default_processes() or 2, trials)
+        if k > 1:
+            tiers.append((f"batched/{k} sub-batches", _split(seeds, k)))
+        if k != trials:
+            tiers.append(("batched/singletons", [[s] for s in seeds]))
+    return run_ladder(
+        tiers,
+        functools.partial(
+            _run_batched_for_seeds,
             build_batched,
-            trials=trials,
             max_rounds=max_rounds,
-            seed=seed,
             check_every=check_every,
             activation_rounds=activation_rounds,
             fault_plan=fault_plan,
-            policy=_durable.active_policy(),
-            budget=_durable.active_budget(),
-        )
-    seeds = trial_seeds_for(seed, trials)
-    return _run_batched_for_seeds(
-        build_batched,
-        seeds,
-        max_rounds=max_rounds,
-        check_every=check_every,
-        activation_rounds=activation_rounds,
-        fault_plan=fault_plan,
+        ),
+        label="replica batch",
     )
 
 
@@ -285,9 +268,9 @@ def _run_batched_for_seeds(
 ) -> list[TrialOutcome]:
     """Execute one batched-engine run over an explicit seed list.
 
-    The extraction point the durable layer uses to run *sub-batches* of a
-    degraded sweep: any contiguous (or arbitrary) subset of the canonical
-    trial seeds runs through the identical engine path.
+    The ladder's ``run_group`` for replica batches: the full batch, a
+    sub-batch or a singleton of the canonical trial seeds all run
+    through the identical engine path.
     """
     seeds = [int(s) for s in seeds]
     dynamic_graph, algorithm = build_batched(seeds)

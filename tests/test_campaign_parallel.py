@@ -1,24 +1,27 @@
-"""Tests for the pooled campaign scheduler (the parallel execution
-plane): serial/pooled bit-identity, resume, and hung/killed workers.
-Each cell child inherits the campaign parent's objects copy-on-write;
-only its table crosses the pipe back.
+"""Tests for pooled campaigns (cells forked in waves ``pool_workers``
+wide): serial/pooled bit-identity, resume, hung/killed workers, and
+per-cell streaming of checkpoints and progress lines.  Each cell child
+inherits the campaign parent's objects copy-on-write; only its table
+crosses the pipe back.
 
 The headline contract: ``pool_workers=K`` must produce checkpoint tables
-**bit-identical** to the serial scheduler for every K (including 1, the
-degrade-to-serial case CI forces), because trial seeds are derived from
-cell identity, never from scheduling order.
+**bit-identical** to a serial in-process campaign for every K (including
+1, the degrade-to-serial case CI forces), because trial seeds are
+derived from cell identity, never from scheduling order.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.harness.campaign import checkpoint_path, render_campaign_text, run_campaign
 from repro.harness.experiments import EXPERIMENTS, Experiment
+from repro.harness.persistence import load_document
 from repro.harness.tables import Table
 
 from test_campaign import CELLS, _slow_then_fast, small_config, tables_of
@@ -38,6 +41,18 @@ def _kill_worker_once(marker: str = "") -> Table:
         os.kill(os.getpid(), signal.SIGKILL)
     table = Table(title="Z2: worker-death probe", columns=["k", "v"])
     table.add_row(1, 7)
+    return table
+
+
+def _await_checkpoint(checkpoint: str = "", wait: float = 10.0) -> Table:
+    """A registrable cell that blocks until ``checkpoint`` exists (at most
+    ``wait`` seconds) and records whether it appeared."""
+    path = Path(checkpoint)
+    deadline = time.monotonic() + wait
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    table = Table(title="Z3: streaming-checkpoint probe", columns=["checkpoint", "seen"])
+    table.add_row(path.name, path.exists())
     return table
 
 
@@ -182,3 +197,49 @@ class TestPooledFailures:
         assert by_id["Z2"].attempts == 2
         assert any(e.kind == "crash" for e in report.failures)
         assert tables_of(pooled_dir, exp_ids=cells) == clean
+
+
+class TestStreaming:
+    def test_pooled_checkpoint_lands_when_cell_finishes(self, tmp_path):
+        """E1's checkpoint and progress line land while its sibling cell is
+        still running, not when the wave ends."""
+        directory = tmp_path / "campaign"
+        EXPERIMENTS["Z3"] = Experiment(
+            "Z3", "probe: waits for E1's checkpoint", _await_checkpoint,
+            quick=dict(checkpoint=str(checkpoint_path(directory, "E1", "quick"))),
+        )
+        lines = []
+        try:
+            report = run_campaign(
+                small_config(
+                    tmp_path, checkpoint_dir=directory, exp_ids=("E1", "Z3"),
+                    pool_workers=2,
+                ),
+                progress=lines.append,
+            )
+        finally:
+            del EXPERIMENTS["Z3"]
+        assert report.ok
+        probe = load_document(checkpoint_path(directory, "Z3", "quick")).table
+        assert probe.column("seen") == [True]
+        done = [line.split(":", 1)[0] for line in lines if ": completed in " in line]
+        assert done == ["E1", "Z3"]
+
+    def test_serial_progress_precedes_next_cell(self, tmp_path, monkeypatch):
+        """Each cell's progress line is emitted before the next cell runs."""
+        import repro.harness.campaign as campaign
+
+        events = []
+        real_run = campaign.run_experiment
+
+        def traced_run(exp_id, *args, **kwargs):
+            events.append(f"run {exp_id}")
+            return real_run(exp_id, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "run_experiment", traced_run)
+        report = run_campaign(
+            small_config(tmp_path),
+            progress=lambda line: events.append(f"line {line.split(':', 1)[0]}"),
+        )
+        assert report.ok
+        assert events == ["run E1", "line E1", "run A3", "line A3"]

@@ -1,5 +1,5 @@
-"""Tests for the durable execution layer (the bounded fork-per-unit
-wave, timeouts, retries, degradation, trial checkpoints).
+"""Tests for the durable execution layer (the streaming wave loop,
+timeouts, retries, degradation).
 
 The recurring trick: a *heal-once* builder that misbehaves (hangs,
 SIGKILLs itself, raises) only while a marker file is absent, creating the
@@ -25,13 +25,9 @@ from repro.harness.durable import (
     DurableExecutionError,
     DurablePolicy,
     FailureBudgetExceeded,
-    TrialCheckpointStore,
     UnitFailure,
     _run_wave,
     active_policy,
-    run_isolated,
-    run_trials_batched_durable,
-    run_trials_durable,
     use_policy,
 )
 from repro.harness.experiments import uid_keys_random
@@ -96,6 +92,14 @@ def _pid_then_sleep(path) -> None:  # pragma: no cover - killed
     time.sleep(60)
 
 
+def _collect(units, **kw) -> tuple[dict, dict]:
+    """Drain a wave into (results, failures) keyed by unit index."""
+    results, failures = {}, {}
+    for idx, outcome in _run_wave(units, **kw):
+        (failures if isinstance(outcome, UnitFailure) else results)[idx] = outcome
+    return results, failures
+
+
 def _reaped(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -106,8 +110,8 @@ def _reaped(pid: int) -> bool:
 
 class TestWave:
     def test_runs_more_units_than_width(self):
-        results, failures = _run_wave(
-            {i: (f"u{i}", _timed_unit, None) for i in range(7)}, width=2
+        results, failures = _collect(
+            [(f"u{i}", _timed_unit, None) for i in range(7)], width=2
         )
         assert not failures and sorted(results) == list(range(7))
         assert len({pid for pid, _, _ in results.values()}) == 7  # one fork per unit
@@ -120,8 +124,8 @@ class TestWave:
         def boom():
             raise ValueError("unit exploded")
 
-        results, failures = _run_wave(
-            {0: ("bad", boom, None), 1: ("good", lambda: 3 * 3, None)}, width=1
+        results, failures = _collect(
+            [("bad", boom, None), ("good", lambda: 3 * 3, None)], width=1
         )
         assert results == {1: 9}
         assert failures[0].kind == "error" and "ValueError" in failures[0].detail
@@ -129,11 +133,11 @@ class TestWave:
     def test_timeout_kills_child(self, tmp_path):
         pid_file = tmp_path / "hung.pid"
         start = time.monotonic()
-        results, failures = _run_wave(
-            {
-                0: ("hang", lambda: _pid_then_sleep(pid_file), 0.5),
-                1: ("quick", lambda: 16, None),
-            }
+        results, failures = _collect(
+            [
+                ("hang", lambda: _pid_then_sleep(pid_file), 0.5),
+                ("quick", lambda: 16, None),
+            ]
         )
         assert results == {1: 16}
         assert failures[0].kind == "timeout"
@@ -141,18 +145,18 @@ class TestWave:
         assert _reaped(int(pid_file.read_text()))
 
     def test_sigkilled_child_reported_as_crash(self):
-        results, failures = _run_wave(
-            {
-                0: ("suicidal", lambda: os.kill(os.getpid(), signal.SIGKILL), None),
-                1: ("healthy", lambda: "survived", None),
-            }
+        results, failures = _collect(
+            [
+                ("suicidal", lambda: os.kill(os.getpid(), signal.SIGKILL), None),
+                ("healthy", lambda: "survived", None),
+            ]
         )
         assert results == {1: "survived"}
         assert failures[0].kind == "crash"
 
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
-            _run_wave({0: ("u", lambda: 1, None)}, width=0)
+            _collect([("u", lambda: 1, None)], width=0)
 
     def test_keyboard_interrupt_leaves_no_live_child(self, tmp_path, monkeypatch):
         pid_files = [tmp_path / f"{i}.pid" for i in range(3)]
@@ -174,15 +178,28 @@ class TestWave:
 
         monkeypatch.setattr(durable.mp_connection, "wait", interrupted_wait)
         with pytest.raises(KeyboardInterrupt):
-            _run_wave(
-                {
-                    i: (f"u{i}", (lambda p: lambda: _pid_then_sleep(p))(p), None)
+            _collect(
+                [
+                    (f"u{i}", (lambda p: lambda: _pid_then_sleep(p))(p), None)
                     for i, p in enumerate(pid_files)
-                },
+                ],
                 width=2,
             )
         assert not pid_files[2].exists()  # queued beyond the width: never forked
         assert all(_reaped(int(p.read_text())) for p in pid_files[:2])
+
+    def test_closing_the_stream_kills_running_children(self, tmp_path):
+        pid_file = tmp_path / "slow.pid"
+        wave = _run_wave(
+            [("quick", lambda: 1, None), ("slow", lambda: _pid_then_sleep(pid_file), None)]
+        )
+        assert next(wave) == (0, 1)
+        deadline = time.monotonic() + 10
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        wave.close()
+        assert _reaped(int(pid_file.read_text()))
 
 
 class TestNestedWaves:
@@ -215,42 +232,67 @@ class TestNestedWaves:
 
 
 class TestRunIsolated:
-    def test_returns_value(self):
-        assert run_isolated(lambda: 41 + 1) == 42
+    """Waves of the shapes the campaign scheduler runs where it once
+    called a ``run_isolated`` helper: one cell at a time, forked or
+    in-process, each cell reported the moment it finishes."""
 
-    def test_timeout_kills_worker(self):
-        start = time.monotonic()
-        with pytest.raises(UnitFailure) as exc_info:
-            run_isolated(lambda: time.sleep(60), timeout=0.3, unit="sleeper")
-        assert exc_info.value.kind == "timeout"
-        assert time.monotonic() - start < 10
+    def test_returns_value(self):
+        outcomes = list(
+            _run_wave([("a", os.getpid, None), ("b", lambda: 41 + 1, None)], fork=False)
+        )
+        assert outcomes == [(0, os.getpid()), (1, 42)]  # in-process, in order
+
+    def test_timeout_kills_worker(self, tmp_path):
+        """At width 1 a queued unit's deadline starts when it forks, not
+        when the wave starts."""
+        results, failures = _collect(
+            [
+                ("sleeper", lambda: _pid_then_sleep(tmp_path / "hung.pid"), 1.0),
+                ("next", lambda: _timed_unit(0.8)[0], 1.5),
+            ],
+            width=1,
+        )
+        assert failures[0].kind == "timeout" and failures[0].unit == "sleeper"
+        assert set(results) == {1}
+        assert _reaped(int((tmp_path / "hung.pid").read_text()))
 
     def test_worker_exception_reported(self):
         def boom():
             raise RuntimeError("kaput")
 
-        with pytest.raises(UnitFailure) as exc_info:
-            run_isolated(boom)
-        assert exc_info.value.kind == "error"
-        assert "kaput" in exc_info.value.detail
+        outcomes = list(
+            _run_wave([("boom", boom, None), ("after", lambda: 7, None)], fork=False)
+        )
+        (idx, failure), after = outcomes
+        assert idx == 0 and isinstance(failure, UnitFailure)
+        assert failure.kind == "error" and "RuntimeError: kaput" in failure.detail
+        assert after == (1, 7)  # the failure did not stop the wave
 
     def test_worker_sigkill_detected(self):
-        with pytest.raises(UnitFailure) as exc_info:
-            run_isolated(lambda: os.kill(os.getpid(), signal.SIGKILL))
-        assert exc_info.value.kind == "crash"
+        """A dead worker is reported while its sibling is still running."""
+        start = time.monotonic()
+        wave = _run_wave(
+            [
+                ("suicidal", lambda: os.kill(os.getpid(), signal.SIGKILL), None),
+                ("slow", lambda: _timed_unit(3.0)[0], None),
+            ]
+        )
+        idx, failure = next(wave)
+        assert idx == 0 and failure.kind == "crash"
+        assert time.monotonic() - start < 2.5
+        wave.close()
 
 
 class TestDurableTrials:
     def test_matches_plain_serial(self):
         plain = run_trials(good_build, trials=5, max_rounds=500, seed=7)
-        assert run_trials_durable(good_build, trials=5, max_rounds=500, seed=7) == plain
+        with use_policy(DurablePolicy()):
+            assert run_trials(good_build, trials=5, max_rounds=500, seed=7) == plain
 
     def test_matches_plain_with_timeout_and_processes(self):
         plain = run_trials(good_build, trials=5, max_rounds=500, seed=7)
-        durable = run_trials_durable(
-            good_build, trials=5, max_rounds=500, seed=7,
-            policy=fast_policy(timeout_per_trial=30.0, processes=2),
-        )
+        with use_policy(fast_policy(timeout_per_trial=30.0, processes=2)):
+            durable = run_trials(good_build, trials=5, max_rounds=500, seed=7)
         assert durable == plain
 
     def test_hung_trial_killed_and_retried(self, tmp_path):
@@ -264,9 +306,8 @@ class TestDurableTrials:
 
         policy = fast_policy(timeout_per_trial=0.4, max_retries=2, processes=2)
         budget = policy.new_budget()
-        out = run_trials_durable(
-            build, trials=4, max_rounds=500, seed=7, policy=policy, budget=budget
-        )
+        with use_policy(policy, budget):
+            out = run_trials(build, trials=4, max_rounds=500, seed=7)
         assert out == run_trials(good_build, trials=4, max_rounds=500, seed=7)
         assert any(e.kind == "timeout" for e in budget.events)
 
@@ -281,9 +322,8 @@ class TestDurableTrials:
 
         policy = fast_policy(timeout_per_trial=30.0, max_retries=2, processes=2)
         budget = policy.new_budget()
-        out = run_trials_durable(
-            build, trials=4, max_rounds=500, seed=7, policy=policy, budget=budget
-        )
+        with use_policy(policy, budget):
+            out = run_trials(build, trials=4, max_rounds=500, seed=7)
         assert out == run_trials(good_build, trials=4, max_rounds=500, seed=7)
         assert any(e.kind == "crash" for e in budget.events)
 
@@ -292,8 +332,10 @@ class TestDurableTrials:
             raise RuntimeError("permanently broken")
 
         policy = fast_policy(timeout_per_trial=30.0, max_retries=1, processes=2)
-        with pytest.raises(DurableExecutionError, match="all execution tiers"):
-            run_trials_durable(bad, trials=4, max_rounds=500, seed=7, policy=policy)
+        with use_policy(policy), pytest.raises(
+            DurableExecutionError, match="all execution tiers"
+        ):
+            run_trials(bad, trials=4, max_rounds=500, seed=7)
 
     def test_failure_budget_stops_retry_storm(self):
         def bad(seed):
@@ -302,8 +344,8 @@ class TestDurableTrials:
         policy = fast_policy(
             timeout_per_trial=30.0, max_retries=5, processes=2, failure_budget=2
         )
-        with pytest.raises(FailureBudgetExceeded):
-            run_trials_durable(bad, trials=4, max_rounds=500, seed=7, policy=policy)
+        with use_policy(policy), pytest.raises(FailureBudgetExceeded):
+            run_trials(bad, trials=4, max_rounds=500, seed=7)
 
     def test_active_policy_routes_run_trials(self):
         plain = run_trials(good_build, trials=4, max_rounds=500, seed=7)
@@ -315,9 +357,10 @@ class TestDurableTrials:
 class TestDurableBatched:
     def test_matches_plain_batched(self):
         plain = run_trials_batched(good_build_batched, trials=4, max_rounds=500, seed=3)
-        durable = run_trials_batched_durable(
-            good_build_batched, trials=4, max_rounds=500, seed=3
-        )
+        with use_policy(DurablePolicy()):
+            durable = run_trials_batched(
+                good_build_batched, trials=4, max_rounds=500, seed=3
+            )
         assert durable == plain
 
     def test_memory_error_degrades_to_sub_batches(self):
@@ -328,9 +371,8 @@ class TestDurableBatched:
 
         policy = fast_policy(max_retries=2, processes=2)
         budget = policy.new_budget()
-        out = run_trials_batched_durable(
-            build, trials=4, max_rounds=500, seed=3, policy=policy, budget=budget
-        )
+        with use_policy(policy, budget):
+            out = run_trials_batched(build, trials=4, max_rounds=500, seed=3)
         assert [o.seed for o in out] == trial_seeds_for(3, 4)
         assert all(o.stabilized for o in out)
         assert any(e.kind == "error" and "MemoryError" in e.detail for e in budget.events)
@@ -342,9 +384,8 @@ class TestDurableBatched:
             return good_build_batched(seeds)
 
         policy = fast_policy(max_retries=0, processes=2)
-        out = run_trials_batched_durable(
-            build, trials=4, max_rounds=500, seed=3, policy=policy
-        )
+        with use_policy(policy):
+            out = run_trials_batched(build, trials=4, max_rounds=500, seed=3)
         assert [o.seed for o in out] == trial_seeds_for(3, 4)
         assert all(o.stabilized for o in out)
 
@@ -355,62 +396,3 @@ class TestDurableBatched:
                 good_build_batched, trials=4, max_rounds=500, seed=3
             )
         assert routed == plain
-
-
-class TestTrialCheckpointStore:
-    def test_roundtrip_and_replay(self, tmp_path):
-        store = TrialCheckpointStore(tmp_path)
-        out = run_trials_durable(
-            good_build, trials=4, max_rounds=500, seed=7,
-            checkpoint=store, unit_id="unit-a",
-        )
-
-        def never_called(seed):  # pragma: no cover - checkpoint replays instead
-            raise AssertionError("checkpointed unit must not re-run")
-
-        replayed = run_trials_durable(
-            never_called, trials=4, max_rounds=500, seed=7,
-            checkpoint=store, unit_id="unit-a",
-        )
-        assert replayed == out
-
-    def test_corrupt_checkpoint_quarantined(self, tmp_path):
-        store = TrialCheckpointStore(tmp_path)
-        seeds = trial_seeds_for(7, 4)
-        out = run_trials_durable(
-            good_build, trials=4, max_rounds=500, seed=7,
-            checkpoint=store, unit_id="unit-a",
-        )
-        path = store.path_for("unit-a")
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])  # truncated mid-write
-        assert store.load("unit-a", seeds) is None
-        assert (tmp_path / f"{path.name}.quarantined").exists()
-        rerun = run_trials_durable(
-            good_build, trials=4, max_rounds=500, seed=7,
-            checkpoint=store, unit_id="unit-a",
-        )
-        assert rerun == out
-
-    def test_seed_mismatch_quarantined(self, tmp_path):
-        store = TrialCheckpointStore(tmp_path)
-        run_trials_durable(
-            good_build, trials=4, max_rounds=500, seed=7,
-            checkpoint=store, unit_id="unit-a",
-        )
-        assert store.load("unit-a", trial_seeds_for(8, 4)) is None
-        assert not store.path_for("unit-a").exists()  # moved aside
-
-    def test_hash_mismatch_quarantined(self, tmp_path):
-        import json
-
-        store = TrialCheckpointStore(tmp_path)
-        run_trials_durable(
-            good_build, trials=4, max_rounds=500, seed=7,
-            checkpoint=store, unit_id="unit-a",
-        )
-        path = store.path_for("unit-a")
-        doc = json.loads(path.read_text())
-        doc["outcomes"][0]["rounds"] += 1  # silent corruption
-        path.write_text(json.dumps(doc))
-        assert store.load("unit-a", trial_seeds_for(7, 4)) is None

@@ -170,6 +170,62 @@ class TestParallelRunner:
         assert default_processes() is None
 
 
+class TestPlainRunnerFailures:
+    """With no durable policy active, a failing trial raises at once: no
+    retry, no fall-back to serial, no replica-batch split."""
+
+    def test_failing_chunk_raises_without_retry_or_serial_fallback(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(PROCESSES_ENV, raising=False)
+        seeds = trial_seeds_for(3, 4)
+        log = tmp_path / "calls.log"
+
+        def build(seed):
+            with open(log, "a") as fh:
+                fh.write(f"{seed}\n")
+            if seed == seeds[2]:
+                raise RuntimeError("chunk two broke")
+            return FakeEngine(seed)
+
+        with pytest.raises(RuntimeError) as exc_info:
+            run_trials(build, trials=4, max_rounds=100, seed=3, processes=2)
+        message = str(exc_info.value)
+        assert "trial chunk 2/2" in message
+        assert "RuntimeError: chunk two broke" in message
+        # Chunk 1 ran both seeds, chunk 2 stopped at its first: nothing
+        # was retried and nothing re-ran serially in this process.
+        calls = [int(line) for line in log.read_text().split()]
+        assert sorted(calls) == sorted(seeds[:3])
+
+    def test_failing_batched_engine_raises_without_splitting(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.algorithms.blind_gossip import BlindGossipBatched
+        from repro.core.batched import BatchedVectorizedEngine
+        from repro.graphs import families
+        from repro.graphs.dynamic import StaticDynamicGraph
+        from repro.harness.experiments import uid_keys_random
+        from repro.harness.runner import run_trials_batched
+
+        monkeypatch.delenv(PROCESSES_ENV, raising=False)
+        graph = families.double_star(4)
+        log = tmp_path / "batches.log"
+
+        def build(batch_seeds):
+            with open(log, "a") as fh:
+                fh.write(f"{len(batch_seeds)}\n")
+            return StaticDynamicGraph(graph), BlindGossipBatched(uid_keys_random(graph.n, 3))
+
+        def broken_run(self, max_rounds, *, check_every=1):
+            raise RuntimeError("batched kernel unavailable")
+
+        monkeypatch.setattr(BatchedVectorizedEngine, "run", broken_run)
+        with pytest.raises(RuntimeError, match="batched kernel unavailable"):
+            run_trials_batched(build, trials=4, max_rounds=100, seed=3)
+        assert log.read_text().split() == ["4"]  # one full batch, never split
+
+
 class TestTable:
     def test_render_contains_all_cells(self):
         t = Table(title="T", columns=["a", "b"])
