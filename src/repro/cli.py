@@ -6,12 +6,20 @@ Commands
     Show the experiment registry (ids, claims, profiles).
 ``experiments run <ID> [--profile quick|standard] [--save PATH]``
     Run one experiment and print (optionally save) its table.
-``experiments run-all [--profile quick|standard] [--checkpoint-dir D]
-[--resume] [--timeout-per-trial S] [--max-retries K]``
-    Run the whole registry as one durable, resumable campaign: each
-    finished experiment is checkpointed atomically, hung cells are
-    killed and retried with backoff, and ``--resume`` restarts a killed
-    campaign from its last durable state (see ``docs/operations.md``).
+``experiments verify <ID> [--profile quick|standard]``
+    Run one experiment and evaluate the shape checks it declares.
+``experiments run-all [--only IDS] [--profile quick|standard]
+[--checkpoint-dir D] [--resume] [--timeout-per-trial S] [--max-retries K]
+[--output F]``
+    Reproduce the paper: run the whole registry (or ``--only`` a subset)
+    as one durable, resumable campaign that verifies every table against
+    its shape checks and exits 1 on any failure.  Each finished
+    experiment is checkpointed atomically, hung cells are killed and
+    retried with backoff, and ``--resume`` restarts a killed campaign
+    from its last durable state (see ``docs/operations.md``).
+``report [--results D] [--output F]``
+    Assemble the checkpoints of a ``run-all`` directory (default
+    ``campaign-checkpoints``) into one markdown report, in registry order.
 ``graph <family> [params…]``
     Build a graph family and report n, m, Δ, α (best estimate), γ (exact
     when small), and the spectral lower bound.
@@ -321,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_report = sub.add_parser(
-        "report", help="assemble saved benchmark results into a markdown report"
+        "report", help="assemble saved experiment results into a markdown report"
     )
     p_report.add_argument(
-        "--results", default="benchmarks/results", help="directory of saved *.json results"
+        "--results", default="campaign-checkpoints",
+        help="directory of saved *.json results (run-all's checkpoint directory)",
     )
     p_report.add_argument("--output", default="results_report.md")
     p_report.add_argument("--title", default=None)

@@ -44,7 +44,7 @@ from repro.harness.campaign import (
     run_campaign,
 )
 from repro.harness.reporting import build_report, collect_documents, write_report
-from repro.harness.verify import CheckResult, verify_document, verify_experiment
+from repro.harness.verify import CheckResult, verify_experiment
 
 __all__ = [
     "TrialOutcome",
@@ -78,5 +78,4 @@ __all__ = [
     "write_report",
     "CheckResult",
     "verify_experiment",
-    "verify_document",
 ]

@@ -65,7 +65,7 @@ from repro.harness.persistence import (
     quarantine_file,
     save_table,
 )
-from repro.harness.verify import VERIFIERS, verify_experiment
+from repro.harness.verify import verify_experiment
 
 __all__ = [
     "CampaignConfig",
@@ -227,6 +227,15 @@ def _cell_call(
     return call
 
 
+def _verify_cell(config: CampaignConfig, result: CellResult, table: object) -> None:
+    """Record the cell's check tally; a cell that declares no checks
+    keeps ``None`` (no ``checks k/n`` in its progress line)."""
+    if config.verify and EXPERIMENTS[result.exp_id].checks:
+        checks = verify_experiment(result.exp_id, table)
+        result.checks_passed = sum(1 for c in checks if c.passed)
+        result.checks_total = len(checks)
+
+
 def _try_resume(
     config: CampaignConfig,
     exp_id: str,
@@ -251,10 +260,7 @@ def _try_resume(
     meta = doc.extra.get("campaign", {})
     result.elapsed_s = float(meta.get("elapsed_s", 0.0))
     result.tier = str(meta.get("tier", "profile"))
-    if config.verify and exp_id in VERIFIERS:
-        checks = verify_experiment(exp_id, doc.table)
-        result.checks_passed = sum(1 for c in checks if c.passed)
-        result.checks_total = len(checks)
+    _verify_cell(config, result, doc.table)
     progress(f"{exp_id}: resumed from checkpoint ({path.name})")
     return result
 
@@ -414,10 +420,7 @@ def _complete_cell(
         tier=tier,
         path=cell.path,
     )
-    if config.verify and cell.exp_id in VERIFIERS:
-        checks = verify_experiment(cell.exp_id, table)
-        result.checks_passed = sum(1 for c in checks if c.passed)
-        result.checks_total = len(checks)
+    _verify_cell(config, result, table)
     save_table(
         table,
         cell.path,

@@ -4,12 +4,13 @@ The paper's evaluation is a sequence of theorems; every entry here
 regenerates the *shape* of one claim (who wins, with what exponent, where
 behaviour flattens), per the reproduction plan in DESIGN.md.  Each
 experiment function returns a :class:`~repro.harness.tables.Table` whose
-notes restate the paper claim being checked.
+notes restate the paper claim being checked, and each :class:`Experiment`
+declares the shape checks (:mod:`repro.harness.verify`) that table must pass.
 
 Two profiles are registered per experiment: ``quick`` (seconds; used by
-the pytest benchmarks) and ``standard`` (minutes; used to fill
-EXPERIMENTS.md).  Run them via :func:`run_experiment` or the
-``examples/reproduce_paper.py`` driver.
+CI) and ``standard`` (minutes; used to fill EXPERIMENTS.md).  Run one cell
+with :func:`run_experiment`, or every cell, verified and checkpointed,
+with ``repro experiments run-all``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.algorithms.push_pull import PushPullBatched
 from repro.analysis import bounds
 from repro.analysis.expansion import vertex_expansion, vertex_expansion_exact
 from repro.analysis.matching import gamma_exact
-from repro.analysis.statistics import loglog_slope, summarize
+from repro.analysis.statistics import summarize
 from repro.core.classical import classical_push_pull_rumor
 from repro.core.largen import LargeNEngine
 from repro.core.payload import UIDSpace
@@ -65,6 +66,7 @@ from repro.harness.tournament import (
     exp_tournament_ppush,
     exp_tournament_push_pull,
 )
+from repro.harness.verify import AllTrue, Check, Predicate, Slope
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -297,6 +299,24 @@ def exp_ppush_matching(
     return table
 
 
+def _fractions_by_workload(workloads, fractions) -> dict[str, list[float]]:
+    per_workload: dict[str, list[float]] = {}
+    for workload, fraction in zip(workloads, fractions):
+        per_workload.setdefault(workload, []).append(fraction)
+    return per_workload
+
+
+def _fractions_monotone(workloads, fractions) -> tuple[bool, str]:
+    per_workload = _fractions_by_workload(workloads, fractions)
+    return all(fr == sorted(fr) for fr in per_workload.values()), str(per_workload)
+
+
+def _staircase_harder(workloads, fractions) -> tuple[bool, str]:
+    per = _fractions_by_workload(workloads, fractions)
+    harder = all(s < r for r, s in zip(per.get("regular", []), per.get("staircase", [])))
+    return harder, "contention structure"
+
+
 # ---------------------------------------------------------------------------
 # E3 — Theorem VI.1: blind gossip upper bound shape
 # ---------------------------------------------------------------------------
@@ -328,7 +348,6 @@ def exp_blind_gossip_scaling(
         ],
     )
     cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
-    deltas, rounds_static = [], []
     for k in leaf_counts:
         base = families.double_star(k)
         n = base.n
@@ -349,13 +368,6 @@ def exp_blind_gossip_scaling(
             med_churn,
             bounds.blind_gossip_upper(n, alpha, delta),
         )
-        deltas.append(delta)
-        rounds_static.append(med_static)
-    slope, r2 = loglog_slope(deltas, rounds_static)
-    table.notes.append(
-        f"log-log slope of static rounds vs Delta: {slope:.2f} (R^2={r2:.3f}); "
-        "paper shape predicts ~2."
-    )
     return table
 
 
@@ -387,7 +399,6 @@ def exp_lower_bound_line_of_stars(
             "ratio = measured / (Delta^2 * s); shape holds if roughly constant.",
         ],
     )
-    ss, measured = [], []
     for s in star_sizes:
         g = families.line_of_stars(s, s)
         n, delta = g.n, g.max_degree
@@ -402,13 +413,6 @@ def exp_lower_bound_line_of_stars(
         )
         pred = delta * delta * s
         table.add_row(s, n, delta, alpha, med, pred, med / pred)
-        ss.append(s)
-        measured.append(med)
-    slope, r2 = loglog_slope(ss, measured)
-    table.notes.append(
-        f"log-log slope of rounds vs s: {slope:.2f} (R^2={r2:.3f}); "
-        "prediction Delta^2*s with Delta ~ s gives ~3."
-    )
     return table
 
 
@@ -435,7 +439,6 @@ def exp_push_pull(
         ],
     )
     cell = partial(_median, engine=engine, trials=trials, max_rounds=max_rounds)
-    deltas, measured = [], []
     for k in leaf_counts:
         base = families.double_star(k)
         n, delta = base.n, base.max_degree
@@ -450,13 +453,6 @@ def exp_push_pull(
         table.add_row(
             delta, n, med_static, med_churn, bounds.push_pull_upper(n, alpha, delta)
         )
-        deltas.append(delta)
-        measured.append(med_static)
-    slope, r2 = loglog_slope(deltas, measured)
-    table.notes.append(
-        f"log-log slope of static rounds vs Delta: {slope:.2f} (R^2={r2:.3f}); "
-        "paper shape predicts ~2."
-    )
     return table
 
 
@@ -793,6 +789,12 @@ def exp_self_stabilization(
     return table
 
 
+def _join_vs_fresh(scenarios, medians) -> tuple[bool, str]:
+    med = dict(zip(scenarios, medians))
+    joined, fresh = med["join after convergence"], med["fresh start on union"]
+    return joined < 5 * fresh, f"{joined} vs {fresh}"
+
+
 # ---------------------------------------------------------------------------
 # E10 — classical telephone model vs mobile telephone model
 # ---------------------------------------------------------------------------
@@ -821,7 +823,6 @@ def exp_classical_vs_mobile(
         ],
     )
     cell = partial(_median, engine="single", trials=trials, max_rounds=max_rounds)
-    deltas, mob0 = [], []
     for k in leaf_counts:
         base = families.double_star(k)
         n, delta = base.n, base.max_degree
@@ -843,13 +844,6 @@ def exp_classical_vs_mobile(
         med_b0 = cell(build_b0, seed=seed)
         med_b1 = cell(build_b1, seed=seed + 1)
         table.add_row(delta, n, med_cl, med_b0, med_b1)
-        deltas.append(delta)
-        mob0.append(med_b0)
-    slope, _ = loglog_slope(deltas, mob0)
-    table.notes.append(
-        f"mobile b=0 log-log slope vs Delta: {slope:.2f} (expected ~2); "
-        "classical and PPUSH grow ~linearly in Delta here."
-    )
     return table
 
 
@@ -1307,6 +1301,11 @@ def exp_communication_cost(
     return table
 
 
+def _async_fewest_connections(algorithms, connections) -> tuple[bool, str]:
+    conns = dict(zip(algorithms, connections))
+    return conns["async bit convergence"] <= conns["blind gossip (b=0)"], str(conns)
+
+
 # ---------------------------------------------------------------------------
 # E16 — extension: k-gossip (all-to-all dissemination)
 # ---------------------------------------------------------------------------
@@ -1339,7 +1338,6 @@ def exp_k_gossip(
         ],
     )
     cell = partial(_median, engine="single", trials=trials, max_rounds=max_rounds)
-    ns, clique_rounds = [], []
     for n in sizes:
         clique = families.clique(n)
         reg = families.random_regular(n, degree, seed=seed + n)
@@ -1350,14 +1348,6 @@ def exp_k_gossip(
         med_clique = cell(partial(build, g=clique), seed=seed)
         med_reg = cell(partial(build, g=reg), seed=seed + 1)
         table.add_row(n, med_clique, med_reg, n - 1)
-        ns.append(n)
-        clique_rounds.append(med_clique)
-    slope, r2 = loglog_slope(ns, clique_rounds)
-    table.notes.append(
-        f"clique log-log slope vs n: {slope:.2f} (R^2={r2:.3f}); "
-        "random one-rumor-per-connection gossip pays a coupon-collector "
-        "factor over the linear floor."
-    )
     return table
 
 
@@ -1551,6 +1541,13 @@ def exp_ablation_group_len(
     return table
 
 
+def _paper_multiplier_ok(multipliers, medians) -> tuple[bool, str]:
+    rounds = dict(zip(multipliers, medians))
+    paper = rounds.get(2)
+    ok = paper is not None and all(paper < 4 * r + 1e-9 for r in rounds.values())
+    return ok, str(rounds)
+
+
 # ---------------------------------------------------------------------------
 # A2 — ablation: async tag width (k) sensitivity
 # ---------------------------------------------------------------------------
@@ -1647,6 +1644,13 @@ def exp_ablation_push_pull_direction(
     return table
 
 
+def _push_pull_dominates(directions, star, regular) -> tuple[bool, str]:
+    rows = {d: (s, r) for d, s, r in zip(directions, star, regular)}
+    both = rows["both"]
+    ok = all(rows[d][0] >= both[0] and rows[d][1] >= both[1] for d in ("push", "pull"))
+    return ok, str(rows)
+
+
 # ---------------------------------------------------------------------------
 # A4 — async model: stabilization vs the delay bound Δ (event tier)
 # ---------------------------------------------------------------------------
@@ -1733,6 +1737,19 @@ def exp_async_delta_sweep(
         )
         table.add_row(delta, med, med / sync_med)
     return table
+
+
+def _ticks_near_monotone(ticks) -> tuple[bool, str]:
+    # At small Delta the random stagger can break the lock-step proposal
+    # collisions and win back its dilation, so allow 20% dips — but the
+    # largest Delta must strictly cost more than 1.
+    monotone = all(b >= 0.8 * a for a, b in zip(ticks, ticks[1:])) and ticks[-1] > ticks[0]
+    return monotone, str(ticks)
+
+
+def _degradation_linear(deltas, ticks) -> tuple[bool, str]:
+    span = (ticks[-1] / ticks[0]) / (deltas[-1] / deltas[0])
+    return 0.25 <= span <= 4.0, f"tick growth / Delta growth = {span:.2f}"
 
 
 # ---------------------------------------------------------------------------
@@ -1869,6 +1886,24 @@ def exp_fault_drop_inflation(
     return table
 
 
+def _adversary_dominates(deltas, slowdowns) -> tuple[bool, str]:
+    dominates = all(s >= (0.95 if d == 1 else 1.1) for d, s in zip(deltas, slowdowns))
+    return dominates, f"slowdowns {[f'{s:.2f}' for s in slowdowns]}"
+
+
+def _inflates_with_drop(med_g, med_p) -> tuple[bool, str]:
+    monotone = all(b >= 0.9 * a for m in (med_g, med_p) for a, b in zip(m, m[1:]))
+    return monotone, f"gossip {med_g}, PPUSH {med_p}"
+
+
+def _tracks_predicted(ps, predicted, *inflations) -> tuple[bool, str]:
+    in_band = all(
+        0.4 * predicted[i] <= col[i] <= 2.5 * predicted[i]
+        for i, p in enumerate(ps) if p > 0 for col in inflations
+    )
+    return in_band, f"predicted {predicted}"
+
+
 # ---------------------------------------------------------------------------
 # R2 — Section VIII regime: recovery from mass state corruption
 # ---------------------------------------------------------------------------
@@ -1936,6 +1971,12 @@ def exp_fault_state_corruption(
         "should stay near 1 across fractions (same order as a fresh run)."
     )
     return table
+
+
+def _full_corruption_like_fresh(fractions, ratios) -> tuple[bool, str]:
+    full = [r for f, r in zip(fractions, ratios) if f >= 1.0]
+    full_ok = all(0.25 < r < 3 for r in full) if full else True
+    return full_ok, f"fraction-1.0 ratio(s): {full}"
 
 
 # ---------------------------------------------------------------------------
@@ -2021,6 +2062,14 @@ def exp_fault_crash_churn(
     return table
 
 
+def _recovery_vs_clean(fracs, meds, recov) -> tuple[bool, str]:
+    clean = next((m for f, m in zip(fracs, meds) if f == 0), None)
+    if clean is None:
+        return False, f"no crash fraction 0 row to compare against (fractions {fracs})"
+    ok = all(r <= 5 * max(clean, 1.0) for r in recov)
+    return ok, f"recoveries {recov} vs clean {clean}"
+
+
 # ---------------------------------------------------------------------------
 # S1 — Scaling: stabilization shape up to n = 10^6 (chunked engine)
 # ---------------------------------------------------------------------------
@@ -2089,12 +2138,20 @@ def exp_scaling_large_n(
         table.add_row(
             n, degree, med, l2sq, med / l2sq, all(o.stabilized for o in outcomes)
         )
-    slope, r2 = loglog_slope(table.column("n"), table.column("median rounds"))
-    table.notes.append(
-        f"log-log slope of median rounds vs n: {slope:.3f} (R^2={r2:.3f}); "
-        "polylog growth predicts a slope well below 0.45."
-    )
     return table
+
+
+def _adversary_grid_covered(adversaries) -> tuple[bool, str]:
+    names = {str(a) for a in adversaries}
+    covered = len(names) >= 4 and {"none", "assassin", "openworld"} <= names
+    return covered, f"adversaries: {sorted(names)}"
+
+
+def _baseline_clean(adversaries, survival, inflation) -> tuple[bool, str]:
+    rows = zip(adversaries, survival, inflation)
+    baseline = [(float(s), float(i)) for a, s, i in rows if a == "none"]
+    clean = bool(baseline) and all(s == 1.0 and math.isclose(i, 1.0) for s, i in baseline)
+    return clean, f"{len(baseline)} baseline cells"
 
 
 # ---------------------------------------------------------------------------
@@ -2104,19 +2161,45 @@ def exp_scaling_large_n(
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered experiment: claim, function, and per-profile kwargs."""
+    """A registered experiment: claim, function, per-profile kwargs, and
+    the shape checks (:mod:`repro.harness.verify`) its table must pass."""
 
     exp_id: str
     claim: str
     func: Callable[..., Table]
     quick: Mapping[str, object] = field(default_factory=dict)
     standard: Mapping[str, object] = field(default_factory=dict)
+    checks: tuple[Check, ...] = ()
 
     def run(self, profile: str = "quick", **overrides) -> Table:
+        """Run one profile; each :class:`~repro.harness.verify.Slope` check
+        with a ``note`` appends that note, rendered from its own fit."""
         kwargs = dict(self.quick if profile == "quick" else self.standard)
         kwargs.update(overrides)
-        return self.func(**kwargs)
+        table = self.func(**kwargs)
+        for check in self.checks:
+            if isinstance(check, Slope) and check.note:
+                table.notes.append(check.note.format(**check.fit(table)))
+        return table
 
+
+_E2_FRACTIONS = ["workload", "measured mean fraction"]
+_E12_CHURN = ["oblivious tau=1", "adaptive tau=1"]
+_DELTA_SLOPE_NOTE = (
+    "log-log slope of static rounds vs Delta: {slope:.2f} (R^2={r2:.3f}); "
+    "paper shape predicts ~2."
+)
+_TOURNAMENT_CHECKS = (
+    Predicate("adversary grid covers >= 4 adversaries incl. open-world + assassin",
+              ["adversary"], _adversary_grid_covered),
+    Predicate("faultless baseline survives every tau with inflation 1",
+              ["adversary", "survival", "inflation"], _baseline_clean),
+    Predicate("survival rates are proper fractions", ["survival"],
+              lambda s: (all(0.0 <= float(x) <= 1.0 for x in s), f"{len(s)} cells")),
+    Predicate("inflation defined (finite) wherever a trial survived", ["survival", "inflation"],
+              lambda s, i: (all(math.isfinite(float(y)) or float(x) == 0.0
+                                for x, y in zip(s, i)), "inf only on zero-survivor cells")),
+)
 
 EXPERIMENTS: dict[str, Experiment] = {
     e.exp_id: e
@@ -2127,6 +2210,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_lemma_v1,
             quick=dict(n_small=8, random_graphs=3),
             standard=dict(n_small=12, random_graphs=8),
+            checks=(
+                AllTrue("gamma >= alpha/4 everywhere", "gamma >= alpha/4", "{rows} graphs"),
+                Predicate("gamma <= alpha everywhere", ["alpha", "gamma"],
+                          lambda a, g: (all(y <= x + 1e-12 for x, y in zip(a, g)),
+                                        "matching endpoints bound")),
+            ),
         ),
         Experiment(
             "E2",
@@ -2134,6 +2223,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_ppush_matching,
             quick=dict(m=64, d=8, trials=10),
             standard=dict(m=256, d=16, trials=40),
+            checks=(
+                AllTrue("q10 fraction >= m/f(r) floor", "measured >= predicted",
+                        "Theorem V.2 floor"),
+                Predicate("fractions monotone in r", _E2_FRACTIONS, _fractions_monotone),
+                Predicate("staircase strictly harder than regular", _E2_FRACTIONS,
+                          _staircase_harder),
+            ),
         ),
         Experiment(
             "E3",
@@ -2143,6 +2239,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             standard=dict(
                 leaf_counts=(4, 8, 16, 32, 64), trials=20, engine="batched"
             ),
+            checks=(
+                Slope("Delta", "rounds static", 1.4, 2.6, note=_DELTA_SLOPE_NOTE),
+                Predicate("rounds monotone in Delta", ["rounds static"],
+                          lambda r: (r == sorted(r), str(r))),
+            ),
         ),
         Experiment(
             "E4",
@@ -2150,6 +2251,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_lower_bound_line_of_stars,
             quick=dict(star_sizes=(3, 4, 5), trials=5),
             standard=dict(star_sizes=(3, 4, 5, 6, 8), trials=15, engine="batched"),
+            checks=(
+                Predicate("measured/(Delta^2 s) ratio in constant band", ["ratio"],
+                          lambda r: (max(r) / min(r) < 4.0, f"band={max(r) / min(r):.2f}")),
+                Slope("s (stars)", "rounds", 2.0, 3.8,
+                      note="log-log slope of rounds vs s: {slope:.2f} (R^2={r2:.3f}); "
+                      "prediction Delta^2*s with Delta ~ s gives ~3."),
+            ),
         ),
         Experiment(
             "E5",
@@ -2159,6 +2267,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             standard=dict(
                 leaf_counts=(4, 8, 16, 32, 64), trials=20, engine="batched"
             ),
+            checks=(Slope("Delta", "rounds static", 1.4, 2.6, note=_DELTA_SLOPE_NOTE),),
         ),
         Experiment(
             "E6",
@@ -2169,6 +2278,12 @@ EXPERIMENTS: dict[str, Experiment] = {
                 n=128, degree=16, taus=(1, 2, 4, 8, 16, math.inf), trials=12,
                 engine="batched",
             ),
+            checks=(
+                Predicate("oblivious churn flat (honest null result)", ["oblivious churn"],
+                          lambda o: (max(o) / min(o) < 8.0, f"{o}")),
+                Predicate("adaptive: finite tau costs over tau=inf", ["adaptive churn"],
+                          lambda a: (a[0] > 1.5 * a[-1], f"tau=1: {a[0]}, tau=inf: {a[-1]}")),
+            ),
         ),
         Experiment(
             "E7",
@@ -2178,6 +2293,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             standard=dict(
                 leaves=64, taus=(1, 2, 4, 8, math.inf), trials=12, engine="batched"
             ),
+            checks=(
+                Predicate("b=1 speedup grows with tau", ["speedup"],
+                          lambda s: (s[-1] > s[0], str(s))),
+                Predicate("b=1 competitive at full stability", ["speedup"],
+                          lambda s: (s[-1] > 0.8, f"{s[-1]:.2f}")),
+            ),
         ),
         Experiment(
             "E8",
@@ -2185,6 +2306,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_async,
             quick=dict(n=16, degree=4, trials=4),
             standard=dict(n=32, degree=4, trials=10),
+            checks=(
+                Predicate("async within bounded factor of sync", ["ratio to sync"],
+                          lambda r: (all(x < 60 for x in r[1:]), str(r))),
+                Predicate("async uses wider advertisements", ["b (tag bits)"],
+                          lambda b: (b[0] == 1 and all(x > 1 for x in b[1:]), str(b))),
+            ),
         ),
         Experiment(
             "E9",
@@ -2192,6 +2319,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_self_stabilization,
             quick=dict(component_n=8, degree=3, trials=4),
             standard=dict(component_n=16, degree=4, trials=10),
+            checks=(
+                Predicate("join re-stabilizes in same order as fresh",
+                          ["scenario", "median rounds"], _join_vs_fresh),
+            ),
         ),
         Experiment(
             "E10",
@@ -2199,6 +2330,16 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_classical_vs_mobile,
             quick=dict(leaf_counts=(4, 8, 16), trials=6),
             standard=dict(leaf_counts=(4, 8, 16, 32, 64), trials=20),
+            checks=(
+                Slope("Delta", "mobile b=0", 1.4, name="mobile b=0 superlinear in Delta",
+                      detail="slope={slope:.2f}",
+                      note="mobile b=0 log-log slope vs Delta: {slope:.2f} (expected ~2); "
+                      "classical and PPUSH grow ~linearly in Delta here."),
+                Predicate("b=0 loses to classical at top Delta", ["mobile b=0", "classical"],
+                          lambda b0, c: (b0[-1] > 2 * c[-1], "")),
+                Predicate("b=0 loses to PPUSH at top Delta", ["mobile b=0", "mobile b=1 (PPUSH)"],
+                          lambda b0, b1: (b0[-1] > 2 * b1[-1], "")),
+            ),
         ),
         Experiment(
             "E11",
@@ -2206,6 +2347,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_dynamic_comparison,
             quick=dict(sizes=(16, 64), trials=4),
             standard=dict(sizes=(32, 64, 128, 256), trials=10, engine="batched"),
+            checks=(
+                Predicate("static ring/regular ratio grows with n", ["static ratio"],
+                          lambda r: (r[-1] > r[0], str(r))),
+                Predicate("churn-mixing erases the 1/alpha penalty", ["ring static", "ring tau=1"],
+                          lambda s, c: (c[-1] <= s[-1], "")),
+            ),
         ),
         Experiment(
             "E12",
@@ -2213,6 +2360,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_adaptive_adversary,
             quick=dict(leaf_counts=(8, 16), trials=5),
             standard=dict(leaf_counts=(8, 16, 32, 64), trials=12, engine="batched"),
+            checks=(
+                Predicate("adaptive >= oblivious at every size", _E12_CHURN,
+                          lambda o, a: (all(y >= x for x, y in zip(o, a)), "")),
+                Predicate("adaptive clearly worse at top size", _E12_CHURN,
+                          lambda o, a: (a[-1] > 1.5 * o[-1], f"{a[-1]} vs {o[-1]}")),
+            ),
         ),
         Experiment(
             "E14",
@@ -2220,6 +2373,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_ppush_vs_classical,
             quick=dict(sizes=(32, 64), degree=8, trials=6),
             standard=dict(sizes=(32, 64, 128, 256, 512), degree=8, trials=15),
+            checks=(
+                Predicate("PPUSH/classical ratio within ~log n", ["ratio", "log2(n)"],
+                          lambda r, lg: (all(x <= 3 * y for x, y in zip(r, lg)), str(r))),
+            ),
         ),
         Experiment(
             "E19",
@@ -2227,6 +2384,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_productive_phases,
             quick=dict(n=16, degree=4, trials=5, max_phases=30),
             standard=dict(n=32, degree=4, trials=15),
+            checks=(
+                Predicate("productive fraction >= 0.5 everywhere", ["productive fraction (mean)"],
+                          lambda m: (all(x >= 0.5 for x in m), str(m))),
+                Predicate("no workload collapses to zero", ["productive fraction (min)"],
+                          lambda m: (all(x > 0 for x in m), str(m))),
+            ),
         ),
         Experiment(
             "E13",
@@ -2234,6 +2397,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_good_phase_frequency,
             quick=dict(n=16, degree=4, taus=(1, math.inf), trials=5, max_phases=40),
             standard=dict(n=32, degree=4, taus=(1, 2, 4, math.inf), trials=15),
+            checks=(
+                Predicate("good-phase frequency >= 0.5 everywhere", ["good fraction (mean)"],
+                          lambda m: (all(x >= 0.5 for x in m), str(m))),
+                Predicate("no cell collapses to zero", ["good fraction (min)"],
+                          lambda m: (all(x > 0 for x in m), str(m))),
+            ),
         ),
         Experiment(
             "E15",
@@ -2241,6 +2410,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_communication_cost,
             quick=dict(n=32, degree=4, trials=4),
             standard=dict(n=64, degree=8, trials=10),
+            checks=(
+                Predicate("async uses fewest connections on regular graph",
+                          ["algorithm", "connections"], _async_fewest_connections),
+            ),
         ),
         Experiment(
             "E16",
@@ -2248,6 +2421,15 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_k_gossip,
             quick=dict(sizes=(8, 16, 32), degree=4, trials=4),
             standard=dict(sizes=(8, 16, 32, 64, 128), degree=4, trials=10),
+            checks=(
+                Predicate("completion above information floor", ["clique rounds", "floor n-1"],
+                          lambda c, f: (all(x >= y for x, y in zip(c, f)), "")),
+                Slope("n", "clique rounds", 1.0, 2.0, name="slope strictly between 1 and 2",
+                      detail="slope={slope:.2f}",
+                      note="clique log-log slope vs n: {slope:.2f} (R^2={r2:.3f}); "
+                      "random one-rumor-per-connection gossip pays a coupon-collector "
+                      "factor over the linear floor."),
+            ),
         ),
         Experiment(
             "E17",
@@ -2255,6 +2437,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_averaging,
             quick=dict(n=24, degree=4, trials=4),
             standard=dict(n=64, degree=6, trials=10),
+            checks=(
+                Predicate("clique fastest", ["topology", "median rounds"],
+                          lambda t, r: (r[t.index("clique")] == min(r), "")),
+                Predicate("double star slowest", ["topology", "median rounds"],
+                          lambda t, r: (r[t.index("double star")] == max(r), "")),
+            ),
         ),
         Experiment(
             "E18",
@@ -2262,6 +2450,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_consensus,
             quick=dict(n=16, degree=4, taus=(1, math.inf), trials=4),
             standard=dict(n=32, degree=4, taus=(1, 4, math.inf), trials=10),
+            checks=(
+                AllTrue("agreement+validity in every trial", "agreement+validity"),
+                Predicate("consensus overhead ~1x over bare election", ["overhead"],
+                          lambda o: (all(0.5 <= x <= 2.0 for x in o), str(o))),
+            ),
         ),
         Experiment(
             "A1",
@@ -2271,6 +2464,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             standard=dict(
                 n=32, degree=4, multipliers=(1, 2, 4, 8), trials=10, engine="batched"
             ),
+            checks=(
+                Predicate("paper multiplier 2 never loses badly",
+                          ["multiplier", "median rounds"], _paper_multiplier_ok),
+            ),
         ),
         Experiment(
             "A2",
@@ -2278,6 +2475,12 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_ablation_async_tag_width,
             quick=dict(n=16, degree=4, betas=(1.0, 1.5), trials=3),
             standard=dict(n=32, degree=4, betas=(1.0, 1.5, 2.0), trials=8),
+            checks=(
+                Predicate("rounds grow with k", ["median rounds"],
+                          lambda r: (r[-1] >= r[0], str(r))),
+                Predicate("advert width grows with k", ["b (advert bits)"],
+                          lambda b: (b == sorted(b), str(b))),
+            ),
         ),
         Experiment(
             "A3",
@@ -2285,6 +2488,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_ablation_push_pull_direction,
             quick=dict(leaves=8, regular_n=16, degree=4, trials=5),
             standard=dict(leaves=32, regular_n=64, degree=8, trials=12),
+            # The graph columns are named after the profile's sizes: by position.
+            checks=(
+                Predicate("symmetric PUSH-PULL dominates both restrictions", [0, 1, 2],
+                          _push_pull_dominates),
+            ),
         ),
         Experiment(
             "A4",
@@ -2292,6 +2500,17 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_async_delta_sweep,
             quick=dict(n=16, degree=4, deltas=(1, 2, 4), trials=5),
             standard=dict(n=32, degree=4, deltas=(1, 2, 4, 8), trials=12),
+            checks=(
+                Predicate("ticks near-monotone in Delta", ["median ticks"],
+                          _ticks_near_monotone),
+                # An async exchange spans propose -> connect -> deliver, so even
+                # at Delta=1 one synchronous round costs a small constant in ticks.
+                Predicate("Delta=1 within a constant factor of sync rounds",
+                          ["ratio to sync rounds"],
+                          lambda r: (1.0 <= r[0] <= 8.0, f"ratio={r[0]:.2f}")),
+                Predicate("degradation roughly linear in Delta", ["delta", "median ticks"],
+                          _degradation_linear),
+            ),
         ),
         Experiment(
             "A5",
@@ -2299,6 +2518,15 @@ EXPERIMENTS: dict[str, Experiment] = {
             exp_async_scheduler_adversary,
             quick=dict(n=16, degree=4, deltas=(1, 4), trials=5),
             standard=dict(n=32, degree=4, deltas=(1, 4, 8), trials=12),
+            checks=(
+                Predicate("adversarial schedule dominates random", ["delta", "slowdown"],
+                          _adversary_dominates),
+                Predicate("bounded delay keeps stabilization finite",
+                          ["random median", "adversarial median"],
+                          lambda r, a: (all(m > 0 for m in r + a), f"adversarial medians {a}")),
+                Predicate("adversary's edge grows with Delta", ["slowdown"],
+                          lambda s: (s[-1] >= s[0], str(s))),
+            ),
         ),
         Experiment(
             "R1",
@@ -2307,6 +2535,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             quick=dict(leaves=8, drop_ps=(0.0, 0.5), trials=5),
             standard=dict(
                 leaves=16, drop_ps=(0.0, 0.3, 0.6), trials=20, engine="batched"
+            ),
+            checks=(
+                Predicate("stabilization inflates with drop p", ["gossip median", "PPUSH median"],
+                          _inflates_with_drop),
+                Predicate("inflation tracks 1/(1-p) within [0.4x, 2.5x]",
+                          ["drop p", "1/(1-p)", "gossip inflation", "PPUSH inflation"],
+                          _tracks_predicted),
             ),
         ),
         Experiment(
@@ -2318,6 +2553,12 @@ EXPERIMENTS: dict[str, Experiment] = {
                 n=32, degree=4, fractions=(1 / 3, 2 / 3, 1.0), trials=20,
                 engine="batched",
             ),
+            checks=(
+                Predicate("recovery within 3x of a fresh run for every fraction",
+                          ["recovery / fresh"], lambda r: (all(x < 3 for x in r), str(r))),
+                Predicate("full corruption behaves like a fresh start",
+                          ["fraction", "recovery / fresh"], _full_corruption_like_fresh),
+            ),
         ),
         Experiment(
             "R3",
@@ -2328,6 +2569,13 @@ EXPERIMENTS: dict[str, Experiment] = {
                 n=32, degree=4, crash_fracs=(0.0, 0.25, 0.5), trials=16,
                 engine="batched",
             ),
+            checks=(
+                Predicate("every crash level still stabilizes", ["median rounds"],
+                          lambda m: (all(x > 0 for x in m), f"medians {m}")),
+                Predicate("post-quiesce recovery within 5x of the clean run",
+                          ["crash fraction", "median rounds", "recovery after quiesce"],
+                          _recovery_vs_clean),
+            ),
         ),
         Experiment(
             "S1",
@@ -2336,6 +2584,15 @@ EXPERIMENTS: dict[str, Experiment] = {
             quick=dict(sizes=(8192, 32768, 131072), trials=3),
             standard=dict(
                 sizes=(65536, 262144, 1048576), trials=3, check_every=4
+            ),
+            checks=(
+                AllTrue("every trial stabilized at every n", "all stabilized", "{rows} sizes"),
+                # Polylog growth: at constant Delta on expanders the rounds-vs-n
+                # exponent must stay far below linear (log^2 n over this range
+                # fits a log-log slope of ~0.1-0.3).
+                Slope("n", "median rounds", -0.2, 0.45,
+                      note="log-log slope of median rounds vs n: {slope:.3f} "
+                      "(R^2={r2:.3f}); polylog growth predicts a slope well below 0.45."),
             ),
         ),
         Experiment(
@@ -2347,6 +2604,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 n=48, degree=6, taus=(1, 4, 16), trials=10, max_rounds=1500,
                 churn_events=24, churn_last=80,
             ),
+            checks=_TOURNAMENT_CHECKS,
         ),
         Experiment(
             "T2",
@@ -2357,6 +2615,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 n=48, degree=6, taus=(1, 4, 16), trials=10, max_rounds=1500,
                 churn_events=24, churn_last=80,
             ),
+            checks=_TOURNAMENT_CHECKS,
         ),
         Experiment(
             "T3",
@@ -2367,6 +2626,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 n=48, degree=6, taus=(1, 4, 16), trials=10, max_rounds=1500,
                 churn_events=24, churn_last=80,
             ),
+            checks=_TOURNAMENT_CHECKS,
         ),
     ]
 }

@@ -1,10 +1,11 @@
 """Markdown report generation from saved experiment results.
 
-``pytest benchmarks/ --benchmark-only`` leaves one JSON document per
-experiment under ``benchmarks/results/``; :func:`build_report` assembles
-them into a single markdown document in registry order (the same layout
-EXPERIMENTS.md follows), so the results archive can be regenerated without
-re-running any sweep.
+``repro experiments run-all`` leaves one JSON checkpoint per experiment
+under its checkpoint directory (``campaign-checkpoints/`` by default);
+:func:`build_report` assembles them into a single markdown document in
+:func:`~repro.harness.experiments.registry_order` (the order
+EXPERIMENTS.md follows), so the results archive can be regenerated
+without re-running any sweep.
 """
 
 from __future__ import annotations
@@ -12,32 +13,23 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+from repro.harness.experiments import EXPERIMENTS, registry_order
 from repro.harness.persistence import ResultDocument, load_document
 
 __all__ = ["collect_documents", "build_report", "write_report"]
 
 
-def _registry_order(exp_id: str) -> tuple:
-    """Sort key: E1..E14 numerically, then A1..A3."""
-    kind = 0 if exp_id.startswith("E") else 1
-    try:
-        num = int(exp_id[1:])
-    except ValueError:
-        num = 0
-    return (kind, num, exp_id)
-
-
 def collect_documents(results_dir: str | Path) -> list[ResultDocument]:
-    """Load every ``*.json`` result under ``results_dir``, registry-ordered."""
+    """Load every ``*.json`` result under ``results_dir``, registry-ordered
+    (documents of unregistered ids last)."""
     results_dir = Path(results_dir)
     docs = [load_document(p) for p in sorted(results_dir.glob("*.json"))]
-    return sorted(docs, key=lambda d: _registry_order(d.exp_id))
+    rank = {exp_id: i for i, exp_id in enumerate(registry_order())}
+    return sorted(docs, key=lambda d: rank.get(d.exp_id, len(rank)))
 
 
 def build_report(docs: list[ResultDocument], *, title: str | None = None) -> str:
     """Assemble result documents into one markdown report."""
-    from repro.harness.experiments import EXPERIMENTS
-
     lines = [title or "# Experiment results", ""]
     if docs:
         profiles = sorted({d.profile for d in docs})

@@ -1,25 +1,29 @@
 """Shape verification: does a measured table reproduce its paper claim?
 
 Each experiment's claim reduces to a handful of checkable *shape*
-conditions (orderings, slopes, bands — see docs/reproducing.md).  This
-module encodes them once, as data-driven checks over result tables, so
-the same logic serves the pytest benches, the CLI
-(``repro experiments verify``), and programmatic use.
+conditions (orderings, slopes, bands — see docs/reproducing.md).  Every
+registered :class:`~repro.harness.experiments.Experiment` declares them
+in its ``checks`` tuple, built from three kinds: a log-log
+:class:`Slope` band, an :class:`AllTrue` column and a named
+:class:`Predicate`.  :func:`verify_experiment` evaluates that tuple for
+the campaign (``repro experiments run-all``), the CLI (``repro
+experiments verify``) and programmatic use.
 
 A check returns a :class:`CheckResult`; an experiment verifies when every
 check passes.  Checks operate purely on the table (no re-simulation), so
-they also run against archived JSON results.
+they also run against archived JSON results such as campaign checkpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 from repro.analysis.statistics import loglog_slope
 from repro.harness.tables import Table
 
-__all__ = ["CheckResult", "verify_experiment", "verify_document", "VERIFIERS"]
+__all__ = ["CheckResult", "Slope", "AllTrue", "Predicate", "verify_experiment"]
 
 
 @dataclass(frozen=True)
@@ -35,466 +39,81 @@ class CheckResult:
         return f"[{mark}] {self.name}: {self.detail}"
 
 
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def _slope_check(table: Table, xcol: str, ycol: str, lo: float, hi: float) -> CheckResult:
-    slope, r2 = loglog_slope(table.column(xcol), table.column(ycol))
-    return _check(
-        f"slope({ycol} vs {xcol}) in [{lo}, {hi}]",
-        lo < slope < hi,
-        f"slope={slope:.2f} (R^2={r2:.3f})",
-    )
-
-
-# -- per-experiment verifiers -------------------------------------------------
-
-
-def _verify_e1(table: Table) -> list[CheckResult]:
-    ok = all(table.column("gamma >= alpha/4"))
-    bounded = all(
-        g <= a + 1e-12 for a, g in zip(table.column("alpha"), table.column("gamma"))
-    )
-    return [
-        _check("gamma >= alpha/4 everywhere", ok, f"{len(table.rows)} graphs"),
-        _check("gamma <= alpha everywhere", bounded, "matching endpoints bound"),
-    ]
-
-
-def _verify_e2(table: Table) -> list[CheckResult]:
-    floor = all(table.column("measured >= predicted"))
-    per_workload: dict[str, list[float]] = {}
-    for row in table.rows:
-        _r, workload, _f, _pred, mean_f, _q10, _ok = row
-        per_workload.setdefault(workload, []).append(mean_f)
-    monotone = all(fr == sorted(fr) for fr in per_workload.values())
-    harder = all(
-        s < r
-        for r, s in zip(per_workload.get("regular", []), per_workload.get("staircase", []))
-    )
-    return [
-        _check("q10 fraction >= m/f(r) floor", floor, "Theorem V.2 floor"),
-        _check("fractions monotone in r", monotone, str(per_workload)),
-        _check("staircase strictly harder than regular", harder, "contention structure"),
-    ]
-
-
-def _verify_e3(table: Table) -> list[CheckResult]:
-    checks = [_slope_check(table, "Delta", "rounds static", 1.4, 2.6)]
-    static = table.column("rounds static")
-    checks.append(_check("rounds monotone in Delta", static == sorted(static), str(static)))
-    return checks
-
-
-def _verify_e4(table: Table) -> list[CheckResult]:
-    ratios = table.column("ratio")
-    band = max(ratios) / min(ratios)
-    checks = [
-        _check("measured/(Delta^2 s) ratio in constant band", band < 4.0, f"band={band:.2f}"),
-        _slope_check(table, "s (stars)", "rounds", 2.0, 3.8),
-    ]
-    return checks
-
-
-def _verify_e5(table: Table) -> list[CheckResult]:
-    return [_slope_check(table, "Delta", "rounds static", 1.4, 2.6)]
-
-
-def _verify_e6(table: Table) -> list[CheckResult]:
-    obliv = table.column("oblivious churn")
-    adaptive = table.column("adaptive churn")
-    return [
-        _check(
-            "oblivious churn flat (honest null result)",
-            max(obliv) / min(obliv) < 8.0,
-            f"{obliv}",
-        ),
-        _check(
-            "adaptive: finite tau costs over tau=inf",
-            adaptive[0] > 1.5 * adaptive[-1],
-            f"tau=1: {adaptive[0]}, tau=inf: {adaptive[-1]}",
-        ),
-    ]
-
-
-def _verify_e7(table: Table) -> list[CheckResult]:
-    speedups = table.column("speedup")
-    return [
-        _check("b=1 speedup grows with tau", speedups[-1] > speedups[0], str(speedups)),
-        _check("b=1 competitive at full stability", speedups[-1] > 0.8, f"{speedups[-1]:.2f}"),
-    ]
-
-
-def _verify_e8(table: Table) -> list[CheckResult]:
-    ratios = table.column("ratio to sync")
-    bits = table.column("b (tag bits)")
-    return [
-        _check("async within bounded factor of sync", all(r < 60 for r in ratios[1:]), str(ratios)),
-        _check("async uses wider advertisements", bits[0] == 1 and all(b > 1 for b in bits[1:]), str(bits)),
-    ]
-
-
-def _verify_e9(table: Table) -> list[CheckResult]:
-    med = dict(zip(table.column("scenario"), table.column("median rounds")))
-    joined, fresh = med["join after convergence"], med["fresh start on union"]
-    return [
-        _check("join re-stabilizes in same order as fresh", joined < 5 * fresh, f"{joined} vs {fresh}")
-    ]
-
-
-def _verify_e10(table: Table) -> list[CheckResult]:
-    deltas = table.column("Delta")
-    b0 = table.column("mobile b=0")
-    classical = table.column("classical")
-    b1 = table.column("mobile b=1 (PPUSH)")
-    slope, r2 = loglog_slope(deltas, b0)
-    return [
-        _check("mobile b=0 superlinear in Delta", slope > 1.4, f"slope={slope:.2f}"),
-        _check("b=0 loses to classical at top Delta", b0[-1] > 2 * classical[-1], ""),
-        _check("b=0 loses to PPUSH at top Delta", b0[-1] > 2 * b1[-1], ""),
-    ]
-
-
-def _verify_e11(table: Table) -> list[CheckResult]:
-    ratio = table.column("static ratio")
-    ring_static = table.column("ring static")
-    ring_churn = table.column("ring tau=1")
-    return [
-        _check("static ring/regular ratio grows with n", ratio[-1] > ratio[0], str(ratio)),
-        _check("churn-mixing erases the 1/alpha penalty", ring_churn[-1] <= ring_static[-1], ""),
-    ]
-
-
-def _verify_e12(table: Table) -> list[CheckResult]:
-    obliv = table.column("oblivious tau=1")
-    adaptive = table.column("adaptive tau=1")
-    ordered = all(a >= o for o, a in zip(obliv, adaptive))
-    return [
-        _check("adaptive >= oblivious at every size", ordered, ""),
-        _check(
-            "adaptive clearly worse at top size",
-            adaptive[-1] > 1.5 * obliv[-1],
-            f"{adaptive[-1]} vs {obliv[-1]}",
-        ),
-    ]
-
-
-def _verify_e13(table: Table) -> list[CheckResult]:
-    means = table.column("good fraction (mean)")
-    mins = table.column("good fraction (min)")
-    return [
-        _check("good-phase frequency >= 0.5 everywhere", all(m >= 0.5 for m in means), str(means)),
-        _check("no cell collapses to zero", all(m > 0 for m in mins), str(mins)),
-    ]
-
-
-def _verify_e14(table: Table) -> list[CheckResult]:
-    ratios = table.column("ratio")
-    logs = table.column("log2(n)")
-    ok = all(r <= 3 * l for r, l in zip(ratios, logs))
-    return [_check("PPUSH/classical ratio within ~log n", ok, str(ratios))]
-
-
-def _verify_e15(table: Table) -> list[CheckResult]:
-    conns = {row[0]: row[2] for row in table.rows}
-    return [
-        _check(
-            "async uses fewest connections on regular graph",
-            conns["async bit convergence"] <= conns["blind gossip (b=0)"],
-            str(conns),
-        )
-    ]
-
-
-def _verify_e16(table: Table) -> list[CheckResult]:
-    clique = table.column("clique rounds")
-    floor = table.column("floor n-1")
-    slope, _ = loglog_slope(table.column("n"), clique)
-    return [
-        _check("completion above information floor", all(c >= f for c, f in zip(clique, floor)), ""),
-        _check("slope strictly between 1 and 2", 1.0 < slope < 2.0, f"slope={slope:.2f}"),
-    ]
-
-
-def _verify_e17(table: Table) -> list[CheckResult]:
-    rows = {row[0]: (row[2], row[3]) for row in table.rows}
-    rounds = [r for _, r in rows.values()]
-    return [
-        _check("clique fastest", rows["clique"][1] == min(rounds), ""),
-        _check("double star slowest", rows["double star"][1] == max(rounds), ""),
-    ]
-
-
-def _verify_e18(table: Table) -> list[CheckResult]:
-    return [
-        _check("agreement+validity in every trial", all(table.column("agreement+validity")), ""),
-        _check(
-            "consensus overhead ~1x over bare election",
-            all(0.5 <= o <= 2.0 for o in table.column("overhead")),
-            str(table.column("overhead")),
-        ),
-    ]
-
-
-def _verify_e19(table: Table) -> list[CheckResult]:
-    means = table.column("productive fraction (mean)")
-    mins = table.column("productive fraction (min)")
-    return [
-        _check("productive fraction >= 0.5 everywhere", all(m >= 0.5 for m in means), str(means)),
-        _check("no workload collapses to zero", all(m > 0 for m in mins), str(mins)),
-    ]
-
-
-def _verify_a1(table: Table) -> list[CheckResult]:
-    rounds = dict(zip(table.column("multiplier"), table.column("median rounds")))
-    paper = rounds.get(2)
-    ok = paper is not None and all(paper < 4 * r + 1e-9 for r in rounds.values())
-    return [_check("paper multiplier 2 never loses badly", ok, str(rounds))]
-
-
-def _verify_a2(table: Table) -> list[CheckResult]:
-    rounds = table.column("median rounds")
-    bs = table.column("b (advert bits)")
-    return [
-        _check("rounds grow with k", rounds[-1] >= rounds[0], str(rounds)),
-        _check("advert width grows with k", bs == sorted(bs), str(bs)),
-    ]
-
-
-def _verify_r1(table: Table) -> list[CheckResult]:
-    ps = table.column("drop p")
-    med_g = table.column("gossip median")
-    med_p = table.column("PPUSH median")
-    predicted = table.column("1/(1-p)")
-    monotone = all(
-        b >= 0.9 * a for a, b in zip(med_g, med_g[1:])
-    ) and all(b >= 0.9 * a for a, b in zip(med_p, med_p[1:]))
-    in_band = True
-    for i, p in enumerate(ps):
-        if p <= 0:
-            continue
-        for col in (table.column("gossip inflation"), table.column("PPUSH inflation")):
-            if not 0.4 * predicted[i] <= col[i] <= 2.5 * predicted[i]:
-                in_band = False
-    return [
-        _check(
-            "stabilization inflates with drop p",
-            monotone,
-            f"gossip {med_g}, PPUSH {med_p}",
-        ),
-        _check(
-            "inflation tracks 1/(1-p) within [0.4x, 2.5x]",
-            in_band,
-            f"predicted {predicted}",
-        ),
-    ]
-
-
-def _verify_r2(table: Table) -> list[CheckResult]:
-    fractions = table.column("fraction")
-    ratios = table.column("recovery / fresh")
-    bounded = all(r < 3 for r in ratios)
-    full = [r for f, r in zip(fractions, ratios) if f >= 1.0]
-    full_ok = all(0.25 < r < 3 for r in full) if full else True
-    return [
-        _check(
-            "recovery within 3x of a fresh run for every fraction",
-            bounded,
-            str(ratios),
-        ),
-        _check(
-            "full corruption behaves like a fresh start",
-            full_ok,
-            f"fraction-1.0 ratio(s): {full}",
-        ),
-    ]
-
-
-def _verify_r3(table: Table) -> list[CheckResult]:
-    fracs = table.column("crash fraction")
-    meds = table.column("median rounds")
-    recov = table.column("recovery after quiesce")
-    clean = next(m for f, m in zip(fracs, meds) if f == 0)
-    survived = all(m > 0 for m in meds)
-    ok = all(r <= 5 * max(clean, 1.0) for r in recov)
-    return [
-        _check(
-            "every crash level still stabilizes",
-            survived,
-            f"medians {meds}",
-        ),
-        _check(
-            "post-quiesce recovery within 5x of the clean run",
-            ok,
-            f"recoveries {recov} vs clean {clean}",
-        ),
-    ]
-
-
-def _verify_a3(table: Table) -> list[CheckResult]:
-    rows = {row[0]: (row[1], row[2]) for row in table.rows}
-    both = rows["both"]
-    ok = all(
-        rows[d][0] >= both[0] and rows[d][1] >= both[1] for d in ("push", "pull")
-    )
-    return [_check("symmetric PUSH-PULL dominates both restrictions", ok, str(rows))]
-
-
-def _verify_a4(table: Table) -> list[CheckResult]:
-    deltas = table.column("delta")
-    ticks = table.column("median ticks")
-    ratios = table.column("ratio to sync rounds")
-    # Near-monotone: at small Delta the random stagger can break the
-    # lock-step proposal collisions and win back its dilation, so allow
-    # 20% dips — but the largest Delta must strictly cost more than 1.
-    monotone = (
-        all(b >= 0.8 * a for a, b in zip(ticks, ticks[1:]))
-        and ticks[-1] > ticks[0]
-    )
-    # An async exchange spans propose -> connect -> deliver, so even at
-    # Delta=1 one synchronous round costs a small constant in ticks.
-    anchored = 1.0 <= ratios[0] <= 8.0
-    span = (ticks[-1] / ticks[0]) / (deltas[-1] / deltas[0])
-    graceful = 0.25 <= span <= 4.0
-    return [
-        _check("ticks near-monotone in Delta", monotone, str(ticks)),
-        _check(
-            "Delta=1 within a constant factor of sync rounds",
-            anchored,
-            f"ratio={ratios[0]:.2f}",
-        ),
-        _check(
-            "degradation roughly linear in Delta",
-            graceful,
-            f"tick growth / Delta growth = {span:.2f}",
-        ),
-    ]
-
-
-def _verify_a5(table: Table) -> list[CheckResult]:
-    deltas = table.column("delta")
-    slow = table.column("slowdown")
-    rand = table.column("random median")
-    adv = table.column("adversarial median")
-    dominates = all(
-        s >= (0.95 if d == 1 else 1.1) for d, s in zip(deltas, slow)
-    )
-    finite = all(m > 0 for m in rand + adv)
-    grows = slow[-1] >= slow[0]
-    return [
-        _check(
-            "adversarial schedule dominates random",
-            dominates,
-            f"slowdowns {[f'{s:.2f}' for s in slow]}",
-        ),
-        _check(
-            "bounded delay keeps stabilization finite",
-            finite,
-            f"adversarial medians {adv}",
-        ),
-        _check("adversary's edge grows with Delta", grows, str(slow)),
-    ]
-
-
-def _verify_s1(table: Table) -> list[CheckResult]:
-    return [
-        _check(
-            "every trial stabilized at every n",
-            all(table.column("all stabilized")),
-            f"{len(table.rows)} sizes",
-        ),
-        # Polylog growth: at constant Delta on expanders the rounds-vs-n
-        # exponent must stay far below linear (log^2 n over this range
-        # fits a log-log slope of ~0.1-0.3).
-        _slope_check(table, "n", "median rounds", -0.2, 0.45),
-    ]
-
-
-def _verify_tournament(table: Table) -> list[CheckResult]:
-    import math as _math
-
-    adversaries = {str(a) for a in table.column("adversary")}
-    survival = [float(s) for s in table.column("survival")]
-    baseline = [
-        (float(s), float(i))
-        for a, s, i in zip(
-            table.column("adversary"), survival, table.column("inflation")
-        )
-        if a == "none"
-    ]
-    required = {"none", "assassin", "openworld"}
-    return [
-        _check(
-            "adversary grid covers >= 4 adversaries incl. open-world + assassin",
-            len(adversaries) >= 4 and required <= adversaries,
-            f"adversaries: {sorted(adversaries)}",
-        ),
-        _check(
-            "faultless baseline survives every tau with inflation 1",
-            bool(baseline)
-            and all(s == 1.0 and _math.isclose(i, 1.0) for s, i in baseline),
-            f"{len(baseline)} baseline cells",
-        ),
-        _check(
-            "survival rates are proper fractions",
-            all(0.0 <= s <= 1.0 for s in survival),
-            f"{len(survival)} cells",
-        ),
-        _check(
-            "inflation defined (finite) wherever a trial survived",
-            all(
-                _math.isfinite(float(i)) or float(s) == 0.0
-                for s, i in zip(survival, table.column("inflation"))
-            ),
-            "inf only on zero-survivor cells",
-        ),
-    ]
-
-
-VERIFIERS: dict[str, Callable[[Table], list[CheckResult]]] = {
-    "E1": _verify_e1,
-    "E2": _verify_e2,
-    "E3": _verify_e3,
-    "E4": _verify_e4,
-    "E5": _verify_e5,
-    "E6": _verify_e6,
-    "E7": _verify_e7,
-    "E8": _verify_e8,
-    "E9": _verify_e9,
-    "E10": _verify_e10,
-    "E11": _verify_e11,
-    "E12": _verify_e12,
-    "E13": _verify_e13,
-    "E14": _verify_e14,
-    "E15": _verify_e15,
-    "E16": _verify_e16,
-    "E17": _verify_e17,
-    "E18": _verify_e18,
-    "E19": _verify_e19,
-    "A1": _verify_a1,
-    "A2": _verify_a2,
-    "A3": _verify_a3,
-    "A4": _verify_a4,
-    "A5": _verify_a5,
-    "R1": _verify_r1,
-    "R2": _verify_r2,
-    "R3": _verify_r3,
-    "S1": _verify_s1,
-    "T1": _verify_tournament,
-    "T2": _verify_tournament,
-    "T3": _verify_tournament,
-}
+@dataclass(frozen=True)
+class Slope:
+    """The log-log slope of column ``y`` against column ``x`` lies strictly
+    between ``lo`` and ``hi``.
+
+    ``detail`` and ``note`` format the fit's ``slope`` and ``r2``.  A
+    ``note`` is the table footnote :meth:`Experiment.run
+    <repro.harness.experiments.Experiment.run>` appends, so the note and
+    the verdict come from one fit.
+    """
+
+    x: str
+    y: str
+    lo: float
+    hi: float = math.inf
+    name: str = ""  # default: "slope(<y> vs <x>) in [<lo>, <hi>]"
+    detail: str = "slope={slope:.2f} (R^2={r2:.3f})"
+    note: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            default = f"slope({self.y} vs {self.x}) in [{self.lo}, {self.hi}]"
+            object.__setattr__(self, "name", default)
+
+    def fit(self, table: Table) -> dict[str, float]:
+        slope, r2 = loglog_slope(table.column(self.x), table.column(self.y))
+        return {"slope": slope, "r2": r2}
+
+    def __call__(self, table: Table) -> CheckResult:
+        fit = self.fit(table)
+        passed = self.lo < fit["slope"] < self.hi
+        return CheckResult(self.name, passed, self.detail.format(**fit))
+
+
+@dataclass(frozen=True)
+class AllTrue:
+    """Every cell of the boolean ``column`` is true; ``detail`` may say
+    ``{rows}``."""
+
+    name: str
+    column: str
+    detail: str = ""
+
+    def __call__(self, table: Table) -> CheckResult:
+        passed = all(table.column(self.column))
+        return CheckResult(self.name, passed, self.detail.format(rows=len(table.rows)))
+
+
+@dataclass(frozen=True)
+class Predicate:
+    """``test`` gets the listed columns, in order, and returns
+    ``(passed, detail)``.  A column is named by its header, or by its
+    position where the header depends on the profile's parameters."""
+
+    name: str
+    columns: Sequence[str | int]
+    test: Callable[..., tuple[bool, str]]
+
+    def __call__(self, table: Table) -> CheckResult:
+        values = [
+            table.column(c) if isinstance(c, str) else [row[c] for row in table.rows]
+            for c in self.columns
+        ]
+        passed, detail = self.test(*values)
+        return CheckResult(self.name, bool(passed), detail)
+
+
+Check = Union[Slope, AllTrue, Predicate]
 
 
 def verify_experiment(exp_id: str, table: Table) -> list[CheckResult]:
-    """Run the registered shape checks for ``exp_id`` over ``table``."""
-    if exp_id not in VERIFIERS:
-        raise KeyError(f"no verifier for {exp_id!r}; known: {sorted(VERIFIERS)}")
-    return VERIFIERS[exp_id](table)
+    """Evaluate the checks ``EXPERIMENTS[exp_id]`` declares over ``table``."""
+    # Imported here: the registry imports the check kinds from this module.
+    from repro.harness.experiments import EXPERIMENTS
 
-
-def verify_document(doc) -> list[CheckResult]:
-    """Verify a saved :class:`~repro.harness.persistence.ResultDocument`
-    (e.g. a campaign checkpoint) against its experiment's shape checks."""
-    return verify_experiment(doc.exp_id, doc.table)
+    if exp_id not in EXPERIMENTS:
+        raise KeyError(f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}")
+    return [check(table) for check in EXPERIMENTS[exp_id].checks]

@@ -224,6 +224,10 @@ class TestStreaming:
         assert probe.column("seen") == [True]
         done = [line.split(":", 1)[0] for line in lines if ": completed in " in line]
         assert done == ["E1", "Z3"]
+        # A registered cell reports its tally; a probe that declares no
+        # checks gets no ``checks k/n`` suffix.
+        tallies = [line.rpartition("]")[2] for line in lines if ": completed in " in line]
+        assert tallies == [", checks 2/2", ""]
 
     def test_serial_progress_precedes_next_cell(self, tmp_path, monkeypatch):
         """Each cell's progress line is emitted before the next cell runs."""

@@ -56,7 +56,3 @@ class TestExamples:
     def test_compare_algorithms(self):
         out = run_example("compare_algorithms.py", "1")
         assert "clique" in out and "classical baseline" in out
-
-    def test_reproduce_paper_subset(self):
-        out = run_example("reproduce_paper.py", "E1")
-        assert "Lemma V.1" in out

@@ -2,9 +2,9 @@
 
 Each registered experiment runs at a *tiny* override (smaller than its
 ``quick`` profile) to verify it executes end-to-end and produces a table
-with the expected columns; the scientifically-sized runs live in
-``benchmarks/``.  The cheap structural claims (E1, E2) are asserted here
-in full.
+with the expected columns; the profile-sized runs, verified against
+each experiment's declared checks, are ``repro experiments run-all``.
+The cheap structural claims (E1, E2) are asserted here in full.
 """
 
 from __future__ import annotations

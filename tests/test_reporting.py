@@ -17,10 +17,12 @@ def save_sample(dirpath, exp_id, profile="quick"):
 
 class TestCollect:
     def test_registry_order(self, tmp_path):
-        for eid in ("A1", "E10", "E2", "E1", "A3"):
+        for eid in ("T1", "A1", "S1", "E10", "R1", "E2", "A4", "E1", "A3"):
             save_sample(tmp_path, eid)
         docs = collect_documents(tmp_path)
-        assert [d.exp_id for d in docs] == ["E1", "E2", "E10", "A1", "A3"]
+        assert [d.exp_id for d in docs] == [
+            "E1", "E2", "E10", "A1", "A3", "A4", "R1", "S1", "T1"
+        ]
 
     def test_empty_dir(self, tmp_path):
         assert collect_documents(tmp_path) == []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.tables import Table
-from repro.harness.verify import VERIFIERS, CheckResult, verify_experiment
+from repro.harness.verify import CheckResult, verify_experiment
 
 
 def make_table(columns, rows):
@@ -16,10 +16,13 @@ def make_table(columns, rows):
 
 
 class TestFramework:
-    def test_every_experiment_has_a_verifier(self):
+    def test_every_experiment_declares_checks(self):
         from repro.harness.experiments import EXPERIMENTS
 
-        assert set(VERIFIERS) == set(EXPERIMENTS)
+        for exp_id, exp in EXPERIMENTS.items():
+            names = [check.name for check in exp.checks]
+            assert names, f"{exp_id} declares no checks"
+            assert len(set(names)) == len(names), f"{exp_id} repeats a check name"
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError):
@@ -65,6 +68,17 @@ class TestSyntheticTables:
         assert all(c.passed for c in verify_experiment("E12", good))
         bad = make_table(cols, [(9, 18, 90.0, 40.0, 30.0), (17, 34, 280.0, 90.0, 60.0)])
         assert not all(c.passed for c in verify_experiment("E12", bad))
+
+    def test_r3_without_clean_row_fails(self):
+        cols = [
+            "crash fraction", "crashed nodes", "quiesce round",
+            "median rounds", "recovery after quiesce",
+        ]
+        table = make_table(cols, [(0.25, 4, 30, 40.0, 12.0), (0.5, 8, 30, 55.0, 20.0)])
+        results = {c.name: c for c in verify_experiment("R3", table)}
+        recovery = results["post-quiesce recovery within 5x of the clean run"]
+        assert not recovery.passed
+        assert "no crash fraction 0 row" in recovery.detail
 
     def test_e18_agreement_detection(self):
         cols = ["tau", "leader election rounds", "consensus rounds", "overhead", "agreement+validity"]
