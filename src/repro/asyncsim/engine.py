@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.asyncsim.node import AsyncNode, EventView
 from repro.asyncsim.scheduler import Scheduler, make_scheduler
+from repro.core.capabilities import check_supported
 from repro.core.engine import ModelViolation
 from repro.core.payload import Message, PayloadBudget
 from repro.core.trace import RoundRecord, RunResult, Trace
@@ -143,13 +144,6 @@ class EventSimEngine:
         stop_when: Callable[[Sequence[AsyncNode]], bool] | None = None,
         progress: Callable[[Sequence[AsyncNode]], np.ndarray] | None = None,
     ):
-        from repro.graphs.adversary import AdaptiveDynamicGraph
-
-        if isinstance(dynamic_graph, AdaptiveDynamicGraph):
-            raise ValueError(
-                "the event tier does not support adaptive adversarial graphs; "
-                "its adversary is the scheduler"
-            )
         n = dynamic_graph.n
         if len(nodes) != n:
             raise ValueError(f"need {n} nodes, got {len(nodes)}")
@@ -202,8 +196,10 @@ class EventSimEngine:
         self.rounds_executed = 0
 
         # -- fault plan (rounds read as ticks) --------------------------------
-        if fault_plan is not None and fault_plan.is_empty():
-            fault_plan = None
+        fault_plan = check_supported(
+            "async", self.nodes, graph=dynamic_graph, fault_plan=fault_plan,
+            activation_rounds=activation_rounds,
+        )
         self._plan = fault_plan
         self._crashes = None
         self._rejoins: dict[int, tuple[int, ...]] = {}
@@ -214,16 +210,10 @@ class EventSimEngine:
         self._fault_rng: np.random.Generator | None = None
         if fault_plan is not None:
             fault_plan.validate_for(n)
-            if fault_plan.membership is not None and not fault_plan.membership.is_empty():
-                raise NotImplementedError(
-                    "the event tier does not support open-world membership "
-                    "schedules; run membership plans on the sync tiers "
-                    "(reference/vectorized/batched)"
-                )
             self._fault_rng = make_rng(seed, "faults")
             self._gate = fault_plan.quiesce_round
             cr = fault_plan.crashes
-            if cr is not None and not cr.is_empty():
+            if cr is not None:
                 self._crashes = cr
                 self._rejoins = cr.rejoin_resets()
                 perma = np.zeros(n, dtype=bool)
@@ -232,10 +222,10 @@ class EventSimEngine:
                         perma[w.node] = True
                 self._perma = perma if perma.any() else None
             drop = fault_plan.connection_drop
-            if drop is not None and not drop.is_empty():
+            if drop is not None:
                 self._drop_p = drop.p
             flips = fault_plan.tag_corruption
-            if flips is not None and not flips.is_empty():
+            if flips is not None:
                 self._flip_q = flips.q
 
         # -- seed the queue ---------------------------------------------------

@@ -582,19 +582,11 @@ def _cmd_simulate(
         gate = plan.quiesce_round
         print(f"fault plan : {plan.describe()}")
     if chunk_nodes is not None:
+        from repro.core.capabilities import check_supported
         from repro.core.largen import LargeNEngine
 
-        if plan is not None:
-            print("error: --chunk-nodes is incompatible with --fault-plan",
-                  file=sys.stderr)
-            return 2
-        if not algo.sparse_compatible:
-            print(
-                f"error: --chunk-nodes requires a sparse-compatible algorithm "
-                f"({algorithm} is not)",
-                file=sys.stderr,
-            )
-            return 2
+        # LargeNEngine takes no plan: check it here against the tier.
+        check_supported("large-n", algo, graph=dg, fault_plan=plan, activation_rounds=None)
         engine = LargeNEngine(dg, algo, seed=seed, chunk_nodes=chunk_nodes)
     else:
         engine = VectorizedEngine(dg, algo, seed=seed, fault_plan=plan)
@@ -865,6 +857,16 @@ def _cmd_bounds(n: int, alpha: float, delta: int, tau: float) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    from repro.core.capabilities import UnsupportedFeature
+
+    try:
+        return _dispatch(args)
+    except UnsupportedFeature as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "experiments":
         if args.exp_command == "list":
             return _cmd_experiments_list()

@@ -22,8 +22,8 @@ checking:
   RNG consumption orders differ — so the distributional check is the
   cross-tier ground truth, as in ``tests/test_cross_validation.py``).
 
-Blind-gossip configurations with no fault plan and synchronized
-activation (the fuzzer's topologies are never adaptive) also run the
+Configurations the large-n ``TIERS`` row accepts — blind gossip with no
+fault plan and synchronized activation, in this fuzzer — also run the
 **large-n tier**: :class:`~repro.core.largen.LargeNEngine` with a slab of
 a third of the nodes, so every round crosses slab boundaries and the
 endgame takes the sparse frontier.  Its trials must stabilize, and its
@@ -63,6 +63,7 @@ from repro.asyncsim.engine import EventSimEngine
 from repro.asyncsim.scheduler import SCHEDULER_NAMES
 from repro.conformance.invariants import AcceptanceStats, Violation, check_async_trace, check_trace
 from repro.core.batched import BatchedVectorizedEngine
+from repro.core.capabilities import unsupported
 from repro.core.engine import ReferenceEngine
 from repro.core.largen import LargeNEngine
 from repro.core.monitor import all_leaders_are, rumor_complete
@@ -613,7 +614,10 @@ def _run_config_inner(
 
     # -- large-n tier: chunked rounds, then the sparse endgame
     lgn_results = []
-    if cfg.algorithm == "blind_gossip" and plan is None and cfg.activation == "sync":
+    if not unsupported(
+        "large-n", bundle.make_algo(), graph=vec_dgs[0], fault_plan=plan,
+        activation_rounds=activation,
+    ):
         chunk = max(1, cfg.n // 3)
         for i, ts in enumerate(seeds):
             lgn_results.append(

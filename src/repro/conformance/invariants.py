@@ -389,9 +389,7 @@ def _expected_active(
 
 
 def _plan_membership(fault_plan: "FaultPlan | None"):
-    if fault_plan is None or fault_plan.membership is None:
-        return None
-    return None if fault_plan.membership.is_empty() else fault_plan.membership
+    return None if fault_plan is None else fault_plan.membership
 
 
 def check_membership_round(
@@ -533,11 +531,7 @@ def check_trace(
         if activation_rounds is None
         else np.asarray(activation_rounds, dtype=np.int64)
     )
-    has_drop = (
-        fault_plan is not None
-        and fault_plan.connection_drop is not None
-        and not fault_plan.connection_drop.is_empty()
-    )
+    has_drop = fault_plan is not None and fault_plan.connection_drop is not None
     local_stats = acceptance_stats if acceptance_stats is not None else AcceptanceStats()
 
     membership = _plan_membership(fault_plan)

@@ -61,6 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.capabilities import check_supported, unsupported
 from repro.core.trace import BatchedRunResult, BatchedTrace
 from repro.graphs.dynamic import (
     BatchedPermutedDynamicGraph,
@@ -539,11 +540,10 @@ class BatchedVectorizedEngine:
             if self.activation.shape != (self.n,) or self.activation.min() < 1:
                 raise ValueError("activation_rounds must be n 1-indexed rounds")
         self._rng = make_rng(int(self.seeds[0]), "batched-engine", self.replicas)
-        # An empty plan normalizes to no plan: the fault stream (its own
-        # label off the batch key) is then never created, keeping the
-        # faultless hot path bit-for-bit unchanged.
-        if fault_plan is not None and fault_plan.is_empty():
-            fault_plan = None
+        config = dict(
+            graph=dynamic_graph, fault_plan=fault_plan, activation_rounds=activation_rounds
+        )
+        fault_plan = check_supported("batched", algorithm, **config)
         if fault_plan is not None:
             from repro.faults.apply import BatchedFaultState
 
@@ -591,16 +591,10 @@ class BatchedVectorizedEngine:
         # on the hot path).
         self._row_of = np.tile(np.arange(self.n, dtype=np.int64), self.replicas)
         # Sparse-activity rounds (as in VectorizedEngine): eligible only
-        # on the shared-single-dynamic-graph path with no faults, no tags,
-        # and synchronized activation.  Finished replicas drop out of the
-        # frontier automatically because every one of their nodes is done.
-        sparse_ok = (
-            algorithm.sparse_compatible
-            and algorithm.tag_length == 0
-            and self._faults is None
-            and bool((self.activation == 1).all())
-            and self.dg is not None
-        )
+        # on the shared-single-dynamic-graph path of a run the large-n tier
+        # supports.  Finished replicas drop out of the frontier
+        # automatically because every one of their nodes is done.
+        sparse_ok = self.dg is not None and not unsupported("large-n", algorithm, **config)
         mode = _resolve_sparse_mode(sparse)
         #: Frontier-size limit of a sparse round; ``None`` = dense only.
         self._sparse_limit = (

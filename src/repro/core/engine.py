@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.capabilities import check_supported
 from repro.core.payload import Message, PayloadBudget
 from repro.core.protocol import NodeProtocol, RoundView
 from repro.core.trace import RoundRecord, RunResult, Trace
@@ -88,11 +89,10 @@ class ReferenceEngine:
                 raise ValueError("activation_rounds must be n 1-indexed rounds")
         self._node_rngs = spawn_rngs(seed, n, "node")
         self._engine_rng = make_rng(seed, "engine")
-        # An empty plan normalizes to no plan: the fault stream (its own
-        # "faults" label off the seed) is then never created, keeping the
-        # faultless path bit-for-bit unchanged.
-        if fault_plan is not None and fault_plan.is_empty():
-            fault_plan = None
+        fault_plan = check_supported(
+            "reference", self.protocols, graph=dynamic_graph, fault_plan=fault_plan,
+            activation_rounds=activation_rounds,
+        )
         if fault_plan is not None:
             from repro.faults.apply import SingleFaultState
 

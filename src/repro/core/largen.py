@@ -29,8 +29,8 @@ vectorized engine there is no size floor and no ``REPRO_SPARSE`` switch:
 a round is sparse whenever the closure covers at most a quarter of the
 nodes.
 
-Scope: the engine requires a ``sparse_compatible`` algorithm with
-``b = 0``, synchronized activation, no fault plan, and no trace (use the
+Scope: what the engine runs is the ``"large-n"`` row of
+:data:`~repro.core.capabilities.TIERS`, and it records no trace (use the
 vectorized engine for instrumented runs — at ``10^6`` nodes a full trace
 would dwarf the state anyway).  Like
 :class:`~repro.core.vectorized.VectorizedEngine` it runs a
@@ -45,6 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batched import _SPARSE_MAX_FRACTION, BatchedAlgorithm, connect
+from repro.core.capabilities import check_supported
 from repro.core.trace import RunResult
 from repro.core.vectorized import _SingleReplicaRounds, _trial_seed
 from repro.graphs.dynamic import DynamicGraph
@@ -87,20 +88,9 @@ class LargeNEngine(_SingleReplicaRounds):
         seed: int | None = None,
         chunk_nodes: int = DEFAULT_CHUNK_NODES,
     ):
-        from repro.graphs.adversary import AdaptiveDynamicGraph
-
-        if not algorithm.sparse_compatible:
-            raise ValueError(
-                f"{type(algorithm).__name__} is not sparse_compatible; the "
-                "chunked engine needs the sparse hooks (use VectorizedEngine)"
-            )
-        if algorithm.tag_length != 0:
-            raise ValueError(
-                "the chunked engine supports only b = 0 algorithms "
-                f"(got tag_length={algorithm.tag_length})"
-            )
-        if isinstance(dynamic_graph, AdaptiveDynamicGraph):
-            raise ValueError("adaptive dynamic graphs require full-width rounds")
+        check_supported(
+            "large-n", algorithm, graph=dynamic_graph, fault_plan=None, activation_rounds=None
+        )
         if chunk_nodes < 1:
             raise ValueError(f"chunk_nodes must be >= 1, got {chunk_nodes}")
         self.dg = dynamic_graph

@@ -33,6 +33,7 @@ from repro.core.batched import (
     _resolve_sparse_mode,
     connect,
 )
+from repro.core.capabilities import check_supported, unsupported
 from repro.core.trace import RoundRecord, RunResult, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -132,11 +133,10 @@ class VectorizedEngine(_SingleReplicaRounds):
                 raise ValueError("activation_rounds must be n 1-indexed rounds")
         seed = _trial_seed(seed)
         self._rng = make_rng(seed, "vec-engine")
-        # An empty plan normalizes to no plan: the fault stream (a separate
-        # "faults" label off the trial seed) is then never created, keeping
-        # the faultless hot path bit-for-bit unchanged.
-        if fault_plan is not None and fault_plan.is_empty():
-            fault_plan = None
+        config = dict(
+            graph=dynamic_graph, fault_plan=fault_plan, activation_rounds=activation_rounds
+        )
+        fault_plan = check_supported("vectorized", algorithm, **config)
         if fault_plan is not None:
             from repro.faults.apply import SingleFaultState
 
@@ -160,22 +160,12 @@ class VectorizedEngine(_SingleReplicaRounds):
         # (e.g. counting cut-crossing connections in the PPUSH experiment).
         self.on_connections: Callable[[int, np.ndarray, np.ndarray], None] | None = None
         # -- sparse-activity rounds (large-n path) -------------------------
-        # Only engaged when the algorithm certifies compatibility and the
-        # run has no features the frontier bookkeeping cannot track
-        # (faults, staggered activation, advertising tags, adaptive
-        # adversaries).  Sparse rounds are distribution-equivalent to
-        # dense rounds over state trajectories; the decision never depends
-        # on whether a trace is collected, so traced and untraced runs of
-        # one seed stay identical.
-        from repro.graphs.adversary import AdaptiveDynamicGraph
-
-        sparse_ok = (
-            algorithm.sparse_compatible
-            and algorithm.tag_length == 0
-            and self._faults is None
-            and bool((self.activation == 1).all())
-            and not isinstance(dynamic_graph, AdaptiveDynamicGraph)
-        )
+        # Only engaged when the run asks nothing the frontier bookkeeping
+        # cannot track: exactly the large-n tier's capabilities.  Sparse
+        # rounds are distribution-equivalent to dense rounds over state
+        # trajectories; the decision never depends on whether a trace is
+        # collected, so traced and untraced runs of one seed stay identical.
+        sparse_ok = not unsupported("large-n", algorithm, **config)
         mode = _resolve_sparse_mode(sparse)
         #: Frontier-size limit of a sparse round; ``None`` = dense only.
         self._sparse_limit = _frontier_limit(mode, self.n) if sparse_ok else None

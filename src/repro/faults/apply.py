@@ -42,12 +42,8 @@ class _FaultStateBase:
         self.rng = rng
         #: First round from which convergence checks are meaningful.
         self.gate = plan.quiesce_round
-        self._schedule = plan.crashes if plan.crashes and not plan.crashes.is_empty() else None
-        self._membership = (
-            plan.membership
-            if plan.membership is not None and not plan.membership.is_empty()
-            else None
-        )
+        self._schedule = plan.crashes
+        self._membership = plan.membership
         transitions = (
             set(self._schedule.transition_rounds()) if self._schedule else set()
         )
@@ -75,9 +71,9 @@ class _FaultStateBase:
         for e in plan.state_corruption:
             self._events.setdefault(e.round, []).append(e)
         drop = plan.connection_drop
-        self._drop_p = drop.p if drop is not None and not drop.is_empty() else None
+        self._drop_p = drop.p if drop is not None else None
         flips = plan.tag_corruption
-        self._flip_q = flips.q if flips is not None and not flips.is_empty() else None
+        self._flip_q = flips.q if flips is not None else None
         # Cached up mask; None while every node is up (engine fast path).
         self._up: np.ndarray | None = None
         self._up_round = 0

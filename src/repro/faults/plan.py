@@ -424,7 +424,9 @@ class FaultPlan:
     """A composition of fault models, consumed uniformly by every engine.
 
     All fields are optional; an empty plan is behaviourally (and, after
-    engine normalization, bit-for-bit) identical to no plan at all.
+    engine normalization, bit-for-bit) identical to no plan at all.  An
+    empty part is dropped to ``None`` at construction, so a part that is
+    not ``None`` can inject faults.
     """
 
     crashes: CrashSchedule | None = None
@@ -444,6 +446,10 @@ class FaultPlan:
             self.membership, MembershipSchedule
         ):
             raise TypeError("membership must be a MembershipSchedule or None")
+        for part in ("crashes", "connection_drop", "tag_corruption", "membership"):
+            value = getattr(self, part)
+            if value is not None and value.is_empty():
+                object.__setattr__(self, part, None)
         if self.n is not None:
             if self.n < 1:
                 raise ValueError(f"n must be >= 1, got {self.n}")
@@ -452,11 +458,11 @@ class FaultPlan:
     def is_empty(self) -> bool:
         """Whether the plan can inject no fault at all."""
         return (
-            (self.crashes is None or self.crashes.is_empty())
-            and (self.connection_drop is None or self.connection_drop.is_empty())
-            and (self.tag_corruption is None or self.tag_corruption.is_empty())
+            self.crashes is None
+            and self.connection_drop is None
+            and self.tag_corruption is None
             and not self.state_corruption
-            and (self.membership is None or self.membership.is_empty())
+            and self.membership is None
         )
 
     @property
@@ -493,7 +499,7 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         out: dict = {}
-        if self.crashes is not None and not self.crashes.is_empty():
+        if self.crashes is not None:
             out["crashes"] = [
                 {
                     "node": w.node,
@@ -503,16 +509,16 @@ class FaultPlan:
                 }
                 for w in self.crashes.windows
             ]
-        if self.connection_drop is not None and not self.connection_drop.is_empty():
+        if self.connection_drop is not None:
             out["connection_drop"] = {"p": self.connection_drop.p}
-        if self.tag_corruption is not None and not self.tag_corruption.is_empty():
+        if self.tag_corruption is not None:
             out["tag_corruption"] = {"q": self.tag_corruption.q}
         if self.state_corruption:
             out["state_corruption"] = [
                 {"round": e.round, "fraction": e.fraction}
                 for e in self.state_corruption
             ]
-        if self.membership is not None and not self.membership.is_empty():
+        if self.membership is not None:
             m: dict = {
                 "events": [
                     {"slot": e.slot, "round": e.round, "kind": e.kind}
@@ -605,22 +611,22 @@ class FaultPlan:
         if self.is_empty():
             return "empty plan (no faults)"
         parts = []
-        if self.crashes is not None and not self.crashes.is_empty():
+        if self.crashes is not None:
             perm = sum(1 for w in self.crashes.windows if w.end is None)
             parts.append(
                 f"{len(self.crashes.windows)} crash window(s)"
                 + (f" ({perm} permanent)" if perm else "")
             )
-        if self.connection_drop is not None and not self.connection_drop.is_empty():
+        if self.connection_drop is not None:
             parts.append(f"connection drop p={self.connection_drop.p}")
-        if self.tag_corruption is not None and not self.tag_corruption.is_empty():
+        if self.tag_corruption is not None:
             parts.append(f"tag bit-flip q={self.tag_corruption.q}")
         if self.state_corruption:
             rounds = ", ".join(
                 f"{e.fraction:.0%} at round {e.round}" for e in self.state_corruption
             )
             parts.append(f"state corruption: {rounds}")
-        if self.membership is not None and not self.membership.is_empty():
+        if self.membership is not None:
             joins = sum(1 for e in self.membership.events if e.kind == "join")
             departs = len(self.membership.events) - joins
             clean = sum(

@@ -26,18 +26,15 @@ from repro.live.run import (
     run_live,
     trial_config,
 )
-from repro.live.faults import LiveFaultError, validate_live_plan
 
 __all__ = [
     "LIVE_ALGORITHMS",
     "LIVE_FAMILIES",
     "LiveRunConfig",
     "LiveRunReport",
-    "LiveFaultError",
     "build_bundle",
     "build_graph",
     "reference_result",
     "run_live",
     "trial_config",
-    "validate_live_plan",
 ]

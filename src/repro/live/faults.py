@@ -14,45 +14,20 @@ simulator mask updates:
 Everything else a plan can express (tag corruption, mass state
 corruption, open-world membership) manipulates *simulator* state that a
 real transport has no hook for; such plans are rejected loudly rather
-than silently half-applied.
+than silently half-applied (the ``"live"`` row of
+:data:`~repro.core.capabilities.TIERS`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.capabilities import check_supported
 from repro.faults.plan import FaultPlan
+from repro.graphs.dynamic import DynamicGraph
 from repro.util.rng import make_rng
 
-__all__ = ["LiveFaultError", "LiveFaultModel", "validate_live_plan", "connection_dropped"]
-
-
-class LiveFaultError(ValueError):
-    """The fault plan asks for something real transport cannot inject."""
-
-
-def validate_live_plan(plan: FaultPlan | None, n: int) -> FaultPlan | None:
-    """Check ``plan`` uses only live-injectable fault models.
-
-    Returns the plan (normalized to ``None`` when empty); raises
-    :class:`LiveFaultError` naming every unsupported feature.
-    """
-    if plan is None or plan.is_empty():
-        return None
-    plan.validate_for(n)
-    unsupported = []
-    if plan.tag_corruption is not None and not plan.tag_corruption.is_empty():
-        unsupported.append("tag_corruption")
-    if plan.state_corruption:
-        unsupported.append("state_corruption")
-    if plan.membership is not None and not plan.membership.is_empty():
-        unsupported.append("membership")
-    if unsupported:
-        raise LiveFaultError(
-            "the live tier routes crash and connection-drop faults only; "
-            f"this plan also carries: {', '.join(unsupported)}"
-        )
-    return plan
+__all__ = ["LiveFaultModel", "connection_dropped"]
 
 
 def connection_dropped(seed: int | None, r: int, s: int, t: int, p: float) -> bool:
@@ -69,21 +44,22 @@ def connection_dropped(seed: int | None, r: int, s: int, t: int, p: float) -> bo
 
 
 class LiveFaultModel:
-    """Round-indexed view of a live-validated plan for the coordinator."""
+    """Round-indexed view of a live-checked plan for the coordinator."""
 
-    def __init__(self, plan: FaultPlan | None, n: int, seed: int | None):
-        self.plan = validate_live_plan(plan, n)
-        self.n = n
+    def __init__(self, plan: FaultPlan | None, protocols, dg: DynamicGraph, seed: int | None):
+        self.plan = check_supported(
+            "live", protocols, graph=dg, fault_plan=plan, activation_rounds=None
+        )
+        n = self.n = dg.n
+        if self.plan is not None:
+            self.plan.validate_for(n)
         self.seed = seed
-        crashes = self.plan.crashes if self.plan is not None else None
-        self._crashes = crashes if crashes is not None and not crashes.is_empty() else None
+        self._crashes = self.plan.crashes if self.plan is not None else None
         self._resets = self._crashes.rejoin_resets() if self._crashes else {}
         self.gate = self.plan.quiesce_round if self.plan is not None else 0
         self.drop_p = (
             self.plan.connection_drop.p
-            if self.plan is not None
-            and self.plan.connection_drop is not None
-            and not self.plan.connection_drop.is_empty()
+            if self.plan is not None and self.plan.connection_drop is not None
             else 0.0
         )
         perma = np.zeros(n, dtype=bool)

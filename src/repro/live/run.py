@@ -220,7 +220,7 @@ def run_live(cfg: LiveRunConfig) -> LiveRunReport:
     graph = build_graph(cfg)
     bundle = build_bundle(cfg, graph)
     dg = _dynamic_graph(cfg, graph)
-    faults = LiveFaultModel(cfg.fault_plan, cfg.n, cfg.seed)
+    faults = LiveFaultModel(cfg.fault_plan, bundle.protocols, dg, cfg.seed)
     budget = PayloadBudget(n_upper=max(cfg.n, 2))
     node_rngs = spawn_rngs(cfg.seed, cfg.n, "node")
     accept_rngs = spawn_rngs(cfg.seed, cfg.n, "live-accept")

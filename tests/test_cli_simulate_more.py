@@ -18,6 +18,24 @@ class TestSimulateAsync:
         assert code == 0
         assert "stabilized" in capsys.readouterr().out
 
+    def test_async_rejects_membership_plan(self, capsys, tmp_path):
+        import json
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"membership": {"events": [{"slot": 1, "round": 3, "kind": "depart"}]}}
+        ))
+        code = main(
+            [
+                "simulate", "blind_gossip", "--engine", "async",
+                "--family", "clique", "--params", "8", "--fault-plan", str(plan),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the async tier does not run: membership")
+        assert "Traceback" not in err
+
     def test_progress_sparkline_shown_for_observables(self, capsys):
         code = main(
             ["simulate", "blind_gossip", "--family", "clique", "--params", "12"]
@@ -74,7 +92,7 @@ class TestChunkNodesFlag:
             ]
         )
         assert code == 2
-        assert "chunk-nodes" in capsys.readouterr().err
+        assert "sparse_compatible" in capsys.readouterr().err
 
     def test_chunked_rejects_fault_plans(self, capsys, tmp_path):
         import json
@@ -89,7 +107,7 @@ class TestChunkNodesFlag:
             ]
         )
         assert code == 2
-        assert "fault" in capsys.readouterr().err.lower()
+        assert "connection_drop" in capsys.readouterr().err
 
 
 class TestVerifySubcommand:

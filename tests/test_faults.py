@@ -141,6 +141,25 @@ class TestJsonRoundTrip:
         assert FaultPlan().to_dict() == {}
         assert FaultPlan.from_dict({}).is_empty()
 
+    def test_empty_parts_drop_to_none_and_serialize_unchanged(self):
+        from repro.faults.plan import MembershipSchedule
+
+        plan = FaultPlan(
+            crashes=CrashSchedule(()),
+            connection_drop=ConnectionDropModel(p=0.0),
+            tag_corruption=TagCorruptionModel(q=0.0),
+            state_corruption=(StateCorruptionEvent(round=3, fraction=0.5),),
+            membership=MembershipSchedule(max_live=4),
+        )
+        assert plan.crashes is None and plan.connection_drop is None
+        assert plan.tag_corruption is None and plan.membership is None
+        # The JSON text the plan wrote before empty parts were dropped.
+        assert plan.to_json() == (
+            '{\n  "state_corruption": [\n    {\n      "round": 3,\n'
+            '      "fraction": 0.5\n    }\n  ]\n}'
+        )
+        assert plan.describe() == "state corruption: 50% at round 3; quiesce round 3"
+
     def test_describe_mentions_every_model(self):
         text = example_plan().describe()
         for fragment in ("crash", "drop", "flip", "corruption", "membership", "quiesce"):

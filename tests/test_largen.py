@@ -39,7 +39,7 @@ class TestConstruction:
             tag_length = 1
 
         g = families.random_regular(16, 4, seed=7)
-        with pytest.raises(ValueError, match="b = 0"):
+        with pytest.raises(ValueError, match="tags"):
             LargeNEngine(
                 StaticDynamicGraph(g), Tagged(uid_keys_random(16, 0)), seed=0
             )

@@ -17,13 +17,12 @@ from repro.faults.plan import (
     FaultPlan,
     TagCorruptionModel,
 )
+from repro.core.capabilities import UnsupportedFeature, check_supported
 from repro.live import (
     LIVE_ALGORITHMS,
-    LiveFaultError,
     LiveRunConfig,
     LiveRunReport,
     run_live,
-    validate_live_plan,
 )
 from repro.live import wire
 from repro.live.faults import connection_dropped
@@ -149,14 +148,16 @@ class TestLiveFaults:
 
     def test_unsupported_plan_rejected(self):
         plan = FaultPlan(tag_corruption=TagCorruptionModel(q=0.1))
-        with pytest.raises(LiveFaultError, match="tag_corruption"):
-            validate_live_plan(plan, 8)
-        with pytest.raises(LiveFaultError):
+        with pytest.raises(UnsupportedFeature, match="live tier .*tag_corruption"):
             run_live(LiveRunConfig(n=4, fault_plan=plan))
 
     def test_empty_plan_normalizes_to_none(self):
-        assert validate_live_plan(None, 8) is None
-        assert validate_live_plan(FaultPlan(), 8) is None
+        cfg = LiveRunConfig(n=8)
+        graph = build_graph(cfg)
+        protocols = build_bundle(cfg, graph).protocols
+        kw = dict(graph=_dynamic_graph(cfg, graph), activation_rounds=None)
+        assert check_supported("live", protocols, fault_plan=None, **kw) is None
+        assert check_supported("live", protocols, fault_plan=FaultPlan(), **kw) is None
 
     def test_drop_verdict_symmetric_and_seeded(self):
         args = (11, 3, 1, 4)
@@ -201,10 +202,13 @@ class TestLiveCli:
         plan = FaultPlan(tag_corruption=TagCorruptionModel(q=0.1))
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(plan.to_json())
-        with pytest.raises(LiveFaultError):
-            main([
-                "live", "run", "--nodes", "4", "--fault-plan", str(plan_path)
-            ])
+        status = main([
+            "live", "run", "--nodes", "4", "--fault-plan", str(plan_path)
+        ])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: the live tier does not run: tag_corruption")
+        assert "Traceback" not in err
 
     def test_live_fixed_rounds_cli(self, capsys):
         from repro.cli import main

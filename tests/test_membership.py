@@ -10,6 +10,7 @@ from repro.algorithms.blind_gossip import (
     make_blind_gossip_nodes,
 )
 from repro.core.batched import BatchedVectorizedEngine
+from repro.core.capabilities import UnsupportedFeature
 from repro.core.engine import ReferenceEngine
 from repro.core.monitor import (
     LiveAgreementMonitor,
@@ -314,7 +315,7 @@ class TestCrossTierApplication:
             ),
             n=n,
         )
-        with pytest.raises(NotImplementedError, match="membership"):
+        with pytest.raises(UnsupportedFeature, match="membership"):
             EventSimEngine(
                 StaticDynamicGraph(families.clique(n)), setup.nodes, seed=1,
                 fault_plan=plan,
