@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _INF = float("inf")
+GAMMA_EXACT_LIMIT = 18  # largest n gamma_exact accepts
+GAMMA_REPORT_LIMIT = 14  # largest n for which ``repro graph`` reports γ
 
 
 def hopcroft_karp(
@@ -165,8 +167,8 @@ def gamma_exact(g: Graph) -> float:
     n = g.n
     if n < 2:
         raise ValueError("gamma needs n >= 2")
-    if n > 18:
-        raise ValueError("gamma_exact is exponential; use n <= 18")
+    if n > GAMMA_EXACT_LIMIT:
+        raise ValueError(f"gamma_exact is exponential; use n <= {GAMMA_EXACT_LIMIT}")
     best = _INF
     verts = range(n)
     for size in range(1, n // 2 + 1):

@@ -486,10 +486,11 @@ def _cmd_experiments_verify(exp_id: str, profile: str) -> int:
 
 def _cmd_graph(family: str, params: list[int], seed: int) -> int:
     from repro.analysis.expansion import (
+        _EXACT_LIMIT,
         vertex_expansion,
         vertex_expansion_spectral_lower,
     )
-    from repro.analysis.matching import gamma_exact
+    from repro.analysis.matching import GAMMA_REPORT_LIMIT, gamma_exact
 
     g = _build_family(family, params or None, seed)
     print(f"family     : {family}")
@@ -498,10 +499,10 @@ def _cmd_graph(family: str, params: list[int], seed: int) -> int:
     print(f"max degree : {g.max_degree}")
     print(f"connected  : {g.is_connected()}")
     alpha = vertex_expansion(g, seed=seed)
-    kind = "exact" if g.n <= 18 else "sweep upper bound"
+    kind = "exact" if g.n <= _EXACT_LIMIT else "sweep upper bound"
     print(f"alpha      : {alpha:.4g}  ({kind})")
     print(f"alpha >=   : {vertex_expansion_spectral_lower(g):.4g}  (spectral)")
-    if g.n <= 14:
+    if g.n <= GAMMA_REPORT_LIMIT:
         gamma = gamma_exact(g)
         print(f"gamma      : {gamma:.4g}  (exact; Lemma V.1 floor alpha/4 = {alpha/4:.4g})")
     return 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +20,24 @@ from repro.analysis.expansion import (
 )
 from repro.graphs import families
 from repro.graphs.dynamic import ScheduleDynamicGraph, StaticDynamicGraph
+from repro.graphs.static import Graph
+
+
+@st.composite
+def small_graphs_any(draw):
+    """Graphs with 2 ≤ n ≤ 11, odd or even, connected or not."""
+    n = draw(st.integers(2, 11))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def _alpha_by_enumeration(g):
+    return min(
+        alpha_of_set(g, s)
+        for size in range(1, g.n // 2 + 1)
+        for s in combinations(range(g.n), size)
+    )
 
 
 class TestBoundary:
@@ -65,6 +84,22 @@ class TestExact:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             vertex_expansion_exact(families.clique(30))
+        with pytest.raises(ValueError, match="n <= 18"):
+            vertex_expansion_exact(families.ring(19))
+
+    @given(small_graphs_any())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_subset_enumeration_exactly(self, g):
+        assert vertex_expansion_exact(g) == _alpha_by_enumeration(g)
+
+    def test_disconnected_is_zero(self):
+        g = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+        assert vertex_expansion_exact(g) == 0.0 == _alpha_by_enumeration(g)
+
+    def test_known_families_at_the_limit(self):
+        assert vertex_expansion_exact(families.ring(18)) == 2 / 9
+        assert vertex_expansion_exact(families.path(18)) == 1 / 9
+        assert vertex_expansion_exact(families.clique(18)) == 1.0
 
 
 class TestUpperBound:

@@ -216,6 +216,23 @@ class TestEngineTierDigestPins:
             run_experiment("E4", "quick", engine="gpu", **_TIER_CASES["E4"])
 
 
+# Quick-profile tables of the cells that consume exact vertex expansion
+# (``vertex_expansion_exact``): any drift in α changes these digests.
+_EXACT_ALPHA_DIGESTS = {
+    "E1": "9173e0b389818b46c241a36503086ede119277374d812521ab4b5112dc1427fb",
+    "E13": "60790fcccd114b729c912276eabc71bda435fced829505419e344f2a422253db",
+    "E19": "f69bce31f7aab539b8ac4c147631b1762dd9eccd454d621b8a15fa7e5e4ef888",
+}
+
+
+class TestExactAlphaDigestPins:
+    @pytest.mark.parametrize("exp_id", sorted(_EXACT_ALPHA_DIGESTS))
+    def test_quick_table_is_pinned(self, exp_id):
+        table = run_experiment(exp_id, "quick")
+        digest = hashlib.sha256(table.render().encode()).hexdigest()
+        assert digest == _EXACT_ALPHA_DIGESTS[exp_id]
+
+
 class TestOneReplica:
     """``build([ts])`` topologies become what a single engine runs."""
 
