@@ -10,8 +10,8 @@ random-waypoint model:
 * the topology of an epoch is the unit-disk graph of radius ``radius`` on
   the positions at the epoch's start, held for ``τ`` rounds;
 * because the model requires connected topologies, disconnected unit-disk
-  snapshots are *repaired* by linking each component to its nearest other
-  component (nearest pair of devices), modelling a minimal relay overlay.
+  snapshots are *repaired* by the shortest device pairs that join their
+  components into one, modelling a minimal relay overlay.
 
 Determinism: positions are a pure function of ``(seed, epoch)`` computed by
 advancing the walk epoch-by-epoch from its initial state; epochs are cached
@@ -39,32 +39,50 @@ def unit_disk_graph(positions: np.ndarray, radius: float, *, repair: bool = True
     radius
         Connection radius: ``u ~ v`` iff ``|pos_u - pos_v| <= radius``.
     repair
-        When true, repeatedly add the shortest edge between the component
-        containing vertex 0 and the rest until connected.
+        When true, add the shortest edges that join the unit-disk
+        components into one (see :func:`_bridges`).
     """
     pos = np.asarray(positions, dtype=np.float64)
     n = pos.shape[0]
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
     iu, ju = np.triu_indices(n, k=1)
-    mask = d2[iu, ju] <= radius * radius
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-    g = Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-    if not repair or g.is_connected():
-        return g
-    # Greedy repair: while disconnected, add the globally shortest edge
-    # crossing between two components.
-    while True:
-        comps = g.connected_components()
-        if len(comps) == 1:
-            return g
-        comp_id = np.empty(n, dtype=np.int64)
-        for ci, verts in enumerate(comps):
-            comp_id[verts] = ci
-        cross = comp_id[iu] != comp_id[ju]
-        cand = np.flatnonzero(cross)
-        best = cand[np.argmin(d2[iu[cand], ju[cand]])]
-        edges.append((int(iu[best]), int(ju[best])))
-        g = Graph(n, np.asarray(edges, dtype=np.int64))
+    pair_d2 = np.sum((pos[iu] - pos[ju]) ** 2, axis=-1)
+    mask = pair_d2 <= radius * radius
+    edges = np.stack([iu[mask], ju[mask]], axis=1)
+    if repair:
+        edges = np.concatenate([edges, _bridges(n, iu, ju, pair_d2, mask)])
+    return Graph(n, edges)
+
+
+def _bridges(
+    n: int, iu: np.ndarray, ju: np.ndarray, pair_d2: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """Shortest pairs ``(iu[k], ju[k])`` joining the unit-disk components.
+
+    One Kruskal pass with union-find over the ``n`` vertices: the
+    unit-disk edges (``mask``) first, then the other pairs stably sorted
+    by length, each pair that still joins two components being a bridge.
+    Equal lengths keep pair order, so the bridges are exactly those of
+    repeatedly adding the globally shortest pair between two components
+    (the first such pair on ties).  Returns them as a ``(k, 2)`` array.
+    """
+    rest = np.flatnonzero(~mask)
+    rest = rest[np.argsort(pair_d2[rest], kind="stable")]
+    order = np.concatenate([np.flatnonzero(mask), rest])
+    root = list(range(n))
+    components, bridges = n, []
+    for k, u, v in zip(order.tolist(), iu[order].tolist(), ju[order].tolist()):
+        if components == 1:
+            break
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[u] = v
+            components -= 1
+            if not mask[k]:
+                bridges.append(k)
+    return np.stack([iu[bridges], ju[bridges]], axis=1)
 
 
 class GroupWaypointDynamicGraph(DynamicGraph):

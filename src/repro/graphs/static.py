@@ -58,9 +58,9 @@ class Graph:
     ) -> "Graph":
         """Rehydrate from already-built CSR arrays, trusting them.
 
-        Used by unpickling: the arrays were produced by ``__init__`` once,
-        so re-canonicalizing and rebuilding the CSR here would only burn
-        time.  Arrays are frozen, as ``__init__`` leaves them.
+        Used by unpickling and :meth:`relabel`: the arrays are already
+        canonical, so re-canonicalizing and rebuilding the CSR here would
+        only burn time.  Arrays are frozen, as ``__init__`` leaves them.
         """
         graph = object.__new__(cls)
         graph._n = int(n)
@@ -167,15 +167,29 @@ class Graph:
         return [np.flatnonzero(comp == c) for c in range(cid)]
 
     def relabel(self, perm: np.ndarray) -> "Graph":
-        """Return the isomorphic graph with vertex ``u`` renamed ``perm[u]``."""
+        """Return the isomorphic graph with vertex ``u`` renamed ``perm[u]``.
+
+        A relabeling of a simple graph is simple, so nothing is checked
+        again: one sort of the relabeled arc keys ``perm[u]·n + perm[v]``
+        yields the sorted neighbor lists, the row pointers and (the arcs
+        with ``src < dst``) the canonical edge array.
+        """
+        n = self._n
         perm = np.asarray(perm, dtype=np.int64)
-        if perm.shape != (self._n,) or not np.array_equal(
-            np.sort(perm), np.arange(self._n)
-        ):
+        if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        if self._edges.size == 0:
-            return Graph(self._n, np.empty((0, 2), dtype=np.int64))
-        return Graph(self._n, perm[self._edges])
+        ends = perm[self._edges]
+        lo, hi = ends[:, 0] * n, ends[:, 1] * n
+        lo += ends[:, 1]
+        hi += ends[:, 0]
+        arcs = np.concatenate([lo, hi])
+        arcs.sort()
+        src, dst = np.divmod(arcs, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        upper = src < dst
+        edges = np.stack([src[upper], dst[upper]], axis=1)
+        return Graph._from_csr(n, indptr, dst, edges)
 
     def union(self, other: "Graph", bridge_edges: Iterable[tuple[int, int]]) -> "Graph":
         """Disjoint union with ``other`` plus bridging edges.

@@ -404,17 +404,16 @@ def segmented_uniform_accept_pairs(
     order = np.argsort(targets * m + np.arange(m, dtype=np.int64))
     s_sorted = senders[order]
     t_sorted = targets[order]
-    # Group boundaries: starts[i]..starts[i+1] share one target.
-    is_start = np.empty(t_sorted.size, dtype=bool)
-    is_start[0] = True
-    np.not_equal(t_sorted[1:], t_sorted[:-1], out=is_start[1:])
-    starts = np.flatnonzero(is_start)
-    ends = np.concatenate([starts[1:], [t_sorted.size]])
-    sizes = ends - starts
+    # Group boundaries: bounds[i]..bounds[i+1] share one target.
+    is_bound = np.empty(m + 1, dtype=bool)
+    is_bound[0] = is_bound[m] = True
+    np.not_equal(t_sorted[1:], t_sorted[:-1], out=is_bound[1:m])
+    bounds = np.flatnonzero(is_bound)
+    starts = bounds[:-1]
     # floor(u * size), u ~ U[0, 1): uniform over each group up to an
     # O(size / 2^53) rounding bias, at about half the cost of a
     # per-element bounded integer draw.
-    chosen = starts + (rng.random(starts.size) * sizes).astype(np.int64)
+    chosen = starts + (rng.random(starts.size) * (bounds[1:] - starts)).astype(np.int64)
     return t_sorted[starts], s_sorted[chosen]
 
 

@@ -312,6 +312,58 @@ class TestMaskedPickBitIdentity:
         assert ra.random() == rb.random()
 
 
+def sender_rows(n, kind):
+    """Sender masks: every row, a random half, none (zero senders)."""
+    if kind == "all":
+        return np.ones(n, dtype=bool)
+    if kind == "none":
+        return np.zeros(n, dtype=bool)
+    return np.random.default_rng(3).random(n) < 0.5
+
+
+class TestSingleReplicaPickIdentities:
+    """The identities a single-replica round relies on to skip masks:
+    equal picks and the Generator left in the same state."""
+
+    @staticmethod
+    def assert_same(a, b, ra, rb):
+        np.testing.assert_array_equal(a, b)
+        assert ra.bit_generator.state == rb.bit_generator.state
+
+    @pytest.mark.parametrize("senders", ["all", "half", "none"])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_unmasked_equals_all_true_flat_mask(self, graph, senders):
+        indptr, indices = GRAPHS[graph]()
+        active = sender_rows(indptr.size - 1, senders)
+        ra, rb = np.random.default_rng(17), np.random.default_rng(17)
+        a = csrops.segmented_random_pick(indptr, indices, ra, active=active)
+        b = csrops.segmented_random_pick(
+            indptr, indices, rb, active=active,
+            flat_mask=np.ones(indices.size, dtype=bool),
+        )
+        self.assert_same(a, b, ra, rb)
+
+    @pytest.mark.parametrize("senders", ["all", "half", "none"])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_neighbor_mask_equals_its_entry_mask(self, graph, senders):
+        indptr, indices = GRAPHS[graph]()
+        n = indptr.size - 1
+        active = sender_rows(n, senders)
+        for mask in (
+            np.random.default_rng(5).random(n) < 0.5,
+            np.ones(n, dtype=bool),
+            np.zeros(n, dtype=bool),
+        ):
+            ra, rb = np.random.default_rng(23), np.random.default_rng(23)
+            a = csrops.segmented_random_pick(
+                indptr, indices, ra, active=active, neighbor_mask=mask
+            )
+            b = csrops.segmented_random_pick(
+                indptr, indices, rb, active=active, flat_mask=mask[indices]
+            )
+            self.assert_same(a, b, ra, rb)
+
+
 class TestStackCsr:
     @given(
         st.lists(

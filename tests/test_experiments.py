@@ -233,6 +233,28 @@ class TestExactAlphaDigestPins:
         assert digest == _EXACT_ALPHA_DIGESTS[exp_id]
 
 
+# Quick-profile tables of campaign-quick cells whose single-replica rounds
+# take the unmasked pick, relabel the graph every epoch or repair
+# random-waypoint graphs.  Those rounds must draw exactly what the masked
+# rounds and rebuilt graphs drew, so the tables may not change.
+_SINGLE_ROUND_DIGESTS = {
+    "E3": "a8e29e3aa4274d0a363bb3d687a648ed74a77278ec548aebbfb1716190eb5440",
+    "E5": "a3f2f6576fe0fe20b031fd971ca942034f4a0f05e389c75019abd295a3ef38f3",
+    "E8": "a66bec5f276b24a2dbd41d854c7ac22814f9ff67121afea1809451f5ca1fcb40",
+    "E9": "a3e7937a9fbf539041e8a580094a30c65a563dfc7583d47a6361d636fce4e5a3",
+    "A4": "7ed240a3345d3e7ad548ec07ba0830872726fe3007933cdbf78fa2ab915e82fe",
+    "T2": "b007e0918752fd39ed4db25cac5c23ef89a8b4073c5b3267d37e79a822daf3e3",
+}
+
+
+class TestSingleReplicaRoundDigestPins:
+    @pytest.mark.parametrize("exp_id", sorted(_SINGLE_ROUND_DIGESTS))
+    def test_quick_table_is_pinned(self, exp_id):
+        table = run_experiment(exp_id, "quick")
+        digest = hashlib.sha256(table.render().encode()).hexdigest()
+        assert digest == _SINGLE_ROUND_DIGESTS[exp_id]
+
+
 class TestOneReplica:
     """``build([ts])`` topologies become what a single engine runs."""
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.mobility import RandomWaypointDynamicGraph, unit_disk_graph
+from repro.graphs.static import Graph
 from repro.graphs.validation import check_connected, check_stability_contract
 
 
@@ -33,6 +34,68 @@ class TestUnitDiskGraph:
         # Bridges should be 0-1 and 1-2 (shorter than 0-2).
         assert g.has_edge(0, 1) and g.has_edge(1, 2)
         assert not g.has_edge(0, 2)
+
+
+def greedy_repair(positions, radius):
+    """The repair by definition: while disconnected, add the globally
+    shortest pair between two components (first in pair order on ties)."""
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = d2[iu, ju] <= radius * radius
+    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    g = Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    while True:
+        comps = g.connected_components()
+        if len(comps) == 1:
+            return g
+        comp_id = np.empty(n, dtype=np.int64)
+        for ci, verts in enumerate(comps):
+            comp_id[verts] = ci
+        cand = np.flatnonzero(comp_id[iu] != comp_id[ju])
+        best = cand[np.argmin(d2[iu[cand], ju[cand]])]
+        edges.append((int(iu[best]), int(ju[best])))
+        g = Graph(n, np.asarray(edges, dtype=np.int64))
+
+
+def clustered_points(seed, clusters, n=24):
+    """``n`` points in ``clusters`` tight groups far apart: at radius 0.05
+    each group is one unit-disk component."""
+    rng = np.random.default_rng(seed)
+    corners = np.array(
+        [[0.15, 0.15], [0.85, 0.15], [0.15, 0.85], [0.85, 0.85], [0.5, 0.5]]
+    )
+    centers = corners[:clusters] + (rng.random((clusters, 2)) - 0.5) * 0.1
+    owner = np.arange(n) % clusters
+    return centers[owner] + (rng.random((n, 2)) - 0.5) * 0.02
+
+
+class TestRepairOracle:
+    @pytest.mark.parametrize("clusters", range(1, 6))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_greedy_repair(self, clusters, seed):
+        pos = clustered_points(seed, clusters)
+        raw = unit_disk_graph(pos, radius=0.05, repair=False)
+        assert len(raw.connected_components()) == clusters
+        got = unit_disk_graph(pos, radius=0.05)
+        assert got == greedy_repair(pos, 0.05)
+        assert got.is_connected()
+        assert got.num_edges - raw.num_edges == clusters - 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_greedy_repair_with_tied_lengths(self, seed):
+        """Grid points: many pairs share a length, so the tie-break decides."""
+        rng = np.random.default_rng(seed)
+        pos = np.round(rng.random((20, 2)) * 5) / 5
+        pos = np.unique(pos, axis=0)
+        assert unit_disk_graph(pos, radius=0.1) == greedy_repair(pos, 0.1)
+
+    def test_waypoint_epochs_match_greedy_repair(self):
+        dg = RandomWaypointDynamicGraph(24, tau=1, seed=11)
+        for e in range(12):
+            pos, _ = dg._state(e)
+            assert unit_disk_graph(pos, 0.3) == greedy_repair(pos, 0.3)
 
 
 class TestGroupWaypoint:

@@ -233,6 +233,18 @@ class TestBatchedSparse:
         assert means["force"] <= 1.3 * means["off"]
         assert means["off"] <= 1.3 * means["force"]
 
+    def test_shared_last_active_is_read_only(self):
+        """Sparse rounds hand every consumer one all-True mask; writing
+        into it raises instead of corrupting the next round."""
+        eng = self._engine(2, 24, 0, sparse="force")
+        eng.step(1)
+        shared = eng.last_active
+        assert shared.all() and not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = False
+        eng.step(2)
+        assert eng.last_active is shared and shared.all()
+
     def test_force_builds_frontier_off_does_not(self):
         on = self._engine(2, 24, 0, sparse="force")
         on.run(5000)

@@ -101,6 +101,41 @@ class TestRelabel:
         with pytest.raises(ValueError):
             g.relabel(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize(
+        "perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1], [[0, 1, 2]]]
+    )
+    def test_rejection_message_for_every_malformed_perm(self, perm):
+        g = Graph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="perm must be a permutation of 0..n-1"):
+            g.relabel(np.array(perm))
+
+    @given(
+        st.one_of(
+            random_graphs(),
+            st.just(Graph(2, [(0, 1)])),
+            st.integers(2, 9).map(
+                lambda n: Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+            ),
+        ),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=120)
+    def test_equals_graph_built_from_relabeled_edges(self, g, seed):
+        """The permuted CSR is the CSR a rebuild from ``perm[edges]`` makes:
+        same arrays, dtypes and shapes, all read-only."""
+        perm = np.random.default_rng(seed).permutation(g.n)
+        h = g.relabel(perm)
+        want = Graph(g.n, perm[g.edges])
+        assert h == want
+        for got, ref in (
+            (h.indptr, want.indptr),
+            (h.indices, want.indices),
+            (h.edges, want.edges),
+        ):
+            np.testing.assert_array_equal(got, ref)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert not got.flags.writeable
+
     @given(random_graphs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=50)
     def test_preserves_degree_multiset(self, g, seed):

@@ -105,6 +105,34 @@ class TestVectorizedMechanics:
         eng2.run(2, check_every=3)
         assert algo2.connections != []
 
+    def test_shared_last_active_is_read_only(self):
+        """All-active rounds hand every consumer one all-True mask; writing
+        into it raises instead of corrupting the next round."""
+        eng = VectorizedEngine(
+            StaticDynamicGraph(families.clique(6)), RecordingAlgo(), seed=0
+        )
+        eng.step(1)
+        shared = eng.last_active
+        assert shared.all() and not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = False
+        eng.step(2)
+        assert eng.last_active is shared and shared.all()
+
+    def test_staggered_activation_masks_then_shares(self):
+        eng = VectorizedEngine(
+            StaticDynamicGraph(families.clique(4)),
+            RecordingAlgo(),
+            seed=0,
+            activation_rounds=[1, 3, 1, 2],
+        )
+        eng.step(1)
+        assert eng.last_active.tolist() == [True, False, True, False]
+        eng.step(2)
+        assert eng.last_active.tolist() == [True, False, True, True]
+        eng.step(3)
+        assert eng.last_active.all() and not eng.last_active.flags.writeable
+
     def test_run_result_counts(self):
         algo = RecordingAlgo()
         eng = VectorizedEngine(
