@@ -597,6 +597,52 @@ def test_large_n_round_cost():
     )
 
 
+def test_large_n_trial_phases():
+    """One full chunked-engine blind-gossip trial at n=2^17, split by phase.
+
+    Each round is a dense round, a sparse round, or a dense round behind
+    a rejected closure probe; the record keeps the whole trial
+    (``largen_trial_s``) and the seconds spent in dense rounds, in
+    rejected probes and in sparse rounds.  Absolute, machine-dependent
+    context: the per-layer view of where a large-n trial's time goes.
+    """
+    from repro.core.largen import LargeNEngine
+
+    dg, keys = _large_setup(2**17, seed=3)
+    eng = LargeNEngine(dg, BlindGossipBatched(keys), seed=3)
+    closure, step = eng.frontier.closure, eng.step
+    probe = {"s": 0.0, "hit": False}
+    phases = {"dense": 0.0, "rejected": 0.0, "sparse": 0.0}
+
+    def timed_closure(*args):
+        t0 = time.perf_counter()
+        hit = closure(*args)
+        probe["s"], probe["hit"] = time.perf_counter() - t0, hit is not None
+        return hit
+
+    def timed_step(r):
+        t0 = time.perf_counter()
+        step(r)
+        dt = time.perf_counter() - t0
+        if probe["hit"]:
+            phases["sparse"] += dt
+        else:
+            phases["rejected"] += probe["s"]
+            phases["dense"] += dt - probe["s"]
+
+    eng.frontier.closure, eng.step = timed_closure, timed_step
+    t0 = time.perf_counter()
+    res = eng.run(2000)
+    trial_s = time.perf_counter() - t0
+    assert res.stabilized
+    _measurements.update(
+        largen_trial_s=trial_s,
+        largen_dense_rounds_s=phases["dense"],
+        largen_rejected_probes_s=phases["rejected"],
+        largen_sparse_rounds_s=phases["sparse"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Parallel execution plane: campaign speedup
 # ---------------------------------------------------------------------------

@@ -59,7 +59,8 @@ asserts):
 Absolute context values (``ms_per_round_n1e5``, ``ms_per_round_n1e6``,
 ``pool_cpu_count``, ``async_events_per_sec``, ``live_rounds_per_sec_n64``,
 ``live_rounds_per_sec_n256``, ``graph_build_ms_n2e18``,
-``single_static_round_us``, ``single_relabel_round_us``) must be present —
+``single_static_round_us``, ``single_relabel_round_us``,
+``largen_trial_s``) must be present —
 their producing benches must have run — but their magnitudes are
 machine-dependent and not gated.  So must ``sparse_frontier_speedup``
 (dense endgame round over sparse endgame round at n=10^5): it is a
@@ -136,6 +137,7 @@ REQUIRED_PRESENT = (
     "single_static_round_us",
     "single_relabel_round_us",
     "sparse_frontier_speedup",
+    "largen_trial_s",
 )
 
 

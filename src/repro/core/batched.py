@@ -194,13 +194,13 @@ class SparseFrontier:
         self.replicas = replicas
         self._node_done = node_done
         self._node_done_subset = node_done_subset
-        #: ``(T*n,)`` undone mask; ``None`` until a sparse round first needs it.
+        #: ``(T*n,)`` undone mask; ``None`` outside a run of sparse rounds.
         self.undone: np.ndarray | None = None
         #: Ascending flat ids of the undone set (``None`` with ``undone``).
         self.idx: np.ndarray | None = None
 
     def build(self) -> bool:
-        """Build the undone set from ``node_done`` once.
+        """Build the undone set from ``node_done`` unless it is built.
 
         False when the algorithm has no per-node doneness.
         """
@@ -218,19 +218,25 @@ class SparseFrontier:
         """Round ``r``'s graph and the ascending flat ids of ``S``.
 
         ``None`` means run a dense round: the algorithm has no per-node
-        doneness, or ``U`` or ``S`` holds more than ``limit`` ids.
+        doneness, or ``U``, ``U ∪ N(U)`` or ``S`` holds more than
+        ``limit`` ids.  ``S ⊇ U ∪ N(U)``, so an oversized first hop
+        rejects before the second is built.  The dense round's exchanges
+        would leave ``U`` stale, so a miss drops it and the next probe
+        rebuilds it from ``node_done``; ``U`` is kept only across sparse
+        rounds.
         """
         if not self.build():
             return None
         u = self.idx
-        if u.size > limit:
-            return None
-        graph = dg.graph_at(r)
-        reach = unique_nodes(np.concatenate([u, self._neighbors(graph, u)]))
-        rows = unique_nodes(np.concatenate([reach, self._neighbors(graph, reach)]))
-        if rows.size > limit:
-            return None
-        return graph, rows
+        if u.size <= limit:
+            graph = dg.graph_at(r)
+            reach = unique_nodes(np.concatenate([u, self._neighbors(graph, u)]))
+            if reach.size <= limit:
+                rows = unique_nodes(np.concatenate([reach, self._neighbors(graph, reach)]))
+                if rows.size <= limit:
+                    return graph, rows
+        self.undone = self.idx = None
+        return None
 
     def _neighbors(self, graph: Graph, ids: np.ndarray) -> np.ndarray:
         """Concatenated flat-id neighbours of the flat ids in ``ids``."""
@@ -245,7 +251,8 @@ class SparseFrontier:
 
         Only exchange endpoints can have left the undone set, so
         rechecking them keeps it exact at O(connections) per round.  A
-        no-op until the set is built.
+        no-op while the set is unbuilt, as it is in every dense round a
+        closure miss led to.
         """
         mask = self.undone
         if mask is None:
@@ -887,7 +894,6 @@ class BatchedVectorizedEngine:
             keepc = faults.connection_keep(acc_flat.size)
             if keepc is not None:
                 acc_flat, win_flat = acc_flat[keepc], win_flat[keepc]
-        # Also keeps the sparse frontier current across dense rounds.
         self._exchange(win_flat, acc_flat)
 
         self.algo.end_round(self.state, r, local_rounds, active, self.live)

@@ -24,7 +24,10 @@ Once stabilization is near (most nodes done), rounds switch to the
 2-hop :class:`~repro.core.batched.SparseFrontier` and the same sparse
 round as :class:`~repro.core.vectorized.VectorizedEngine`, touching only
 the undone set and its competition neighborhood — the endgame of a
-``10^6``-node run costs the frontier, not the network.  Unlike the
+``10^6``-node run costs the frontier, not the network.  Before that,
+each round's probe rebuilds the undone set and stops at the first hop
+of its closure that exceeds the limit; a probe that misses drops the
+set, so dense rounds keep no frontier up to date.  Unlike the
 vectorized engine there is no size floor and no ``REPRO_SPARSE`` switch:
 a round is sparse whenever the closure covers at most a quarter of the
 nodes.

@@ -31,7 +31,7 @@ class Graph:
         are rejected.
     """
 
-    __slots__ = ("_n", "_indptr", "_indices", "_edges")
+    __slots__ = ("_n", "_indptr", "_indices", "_edges", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n <= 0:
@@ -47,6 +47,7 @@ class Graph:
         self._edges.setflags(write=False)
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
+        self._connected: bool | None = None
 
     @classmethod
     def _from_csr(
@@ -67,6 +68,7 @@ class Graph:
         graph._indptr = indptr
         graph._indices = indices
         graph._edges = edges
+        graph._connected = None
         for arr in (indptr, indices, edges):
             if arr.flags.writeable:
                 arr.setflags(write=False)
@@ -129,24 +131,24 @@ class Graph:
     # -- structure --------------------------------------------------------
 
     def is_connected(self) -> bool:
-        """True when the graph is connected (single vertex counts as connected)."""
-        if self._n == 1:
-            return True
-        seen = np.zeros(self._n, dtype=bool)
-        frontier = np.array([0], dtype=np.int64)
-        seen[0] = True
-        while frontier.size:
-            # Expand the whole frontier at once via CSR gather.
-            nxt = gather_rows(self._indptr, self._indices, frontier)
-            if nxt.size == 0:
-                break
-            nxt = nxt[~seen[nxt]]
-            if nxt.size == 0:
-                break
-            nxt = unique_nodes(nxt)
-            seen[nxt] = True
-            frontier = nxt
-        return bool(seen.all())
+        """True when the graph is connected (single vertex counts as connected).
+
+        Computed on first call and cached: the graph is immutable.
+        """
+        if self._connected is None:
+            # Level-synchronous BFS from vertex 0, one CSR gather per level.
+            seen = np.zeros(self._n, dtype=bool)
+            frontier = np.array([0], dtype=np.int64)
+            seen[0] = True
+            while frontier.size:
+                nxt = gather_rows(self._indptr, self._indices, frontier)
+                nxt = nxt[~seen[nxt]]
+                if nxt.size == 0:
+                    break
+                frontier = unique_nodes(nxt)
+                seen[frontier] = True
+            self._connected = bool(seen.all())
+        return self._connected
 
     def connected_components(self) -> list[np.ndarray]:
         """Vertex sets of the connected components (each sorted)."""
@@ -189,7 +191,9 @@ class Graph:
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         upper = src < dst
         edges = np.stack([src[upper], dst[upper]], axis=1)
-        return Graph._from_csr(n, indptr, dst, edges)
+        graph = Graph._from_csr(n, indptr, dst, edges)
+        graph._connected = self._connected  # isomorphic: same connectivity
+        return graph
 
     def union(self, other: "Graph", bridge_edges: Iterable[tuple[int, int]]) -> "Graph":
         """Disjoint union with ``other`` plus bridging edges.

@@ -396,14 +396,18 @@ def segmented_uniform_accept_pairs(
     if senders.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    # Stable-by-target order via a unique composite key: quicksort on
-    # distinct keys yields exactly the (target, input-position) order a
-    # stable sort would, at a fraction of the cost of kind="stable" on
-    # the raw (highly duplicated) targets.
+    # Stable-by-target order via a unique composite key target*m + i:
+    # quicksort on distinct keys yields exactly the (target, input-position)
+    # order a stable sort would, at a fraction of the cost of kind="stable"
+    # on the raw (highly duplicated) targets.  Sorting the keys themselves
+    # and splitting them with one divmod skips an argsort's index array
+    # and its two gathers.  Each sender proposes once, so with ids below N
+    # m <= N and keys stay below N^2: int64-safe for N <= MAX_KEY_N.
     m = targets.size
-    order = np.argsort(targets * m + np.arange(m, dtype=np.int64))
-    s_sorted = senders[order]
-    t_sorted = targets[order]
+    keys = targets * m
+    keys += np.arange(m, dtype=np.int64)
+    keys.sort()
+    t_sorted, order = np.divmod(keys, m)
     # Group boundaries: bounds[i]..bounds[i+1] share one target.
     is_bound = np.empty(m + 1, dtype=bool)
     is_bound[0] = is_bound[m] = True
@@ -414,7 +418,7 @@ def segmented_uniform_accept_pairs(
     # O(size / 2^53) rounding bias, at about half the cost of a
     # per-element bounded integer draw.
     chosen = starts + (rng.random(starts.size) * (bounds[1:] - starts)).astype(np.int64)
-    return t_sorted[starts], s_sorted[chosen]
+    return t_sorted[starts], senders[order[chosen]]
 
 
 def batched_random_pick(

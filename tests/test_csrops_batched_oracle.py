@@ -9,7 +9,8 @@ replica); ``stack_csr`` is checked structurally against its definition.
 The masked picks are also held to draw-for-draw identity with the
 running-sum formulation they replaced (a ``(T, nnz)`` cumulative sum and
 a binary search per pick), kept below as a test-only reference: equal
-picks, and the Generator left in the same state.
+picks, and the Generator left in the same state.  The accept kernel is
+held the same way to a grouping by a stable argsort of the raw targets.
 """
 
 from __future__ import annotations
@@ -395,3 +396,52 @@ class TestStackCsr:
                 assert np.array_equal(block, ind[ip[u] : ip[u + 1]])
                 # Every stacked neighbor stays inside its replica's block.
                 assert ((indices[lo:hi] >= t * n) & (indices[lo:hi] < (t + 1) * n)).all()
+
+
+def stable_argsort_accept(senders, targets, rng):
+    """Uniform acceptance over groups of a stable argsort of the targets.
+
+    Proposals to one target stay in input order; each group draws one
+    ``floor(u * size)`` offset, groups in ascending target order.
+    """
+    if targets.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    order = np.argsort(targets, kind="stable")
+    t_sorted, s_sorted = targets[order], senders[order]
+    starts = np.flatnonzero(np.r_[True, t_sorted[1:] != t_sorted[:-1]])
+    sizes = np.diff(np.r_[starts, t_sorted.size])
+    chosen = starts + (rng.random(starts.size) * sizes).astype(np.int64)
+    return t_sorted[starts], s_sorted[chosen]
+
+
+def accept_case(kind, m, seed):
+    """``(senders, targets)`` of ``m`` proposals over an id space of 2m+1."""
+    rng = np.random.default_rng(seed)
+    space = 2 * m + 1
+    senders = rng.permutation(space)[:m].astype(np.int64)
+    if kind == "single":
+        targets = np.full(m, space - 1, dtype=np.int64)
+    elif kind == "distinct":
+        targets = rng.permutation(space)[:m].astype(np.int64)
+    elif kind == "duplicated":
+        targets = rng.integers(0, max(1, m // 50), size=m)
+    else:
+        targets = rng.integers(0, space, size=m)
+    return senders, targets
+
+
+class TestAcceptAgainstStableGrouping:
+    """The composite-key sort groups exactly as a stable argsort would:
+    equal receivers and winners, and the Generator left in the same state."""
+
+    @pytest.mark.parametrize("kind", ["single", "distinct", "duplicated", "uniform"])
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 100, 3000, 100_000])
+    def test_draw_for_draw(self, kind, m):
+        senders, targets = accept_case(kind, m, seed=m)
+        ra, rb = np.random.default_rng(m + 1), np.random.default_rng(m + 1)
+        got = csrops.segmented_uniform_accept_pairs(senders, targets, ra)
+        expect = stable_argsort_accept(senders, targets, rb)
+        assert np.array_equal(got[0], expect[0])
+        assert np.array_equal(got[1], expect[1])
+        assert ra.bit_generator.state == rb.bit_generator.state

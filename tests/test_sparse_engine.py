@@ -11,6 +11,7 @@ round counts to the plain loop.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from repro.algorithms.blind_gossip import (
     make_blind_gossip_nodes,
 )
 from repro.conformance import check_trace
-from repro.core.batched import BatchedVectorizedEngine, _resolve_sparse_mode
+from repro.core.batched import (
+    BatchedVectorizedEngine,
+    SparseFrontier,
+    _resolve_sparse_mode,
+)
 from repro.core.engine import ReferenceEngine
 from repro.core.monitor import all_leaders_are
 from repro.core.payload import UIDSpace
@@ -252,6 +257,141 @@ class TestBatchedSparse:
         off = self._engine(2, 24, 0, sparse="off")
         off.run(5000)
         assert off.frontier.undone is None
+
+
+def _hops(graph, undone):
+    """``U ∪ N(U)`` and ``S = U ∪ N(U) ∪ N²(U)`` of a flat undone mask,
+    built unstaged from per-vertex neighbour lists (flat ``t*n + v`` ids)."""
+    n = graph.n
+
+    def hop(ids):
+        out = set(ids)
+        for i in ids:
+            base, v = divmod(i, n)
+            out.update(base * n + int(w) for w in graph.neighbors(v))
+        return out
+
+    reach = hop({int(i) for i in np.flatnonzero(undone)})
+    return len(reach), np.array(sorted(hop(reach)), dtype=np.int64)
+
+
+class _CountingGraph(StaticDynamicGraph):
+    """A static dynamic graph that counts its ``graph_at`` calls."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.calls = 0
+
+    def graph_at(self, r):
+        self.calls += 1
+        return super().graph_at(r)
+
+
+class TestStagedClosure:
+    """The staged closure (reject after the first hop) decides exactly as
+    the unstaged two-hop definition, with the same ``graph_at`` calls."""
+
+    @pytest.mark.parametrize("T", [1, 4])
+    @pytest.mark.parametrize("family", ["regular", "stars"])
+    def test_matches_unstaged_oracle(self, T, family):
+        if family == "regular":
+            g = families.random_regular(48, 4, seed=3)
+        else:
+            g = families.line_of_stars(4, 8)
+        n, total = g.n, T * g.n
+        rng = np.random.default_rng(0)
+        outcomes = set()
+        for size in (0, 1, 2, 5, 12, 30, total // 2, total):
+            undone = np.zeros(total, dtype=bool)
+            undone[rng.choice(total, size=size, replace=False)] = True
+            done = ~undone.reshape(T, n)
+            reach, rows = _hops(g, undone)
+            for limit in (0, 1, 4, 16, 40, 100, total // 2, total, math.inf):
+                dg = _CountingGraph(g)
+                frontier = SparseFrontier(n, T, lambda: done, None)
+                hit = frontier.closure(dg, 1, limit)
+                # graph_at is called exactly when U fits, as before staging.
+                assert dg.calls == int(size <= limit)
+                if size > limit:
+                    outcome = "U too large"
+                elif reach > limit:
+                    outcome = "first hop"
+                elif rows.size > limit:
+                    outcome = "second hop"
+                else:
+                    outcome = "hit"
+                outcomes.add(outcome)
+                if outcome == "hit":
+                    graph, got = hit
+                    assert graph is g
+                    assert np.array_equal(got, rows)
+                    assert np.array_equal(frontier.idx, np.flatnonzero(undone))
+                else:
+                    assert hit is None
+                    # The dense round that follows would leave U stale.
+                    assert frontier.undone is None and frontier.idx is None
+        assert outcomes == {"U too large", "first hop", "second hop", "hit"}
+
+
+def _lifecycle_largen():
+    from repro.core.largen import LargeNEngine
+
+    g = families.random_regular(4096, 4, seed=7)
+    keys = uid_keys_random(4096, 11)
+    return LargeNEngine(StaticDynamicGraph(g), BlindGossipBatched(keys), seed=0, chunk_nodes=1024)
+
+
+def _lifecycle_batched():
+    g = families.random_regular(1024, 4, seed=7)
+    return BatchedVectorizedEngine(
+        StaticDynamicGraph(g),
+        BlindGossipBatched(uid_keys_random(1024, 11)),
+        seeds=np.arange(4),
+        sparse="auto",
+    )
+
+
+class TestFrontierLifecycle:
+    """Auto-mode runs keep ``U`` only across sparse rounds: ``absorb``
+    changes it in no dense round, and every sparse round starts from
+    exactly the undone set a fresh build would give."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _engine(4096, 0, sparse="auto"), _lifecycle_largen, _lifecycle_batched],
+        ids=["vectorized-4096", "largen-4096", "batched-T4-n1024"],
+    )
+    def test_u_changes_only_in_sparse_rounds(self, make):
+        eng = make()
+        frontier = eng.frontier
+        closure, absorb = frontier.closure, frontier.absorb
+        rounds = {"sparse": 0, "dense": 0}
+        sparse = [False]
+
+        def undone_now():
+            return np.flatnonzero(~np.asarray(eng.algo.node_done(eng.state)).reshape(-1))
+
+        def watched_closure(dg, r, limit):
+            hit = closure(dg, r, limit)
+            sparse[0] = hit is not None
+            rounds["sparse" if sparse[0] else "dense"] += 1
+            if sparse[0]:
+                assert np.array_equal(frontier.idx, undone_now())
+            return hit
+
+        def watched_absorb(winners, acceptors):
+            if not sparse[0]:
+                assert frontier.idx is None
+            absorb(winners, acceptors)
+            if sparse[0]:
+                assert np.array_equal(frontier.idx, undone_now())
+            else:
+                assert frontier.idx is None
+
+        frontier.closure, frontier.absorb = watched_closure, watched_absorb
+        res = eng.run(5000)
+        assert np.all(res.stabilized)
+        assert rounds["sparse"] > 0 and rounds["dense"] > 0
 
 
 def _state_digest(rounds, connections_made, state) -> str:

@@ -85,6 +85,62 @@ class TestConnectivity:
         )
 
 
+#: ``(build, connected)``: a fresh graph per call, so no test sees
+#: another's cached answer.
+CONNECTIVITY_CASES = {
+    "path": (lambda: Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), True),
+    "two-components": (lambda: Graph(4, [(0, 1), (2, 3)]), False),
+    "isolated-vertex": (lambda: Graph(3, [(0, 1)]), False),
+    "single-vertex": (lambda: Graph(1, []), True),
+}
+
+
+class TestConnectivityCache:
+    """``is_connected`` is computed once per graph; the cached answer must
+    equal a fresh BFS wherever the graph came from."""
+
+    @pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+    def test_cached_equals_fresh_bfs(self, name):
+        build, connected = CONNECTIVITY_CASES[name]
+        g = build()
+        assert g._connected is None
+        assert g.is_connected() == connected == Graph(g.n, g.edges).is_connected()
+        assert g._connected == connected
+        assert g.is_connected() == connected
+
+    @pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+    def test_pickle_round_trip_recomputes(self, name):
+        import pickle
+
+        build, connected = CONNECTIVITY_CASES[name]
+        g = build()
+        g.is_connected()
+        h = pickle.loads(pickle.dumps(g))
+        assert h._connected is None
+        assert h.is_connected() == connected
+
+    @pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+    def test_relabel_carries_the_answer(self, name):
+        build, connected = CONNECTIVITY_CASES[name]
+        g = build()
+        perm = np.random.default_rng(3).permutation(g.n)
+        assert g.relabel(perm)._connected is None
+        g.is_connected()
+        h = g.relabel(perm)
+        assert h._connected == connected == Graph(h.n, h.edges).is_connected()
+
+    @given(random_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_relabeled_answer_matches_networkx(self, g, rnd):
+        import networkx as nx
+
+        g.is_connected()
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = g.relabel(np.asarray(perm))
+        assert h.is_connected() == nx.is_connected(h.to_networkx())
+
+
 class TestRelabel:
     def test_identity(self):
         g = Graph(4, [(0, 1), (2, 3)])
