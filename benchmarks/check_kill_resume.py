@@ -1,21 +1,21 @@
 #!/usr/bin/env python
 """CI gate: SIGKILL a quick-profile campaign partway, resume it, and diff
-the resumed tables against an uninterrupted run.
+the resumed tables against the committed ``quick_results.txt``.
 
 This is the executable form of the durability acceptance criterion:
 killing ``repro experiments run-all`` at an arbitrary point and re-running
 with ``--resume`` must complete the remaining experiments and produce
 tables *bit-identical* to a campaign that was never interrupted (every
 cell is deterministically seeded, so cell-set identity implies table
-identity; per-cell wall times live in checkpoint ``extra`` metadata and
-are excluded from the diff).
+identity).  The reference tables are the archive's sections, read with
+:func:`~repro.harness.campaign.read_campaign_text`; the archive is
+itself an uninterrupted serial run, which CI diffs against a fresh one.
 
 With ``--pool-workers K`` the killed and resumed campaigns fork their
 cells in waves ``K`` wide (each child inheriting the parent's objects
-copy-on-write and free to fork its own trial waves); the uninterrupted
-reference runs one cell at a time in-process, so the diff
-simultaneously proves kill-resume durability *and* pooled/serial table
-parity.
+copy-on-write and free to fork its own trial waves); the serial
+reference makes the diff prove kill-resume durability *and*
+pooled/serial table parity at once.
 
 The gate fails when it would prove nothing: if the campaign exits
 before the SIGKILL lands, or the resume re-runs no cell, the resumed
@@ -27,7 +27,7 @@ Usage::
     PYTHONPATH=src python benchmarks/check_kill_resume.py [--cells E1,A3,E13]
         [--pool-workers K]
 
-Exit status 0 when every resumed table matches the clean run, 1 otherwise.
+Exit status 0 when every resumed table matches the archive, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -78,35 +78,19 @@ def main() -> int:
     parser.add_argument(
         "--pool-workers", type=int, default=None, metavar="K",
         help="run the killed/resumed campaigns in forked waves K wide "
-        "(the clean reference stays serial)",
+        "(the archived reference is a serial run)",
     )
     args = parser.parse_args()
     sys.path.insert(0, str(REPO / "src"))
-    from repro.harness.campaign import (
-        CampaignConfig,
-        checkpoint_path,
-        run_campaign,
-    )
+    from repro.harness.campaign import checkpoint_path, read_campaign_text
     from repro.harness.persistence import load_document
 
     cells = tuple(args.cells.split(","))
+    # 1. Reference tables: the committed uninterrupted serial run.
+    archived = read_campaign_text((REPO / "quick_results.txt").read_text())
 
     with tempfile.TemporaryDirectory(prefix="kill-resume-") as tmp:
         tmp = Path(tmp)
-
-        # 1. Uninterrupted reference campaign.
-        clean_dir = tmp / "clean"
-        report = run_campaign(
-            CampaignConfig(checkpoint_dir=clean_dir, exp_ids=cells, backoff_base=0.0),
-            progress=lambda line: print(f"[clean] {line}", flush=True),
-        )
-        if not report.ok:
-            print(f"FAIL: clean campaign did not complete: {report.summary()}")
-            return 1
-        clean = {
-            c: load_document(checkpoint_path(clean_dir, c, "quick")).table.render()
-            for c in cells
-        }
 
         # 2. Campaign killed partway through.
         killed_dir = tmp / "killed"
@@ -160,13 +144,13 @@ def main() -> int:
             resumed = load_document(
                 checkpoint_path(killed_dir, c, "quick")
             ).table.render()
-            if resumed != clean[c]:
+            if resumed != archived[c]:
                 mismatches.append(c)
         if mismatches:
-            print(f"FAIL: resumed tables differ from the clean run: {mismatches}")
+            print(f"FAIL: resumed tables differ from quick_results.txt: {mismatches}")
             return 1
         print(
-            f"PASS: {len(cells)} resumed tables bit-identical to the clean run "
+            f"PASS: {len(cells)} resumed tables bit-identical to quick_results.txt "
             f"({len(survivors)} cell(s) survived the kill, "
             f"{len(rerun)} re-ran on resume)"
         )

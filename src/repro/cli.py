@@ -17,9 +17,9 @@ Commands
     experiment is checkpointed atomically, hung cells are killed and
     retried with backoff, and ``--resume`` restarts a killed campaign
     from its last durable state (see ``docs/operations.md``).
-``report [--results D] [--output F]``
-    Assemble the checkpoints of a ``run-all`` directory (default
-    ``campaign-checkpoints``) into one markdown report, in registry order.
+    ``--output F`` writes the results archive (the committed
+    ``quick_results.txt`` / ``standard_results.txt`` format);
+    ``--resume --output F`` re-renders it from the checkpoints alone.
 ``graph <family> [params…]``
     Build a graph family and report n, m, Δ, α (best estimate), γ (exact
     when small), and the spectral lower bound.
@@ -137,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_all.add_argument(
         "--output", default=None, metavar="PATH",
-        help="write the assembled results text (standard_results.txt format) "
-        "here once every cell has a checkpoint",
+        help="write the results archive (quick_results.txt / "
+        "standard_results.txt format) here once every cell has a "
+        "checkpoint; with --resume it re-renders finished cells without "
+        "re-running them",
     )
     p_all.add_argument(
         "--no-verify", action="store_true",
@@ -328,15 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cells (the inf inflation sentinel) round-trip portably",
     )
 
-    p_report = sub.add_parser(
-        "report", help="assemble saved experiment results into a markdown report"
-    )
-    p_report.add_argument(
-        "--results", default="campaign-checkpoints",
-        help="directory of saved *.json results (run-all's checkpoint directory)",
-    )
-    p_report.add_argument("--output", default="results_report.md")
-    p_report.add_argument("--title", default=None)
     return parser
 
 
@@ -895,12 +888,6 @@ def _dispatch(args) -> int:
         return _cmd_live(args)
     if args.command == "tournament":
         return _cmd_tournament(args)
-    if args.command == "report":
-        from repro.harness.reporting import write_report
-
-        out = write_report(args.results, args.output, title=args.title)
-        print(f"report written to {out}")
-        return 0
     raise AssertionError("unreachable")
 
 

@@ -1,9 +1,9 @@
-"""Experiment harness: trial running, sweeps, tables, and the registry.
+"""Experiment harness: trial running, tables, campaigns, and the registry.
 
 Use :func:`~repro.harness.experiments.run_experiment` to regenerate any of
-the paper-claim reproductions and extensions (``E1``-``E19``) or
-ablations (``A1``-``A3``); each returns an ASCII
-:class:`~repro.harness.tables.Table`, and
+the paper-claim reproductions and extensions (``E1``-``E19``), ablations
+(``A1``-``A5``) and the robustness, scale and tournament cells; each
+returns an ASCII :class:`~repro.harness.tables.Table`, and
 :func:`~repro.harness.verify.verify_experiment` checks a table against
 its claim's shape conditions.
 """
@@ -15,7 +15,6 @@ from repro.harness.runner import (
     trial_seeds_for,
     trial_summary,
 )
-from repro.harness.sweep import grid, geometric_range
 from repro.harness.tables import Table
 from repro.harness.experiments import (
     EXPERIMENTS,
@@ -40,10 +39,10 @@ from repro.harness.durable import (
 from repro.harness.campaign import (
     CampaignConfig,
     CampaignReport,
+    read_campaign_text,
     render_campaign_text,
     run_campaign,
 )
-from repro.harness.reporting import build_report, collect_documents, write_report
 from repro.harness.verify import CheckResult, verify_experiment
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "run_trials_batched",
     "trial_seeds_for",
     "trial_summary",
-    "grid",
-    "geometric_range",
     "Table",
     "EXPERIMENTS",
     "Experiment",
@@ -73,9 +70,7 @@ __all__ = [
     "CampaignReport",
     "run_campaign",
     "render_campaign_text",
-    "build_report",
-    "collect_documents",
-    "write_report",
+    "read_campaign_text",
     "CheckResult",
     "verify_experiment",
 ]

@@ -37,13 +37,15 @@ durable unit of work:
 
 :func:`render_campaign_text` regenerates the ``standard_results.txt`` /
 ``quick_results.txt`` archive text purely from checkpoints, so a
-completed campaign directory is sufficient to rebuild the published
-tables without re-running anything.
+completed campaign directory is sufficient to rebuild the committed
+archives without re-running anything; :func:`read_campaign_text` splits
+an archive back into its tables.
 """
 
 from __future__ import annotations
 
 import contextlib
+import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -74,6 +76,7 @@ __all__ = [
     "checkpoint_path",
     "run_campaign",
     "render_campaign_text",
+    "read_campaign_text",
 ]
 
 
@@ -466,17 +469,40 @@ def render_campaign_text(
 ) -> str:
     """Rebuild the results-archive text purely from campaign checkpoints.
 
-    Emits the exact ``standard_results.txt`` block format (claim header,
-    rendered table, elapsed-seconds trailer) so a completed checkpoint
-    directory regenerates the published archive byte-for-byte without
-    re-running any experiment.
+    Emits the ``quick_results.txt`` / ``standard_results.txt`` format:
+    per cell, in registry order, a blank line, the header
+    ``### <id> — <claim>  [<profile>]`` and the rendered table.  The
+    text depends on the tables alone (per-cell seconds stay in each
+    checkpoint's ``campaign.elapsed_s``), so every run of one campaign,
+    serial or pooled, renders the same bytes.
+    :func:`read_campaign_text` is its inverse.
     """
     parts: list[str] = []
     for doc in _campaign_documents(directory, profile, exp_ids):
         claim = EXPERIMENTS[doc.exp_id].claim
-        elapsed = float(doc.extra.get("campaign", {}).get("elapsed_s", 0.0))
         parts.append("")  # blank separator line before each block
         parts.append(f"### {doc.exp_id} — {claim}  [{profile}]")
         parts.append(doc.table.render())
-        parts.append(f"(completed in {elapsed:.1f}s)")
     return "\n".join(parts) + "\n"
+
+
+_SECTION_HEADER = re.compile(r"(\S+) — .*  \[\w+\]")
+
+
+def read_campaign_text(text: str) -> dict[str, str]:
+    """Split a results-archive text into ``{exp_id: rendered table}``.
+
+    The inverse of :func:`render_campaign_text`; raises ``ValueError`` on
+    text that it could not have written.
+    """
+    lead, *sections = text.split("\n### ")
+    if lead or not text.endswith("\n"):
+        raise ValueError("not a results archive: no leading '### ' section or final newline")
+    blocks: dict[str, str] = {}
+    for section in sections:
+        header, _, block = section.partition("\n")
+        match = _SECTION_HEADER.fullmatch(header)
+        if match is None or match[1] in blocks:
+            raise ValueError(f"bad or repeated section header: '### {header}'")
+        blocks[match[1]] = block.removesuffix("\n")
+    return blocks

@@ -23,11 +23,12 @@ import pytest
 from repro.harness.campaign import (
     CampaignConfig,
     checkpoint_path,
+    read_campaign_text,
     render_campaign_text,
     run_campaign,
 )
 from repro.harness.experiments import EXPERIMENTS, Experiment, registry_order
-from repro.harness.persistence import load_document
+from repro.harness.persistence import load_document, save_table
 from repro.harness.tables import Table
 
 # Cheap registry cells (fractions of a second each at the quick profile).
@@ -85,8 +86,30 @@ class TestFreshCampaign:
         text = render_campaign_text(config.checkpoint_dir, "quick", CELLS)
         assert text.startswith("\n### E1 — ")
         assert "  [quick]\n" in text
-        assert "(completed in " in text
-        assert text.endswith("s)\n")
+        assert "(completed in " not in text
+        assert read_campaign_text(text) == tables_of(config.checkpoint_dir)
+        # Wall-clock seconds live only in the checkpoints' metadata.
+        for exp_id in CELLS:
+            path = checkpoint_path(config.checkpoint_dir, exp_id, "quick")
+            doc = load_document(path)
+            campaign = dict(doc.extra["campaign"], elapsed_s=123.4)
+            save_table(doc.table, path, exp_id=exp_id, profile="quick",
+                       extra={"campaign": campaign})
+        assert render_campaign_text(config.checkpoint_dir, "quick", CELLS) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "### E1 — c  [quick]\nt\n",  # no blank line before the header
+            "\n### E1 — c  [quick]\nt",  # no final newline
+            "\n### E1 — c\nt\n",  # header without a profile
+            "\n### E1 — c  [quick]\nt\n\n### E1 — c  [quick]\nt\n",  # repeated cell
+        ],
+    )
+    def test_read_rejects_what_render_cannot_write(self, text):
+        with pytest.raises(ValueError):
+            read_campaign_text(text)
 
     def test_failed_cell_recorded_campaign_continues(self, tmp_path):
         config = small_config(

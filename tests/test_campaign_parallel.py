@@ -27,12 +27,6 @@ from repro.harness.tables import Table
 from test_campaign import CELLS, _slow_then_fast, small_config, tables_of
 
 
-def stripped_render(directory, exp_ids=CELLS) -> list[str]:
-    """Campaign archive text minus the wall-clock trailer lines."""
-    text = render_campaign_text(directory, "quick", exp_ids)
-    return [l for l in text.splitlines() if not l.startswith("(completed in ")]
-
-
 def _kill_worker_once(marker: str = "") -> Table:
     """A registrable cell that SIGKILLs its own worker on first execution."""
     path = Path(marker)
@@ -118,7 +112,9 @@ class TestParity:
         run_campaign(
             small_config(tmp_path, checkpoint_dir=pooled_dir, pool_workers=2)
         )
-        assert stripped_render(pooled_dir) == stripped_render(serial_dir)
+        assert render_campaign_text(pooled_dir, "quick", CELLS) == render_campaign_text(
+            serial_dir, "quick", CELLS
+        )
 
 
 class TestPooledResume:

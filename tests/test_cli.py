@@ -102,23 +102,6 @@ class TestSimulateCommand:
         assert "did not stabilize" in capsys.readouterr().out
 
 
-class TestReportCommand:
-    def test_assembles_saved_results(self, capsys, tmp_path):
-        from repro.harness.persistence import save_table
-        from repro.harness.tables import Table
-
-        t = Table(title="E1 sample", columns=["x"])
-        t.add_row(1)
-        save_table(t, tmp_path / "E1.json", exp_id="E1", profile="quick")
-        out_file = tmp_path / "report.md"
-        code = main(
-            ["report", "--results", str(tmp_path), "--output", str(out_file)]
-        )
-        assert code == 0
-        assert out_file.exists()
-        assert "## E1" in out_file.read_text()
-
-
 class TestBoundsCommand:
     def test_outputs_all_bounds(self, capsys):
         code = main(["bounds", "--n", "64", "--alpha", "0.5", "--delta", "8"])

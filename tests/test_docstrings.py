@@ -1,7 +1,7 @@
 """Executable-documentation tests.
 
-The package docstring's quickstart and the sweep module's doctest run as
-tests so the documentation can never silently rot.
+The package docstring's quickstart runs as a test so the documentation
+can never silently rot.
 """
 
 from __future__ import annotations
@@ -13,14 +13,6 @@ def test_package_quickstart_doctest():
     import repro
 
     results = doctest.testmod(repro, verbose=False)
-    assert results.attempted > 0
-    assert results.failed == 0
-
-
-def test_sweep_doctest():
-    from repro.harness import sweep
-
-    results = doctest.testmod(sweep, verbose=False)
     assert results.attempted > 0
     assert results.failed == 0
 

@@ -1,4 +1,4 @@
-"""Tests for the harness: runner, tables, sweeps."""
+"""Tests for the harness: runner and tables."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.harness.runner import (
     trial_seeds_for,
     trial_summary,
 )
-from repro.harness.sweep import geometric_range, grid
 from repro.harness.tables import Table, format_cell
 
 
@@ -268,23 +267,3 @@ class TestFormatCell:
 
     def test_zero(self):
         assert format_cell(0.0) == "0"
-
-
-class TestSweep:
-    def test_grid_product(self):
-        combos = grid(n=[1, 2], tau=[3, 4])
-        assert len(combos) == 4
-        assert {"n": 1, "tau": 3} in combos
-
-    def test_empty_grid(self):
-        assert grid() == [{}]
-
-    def test_geometric_range(self):
-        assert geometric_range(2, 16) == [2, 4, 8, 16]
-        assert geometric_range(3, 20, factor=3) == [3, 9]
-
-    def test_geometric_range_validation(self):
-        with pytest.raises(ValueError):
-            geometric_range(0, 8)
-        with pytest.raises(ValueError):
-            geometric_range(4, 2)
