@@ -660,10 +660,22 @@ def test_graph_build():
 
     Pairing, vectorized repair, the key-sorted CSR and the connectivity
     check.  Absolute milliseconds, so the record keeps it as
-    machine-fingerprinted context, not a gated ratio.
+    machine-fingerprinted context, not a gated ratio.  A fourth, untimed
+    build under ``tracemalloc`` records the build's peak allocation over
+    the bytes of the CSR it returns, ``graph_build_peak_ratio_n2e18``:
+    machine-independent, and capped by the regression gate.
     """
+    import tracemalloc
+
     build_s = _timed(lambda: families.random_regular(2**18, 8, seed=123), repeats=3)
     _measurements["graph_build_ms_n2e18"] = build_s * 1000.0
+    tracemalloc.start()
+    try:
+        g = families.random_regular(2**18, 8, seed=123)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _measurements["graph_build_peak_ratio_n2e18"] = peak / (g.indptr.nbytes + g.indices.nbytes)
 
 
 def test_campaign_parallel_speedup():

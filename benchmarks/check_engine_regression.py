@@ -62,7 +62,13 @@ Absolute context values (``ms_per_round_n1e5``, ``ms_per_round_n1e6``,
 ``single_static_round_us``, ``single_relabel_round_us``,
 ``largen_trial_s``) must be present —
 their producing benches must have run — but their magnitudes are
-machine-dependent and not gated.  So must ``sparse_frontier_speedup``
+machine-dependent and not gated.  So must
+``graph_build_peak_ratio_n2e18`` (the tracemalloc peak of
+``random_regular(2**18, 8)`` over the bytes of the CSR it returns),
+which is also held under an absolute 2.4 cap: measured 2.0 (2.04 in a
+fresh process), plus 0.35 of margin.  tracemalloc counts the same allocations on every machine, so
+the cap needs no baseline; a build that keeps a second copy of the
+edges again reads ~7.7.  So must ``sparse_frontier_speedup``
 (dense endgame round over sparse endgame round at n=10^5): it is a
 ratio, but its denominator is the dense round, which its own
 optimisations move, so it is context only.
@@ -106,6 +112,7 @@ ABSOLUTE_MAX = {
     "async_vs_sync_round_ratio": 6.0,
     "sparse_round_n_scaling": 3.0,
     "relabel_over_rebuild": 1.0,
+    "graph_build_peak_ratio_n2e18": 2.4,
 }
 
 #: (metric, higher_is_better) pairs gated against the baseline median.
@@ -138,6 +145,7 @@ REQUIRED_PRESENT = (
     "single_relabel_round_us",
     "sparse_frontier_speedup",
     "largen_trial_s",
+    "graph_build_peak_ratio_n2e18",
 )
 
 
@@ -227,11 +235,15 @@ def check(path: Path) -> int:
         )
 
     for key in REQUIRED_PRESENT:
-        if current.get(key) is None:
+        cur, cap = current.get(key), ABSOLUTE_MAX.get(key)
+        if cur is None:
             failures.append(f"{key}: missing from current record")
             row(key, None, None, "MISSING")
+        elif cap is not None and cur > cap:
+            failures.append(f"{key}: {cur:.3f} > absolute cap {cap:.3f}")
+            row(key, baseline_for(key), cur, f"REGRESSION (cap {cap:g})")
         else:
-            row(key, baseline_for(key), current[key], "context")
+            row(key, baseline_for(key), cur, "context")
 
     for key, higher_is_better in GATED:
         base, cur = baseline_for(key), current.get(key)

@@ -75,6 +75,7 @@ from repro.util.csrops import (
     batched_permuted_pick,
     batched_random_pick,
     csr_degrees,
+    distinct_ids,
     gather_rows,
     invert_permutations,
     segmented_random_pick,
@@ -85,6 +86,11 @@ from repro.util.csrops import (
 from repro.util.rng import make_rng
 
 __all__ = ["BatchedAlgorithm", "BatchedVectorizedEngine", "SparseFrontier", "connect"]
+
+#: Permutation entries (``T·n`` per epoch) the churn fast path fetches at
+#: once (at τ = 1, a fetch per replica per epoch was ~1/3 of a small batched
+#: round); 32 epochs at ``T·n = 1024``, one epoch from ``T·n = 32768`` on.
+_PERM_SLAB_ELEMENTS = 32768
 
 #: Below this many (replica, vertex) pairs, sparse-activity rounds cannot
 #: beat the dense kernels' fixed dispatch overhead; ``auto`` mode stays dense.
@@ -198,6 +204,8 @@ class SparseFrontier:
         self.undone: np.ndarray | None = None
         #: Ascending flat ids of the undone set (``None`` with ``undone``).
         self.idx: np.ndarray | None = None
+        #: ``(T*n,)`` all-False scratch for :func:`distinct_ids`.
+        self._mark = np.zeros(n * replicas, dtype=bool)
 
     def build(self) -> bool:
         """Build the undone set from ``node_done`` unless it is built.
@@ -230,21 +238,23 @@ class SparseFrontier:
         u = self.idx
         if u.size <= limit:
             graph = dg.graph_at(r)
-            reach = unique_nodes(np.concatenate([u, self._neighbors(graph, u)]))
-            if reach.size <= limit:
-                rows = unique_nodes(np.concatenate([reach, self._neighbors(graph, reach)]))
-                if rows.size <= limit:
-                    return graph, rows
+            reach = self._hop(graph, u, limit)
+            rows = None if reach is None else self._hop(graph, reach, limit)
+            if rows is not None:
+                return graph, rows
         self.undone = self.idx = None
         return None
 
-    def _neighbors(self, graph: Graph, ids: np.ndarray) -> np.ndarray:
-        """Concatenated flat-id neighbours of the flat ids in ``ids``."""
+    def _hop(self, graph: Graph, ids: np.ndarray, limit: float) -> np.ndarray | None:
+        """Ascending flat ids of ``ids`` and their neighbours, or ``None``
+        when they are more than ``limit``."""
         if self.replicas == 1:
-            return gather_rows(graph.indptr, graph.indices, ids)
-        verts = ids % self.n
-        nbrs = gather_rows(graph.indptr, graph.indices, verts)
-        return nbrs + np.repeat(ids - verts, graph.indptr[verts + 1] - graph.indptr[verts])
+            nbrs = gather_rows(graph.indptr, graph.indices, ids)
+        else:
+            verts = ids % self.n
+            nbrs = gather_rows(graph.indptr, graph.indices, verts)
+            nbrs += np.repeat(ids - verts, graph.indptr[verts + 1] - graph.indptr[verts])
+        return distinct_ids(np.concatenate([ids, nbrs]), self._mark, limit)
 
     def absorb(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
         """Drop this round's exchange endpoints that have become done.
@@ -610,6 +620,10 @@ class BatchedVectorizedEngine:
         self._Pinv: np.ndarray | None = None
         self._perm_epoch = -1
         self._P_src: np.ndarray | None = None
+        # List form: the (k, T, n) permutations of k epochs from
+        # _slab_epoch on, and their inverses, fetched k epochs at a time.
+        self._slab = self._slab_inv = np.empty((0, self.replicas, self.n), dtype=np.int64)
+        self._slab_epoch = 0
         # All-False scratch mask for connect()'s "a proposer cannot
         # receive" rule.
         self._proposed = np.zeros(self.replicas * self.n, dtype=bool)
@@ -692,10 +706,11 @@ class BatchedVectorizedEngine:
     def _permutations(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Current ``(T, n)`` relabel permutations and their inverses.
 
-        Refreshed once per epoch on the permuted-list path (``T`` cheap
-        ``permutation_of_epoch`` calls), or when the batched dynamic graph
-        hands back a new array object (adaptive adversaries emit one only
-        at epoch boundaries with a changed observation).
+        Refreshed once per epoch on the permuted-list path, from a slab of
+        epochs that one ``permutations_from_epoch`` call per replica
+        fetches, or when the batched dynamic graph hands back a new array
+        object (adaptive adversaries emit one only at epoch boundaries with
+        a changed observation).
         """
         if self.bdg is not None:
             P = self.bdg.permutations_at(r)
@@ -707,8 +722,16 @@ class BatchedVectorizedEngine:
             assert self.dgs is not None
             e = epoch_of_round(r, self.dgs[0].tau)
             if e != self._perm_epoch:
-                self._P = np.array([dg.permutation_of_epoch(e) for dg in self.dgs])
-                self._Pinv = invert_permutations(self._P)
+                j = e - self._slab_epoch
+                if not 0 <= j < len(self._slab):
+                    # Replicas share n and τ, so their runs end at one block end.
+                    k = max(1, _PERM_SLAB_ELEMENTS // (self.replicas * self.n))
+                    rows = [dg.permutations_from_epoch(e, k) for dg in self.dgs]
+                    self._slab = np.stack(rows, axis=1)
+                    inv = invert_permutations(self._slab.reshape(-1, self.n))
+                    self._slab_inv = inv.reshape(self._slab.shape)
+                    self._slab_epoch, j = e, 0
+                self._P, self._Pinv = self._slab[j], self._slab_inv[j]
                 self._perm_epoch = e
         assert self._P is not None and self._Pinv is not None
         return self._P, self._Pinv

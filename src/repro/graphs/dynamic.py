@@ -242,9 +242,13 @@ class PermutedDynamicGraph(DynamicGraph):
         """
         return self.permutation_of_epoch(epoch_of_round(r, self.tau))
 
-    @abstractmethod
     def permutation_of_epoch(self, e: int) -> np.ndarray:
         """The relabel permutation of every round in epoch ``e``."""
+        return self.permutations_from_epoch(e, 1)[0]
+
+    @abstractmethod
+    def permutations_from_epoch(self, e: int, k: int) -> np.ndarray:
+        """Row ``i`` is the permutation of epoch ``e + i``; 1 to ``k`` rows."""
 
 
 class BatchedPermutedDynamicGraph(ABC):
@@ -343,7 +347,7 @@ class PeriodicRelabelDynamicGraph(PermutedDynamicGraph):
         self._block_len = max(1, _PERM_BLOCK_ELEMENTS // max(base.n, 1))
         self._perm_blocks: dict[int, _PermutationBlock] = {}
 
-    def permutation_of_epoch(self, e: int) -> np.ndarray:
+    def permutations_from_epoch(self, e: int, k: int) -> np.ndarray:
         b, i = divmod(e, self._block_len)
         block = self._perm_blocks.get(b)
         if block is None:
@@ -351,7 +355,9 @@ class PeriodicRelabelDynamicGraph(PermutedDynamicGraph):
             block = self._perm_blocks[b] = _PermutationBlock(
                 make_rng(self._seed, "relabel-epoch-block", b), self._block_len, self.n
             )
-        return block.row(i)
+        stop = min(i + k, self._block_len)
+        block.row(stop - 1)
+        return block.rows[i:stop]
 
     def graph_at(self, r: int) -> Graph:
         e = epoch_of_round(r, self.tau)

@@ -257,24 +257,28 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 50)
     if d < 1:
         raise ValueError("d must be >= 1")
     rng = make_rng(seed, "random_regular", n, d)
-    stubs = np.repeat(np.arange(n), d)
     # Above this edge count the dict-based repair's O(m) Python setup
     # dominates generation (5.1 s at n=2^18, d=8 on a 2-CPU x86-64 box,
     # against 0.10 s for the vectorized repair, which detects the O(d^2)
     # expected bad edges with array ops instead).  The small-n path is
     # kept verbatim so existing seeds reproduce the exact graphs they
     # always produced.
-    large = stubs.size // 2 >= _LARGE_REPAIR_EDGES
+    large = n * d // 2 >= _LARGE_REPAIR_EDGES
     for _ in range(max_tries):
-        perm = rng.permutation(stubs)
-        u, v = perm[0::2].copy(), perm[1::2].copy()
+        # rng.shuffle draws what rng.permutation(stubs) draws, without its
+        # copy; the repair rewires the pairs in place through u/v views.
+        pairs = np.repeat(np.arange(n), d)
+        rng.shuffle(pairs)
+        pairs = pairs.reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
         repaired = (
             _repair_multigraph_vectorized(u, v, n, rng)
             if large
             else _repair_multigraph(u, v, rng)
         )
         if repaired:
-            g = Graph(n, np.stack([u, v], axis=1))
+            g = Graph(n, pairs)
+            del pairs, u, v  # the graph holds its own CSR; free them before the BFS
             if g.is_connected():
                 return g
     raise RuntimeError(f"failed to sample a connected {d}-regular graph on {n} vertices")
@@ -297,8 +301,11 @@ def _repeat_followers(key: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     follow = np.zeros(key.size, dtype=bool)
     repeated = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
     if repeated.size:
-        slot = np.minimum(np.searchsorted(repeated, key), repeated.size - 1)
-        occ = np.flatnonzero(repeated[slot] == key)
+        # Prefilter on the low 16 bits (a uint16 cast), then test exactly.
+        table = np.zeros(1 << 16, dtype=bool)
+        table[repeated.astype(np.uint16)] = True
+        occ = np.flatnonzero(table[key.astype(np.uint16)])
+        occ = occ[np.isin(key[occ], repeated)]
         occ = occ[np.argsort(key[occ], kind="stable")]
         follow[occ[1:][key[occ[1:]] == key[occ[:-1]]]] = True
     return follow

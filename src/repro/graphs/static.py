@@ -1,9 +1,10 @@
 """Immutable static graph representation.
 
 A :class:`Graph` is an undirected simple graph over vertices ``0..n-1``
-stored in CSR form.  It is the unit the round engines consume: a dynamic
-graph (see :mod:`repro.graphs.dynamic`) is a round-indexed sequence of
-these.
+stored in CSR form, and only in CSR form: its canonical edge array is
+derived from the CSR on demand.  It is the unit the round engines
+consume: a dynamic graph (see :mod:`repro.graphs.dynamic`) is a
+round-indexed sequence of these.
 
 Instances are immutable; all mutation-like operations return new graphs.
 """
@@ -14,7 +15,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.util.csrops import canonical_csr, csr_degrees, gather_rows, unique_nodes
+from repro.util.csrops import build_csr, csr_degrees, distinct_ids, gather_rows
 
 __all__ = ["Graph"]
 
@@ -40,23 +41,19 @@ class Graph:
             [(u, v) for (u, v) in edges] if not isinstance(edges, np.ndarray) else edges,
             dtype=np.int64,
         ).reshape(-1, 2)
-        # Canonical (min, max) orientation, lexicographically sorted for
-        # stable equality, from one sort of int64 edge keys.
-        self._n = int(n)
-        self._edges, self._indptr, self._indices = canonical_csr(self._n, edge_arr)
-        self._edges.setflags(write=False)
-        self._indptr.setflags(write=False)
-        self._indices.setflags(write=False)
+        self._set_csr(int(n), *build_csr(int(n), edge_arr))
+
+    def _set_csr(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self._n = n
+        self._indptr = indptr
+        self._indices = indices
+        self._edges: np.ndarray | None = None
         self._connected: bool | None = None
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
 
     @classmethod
-    def _from_csr(
-        cls,
-        n: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        edges: np.ndarray,
-    ) -> "Graph":
+    def _from_csr(cls, n: int, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
         """Rehydrate from already-built CSR arrays, trusting them.
 
         Used by unpickling and :meth:`relabel`: the arrays are already
@@ -64,18 +61,11 @@ class Graph:
         only burn time.  Arrays are frozen, as ``__init__`` leaves them.
         """
         graph = object.__new__(cls)
-        graph._n = int(n)
-        graph._indptr = indptr
-        graph._indices = indices
-        graph._edges = edges
-        graph._connected = None
-        for arr in (indptr, indices, edges):
-            if arr.flags.writeable:
-                arr.setflags(write=False)
+        graph._set_csr(int(n), indptr, indices)
         return graph
 
     def __reduce__(self):
-        return (Graph._from_csr, (self._n, self._indptr, self._indices, self._edges))
+        return (Graph._from_csr, (self._n, self._indptr, self._indices))
 
     # -- basic accessors --------------------------------------------------
 
@@ -87,7 +77,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return self._edges.shape[0]
+        return self._indices.shape[0] // 2
 
     @property
     def indptr(self) -> np.ndarray:
@@ -101,8 +91,21 @@ class Graph:
 
     @property
     def edges(self) -> np.ndarray:
-        """Canonical ``(m, 2)`` edge array (read-only, lexicographically sorted)."""
+        """Canonical ``(m, 2)`` edge array (read-only, lexicographically sorted).
+
+        Derived from the CSR on first access and then cached.
+        """
+        if self._edges is None:
+            self._edges = self._upper_arcs()
+            self._edges.setflags(write=False)
         return self._edges
+
+    def _upper_arcs(self) -> np.ndarray:
+        """The arcs ``(row, col)`` with ``col > row``: the canonical edges,
+        already in lexicographic order."""
+        rows = np.repeat(np.arange(self._n, dtype=np.int64), csr_degrees(self._indptr))
+        upper = self._indices > rows
+        return np.stack([rows[upper], self._indices[upper]], axis=1)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor array of vertex ``u`` (a read-only view)."""
@@ -136,17 +139,21 @@ class Graph:
         Computed on first call and cached: the graph is immutable.
         """
         if self._connected is None:
-            # Level-synchronous BFS from vertex 0, one CSR gather per level.
+            # Level-synchronous BFS from vertex 0.  Each level gathers its
+            # rows n/16 at a time, so a wide level never holds all of its
+            # neighbour lists at once.
             seen = np.zeros(self._n, dtype=bool)
-            frontier = np.array([0], dtype=np.int64)
+            mark = np.zeros(self._n, dtype=bool)
+            frontier = np.zeros(1, dtype=np.int64)
             seen[0] = True
+            step = max(1024, self._n >> 4)
             while frontier.size:
-                nxt = gather_rows(self._indptr, self._indices, frontier)
-                nxt = nxt[~seen[nxt]]
-                if nxt.size == 0:
-                    break
-                frontier = unique_nodes(nxt)
-                seen[frontier] = True
+                parts = []
+                for lo in range(0, frontier.size, step):
+                    nxt = gather_rows(self._indptr, self._indices, frontier[lo : lo + step])
+                    parts.append(distinct_ids(nxt[~seen[nxt]], mark, self._n))
+                    seen[parts[-1]] = True
+                frontier = np.concatenate(parts)
             self._connected = bool(seen.all())
         return self._connected
 
@@ -172,26 +179,23 @@ class Graph:
         """Return the isomorphic graph with vertex ``u`` renamed ``perm[u]``.
 
         A relabeling of a simple graph is simple, so nothing is checked
-        again: one sort of the relabeled arc keys ``perm[u]·n + perm[v]``
-        yields the sorted neighbor lists, the row pointers and (the arcs
-        with ``src < dst``) the canonical edge array.
+        again: one sort of the relabeled arc keys ``perm[u]·n + perm[v]``,
+        taken straight from the CSR, yields the sorted neighbor lists, and
+        vertex ``perm[u]`` inherits the degree of ``u``.
         """
         n = self._n
         perm = np.asarray(perm, dtype=np.int64)
         if perm.shape != (n,) or not np.array_equal(np.sort(perm), np.arange(n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        ends = perm[self._edges]
-        lo, hi = ends[:, 0] * n, ends[:, 1] * n
-        lo += ends[:, 1]
-        hi += ends[:, 0]
-        arcs = np.concatenate([lo, hi])
+        deg = csr_degrees(self._indptr)
+        arcs = np.repeat(perm * n, deg)
+        arcs += perm[self._indices]
         arcs.sort()
-        src, dst = np.divmod(arcs, n)
+        np.remainder(arcs, n, out=arcs)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        upper = src < dst
-        edges = np.stack([src[upper], dst[upper]], axis=1)
-        graph = Graph._from_csr(n, indptr, dst, edges)
+        indptr[1:][perm] = deg
+        np.cumsum(indptr, out=indptr)
+        graph = Graph._from_csr(n, indptr, arcs)
         graph._connected = self._connected  # isomorphic: same connectivity
         return graph
 
@@ -204,13 +208,10 @@ class Graph:
         long-running components.
         """
         off = self._n
-        shifted = other._edges + off if other._edges.size else other._edges
         bridges = np.asarray(
             [(u, v + off) for (u, v) in bridge_edges], dtype=np.int64
         ).reshape(-1, 2)
-        all_edges = np.concatenate(
-            [self._edges.reshape(-1, 2), shifted.reshape(-1, 2), bridges]
-        )
+        all_edges = np.concatenate([self._upper_arcs(), other._upper_arcs() + off, bridges])
         return Graph(self._n + other._n, all_edges)
 
     # -- interop ----------------------------------------------------------
@@ -221,7 +222,7 @@ class Graph:
 
         g = nx.Graph()
         g.add_nodes_from(range(self._n))
-        g.add_edges_from(map(tuple, self._edges))
+        g.add_edges_from(self._upper_arcs().tolist())
         return g
 
     @classmethod
@@ -237,10 +238,15 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and np.array_equal(self._edges, other._edges)
+        # The CSR of a simple graph is canonical, so it decides equality.
+        return (
+            self._n == other._n
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
+        )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges.tobytes()))
+        return hash((self._n, self._indptr.tobytes(), self._indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.num_edges}, Δ={self.max_degree})"

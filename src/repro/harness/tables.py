@@ -76,17 +76,5 @@ class Table:
             lines.append(f"  * {note}")
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        """Render as CSV (header + rows; notes are omitted)."""
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(row)
-        return buf.getvalue()
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()

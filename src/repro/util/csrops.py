@@ -59,11 +59,11 @@ import numpy as np
 
 __all__ = [
     "build_csr",
-    "canonical_csr",
     "all_distinct",
     "csr_degrees",
     "gather_rows",
     "unique_nodes",
+    "distinct_ids",
     "segmented_random_pick",
     "segmented_random_pick_subset",
     "segmented_uniform_accept_pairs",
@@ -89,26 +89,31 @@ def _check_mask(name: str, mask: np.ndarray, shape: tuple[int, ...]) -> None:
 
 
 #: Largest vertex count whose pair keys ``u·n + v`` (all ``< n²``) fit in
-#: int64; :func:`canonical_csr` refuses larger ``n``.
+#: int64; :func:`build_csr` refuses larger ``n``.
 MAX_KEY_N = 3_037_000_499
 
 
-def canonical_csr(
-    n: int, edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical edge array and CSR adjacency of an undirected edge list.
+def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency ``(indptr, indices)`` of an undirected edge list.
 
-    Each edge becomes one int64 key ``min(u, v)·n + max(u, v)``; one sort
-    of those keys yields the lexicographically sorted ``(min, max)`` edge
-    array and exposes duplicates as equal neighbors.  Each arc becomes
-    ``src·n + dst``, so one sort of the ``2m`` arc keys yields every
-    row's sorted neighbor list at once.
+    Each arc becomes one int64 key ``src·n + dst``.  Both arcs of every
+    edge fill one ``2m`` buffer, one in-place sort of it yields every
+    row's sorted neighbor list at once, and a duplicate edge (in either
+    orientation) shows up as a repeated key.  Row lengths are counted
+    from the edge endpoints, so no ``2m`` source array is built.
+
+    Parameters
+    ----------
+    n
+        Number of vertices (labelled ``0..n-1``).
+    edges
+        ``(m, 2)`` integer array of undirected edges.
 
     Returns
     -------
-    edges, indptr, indices
-        The ``(m, 2)`` canonical edges, CSR row pointers (length
-        ``n + 1``) and the concatenated sorted neighbor lists.
+    indptr, indices
+        CSR row pointers (length ``n + 1``) and the concatenated sorted
+        neighbor lists.
 
     Raises
     ------
@@ -127,42 +132,18 @@ def canonical_csr(
     u, v = edges[:, 0], edges[:, 1]
     if np.any(u == v):
         raise ValueError("self-loops are not allowed")
-    keys = np.minimum(u, v) * n + np.maximum(u, v)
-    keys.sort()
-    if np.any(keys[1:] == keys[:-1]):
-        raise ValueError("duplicate edges are not allowed")
-    lo, hi = np.divmod(keys, n)
-    # Symmetrize: each undirected edge contributes two directed arcs.
-    src = np.concatenate([lo, hi])
-    arcs = src * n
-    arcs[: lo.size] += hi
-    arcs[lo.size :] += lo
+    m = u.size
+    arcs = np.empty(2 * m, dtype=np.int64)
+    for half, src, dst in ((arcs[:m], u, v), (arcs[m:], v, u)):
+        np.multiply(src, n, out=half)
+        half += dst
     arcs.sort()
-    np.remainder(arcs, n, out=arcs)
+    if np.any(arcs[1:] == arcs[:-1]):
+        raise ValueError("duplicate edges are not allowed")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return np.stack([lo, hi], axis=1), indptr, arcs
-
-
-def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Build a CSR adjacency ``(indptr, indices)`` from an undirected edge list.
-
-    Parameters
-    ----------
-    n
-        Number of vertices (labelled ``0..n-1``).
-    edges
-        ``(m, 2)`` integer array of undirected edges.  Self-loops and
-        duplicate edges are rejected.
-
-    Returns
-    -------
-    indptr, indices
-        Standard CSR row pointers (length ``n + 1``) and, for each vertex,
-        its sorted neighbor list.
-    """
-    _, indptr, indices = canonical_csr(n, edges)
-    return indptr, indices
+    np.cumsum(np.bincount(edges.reshape(-1), minlength=n), out=indptr[1:])
+    np.remainder(arcs, n, out=arcs)
+    return indptr, arcs
 
 
 def csr_degrees(indptr: np.ndarray) -> np.ndarray:
@@ -180,17 +161,17 @@ def gather_rows(
     repeat; empty rows contribute nothing.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    deg = indptr[rows + 1] - indptr[rows]
+    shift = indptr[rows]
+    deg = indptr[rows + 1] - shift
     ends = np.cumsum(deg)
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
     # Entry i of row k sits at indptr[rows[k]] + (i - start of row k).
-    pos = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(ends - deg, deg)
-        + np.repeat(indptr[rows], deg)
-    )
+    shift -= ends
+    shift += deg
+    pos = np.repeat(shift, deg)
+    pos += np.arange(total, dtype=np.int64)
     return indices[pos]
 
 
@@ -209,6 +190,25 @@ def unique_nodes(ids: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def distinct_ids(ids: np.ndarray, mark: np.ndarray, limit: float) -> np.ndarray | None:
+    """Sorted distinct values of ``ids``, or ``None`` when more than ``limit``.
+
+    The frontier-expansion dedupe.  ``mark`` is an all-False boolean
+    scratch array indexable by every id, and is all-False again on
+    return.  Few ids are sorted (:func:`unique_nodes`); many are marked,
+    counted and read back in ascending order with two ``O(len(mark))``
+    scans that cost less than sorting them, and a count over ``limit``
+    returns before the read-back.
+    """
+    if 4 * ids.size < mark.size:
+        out = unique_nodes(ids)
+        return out if out.size <= limit else None
+    mark[ids] = True
+    out = np.flatnonzero(mark) if np.count_nonzero(mark) <= limit else None
+    mark[ids] = False
+    return out
 
 
 def all_distinct(ids: np.ndarray) -> bool:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.util.csrops import (
     batched_random_pick,
     build_csr,
     csr_degrees,
+    distinct_ids,
     gather_rows,
     segmented_random_pick,
     segmented_uniform_accept_pairs,
@@ -138,6 +139,27 @@ class TestUniqueNodes:
         ids = np.asarray(values, dtype=np.int64)
         np.random.default_rng(seed).shuffle(ids)
         assert np.array_equal(unique_nodes(ids), np.unique(ids))
+
+
+class TestDistinctIds:
+    @given(st.lists(st.integers(0, 40), max_size=200), st.integers(0, 60))
+    @example(values=[3, 1, 3], limit=60)
+    @example(values=list(range(40)) * 3, limit=60)
+    @example(values=list(range(40)) * 3, limit=10)
+    @settings(max_examples=120)
+    def test_matches_numpy_unique_or_rejects(self, values, limit):
+        """Both paths, sort (up to 10 ids here) and mark (11 or more): the
+        sorted distinct ids, or None past the limit, and the mark left
+        all-False."""
+        ids = np.asarray(values, dtype=np.int64)
+        mark = np.zeros(41, dtype=bool)
+        out = distinct_ids(ids, mark, limit)
+        want = np.unique(ids)
+        if want.size <= limit:
+            assert out is not None and out.tolist() == want.tolist()
+        else:
+            assert out is None
+        assert not mark.any()
 
 
 class TestSegmentedRandomPick:

@@ -70,21 +70,6 @@ class TestFitPowerLaw:
         assert fit.exponent_ci_low < 2.0 < fit.exponent_ci_high + 0.3
 
 
-class TestTableCsv:
-    def test_roundtrip_via_csv_module(self):
-        import csv
-        import io
-
-        from repro.harness.tables import Table
-
-        t = Table(title="T", columns=["a", "b"])
-        t.add_row(1, "x,y")
-        t.add_row(2.5, True)
-        rows = list(csv.reader(io.StringIO(t.to_csv())))
-        assert rows[0] == ["a", "b"]
-        assert rows[1] == ["1", "x,y"]  # comma survives quoting
-
-
 class TestTraceAnalytics:
     def test_counts_and_cut_connections(self):
         import numpy as np

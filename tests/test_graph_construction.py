@@ -1,11 +1,11 @@
-"""Graph construction: int64 edge keys against the lexsort formulation.
+"""Graph construction: int64 arc keys against the lexsort formulation.
 
-``Graph`` and ``build_csr`` canonicalize an edge list by sorting one
-int64 key per edge (``min·n + max``) and build the CSR from one sort of
-the ``2m`` arc keys (``src·n + dst``).  They replaced a lexsort over the
-canonical edges plus a second lexsort over the arcs; that formulation is
-kept below as a test-only reference, and the key path must reproduce its
-arrays byte for byte.  The pinned ``random_regular`` digests were taken
+``Graph`` and ``build_csr`` build the CSR from one sort of the ``2m``
+arc keys (``src·n + dst``), and ``Graph.edges`` derives the canonical
+edges from that CSR.  They replaced a lexsort over the canonical edges
+plus a second lexsort over the arcs; that formulation is kept below as a
+test-only reference, and the key path must reproduce its arrays byte for
+byte.  The pinned ``random_regular`` digests were taken
 with the lexsort formulation, so both repair paths keep generating the
 same graphs.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,8 +145,66 @@ class TestPickling:
 
     def test_from_csr_trusts_arrays(self):
         g = families.ring(16)
-        h = Graph._from_csr(g.n, g.indptr, g.indices, g.edges)
+        h = Graph._from_csr(g.n, g.indptr, g.indices)
         assert h == g and h.neighbors(0).tolist() == g.neighbors(0).tolist()
+
+
+class TestLazyEdges:
+    """A ``Graph`` holds only its CSR; ``edges`` is derived on demand."""
+
+    @given(shuffled_edge_lists(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=100)
+    def test_edges_after_relabel_union_and_pickle(self, case, seed):
+        n, edges = case
+        g = Graph(n, edges)
+        perm = np.random.default_rng(seed).permutation(n)
+        h = g.relabel(perm)
+        _assert_identical(h.edges, lexsort_reference(n, perm[edges])[0])
+        joined = g.union(h, [(0, 0)])
+        want = np.concatenate([edges, perm[edges] + n, [[0, n]]])
+        _assert_identical(joined.edges, lexsort_reference(2 * n, want)[0])
+        back = pickle.loads(pickle.dumps(g))
+        _assert_identical(back.edges, lexsort_reference(n, edges)[0])
+
+    def test_rehydration_equals_and_hashes_without_edges(self):
+        g = families.random_regular(256, 4, seed=3)
+        h = Graph._from_csr(g.n, g.indptr.copy(), g.indices.copy())
+        assert h == g and hash(h) == hash(g)
+        assert g._edges is None and h._edges is None
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(4, [(0, 1), (2, 3)]),
+            lambda: families.ring(16),
+            lambda: families.random_regular(1024, 8, seed=0),
+            lambda: families.ring(16).relabel(np.arange(16)[::-1]),
+            lambda: families.ring(4).union(families.ring(4), [(0, 0)]),
+            lambda: pickle.loads(pickle.dumps(families.ring(16))),
+        ],
+        ids=["edge-list", "family", "random-regular", "relabel", "union", "unpickled"],
+    )
+    def test_construction_leaves_edges_unset(self, build):
+        g = build()
+        assert g._edges is None
+        assert g.edges.shape == (g.num_edges, 2)
+        assert g._edges is not None
+
+
+class TestBuildMemory:
+    #: Allowed tracemalloc peak of ``random_regular(2**16, 8)`` over the
+    #: bytes of the CSR it returns: measured 2.2 (7.8 when the build kept
+    #: a second copy of every edge), plus 0.3 of margin.
+    PEAK_OVER_CSR = 2.5
+
+    def test_random_regular_peak(self):
+        tracemalloc.start()
+        try:
+            g = families.random_regular(2**16, 8, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_OVER_CSR * (g.indptr.nbytes + g.indices.nbytes)
 
 
 def _repeat_followers_reference(key):

@@ -227,6 +227,19 @@ class TestPermutedDynamicGraphContract:
         for r in range(span, 0, -1):
             assert np.array_equal(dg2.permutation_at(r), forward[r - 1])
 
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_epoch_runs_match_single_epochs(self, k):
+        """``permutations_from_epoch(e, k)`` holds the permutations of
+        epochs ``e, e+1, …``: 1 to ``k`` rows, none past e's block."""
+        base = families.ring(4)
+        dg = PeriodicRelabelDynamicGraph(base, tau=1, seed=2)
+        single = PeriodicRelabelDynamicGraph(base, tau=1, seed=2)
+        for e in (0, 5, dg._block_len - 2, dg._block_len, 3 * dg._block_len - 1):
+            rows = dg.permutations_from_epoch(e, k)
+            assert 1 <= len(rows) <= min(k, dg._block_len - e % dg._block_len)
+            for i, row in enumerate(rows):
+                assert np.array_equal(row, single.permutation_of_epoch(e + i))
+
 
 class TestBatchedPackingAdversary:
     def test_matches_per_replica_adversaries(self):
