@@ -467,7 +467,7 @@ def test_campaign_checkpoint_overhead():
 
 
 # ---------------------------------------------------------------------------
-# Large-n tier: chunked-engine round cost and sparse-frontier endgame speedup
+# Large n: one-replica round cost and sparse-frontier endgame speedup
 # ---------------------------------------------------------------------------
 
 LARGE_DEGREE = 8
@@ -563,24 +563,22 @@ def test_sparse_frontier_speedup():
 
 
 def test_large_n_round_cost():
-    """Chunked-engine round cost at n=10^5 and n=10^6 from the initial state.
+    """One-replica engine round cost at n=10^5 and n=10^6 from the initial state.
 
     Records absolute per-round wall times (machine-dependent context) and
     their dimensionless n=10^6 / n=10^5 ratio, which the regression gate
     caps: a 10× larger network must not cost disproportionately more per
-    round (superlinear blowup means the chunking or frontier logic broke).
+    round (superlinear blowup means the dense round or frontier logic broke).
     """
-    from repro.core.largen import LargeNEngine
-
     dg5, keys5 = _large_setup(100_000)
     ms_1e5 = _ms_per_round(
-        lambda: LargeNEngine(dg5, BlindGossipBatched(keys5), seed=2),
+        lambda: VectorizedEngine(dg5, BlindGossipBatched(keys5), seed=2),
         rounds=20,
         repeats=3,
     )
     dg6, keys6 = _large_setup(1_000_000)
     ms_1e6 = _ms_per_round(
-        lambda: LargeNEngine(dg6, BlindGossipBatched(keys6), seed=2),
+        lambda: VectorizedEngine(dg6, BlindGossipBatched(keys6), seed=2),
         rounds=5,
         repeats=2,
     )
@@ -598,7 +596,7 @@ def test_large_n_round_cost():
 
 
 def test_large_n_trial_phases():
-    """One full chunked-engine blind-gossip trial at n=2^17, split by phase.
+    """One full one-replica blind-gossip trial at n=2^17, split by phase.
 
     Each round is a dense round, a sparse round, or a dense round behind
     a rejected closure probe; the record keeps the whole trial
@@ -606,10 +604,8 @@ def test_large_n_trial_phases():
     rejected probes and in sparse rounds.  Absolute, machine-dependent
     context: the per-layer view of where a large-n trial's time goes.
     """
-    from repro.core.largen import LargeNEngine
-
     dg, keys = _large_setup(2**17, seed=3)
-    eng = LargeNEngine(dg, BlindGossipBatched(keys), seed=3)
+    eng = VectorizedEngine(dg, BlindGossipBatched(keys), seed=3)
     closure, step = eng.frontier.closure, eng.step
     probe = {"s": 0.0, "hit": False}
     phases = {"dense": 0.0, "rejected": 0.0, "sparse": 0.0}

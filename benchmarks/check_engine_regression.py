@@ -27,8 +27,8 @@ asserts):
   130%-of-baseline rule plus an absolute 3.0 cap: a sparse round costs
   what its frontier holds, so a 10× larger network must not cost it
   anywhere near 10×;
-- ``largen_ms_ratio_n1e6_over_n1e5`` (chunked-engine per-round cost at
-  n=10^6 over n=10^5; lower is better) — 130%-of-baseline rule plus an
+- ``largen_ms_ratio_n1e6_over_n1e5`` (one-replica engine per-round cost
+  at n=10^6 over n=10^5; lower is better) — 130%-of-baseline rule plus an
   absolute 25.0 cap;
 - ``async_vs_sync_round_ratio`` (event-tier stabilization ticks at Δ=1
   over sync vectorized rounds on the same workload; lower is better) —

@@ -28,7 +28,6 @@ __all__ = [
     "log2c",
     "tau_hat",
     "f_approx",
-    "ppush_informed_lower",
     "blind_gossip_upper",
     "blind_gossip_lower",
     "push_pull_upper",
@@ -60,11 +59,6 @@ def f_approx(r: float, delta: int, n: int, c: float = 1.0) -> float:
     if r < 1:
         raise ValueError("r must be >= 1")
     return (delta ** (1.0 / r)) * c * r * log2c(n)
-
-
-def ppush_informed_lower(m: int, r: float, delta: int, n: int, c: float = 1.0) -> float:
-    """Theorem V.2: expected-new-informed lower bound ``m / f(r)``."""
-    return m / f_approx(r, delta, n, c)
 
 
 def blind_gossip_upper(n: int, alpha: float, delta: int, c: float = 1.0) -> float:

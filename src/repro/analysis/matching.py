@@ -28,7 +28,6 @@ __all__ = [
     "cut_matching",
     "cut_matching_size",
     "gamma_exact",
-    "maximum_matching_pairs",
 ]
 
 _INF = float("inf")
@@ -132,30 +131,6 @@ def cut_matching(g: Graph, s_set: Iterable[int]) -> list[tuple[int, int]]:
 def cut_matching_size(g: Graph, s_set: Iterable[int]) -> int:
     """``ν(B(S))``: maximum number of concurrent connections across the cut."""
     return len(cut_matching(g, s_set))
-
-
-def maximum_matching_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Maximum matching of an arbitrary graph **restricted to bipartite use**.
-
-    Provided for cut graphs only; raises if ``g`` is not bipartite, since
-    Hopcroft-Karp does not handle odd cycles.
-    """
-    color = np.full(g.n, -1, dtype=np.int64)
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors(u):
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    stack.append(int(v))
-                elif color[v] == color[u]:
-                    raise ValueError("graph is not bipartite")
-    left = np.flatnonzero(color == 0)
-    return cut_matching(g, left)
 
 
 def gamma_exact(g: Graph) -> float:

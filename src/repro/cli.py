@@ -177,14 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON fault plan to inject (see `repro faults template`)",
     )
     p_sim.add_argument(
-        "--chunk-nodes",
-        type=int,
-        default=None,
-        metavar="K",
-        help="run via the chunked large-n engine with K-vertex slabs "
-        "(blind_gossip only; incompatible with --fault-plan)",
-    )
-    p_sim.add_argument(
         "--engine",
         choices=("sync", "async"),
         default="sync",
@@ -509,7 +501,6 @@ def _cmd_simulate(
     seed: int,
     max_rounds: int,
     fault_plan_path: str | None = None,
-    chunk_nodes: int | None = None,
     engine: str = "sync",
     delta: int = 1,
     scheduler: str = "random",
@@ -517,7 +508,7 @@ def _cmd_simulate(
     if engine == "async":
         return _cmd_simulate_async(
             algorithm, family, params, tau, seed, max_rounds,
-            fault_plan_path, chunk_nodes, delta, scheduler,
+            fault_plan_path, delta, scheduler,
         )
     from repro.algorithms import (
         AsyncBitConvergenceBatched,
@@ -540,10 +531,6 @@ def _cmd_simulate(
         tau = validate_tau(tau)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if chunk_nodes is not None and chunk_nodes < 1:
-        print(f"error: --chunk-nodes must be >= 1, got {chunk_nodes}", file=sys.stderr)
         return 2
 
     g = _build_family(family, params, seed)
@@ -575,15 +562,7 @@ def _cmd_simulate(
         plan = FaultPlan.from_file(fault_plan_path)
         gate = plan.quiesce_round
         print(f"fault plan : {plan.describe()}")
-    if chunk_nodes is not None:
-        from repro.core.capabilities import check_supported
-        from repro.core.largen import LargeNEngine
-
-        # LargeNEngine takes no plan: check it here against the tier.
-        check_supported("large-n", algo, graph=dg, fault_plan=plan, activation_rounds=None)
-        engine = LargeNEngine(dg, algo, seed=seed, chunk_nodes=chunk_nodes)
-    else:
-        engine = VectorizedEngine(dg, algo, seed=seed, fault_plan=plan)
+    engine = VectorizedEngine(dg, algo, seed=seed, fault_plan=plan)
     curve = SpreadCurve()
     progress = getattr(algo, "observable", lambda s: None)
     for r in range(1, max_rounds + 1):
@@ -612,7 +591,6 @@ def _cmd_simulate_async(
     seed: int,
     max_ticks: int,
     fault_plan_path: str | None,
-    chunk_nodes: int | None,
     delta: int,
     scheduler: str,
 ) -> int:
@@ -630,12 +608,6 @@ def _cmd_simulate_async(
         validate_tau,
     )
 
-    if chunk_nodes is not None:
-        print(
-            "error: --engine async is incompatible with --chunk-nodes",
-            file=sys.stderr,
-        )
-        return 2
     if delta < 1:
         print(f"error: --delta must be >= 1, got {delta}", file=sys.stderr)
         return 2
@@ -875,7 +847,6 @@ def _dispatch(args) -> int:
         return _cmd_simulate(
             args.algorithm, args.family, args.params, args.tau, args.seed,
             args.max_rounds, args.fault_plan,
-            args.chunk_nodes,
             args.engine, args.delta, args.scheduler,
         )
     if args.command == "faults":

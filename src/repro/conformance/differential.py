@@ -22,14 +22,6 @@ checking:
   RNG consumption orders differ — so the distributional check is the
   cross-tier ground truth, as in ``tests/test_cross_validation.py``).
 
-Configurations the large-n ``TIERS`` row accepts — blind gossip with no
-fault plan and synchronized activation, in this fuzzer — also run the
-**large-n tier**: :class:`~repro.core.largen.LargeNEngine` with a slab of
-a third of the nodes, so every round crosses slab boundaries and the
-endgame takes the sparse frontier.  Its trials must stabilize, and its
-median rounds must fall in the same band around the vectorized median as
-the batched tier's.
-
 A slice of the sampled configurations additionally exercise the
 **asynchronous event tier** (``engine="async"``): the event simulator
 runs the configuration under a sampled scheduler × delay bound Δ, its
@@ -63,9 +55,7 @@ from repro.asyncsim.engine import EventSimEngine
 from repro.asyncsim.scheduler import SCHEDULER_NAMES
 from repro.conformance.invariants import AcceptanceStats, Violation, check_async_trace, check_trace
 from repro.core.batched import BatchedVectorizedEngine
-from repro.core.capabilities import unsupported
 from repro.core.engine import ReferenceEngine
-from repro.core.largen import LargeNEngine
 from repro.core.monitor import all_leaders_are, rumor_complete
 from repro.core.payload import UIDSpace
 from repro.core.trace import traces_equal
@@ -86,7 +76,7 @@ from repro.util.rng import make_rng
 
 __all__ = ["FuzzConfig", "ConfigReport", "FuzzSummary", "run_config", "fuzz", "shrink", "replay_file"]
 
-#: Vectorized and large-n trials / batched replicas per configuration.
+#: Vectorized trials / batched replicas per configuration.
 TRIALS = 6
 #: Reference trials per configuration (the slow tier).
 REF_TRIALS = 2
@@ -109,7 +99,7 @@ BLIND_GOSSIP_FAMILIES = ("clique", "star", "wheel")
 #: |mean log(ref/vec median-rounds ratio)| ceiling for the pooled
 #: cross-tier distributional check (factor 2 overall).
 POOLED_LOG_RATIO_MAX = math.log(2.0)
-#: Per-config batched- and large-n-vs-vectorized median-rounds ratio band.
+#: Per-config batched-vs-vectorized median-rounds ratio band.
 TIER_RATIO_BAND = (0.25, 4.0)
 #: Algorithms with an event-tier form (native async node classes).
 ASYNC_ALGORITHMS = ("blind_gossip", "push_pull")
@@ -612,20 +602,6 @@ def _run_config_inner(
         dg_t = batched_dgs if isinstance(batched_dgs, StaticDynamicGraph) else batched_dgs[t]
         check(btraced.trace.replica(t), dg_t, f"batched replica {t}")
 
-    # -- large-n tier: chunked rounds, then the sparse endgame
-    lgn_results = []
-    if not unsupported(
-        "large-n", bundle.make_algo(), graph=vec_dgs[0], fault_plan=plan,
-        activation_rounds=activation,
-    ):
-        chunk = max(1, cfg.n // 3)
-        for i, ts in enumerate(seeds):
-            lgn_results.append(
-                LargeNEngine(
-                    vec_dgs[i], bundle.make_algo(), seed=int(ts), chunk_nodes=chunk
-                ).run(horizon)
-            )
-
     # -- reference tier: invariant-clean, distributional anchor
     ref_results = []
     for i, ts in enumerate(seeds[:REF_TRIALS]):
@@ -666,7 +642,6 @@ def _run_config_inner(
     for name, oks, rounds in (
         ("vectorized", vec_ok, []),
         ("batched", btraced.stabilized.tolist(), btraced.rounds),
-        ("large-n", [r.stabilized for r in lgn_results], [r.rounds for r in lgn_results]),
         ("reference", ref_ok, []),
     ):
         if not all(oks):

@@ -48,8 +48,8 @@ vectorized.
 This module also holds what every array engine shares: the sparse-mode
 switch, :func:`connect`, and :class:`SparseFrontier`, the undone set that
 lets blind gossip's endgame rounds touch only the stragglers' 2-hop
-neighbourhood (:class:`~repro.core.vectorized.VectorizedEngine` and
-:class:`~repro.core.largen.LargeNEngine` use it at one replica).
+neighbourhood (:class:`~repro.core.vectorized.VectorizedEngine` uses it
+at one replica).
 """
 
 from __future__ import annotations
@@ -283,8 +283,7 @@ class BatchedAlgorithm(ABC):
     State is an algorithm-owned object of ``(T, n)`` NumPy arrays; the
     engine threads it through the hooks below.  Every array engine runs
     this one interface: :class:`BatchedVectorizedEngine` at ``T`` trials,
-    :class:`~repro.core.vectorized.VectorizedEngine` and
-    :class:`~repro.core.largen.LargeNEngine` at ``T = 1``.  Target
+    :class:`~repro.core.vectorized.VectorizedEngine` at ``T = 1``.  Target
     eligibility is expressed per *vertex* (:meth:`receiver_mask`), which
     batches over distinct replica topologies for free, or per CSR entry
     (:meth:`eligible_flat`) when it depends on the (sender, target) pair.
@@ -631,10 +630,10 @@ class BatchedVectorizedEngine:
         # on the hot path).
         self._row_of = np.tile(np.arange(self.n, dtype=np.int64), self.replicas)
         # Sparse-activity rounds (as in VectorizedEngine): eligible only
-        # on the shared-single-dynamic-graph path of a run the large-n tier
-        # supports.  Finished replicas drop out of the frontier
+        # on the shared-single-dynamic-graph path of a run the ``"sparse"``
+        # row of TIERS admits.  Finished replicas drop out of the frontier
         # automatically because every one of their nodes is done.
-        sparse_ok = self.dg is not None and not unsupported("large-n", algorithm, **config)
+        sparse_ok = self.dg is not None and not unsupported("sparse", algorithm, **config)
         mode = _resolve_sparse_mode(sparse)
         #: Frontier-size limit of a sparse round; ``None`` = dense only.
         self._sparse_limit = (

@@ -21,8 +21,9 @@ TIERS = {
     "reference": _ALL,
     "vectorized": _ALL,
     "batched": _ALL,
-    # The sparse frontier's preconditions: the array engines gate on this row.
-    "large-n": frozenset(),
+    # Not a tier: the sparse round's precondition, which the array engines
+    # check before they run a round on the sparse frontier.
+    "sparse": frozenset(),
     "async": _ALL - {"membership", "adaptive"},
     # Corruption and membership rewrite simulator state that a real
     # transport has no hook for; a live config has no schedule or adversary.

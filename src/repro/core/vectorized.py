@@ -47,64 +47,7 @@ from repro.util.rng import make_rng
 __all__ = ["VectorizedEngine"]
 
 
-def _trial_seed(seed: int | None) -> int:
-    """The one replica's trial seed; fresh OS entropy when ``seed`` is None."""
-    return int(make_rng(None).integers(2**62)) if seed is None else int(seed)
-
-
-class _SingleReplicaRounds:
-    """Round pieces :class:`VectorizedEngine` and ``LargeNEngine`` share.
-
-    Both engines run a :class:`~repro.core.batched.BatchedAlgorithm` at
-    one replica and keep ``dg``, ``algo``, ``state``, ``_rng``,
-    ``connections_made``, an all-False ``(n,)`` scratch mask
-    ``_proposed`` for :func:`~repro.core.batched.connect`, and a
-    one-replica :class:`~repro.core.batched.SparseFrontier`.  At one
-    replica flat ``t*n + v`` ids are vertex ids.
-    """
-
-    def _make_frontier(self) -> SparseFrontier:
-        algo, state, n = self.algo, self.state, self.n
-        return SparseFrontier(
-            n,
-            1,
-            lambda: algo.node_done(state),
-            lambda ids: algo.node_done_subset_flat(state, ids, n),
-        )
-
-    def _converged(self) -> bool:
-        return bool(self.algo.converged(self.state)[0])
-
-    def _exchange(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
-        """Apply the exchange for the connected pairs."""
-        if acceptors.size:
-            self.connections_made += int(acceptors.size)
-            self.algo.exchange(self.state, winners, acceptors)
-            self.frontier.absorb(winners, acceptors)
-
-    def _sparse_round(self, r: int, limit: float):
-        """Run round ``r`` on the frontier's 2-hop closure if it fits ``limit``.
-
-        Returns ``None`` when the round must run dense instead; otherwise
-        the issued proposals and the connections as ``(proposers,
-        targets, winners, acceptors)``.
-        """
-        hit = self.frontier.closure(self.dg, r, limit)
-        if hit is None:
-            return None
-        graph, rows = hit
-        rng = self._rng
-        coins = self.algo.sparse_senders_flat(self.state, rows, rng)
-        senders = rows[coins]
-        picks = segmented_random_pick_subset(graph.indptr, graph.indices, rng, senders)
-        ok = picks >= 0
-        proposers, targets = senders[ok], picks[ok]
-        acceptors, winners = connect(self._proposed, proposers, targets, rng)
-        self._exchange(winners, acceptors)
-        return proposers, targets, winners, acceptors
-
-
-class VectorizedEngine(_SingleReplicaRounds):
+class VectorizedEngine:
     """Runs a :class:`~repro.core.batched.BatchedAlgorithm` at one replica.
 
     ``seed`` is the replica's trial seed: ``init_state`` receives
@@ -133,7 +76,7 @@ class VectorizedEngine(_SingleReplicaRounds):
             self.activation = np.asarray(activation_rounds, dtype=np.int64)
             if self.activation.shape != (self.n,) or self.activation.min() < 1:
                 raise ValueError("activation_rounds must be n 1-indexed rounds")
-        seed = _trial_seed(seed)
+        seed = int(make_rng(None).integers(2**62)) if seed is None else int(seed)
         self._rng = make_rng(seed, "vec-engine")
         config = dict(
             graph=dynamic_graph, fault_plan=fault_plan, activation_rounds=activation_rounds
@@ -163,16 +106,23 @@ class VectorizedEngine(_SingleReplicaRounds):
         self.on_connections: Callable[[int, np.ndarray, np.ndarray], None] | None = None
         # -- sparse-activity rounds (large-n path) -------------------------
         # Only engaged when the run asks nothing the frontier bookkeeping
-        # cannot track: exactly the large-n tier's capabilities.  Sparse
-        # rounds are distribution-equivalent to dense rounds over state
-        # trajectories; the decision never depends on whether a trace is
-        # collected, so traced and untraced runs of one seed stay identical.
-        sparse_ok = not unsupported("large-n", algorithm, **config)
+        # cannot track: the ``"sparse"`` row of TIERS.  Sparse rounds are
+        # distribution-equivalent to dense rounds over state trajectories;
+        # the decision never depends on whether a trace is collected, so
+        # traced and untraced runs of one seed stay identical.
+        sparse_ok = not unsupported("sparse", algorithm, **config)
         mode = _resolve_sparse_mode(sparse)
         #: Frontier-size limit of a sparse round; ``None`` = dense only.
         self._sparse_limit = _frontier_limit(mode, self.n) if sparse_ok else None
-        #: Undone-node set of the sparse endgame.
-        self.frontier = self._make_frontier()
+        #: Undone-node set of the sparse endgame (at one replica flat
+        #: ``t*n + v`` ids are vertex ids).
+        algo, state, n = self.algo, self.state, self.n
+        self.frontier = SparseFrontier(
+            n,
+            1,
+            lambda: algo.node_done(state),
+            lambda ids: algo.node_done_subset_flat(state, ids, n),
+        )
         self._proposed = np.zeros(self.n, dtype=bool)
         self._adaptive = isinstance(dynamic_graph, AdaptiveDynamicGraph)
         #: First round in which every node has activated.
@@ -186,22 +136,41 @@ class VectorizedEngine(_SingleReplicaRounds):
         #: first).  Open-world monitors read it after each ``step``.
         self.last_active: np.ndarray | None = None
 
+    def _converged(self) -> bool:
+        return bool(self.algo.converged(self.state)[0])
+
+    def _exchange(self, winners: np.ndarray, acceptors: np.ndarray) -> None:
+        """Apply the exchange for the connected pairs."""
+        if acceptors.size:
+            self.connections_made += int(acceptors.size)
+            self.algo.exchange(self.state, winners, acceptors)
+            self.frontier.absorb(winners, acceptors)
+
     def _try_sparse_step(self, r: int) -> bool:
-        """Run round ``r`` on the sparse frontier when profitable.
+        """Run round ``r`` on the frontier's 2-hop closure when it fits the
+        sparse limit; ``False`` when the round must run dense instead.
 
         Instrumented runs (``on_connections``) stay dense: the callback
         must see the passive done–done connections the frontier skips.
         """
         if self.on_connections is not None:
             return False
-        sparse = self._sparse_round(r, self._sparse_limit)
-        if sparse is None:
+        hit = self.frontier.closure(self.dg, r, self._sparse_limit)
+        if hit is None:
             return False
+        graph, rows = hit
+        rng = self._rng
+        coins = self.algo.sparse_senders_flat(self.state, rows, rng)
+        senders = rows[coins]
+        picks = segmented_random_pick_subset(graph.indptr, graph.indices, rng, senders)
+        ok = picks >= 0
+        proposers, targets = senders[ok], picks[ok]
+        acceptors, winners = connect(self._proposed, proposers, targets, rng)
+        self._exchange(winners, acceptors)
         # Sparse preconditions (sync activation, no faults) mean every
         # node is live this round.
         self.last_active = self._all_active
         if self.trace is not None:
-            proposers, targets, winners, acceptors = sparse
             # tag_length == 0 and all-sync activation are preconditions of
             # the sparse path, so tags are all zeros and everyone is
             # active — same records the dense round would produce.

@@ -36,7 +36,6 @@ __all__ = [
     "ResampleDynamicGraph",
     "epoch_of_round",
     "first_round_of_epoch",
-    "live_subgraph_connected",
     "validate_tau",
 ]
 
@@ -107,37 +106,6 @@ def first_round_of_epoch(e: int, tau: float) -> int:
             raise ValueError("a static dynamic graph has a single epoch")
         return 1
     return e * tau + 1
-
-
-def live_subgraph_connected(graph: Graph, live) -> bool:
-    """Whether the subgraph induced by the ``live`` mask is connected.
-
-    Under open-world membership the *full* topology stays connected (the
-    dynamic-graph contract), but the live population may still induce a
-    disconnected subgraph — departures can cut every path between two
-    live components, in which case no algorithm can make them agree
-    until membership or topology changes.  An empty live set counts as
-    connected (vacuously); a single live node always is.
-    """
-    live = np.asarray(live, dtype=bool)
-    if live.shape != (graph.n,):
-        raise ValueError(f"live mask must have shape ({graph.n},)")
-    nodes = np.flatnonzero(live)
-    if nodes.size <= 1:
-        return True
-    seen = np.zeros(graph.n, dtype=bool)
-    stack = [int(nodes[0])]
-    seen[nodes[0]] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors(u):
-            v = int(v)
-            if live[v] and not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == nodes.size
 
 
 class DynamicGraph(ABC):

@@ -36,7 +36,6 @@ from repro.analysis.expansion import vertex_expansion, vertex_expansion_exact
 from repro.analysis.matching import gamma_exact
 from repro.analysis.statistics import summarize
 from repro.core.classical import classical_push_pull_rumor
-from repro.core.largen import LargeNEngine
 from repro.core.payload import UIDSpace
 from repro.core.vectorized import VectorizedEngine
 from repro.faults import (
@@ -2071,7 +2070,7 @@ def _recovery_vs_clean(fracs, meds, recov) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# S1 — Scaling: stabilization shape up to n = 10^6 (chunked engine)
+# S1 — Scaling: stabilization shape up to n = 10^6
 # ---------------------------------------------------------------------------
 
 
@@ -2082,23 +2081,21 @@ def exp_scaling_large_n(
     trials: int = 3,
     seed: int = 0,
     max_rounds: int = 4000,
-    chunk_nodes: int = 65536,
     check_every: int = 1,
 ) -> Table:
-    """Blind gossip rounds vs ``n`` at constant degree, chunked engine.
+    """Blind gossip rounds vs ``n`` at constant degree.
 
     Random ``d``-regular graphs have constant vertex expansion w.h.p., so
     Theorem VI.1's ``O((1/α)·Δ²·log² n)`` bound leaves only the
     ``log² n`` factor when ``Δ`` is pinned: stabilization must grow
     *polylogarithmically* in ``n`` — the log-log slope of rounds vs
-    ``n`` stays far below any polynomial exponent.  Each sweep point runs
-    through :class:`~repro.core.largen.LargeNEngine`, exercising the
-    chunked pick pass at full occupancy and the sparse 2-hop frontier in
-    the endgame, up to ``n = 10^6`` at the standard profile.
+    ``n`` stays far below any polynomial exponent.  Each sweep point's
+    trials run as one replica batch, dense rounds first and the sparse
+    2-hop frontier in the endgame, up to ``n = 10^6`` at the standard
+    profile.
     """
     table = Table(
-        title="S1 (scaling): blind gossip stabilization vs n at constant Delta "
-        "(chunked engine)",
+        title="S1 (scaling): blind gossip stabilization vs n at constant Delta",
         columns=[
             "n",
             "Delta",
@@ -2110,23 +2107,18 @@ def exp_scaling_large_n(
         notes=[
             "Paper claim: O((1/alpha) Delta^2 log^2 n) rounds; constant alpha "
             f"and Delta={degree} on random regular graphs leaves only log^2 n.",
-            f"Engine: LargeNEngine (chunk_nodes={chunk_nodes}), chunked pick "
-            "pass plus the sparse endgame frontier; independent seeded trials.",
+            "Engine: one replica batch per n, dense rounds plus the sparse "
+            "endgame frontier; independent seeded trials.",
         ],
     )
     for n in sizes:
         g = families.random_regular(n, degree, seed=seed + n)
         keys = uid_keys_random(n, seed + n)
 
-        def build(ts: int, g=g, keys=keys) -> LargeNEngine:
-            return LargeNEngine(
-                StaticDynamicGraph(g),
-                BlindGossipBatched(keys),
-                seed=ts,
-                chunk_nodes=chunk_nodes,
-            )
+        def build(seeds, g=g, keys=keys):
+            return StaticDynamicGraph(g), BlindGossipBatched(keys)
 
-        outcomes = run_trials(
+        outcomes = run_trials_batched(
             build,
             trials=trials,
             max_rounds=max_rounds,

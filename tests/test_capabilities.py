@@ -34,7 +34,6 @@ from repro.core.capabilities import (
     unsupported,
 )
 from repro.core.engine import ReferenceEngine
-from repro.core.largen import LargeNEngine
 from repro.core.payload import UIDSpace
 from repro.core.vectorized import VectorizedEngine
 from repro.faults.plan import (
@@ -107,22 +106,21 @@ def _protocols(feature):
     return make_ppush_nodes(UIDS, {0}) if feature == "tags" else make_blind_gossip_nodes(UIDS)
 
 
-def _build(tier: str, feature: str | None):
-    """Construct ``tier``'s engine on the configuration asking ``feature``."""
-    if tier in ("vectorized", "large-n"):
-        cfg, algo = _config(feature), _array_algorithm(feature)
-        if tier == "vectorized":
-            return VectorizedEngine(cfg["graph"], algo, seed=0, fault_plan=cfg["fault_plan"],
-                                    activation_rounds=cfg["activation_rounds"])
-        # The large-n engine takes no plan or activation schedule; its
-        # callers check those against the tier, as the CLI does.
-        check_supported("large-n", algo, **cfg)
-        return LargeNEngine(cfg["graph"], algo, seed=0)
+def _build(tier: str, feature: str | None, sparse: str | None = None):
+    """Construct ``tier``'s engine on the configuration asking ``feature``
+    (``sparse`` is the array engines' sparse-round mode)."""
+    if tier == "vectorized":
+        cfg = _config(feature)
+        return VectorizedEngine(
+            cfg["graph"], _array_algorithm(feature), seed=0, fault_plan=cfg["fault_plan"],
+            activation_rounds=cfg["activation_rounds"], sparse=sparse,
+        )
     if tier == "batched":
         cfg = _config(feature, per_replica_graphs=True)
         return BatchedVectorizedEngine(
             cfg["graph"], _array_algorithm(feature), seeds=SEEDS,
             fault_plan=cfg["fault_plan"], activation_rounds=cfg["activation_rounds"],
+            sparse=sparse,
         )
     cfg, protocols = _config(feature), _protocols(feature)
     if tier == "reference":
@@ -140,18 +138,22 @@ def _build(tier: str, feature: str | None):
     return LiveFaultModel(cfg["fault_plan"], protocols, cfg["graph"], seed=0)
 
 
+#: The engine tiers: every row of TIERS but the sparse round's precondition.
+ENGINE_TIERS = sorted(set(TIERS) - {"sparse"})
+
+
 class TestTable:
     def test_every_tier_declares_known_features(self):
-        assert set(TIERS) == {"reference", "vectorized", "batched", "large-n", "async", "live"}
+        assert set(TIERS) == {"reference", "vectorized", "batched", "sparse", "async", "live"}
         for runs in TIERS.values():
             assert runs <= set(FEATURES)
 
-    @pytest.mark.parametrize("tier", sorted(TIERS))
+    @pytest.mark.parametrize("tier", ENGINE_TIERS)
     def test_base_configuration_runs_everywhere(self, tier):
         _build(tier, None)
 
     @pytest.mark.parametrize("feature", FEATURES)
-    @pytest.mark.parametrize("tier", sorted(TIERS))
+    @pytest.mark.parametrize("tier", ENGINE_TIERS)
     def test_constructor_follows_table(self, tier, feature):
         if feature in TIERS[tier]:
             _build(tier, feature)
@@ -159,17 +161,26 @@ class TestTable:
             with pytest.raises(UnsupportedFeature, match=rf"the {tier} tier does not run: {feature}\b"):
                 _build(tier, feature)
 
+    @pytest.mark.parametrize("feature", (None,) + FEATURES)
+    def test_sparse_rounds_follow_the_sparse_row(self, feature):
+        """Both array engines run sparse rounds exactly on the configurations
+        the ``"sparse"`` row admits, even when sparse rounds are forced."""
+        admitted = feature is None or feature in TIERS["sparse"]
+        for tier in ("vectorized", "batched"):
+            engine = _build(tier, feature, sparse="force")
+            assert (engine._sparse_limit is not None) == admitted, tier
+
     def test_error_names_every_missing_feature(self):
         plan = FaultPlan(
             crashes=PLANS["crashes"].crashes, connection_drop=ConnectionDropModel(p=0.1)
         )
         with pytest.raises(UnsupportedFeature) as err:
             check_supported(
-                "large-n", PushPullBatched(np.array([0])), graph=PackingAdversary(GRAPH),
+                "sparse", PushPullBatched(np.array([0])), graph=PackingAdversary(GRAPH),
                 fault_plan=plan, activation_rounds=[2] * N,
             )
         assert str(err.value) == (
-            "the large-n tier does not run: crashes, connection_drop, staggered, "
+            "the sparse tier does not run: crashes, connection_drop, staggered, "
             "adaptive, non_sparse (PushPullBatched is not sparse_compatible)"
         )
 
@@ -179,7 +190,7 @@ class TestTable:
         assert check_supported("batched", algo, fault_plan=FaultPlan(), **kw) is None
         plan = PLANS["crashes"]
         assert check_supported("batched", algo, fault_plan=plan, **kw) is plan
-        assert unsupported("large-n", algo, fault_plan=FaultPlan(), **kw) == []
+        assert unsupported("sparse", algo, fault_plan=FaultPlan(), **kw) == []
 
 
 # ---------------------------------------------------------------------------

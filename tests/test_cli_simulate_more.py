@@ -59,57 +59,6 @@ class TestNewFamilies:
         assert f"n          : {expected_n}" in capsys.readouterr().out
 
 
-class TestChunkNodesFlag:
-    def test_chunked_engine_simulates(self, capsys):
-        code = main(
-            [
-                "simulate", "blind_gossip",
-                "--family", "random_regular", "--params", "64", "4",
-                "--chunk-nodes", "16",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "stabilized" in out
-
-    def test_chunk_nodes_must_be_positive(self, capsys):
-        code = main(
-            [
-                "simulate", "blind_gossip",
-                "--family", "clique", "--params", "8",
-                "--chunk-nodes", "0",
-            ]
-        )
-        assert code == 2
-        assert "chunk-nodes" in capsys.readouterr().err
-
-    def test_chunked_rejects_non_sparse_algorithms(self, capsys):
-        code = main(
-            [
-                "simulate", "ppush",
-                "--family", "random_regular", "--params", "16", "4",
-                "--chunk-nodes", "8",
-            ]
-        )
-        assert code == 2
-        assert "sparse_compatible" in capsys.readouterr().err
-
-    def test_chunked_rejects_fault_plans(self, capsys, tmp_path):
-        import json
-
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"connection_drop": {"p": 0.5}}))
-        code = main(
-            [
-                "simulate", "blind_gossip",
-                "--family", "random_regular", "--params", "16", "4",
-                "--chunk-nodes", "8", "--fault-plan", str(plan),
-            ]
-        )
-        assert code == 2
-        assert "connection_drop" in capsys.readouterr().err
-
-
 class TestVerifySubcommand:
     def test_verify_passes_on_e1(self, capsys):
         code = main(["experiments", "verify", "E1", "--profile", "quick"])

@@ -15,7 +15,6 @@ silent τ truncation and stabilization predicates counting permanently
 crashed nodes.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -476,35 +475,6 @@ class TestDifferentialFuzzer:
         report = run_config(cfg)
         assert report.failed
         assert any("exception:" in line for line in report.mismatches)
-
-    def test_blind_gossip_configs_reach_the_large_n_tier(self, monkeypatch):
-        import repro.conformance.differential as differential
-
-        chunks = []
-
-        class NeverStabilizes(differential.LargeNEngine):
-            def run(self, max_rounds, *, check_every=1):
-                chunks.append(self.chunk_nodes)
-                res = super().run(max_rounds, check_every=check_every)
-                return dataclasses.replace(res, stabilized=False)
-
-        monkeypatch.setattr(differential, "LargeNEngine", NeverStabilizes)
-        cfg = FuzzConfig(
-            family="clique", n=9, algorithm="blind_gossip", tau=2,
-            fault=None, activation="sync", seed=4,
-        )
-        report = run_config(cfg)
-        assert chunks == [3] * differential.TRIALS
-        assert any("large-n tier failed to stabilize" in m for m in report.mismatches)
-        # Fault plans and staggered activation keep the large-n tier out.
-        chunks.clear()
-        for other in (
-            dataclasses.replace(cfg, activation="staggered"),
-            dataclasses.replace(cfg, fault={"kind": "drop", "p": 0.2}),
-            dataclasses.replace(cfg, algorithm="push_pull"),
-        ):
-            assert not any("large-n" in m for m in run_config(other).mismatches)
-        assert chunks == []
 
     def test_shrink_is_deterministic_and_minimizing(self):
         cfg = FuzzConfig(

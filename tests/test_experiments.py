@@ -133,7 +133,7 @@ class TestTinySmoke:
             ("R1", dict(leaves=4, drop_ps=(0.0, 0.4), trials=2)),
             ("R2", dict(n=12, degree=3, fractions=(0.5, 1.0), trials=2)),
             ("R3", dict(n=12, degree=3, crash_fracs=(0.0, 0.25), trials=2)),
-            ("S1", dict(sizes=(64, 128), degree=4, trials=2, chunk_nodes=48)),
+            ("S1", dict(sizes=(64, 128), degree=4, trials=2)),
         ],
     )
     def test_runs_and_returns_table(self, exp_id, overrides):

@@ -333,14 +333,6 @@ class TestStagedClosure:
         assert outcomes == {"U too large", "first hop", "second hop", "hit"}
 
 
-def _lifecycle_largen():
-    from repro.core.largen import LargeNEngine
-
-    g = families.random_regular(4096, 4, seed=7)
-    keys = uid_keys_random(4096, 11)
-    return LargeNEngine(StaticDynamicGraph(g), BlindGossipBatched(keys), seed=0, chunk_nodes=1024)
-
-
 def _lifecycle_batched():
     g = families.random_regular(1024, 4, seed=7)
     return BatchedVectorizedEngine(
@@ -358,8 +350,8 @@ class TestFrontierLifecycle:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: _engine(4096, 0, sparse="auto"), _lifecycle_largen, _lifecycle_batched],
-        ids=["vectorized-4096", "largen-4096", "batched-T4-n1024"],
+        [lambda: _engine(4096, 0, sparse="auto"), _lifecycle_batched],
+        ids=["vectorized-4096", "batched-T4-n1024"],
     )
     def test_u_changes_only_in_sparse_rounds(self, make):
         eng = make()
@@ -440,17 +432,6 @@ def _pin_batched(T, n, seed, sparse, *, tau=None, fault_plan=None):
         seeds=np.arange(seed, seed + T),
         fault_plan=fault_plan,
         sparse=sparse,
-    )
-    res = eng.run(5000)
-    return _state_digest(res.rounds, eng.connections_made, eng.state)
-
-
-def _pin_largen(n, seed, **kw):
-    from repro.core.largen import LargeNEngine
-
-    g = families.random_regular(n, 4, seed=7)
-    eng = LargeNEngine(
-        StaticDynamicGraph(g), BlindGossipBatched(uid_keys_random(n, 11)), seed=seed, **kw
     )
     res = eng.run(5000)
     return _state_digest(res.rounds, eng.connections_made, eng.state)
@@ -566,7 +547,7 @@ def _pin_consensus():
     return _pin_single(algo, StaticDynamicGraph(g), 10, 5000)
 
 
-#: Digests of fixed-seed runs across the dense, sparse and chunked round
+#: Digests of fixed-seed runs across the dense and sparse round
 #: paths, plus one single-replica run per other algorithm (``vec-*``:
 #: its round, fault and adversary hooks).  The engines' RNG call order
 #: is part of their contract: any change here changes every seeded table
@@ -595,14 +576,6 @@ _PINS = {
     "batched-churn-tau1-drops": (
         lambda: _pin_batched(4, 64, 6, "auto", tau=1, fault_plan=_drop_plan()),
         "73e2d3ca3a9a8af241501506a797ce9804c309154e6b738ef079b62ec0746c75",
-    ),
-    "largen-512": (
-        lambda: _pin_largen(512, 0),
-        "8f5d1d36ab2a6f80bb98b78effdf05f3b0d247e8700e4f18dce2c3bd04f15cf6",
-    ),
-    "largen-8192-chunk1024": (
-        lambda: _pin_largen(8192, 1, chunk_nodes=1024),
-        "f57b1321bfb11c89c16cf12a4e3c6ea9a6dacedee94e473792a5e9fe4cde2058",
     ),
     "vec-bit-convergence-faults": (
         _pin_bit_convergence,
