@@ -23,6 +23,7 @@ from repro.graphs.static import Graph
 from repro.harness.experiments import uid_keys_random
 from repro.harness.runner import run_trials, run_trials_batched, trial_seeds_for
 from repro.util.csrops import (
+    PickMemo,
     batched_random_pick,
     segmented_random_pick,
     segmented_uniform_accept_pairs,
@@ -900,6 +901,47 @@ def test_masked_over_unmasked_pick():
         masked_pick_ms=masked_ms,
         unmasked_pick_ms=unmasked_ms,
         masked_over_unmasked_pick=masked_ms / unmasked_ms,
+    )
+
+
+def test_masked_pick_reuse():
+    """Masked batched pick from a reused build over a fresh build.
+
+    The shape of ``test_masked_over_unmasked_pick``, with the masks held
+    for every call as bit convergence holds its tags for a group of
+    rounds: one :class:`PickMemo` serves every call after the first, so
+    those only draw; the other side builds the eligibility index on each
+    call.  Dimensionless, so the regression gate can compare it across
+    machines.
+    """
+    T, n = 8, 1024
+    g = families.random_regular(n, 8, seed=0)
+    rng = np.random.default_rng(0)
+    active = rng.random((T, n)) < 0.5
+    active[: T // 4] = False
+    eligible = rng.random((T, n)) < 0.5
+    memo = PickMemo()
+    calls = 200
+
+    def reused():
+        for _ in range(calls):
+            batched_random_pick(
+                g.indptr, g.indices, rng, active, neighbor_mask=eligible, reuse=memo
+            )
+
+    def built():
+        for _ in range(calls):
+            batched_random_pick(g.indptr, g.indices, rng, active, neighbor_mask=eligible)
+
+    reused_s, built_s = [], []
+    for _ in range(7):  # interleaved, so drift hits both sides alike
+        reused_s.append(_timed(reused, repeats=1))
+        built_s.append(_timed(built, repeats=1))
+    reused_ms = sorted(reused_s)[3] / calls * 1000.0
+    built_ms = sorted(built_s)[3] / calls * 1000.0
+    _measurements.update(
+        masked_pick_reuse_ms=reused_ms,
+        masked_reuse_over_build=reused_ms / built_ms,
     )
 
 

@@ -39,6 +39,10 @@ asserts):
   unmasked pick on the same senders; lower is better) — 130%-of-baseline
   rule: the masked kernel must not fall back toward its old multiple of
   the unmasked cost;
+- ``masked_reuse_over_build`` (masked batched pick drawing from a
+  reused build over the same pick building afresh, on the same senders;
+  lower is better) — 130%-of-baseline rule: a draw must not fall back
+  toward the cost of a full build;
 - ``relabel_over_rebuild`` (``Graph.relabel`` over building the same
   relabeled graph from its edge list, n = 34; lower is better) —
   130%-of-baseline rule plus an absolute 1.0 cap: a relabel must not
@@ -60,7 +64,7 @@ Absolute context values (``ms_per_round_n1e5``, ``ms_per_round_n1e6``,
 ``pool_cpu_count``, ``async_events_per_sec``, ``live_rounds_per_sec_n64``,
 ``live_rounds_per_sec_n256``, ``graph_build_ms_n2e18``,
 ``single_static_round_us``, ``single_relabel_round_us``,
-``largen_trial_s``) must be present —
+``largen_trial_s``, ``masked_pick_reuse_ms``) must be present —
 their producing benches must have run — but their magnitudes are
 machine-dependent and not gated.  So must
 ``graph_build_peak_ratio_n2e18`` (the tracemalloc peak of
@@ -127,6 +131,7 @@ GATED = (
     ("async_vs_sync_round_ratio", False),
     ("tournament_cell_throughput", True),
     ("masked_over_unmasked_pick", False),
+    ("masked_reuse_over_build", False),
     ("relabel_over_rebuild", False),
 )
 
@@ -146,6 +151,8 @@ REQUIRED_PRESENT = (
     "sparse_frontier_speedup",
     "largen_trial_s",
     "graph_build_peak_ratio_n2e18",
+    "masked_pick_reuse_ms",
+    "masked_reuse_over_build",
 )
 
 

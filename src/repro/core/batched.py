@@ -13,14 +13,20 @@ axis ``(T, n)``, and each round is a single batch of kernel calls:
 
 1. the algorithm produces per-replica tags ``(T, n)`` and a sender mask;
 2. :func:`~repro.util.csrops.batched_random_pick` chooses every sender's
-   proposal target in every replica at once (shared CSR topology);
+   proposal target in every replica at once (shared CSR topology) and
+   returns compact flat ``(senders, targets)`` pairs; a masked pick keeps
+   its eligibility index in the engine's
+   :class:`~repro.util.csrops.PickMemo` and draws from it again while the
+   masks are unchanged (bit convergence's tags hold for a whole group of
+   rounds), and the engine drops it when :meth:`run` returns;
    replicas under *isomorphic churn* (per-replica relabelings of one
    shared base — :class:`~repro.graphs.dynamic.PermutedDynamicGraph`
    lists or a :class:`~repro.graphs.dynamic.BatchedPermutedDynamicGraph`)
    instead route through
    :func:`~repro.util.csrops.batched_permuted_pick`, which picks against
-   the one base CSR through per-replica ``(T, n)`` permutations — no
-   relabeled graph or stacked CSR is ever built; only genuinely
+   the one base CSR through per-replica ``(T, n)`` permutations (its
+   masked picks use the same memo) — no relabeled graph or stacked CSR
+   is ever built; only genuinely
    structure-changing replicas fall back to
    :func:`~repro.util.csrops.segmented_random_pick` over a
    :func:`~repro.util.csrops.stack_csr` block-diagonal CSR, rebuilt
@@ -72,6 +78,7 @@ from repro.graphs.dynamic import (
 )
 from repro.graphs.static import Graph
 from repro.util.csrops import (
+    PickMemo,
     batched_permuted_pick,
     batched_random_pick,
     csr_degrees,
@@ -612,6 +619,9 @@ class BatchedVectorizedEngine:
         self._stack_nnz_off: np.ndarray | None = None
         self._deg_graph: Graph | None = None
         self._deg: np.ndarray | None = None
+        # The last masked-pick build, reused while the round's eligibility
+        # is unchanged (bit convergence's tags hold for a whole group).
+        self._pick_memo = PickMemo()
         # Permutation cache for the churn fast path: current (T, n)
         # permutations and their inverses, refreshed per epoch (list form)
         # or when the batched object emits a new array (adaptive form).
@@ -874,6 +884,7 @@ class BatchedVectorizedEngine:
                 sender,
                 neighbor_mask=nb_mask,
                 perm_inv=Pinv,
+                reuse=self._pick_memo,
             )
         elif self.dg is not None:
             graph = self.dg.graph_at(r)
@@ -881,17 +892,15 @@ class BatchedVectorizedEngine:
             if nb_mask is None and entry is None:
                 sflat, tflat = self._pick_shared(graph, np.flatnonzero(sender))
             else:
-                picks = batched_random_pick(
+                sflat, tflat = batched_random_pick(
                     graph.indptr,
                     graph.indices,
                     rng,
                     sender,
                     neighbor_mask=nb_mask,
                     flat_mask=entry,
+                    reuse=self._pick_memo,
                 )
-                pf = picks.reshape(T * n)
-                sflat = np.flatnonzero(pf >= 0)
-                tflat = (sflat - self._row_of[sflat]) + pf[sflat]
         else:
             assert self.dgs is not None
             indptr_s, indices_s = self._stacked_csr(
@@ -970,6 +979,7 @@ class BatchedVectorizedEngine:
                     self.live = self.live & ~conv
                     if not self.live.any():
                         break
+        self._pick_memo.clear()
         if self.live.any() and max_rounds >= gate:
             # Horizon reached: replicas converging on the final round
             # outside the check stride still count, as in the single engine.

@@ -24,7 +24,7 @@ independent replicas of one configuration at once.  It accepts over flat
 sort covers all replicas) and picks with :func:`batched_random_pick`:
 per-replica uniform neighbor choice over a *shared* CSR topology, with
 ``(T, n)``/``(T, nnz)`` masks — one kernel dispatch covers all replicas
-of a round.
+of a round, and the result is compact flat ``(senders, targets)`` pairs.
 
 Replicas with *distinct* topologies come in two tiers.  Isomorphic churn
 (relabelings of one shared base graph — the dominant dynamic workload) is
@@ -44,11 +44,17 @@ frontier is small never touches the full ``(n,)``/``(nnz,)`` arrays).
 Masked picks
 ------------
 Every masked pick — batched and single-replica — runs through one
-kernel, :func:`_pick_eligible`: per-row eligible counts from
-a single ``np.add.reduceat`` over the eligibility, one bounded draw per
-row with an eligible neighbor, and a direct lookup of the ``j``-th
-eligible entry in the flat list of eligible positions.  Replicas with no
-sender or no eligible entry are dropped before the eligibility gather.
+kernel, :func:`_pick_eligible`, in two steps.  The *build*
+(:class:`_EligibleIndex`) takes per-row eligible counts from a single
+``np.add.reduceat`` over the eligibility, their exclusive prefix and the
+flat positions of the eligible entries.  The *draw* makes one bounded
+draw per sender row with an eligible neighbor and looks up the ``j``-th
+eligible entry of its row directly.  Replicas with no sender or no
+eligible entry are dropped before the eligibility gather.  The build
+depends only on the eligibility, and in bit convergence that holds for a
+whole group of rounds, so :func:`batched_random_pick` can keep it in a
+:class:`PickMemo` and draw from it again while the CSR arrays, masks and
+replicas kept are unchanged; the draws are the same either way.
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ __all__ = [
     "segmented_uniform_accept_pairs",
     "batched_random_pick",
     "batched_permuted_pick",
+    "PickMemo",
     "invert_permutations",
     "stack_csr",
 ]
@@ -216,20 +223,62 @@ def all_distinct(ids: np.ndarray) -> bool:
     return unique_nodes(ids).size == ids.size
 
 
+class _EligibleIndex:
+    """Where every row's eligible entries sit: the build step of a masked pick.
+
+    Built from an ``(L, nnz)`` eligibility over the CSR described by
+    ``indptr``: ``counts`` are the eligible entries per non-empty row of
+    every replica (from one ``np.add.reduceat``), ``has`` marks the rows
+    with at least one.  The exclusive prefix ``before`` and the flat
+    positions ``epos`` of the eligible entries are filled by the first
+    draw that needs them, so a call whose senders all lack an eligible
+    neighbour never computes them.
+    """
+
+    __slots__ = ("n", "nonempty", "counts", "has", "_flat", "before", "epos")
+
+    def __init__(self, indptr: np.ndarray, eligible: np.ndarray):
+        L, nnz = eligible.shape
+        self.n = n = indptr.shape[0] - 1
+        flat = eligible.reshape(L * nnz)
+        # Non-empty rows tile [0, nnz) back to back (the first starts at 0,
+        # the last ends at nnz), so their starts alone delimit every row
+        # segment of every replica for one reduceat; isolated rows never
+        # index it.
+        nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
+        k = nonempty.size
+        starts = indptr[nonempty]
+        if L > 1:
+            starts = (starts[None, :] + (np.arange(L, dtype=np.int64) * nnz)[:, None]).reshape(L * k)
+        #: Rows of the ``(L, k)`` count grid, or ``None`` when no row is empty.
+        self.nonempty = nonempty if k < n else None
+        self.counts = np.add.reduceat(flat.view(np.uint8), starts, dtype=np.int64)
+        self.has = self.counts > 0
+        self._flat = flat
+        self.before = self.epos = None
+
+    def locate(self) -> None:
+        """Fill ``before`` (eligible entries ahead of each row, across
+        replicas) and ``epos``, and drop the eligibility they came from."""
+        self.before = np.cumsum(self.counts)
+        self.before -= self.counts
+        self.epos = np.flatnonzero(self._flat)
+        self._flat = None
+
+
 def _pick_eligible(
-    indptr: np.ndarray,
-    rng: np.random.Generator,
-    active: np.ndarray,
-    eligible: np.ndarray,
+    index: _EligibleIndex, rng: np.random.Generator, active: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One uniform eligible entry per active row of every replica.
 
-    The masked-pick kernel shared by every public pick.  ``active`` is an
-    ``(L, n)`` sender mask and ``eligible`` an ``(L, nnz)`` per-entry
-    eligibility over the CSR described by ``indptr``.  Rows that are
+    The masked-pick kernel shared by every public pick, and the draw step
+    that follows a build of ``index``.  ``active`` is the ``(L, n)``
+    sender mask over the replicas ``index`` was built for.  Rows that are
     active and have an eligible entry draw ``j`` from one
     ``rng.integers(0, counts)`` call, in ascending (replica, row) order,
-    and pick the ``j``-th eligible entry of their row.
+    and pick the ``j``-th eligible entry of their row.  The draw reads
+    ``index`` without changing what it describes, so one build serves
+    every round whose eligibility is the same.
 
     Returns
     -------
@@ -238,31 +287,77 @@ def _pick_eligible(
         ascending; ``pos`` are the flat ``(L, nnz)`` positions of their
         picks.
     """
-    L, nnz = eligible.shape
-    n = indptr.shape[0] - 1
-    flat = eligible.reshape(L * nnz)
-    # Non-empty rows tile [0, nnz) back to back (the first starts at 0, the
-    # last ends at nnz), so their starts alone delimit every row segment
-    # of every replica for one reduceat; isolated rows never index it.
-    nonempty = np.flatnonzero(indptr[1:] > indptr[:-1])
-    k = nonempty.size
-    starts = indptr[nonempty]
-    if L > 1:
-        starts = (starts[None, :] + (np.arange(L, dtype=np.int64) * nnz)[:, None]).reshape(L * k)
-    counts = np.add.reduceat(flat.view(np.uint8), starts, dtype=np.int64)
-    if k < n:
+    nonempty = index.nonempty
+    if nonempty is not None:
         active = active[:, nonempty]
-    cells = np.flatnonzero(active.reshape(L * k) & (counts > 0))
+    cells = np.flatnonzero(active.reshape(-1) & index.has)
     if cells.size == 0:
         return cells, cells
-    j = rng.integers(0, counts[cells])
-    before = np.cumsum(counts)
-    before -= counts  # eligible entries ahead of each row, across replicas
-    pos = np.flatnonzero(flat)[before[cells] + j]
-    if k < n:
+    j = rng.integers(0, index.counts[cells])
+    if index.epos is None:
+        index.locate()
+    pos = index.epos[index.before[cells] + j]
+    if nonempty is not None:
+        k, n = nonempty.size, index.n
         rep = cells // k
         cells = rep * n + nonempty[cells - rep * k]
     return cells, pos
+
+
+class PickMemo:
+    """A reuse slot for the last build of a masked batched pick.
+
+    Passed as ``reuse=`` to :func:`batched_random_pick` (or through
+    :func:`batched_permuted_pick`), it keeps the eligibility index of the
+    last call and draws from it again while the call's eligibility inputs
+    are unchanged: the same CSR arrays (held by strong reference, so the
+    identity test cannot alias arrays freed and reallocated at the same
+    address), copies of ``neighbor_mask`` and ``flat_mask`` equal to the
+    new ones, and the same replicas kept.  Any difference rebuilds.  A
+    reused index gives the same picks and consumes the Generator exactly
+    as a fresh build does.
+    """
+
+    __slots__ = ("_key", "index")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the held build (and its key's arrays)."""
+        self._key: tuple | None = None
+        self.index: _EligibleIndex | None = None
+
+    def lookup(self, indptr, indices, neighbor_mask, flat_mask, reps) -> _EligibleIndex | None:
+        """The held index if it was built from exactly these inputs."""
+        key = self._key
+        if (
+            key is not None
+            and key[0] is indptr
+            and key[1] is indices
+            and _same_mask(key[2], neighbor_mask)
+            and _same_mask(key[3], flat_mask)
+            and np.array_equal(key[4], reps)
+        ):
+            return self.index
+        return None
+
+    def store(self, indptr, indices, neighbor_mask, flat_mask, reps, index) -> None:
+        """Hold ``index``, keyed on the inputs it was built from."""
+        self._key = (
+            indptr,
+            indices,
+            None if neighbor_mask is None else neighbor_mask.copy(),
+            None if flat_mask is None else flat_mask.copy(),
+            reps,
+        )
+        self.index = index
+
+
+def _same_mask(held: np.ndarray | None, mask: np.ndarray | None) -> bool:
+    if held is None or mask is None:
+        return held is mask
+    return np.array_equal(held, mask)
 
 
 def segmented_random_pick(
@@ -310,7 +405,7 @@ def segmented_random_pick(
     if active is None:
         active = np.ones(n, dtype=bool)
     else:
-        _require_bool("active", active)
+        _check_mask("active", active, (n,))
 
     if neighbor_mask is None and flat_mask is None:
         deg = csr_degrees(indptr)
@@ -333,7 +428,9 @@ def segmented_random_pick(
     if eligible.size == 0:
         return pick
     # The single-replica case of the batched kernel: T = 1.
-    rows, pos = _pick_eligible(indptr, rng, active[None, :], eligible[None, :])
+    rows, pos = _pick_eligible(
+        _EligibleIndex(indptr, eligible[None, :]), rng, active[None, :]
+    )
     pick[rows] = indices[pos]
     return pick
 
@@ -429,7 +526,8 @@ def batched_random_pick(
     *,
     neighbor_mask: np.ndarray | None = None,
     flat_mask: np.ndarray | None = None,
-) -> np.ndarray:
+    reuse: PickMemo | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-replica uniform neighbor choice over one *shared* CSR topology.
 
     Semantically equivalent to calling :func:`segmented_random_pick` once
@@ -451,12 +549,18 @@ def batched_random_pick(
     flat_mask
         Optional ``(T, nnz)`` boolean per-replica CSR-entry eligibility,
         combined (AND) with ``neighbor_mask`` when both given.
+    reuse
+        Optional :class:`PickMemo` holding the last masked build.  When
+        the CSR arrays, the masks and the replicas kept are those it was
+        built from, the build is skipped and only the draw runs;
+        otherwise the held build is dropped and replaced.  Picks and
+        Generator use are the same either way.
 
     Returns
     -------
-    numpy.ndarray
-        ``(T, n)`` picks; ``pick[t, u]`` is the chosen neighbor of ``u``
-        in replica ``t`` or ``-1``.
+    (senders_flat, targets_flat)
+        Compact parallel flat arrays (``flat = t*n + v``): each sender
+        that found an eligible neighbor, ascending, with its pick.
     """
     _require_bool("active", active)
     if active.ndim != 2:
@@ -465,16 +569,15 @@ def batched_random_pick(
     if indptr.shape[0] != n + 1:
         raise ValueError("active rows must match the CSR vertex count")
     nnz = indices.shape[0]
-    pick = np.full((T, n), -1, dtype=np.int64)
 
     if neighbor_mask is None and flat_mask is None:
         deg = csr_degrees(indptr)
         rep, rows = np.nonzero(active & (deg > 0)[None, :])
         if rep.size == 0:
-            return pick
+            return rep, rep
         offsets = rng.integers(0, deg[rows])
-        pick[rep, rows] = indices[indptr[rows] + offsets]
-        return pick
+        base = rep * n
+        return base + rows, base + indices[indptr[rows] + offsets]
 
     # A replica with no sender or no eligible vertex/entry makes no draw,
     # so dropping it before the (T, nnz) gather leaves the draws unchanged.
@@ -487,25 +590,35 @@ def batched_random_pick(
         live &= flat_mask.any(axis=1)
     reps = np.flatnonzero(live)
     if reps.size == 0 or nnz == 0:
-        return pick
-    if reps.size < T:
-        active = active[reps]
-        if neighbor_mask is not None:
-            neighbor_mask = neighbor_mask[reps]
-        if flat_mask is not None:
-            flat_mask = flat_mask[reps]
-    if neighbor_mask is not None:
-        eligible = np.take(neighbor_mask, indices, axis=1)
-        if flat_mask is not None:
-            eligible &= flat_mask
-    else:
-        eligible = flat_mask
-    cells, pos = _pick_eligible(indptr, rng, active, eligible)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    some = reps.size < T
+    index = None
+    if reuse is not None:
+        index = reuse.lookup(indptr, indices, neighbor_mask, flat_mask, reps)
+        if index is None:
+            reuse.clear()  # the stale build is not kept alive beside the new one
+    if index is None:
+        nb, fm = neighbor_mask, flat_mask
+        if some:
+            nb = None if nb is None else nb[reps]
+            fm = None if fm is None else fm[reps]
+        if nb is not None:
+            eligible = np.take(nb, indices, axis=1)
+            if fm is not None:
+                eligible &= fm
+        else:
+            eligible = fm
+        index = _EligibleIndex(indptr, eligible)
+        if reuse is not None:
+            reuse.store(indptr, indices, neighbor_mask, flat_mask, reps, index)
+    cells, pos = _pick_eligible(index, rng, active[reps] if some else active)
     rep = cells // n
-    if reps.size < T:
-        cells = cells + (reps[rep] - rep) * n
-    pick.reshape(T * n)[cells] = indices[pos - rep * nnz]
-    return pick
+    targets = indices[pos - rep * nnz]
+    if some:
+        cells += (reps[rep] - rep) * n
+        rep = reps[rep]
+    return cells, rep * n + targets
 
 
 def batched_permuted_pick(
@@ -517,6 +630,7 @@ def batched_permuted_pick(
     *,
     neighbor_mask: np.ndarray | None = None,
     perm_inv: np.ndarray | None = None,
+    reuse: PickMemo | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replica uniform neighbor pick through per-replica *relabelings*.
 
@@ -550,6 +664,9 @@ def batched_permuted_pick(
     perm_inv
         Optional precomputed :func:`invert_permutations` of ``perm``
         (callers that hold ``perm`` fixed across an epoch cache it).
+    reuse
+        Optional :class:`PickMemo` for the masked pick, passed on to
+        :func:`batched_random_pick` with the masks in base coordinates.
 
     Returns
     -------
@@ -595,16 +712,11 @@ def batched_permuted_pick(
     # map both endpoints forward.
     active_base = np.take_along_axis(active, perm, axis=1)
     nb_base = np.take_along_axis(neighbor_mask, perm, axis=1)
-    picks = batched_random_pick(
-        indptr, indices, rng, active_base, neighbor_mask=nb_base
-    )
-    pf = picks.reshape(T * n)
-    sel = np.flatnonzero(pf >= 0)  # flat *base* ids t*n + u
-    rows = sel % n
-    base_off = sel - rows
-    sflat = base_off + p_flat[sel]
-    tflat = base_off + p_flat[base_off + pf[sel]]
-    return sflat, tflat
+    sel, targets = batched_random_pick(
+        indptr, indices, rng, active_base, neighbor_mask=nb_base, reuse=reuse
+    )  # flat *base* ids t*n + u and t*n + w
+    base_off = sel - sel % n
+    return base_off + p_flat[sel], base_off + p_flat[targets]
 
 
 def invert_permutations(perm: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ Equal draws over equal counts select equal entries, so the vectorized
 kernels must agree with these bit for bit.  (These are the count/locate
 kernels the removed numba backend compiled, kept as plain Python.)
 
-``TABLE`` maps the public kernel names to these implementations.
+``TABLE`` maps the public kernel names to these implementations;
+:func:`pick_grid` turns a batched pick's flat pairs into a ``(T, n)``
+grid.
 """
 
 from __future__ import annotations
@@ -87,10 +89,18 @@ def batched_random_pick(
             for t, u in cells
         ],
     )
-    pick = np.full((T, n), -1, dtype=np.int64)
-    for (t, u), p in zip(cells, out):
-        pick[t, u] = p
-    return pick
+    picked = [(t * n + u, t * n + p) for (t, u), p in zip(cells, out) if p >= 0]
+    senders, targets = np.array(picked, dtype=np.int64).reshape(-1, 2).T
+    return senders.copy(), targets.copy()
+
+
+def pick_grid(pairs, T, n):
+    """Scatter a batched pick's flat ``(senders, targets)`` pairs to a
+    ``(T, n)`` grid of local picks, ``-1`` where a row did not pick."""
+    senders, targets = pairs
+    grid = np.full(T * n, -1, dtype=np.int64)
+    grid[senders] = targets % n
+    return grid.reshape(T, n)
 
 
 def segmented_uniform_accept_pairs(senders, targets, rng):

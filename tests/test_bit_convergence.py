@@ -20,10 +20,13 @@ from repro.algorithms.bit_convergence import (
     draw_id_tags,
     make_bit_convergence_nodes,
 )
+from repro.core.batched import BatchedVectorizedEngine
 from repro.core.engine import ReferenceEngine
 from repro.core.monitor import all_leaders_are
 from repro.core.payload import IDPair, Message, UID, UIDSpace
 from repro.core.protocol import RoundView
+from repro.core.trace import traces_equal
+from repro.util.csrops import PickMemo
 from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import PeriodicRelabelDynamicGraph, StaticDynamicGraph
@@ -277,3 +280,59 @@ class TestLemmaVII1Invariants:
             prev_t, prev_k = eng.state.ctag.copy(), eng.state.ckey.copy()
             if algo.converged(eng.state):
                 break
+
+
+class _NeverReuse(PickMemo):
+    """A memo that always misses: every masked pick builds afresh."""
+
+    __slots__ = ()
+
+    def lookup(self, *inputs):
+        return None
+
+
+class TestBatchedPickReuse:
+    """Bit convergence's eligibility holds for a group of rounds, so the
+    batched engine reuses one masked-pick build across it.  A batch that
+    reuses must equal, round by round, one that rebuilds every round."""
+
+    @staticmethod
+    def engine():
+        g = families.random_regular(64, 4, seed=3)
+        cfg = BitConvergenceConfig(n_upper=64, delta_bound=4, beta=1.0)
+        algo = BitConvergenceBatched(uid_keys_random(64, 3), cfg, unique_tags=True)
+        return BatchedVectorizedEngine(
+            StaticDynamicGraph(g), algo, seeds=[1, 2, 3, 4], collect_trace=True
+        )
+
+    def test_reuse_matches_rebuild_round_by_round(self):
+        reuse, rebuild = self.engine(), self.engine()
+        rebuild._pick_memo = _NeverReuse()
+        held = []
+        for r in range(1, 241):
+            reuse.step(r)
+            rebuild.step(r)
+            for name in ("ctag", "ckey", "ptag", "pkey"):
+                assert np.array_equal(
+                    getattr(reuse.state, name), getattr(rebuild.state, name)
+                ), (r, name)
+            assert np.array_equal(reuse.connections_made, rebuild.connections_made)
+            assert (
+                reuse._rng.bit_generator.state == rebuild._rng.bit_generator.state
+            ), r
+            index = reuse._pick_memo.index
+            if index is not None and not any(index is h for h in held):
+                held.append(index)
+        assert 1 < len(held) < 240 // 2  # the build really was reused
+        for t in range(4):
+            assert traces_equal(reuse.trace.replica(t), rebuild.trace.replica(t))
+
+    def test_run_matches_and_drops_the_build(self):
+        reuse, rebuild = self.engine(), self.engine()
+        rebuild._pick_memo = _NeverReuse()
+        a, b = reuse.run(20_000), rebuild.run(20_000)
+        assert a.stabilized.all()
+        assert np.array_equal(a.rounds, b.rounds)
+        for t in range(4):
+            assert traces_equal(reuse.trace.replica(t), rebuild.trace.replica(t))
+        assert reuse._pick_memo.index is None

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.graphs import families
+from repro.graphs.dynamic import PeriodicRelabelDynamicGraph, epoch_of_round
+from repro.graphs.static import Graph
 from repro.util.csrops import (
+    PickMemo,
+    batched_permuted_pick,
     batched_random_pick,
     build_csr,
     csr_degrees,
@@ -231,6 +236,18 @@ class TestSegmentedRandomPick:
                 neighbor_mask=np.ones(4, dtype=bool),
             )
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_active_shape_checked(self, masked):
+        # Vertex 4 is isolated; a 9-row sender mask once passed the masked
+        # branch silently and broke the unmasked one on a broadcast.
+        indptr, indices = build_csr(5, np.array([[0, 1], [1, 2], [2, 3]]))
+        with pytest.raises(ValueError, match="active must have shape"):
+            segmented_random_pick(
+                indptr, indices, np.random.default_rng(0),
+                active=np.ones(9, dtype=bool),
+                neighbor_mask=np.ones(5, dtype=bool) if masked else None,
+            )
+
     def test_masked_pick_roughly_uniform(self):
         # Star center 0 with leaves 1..4, only 1..3 eligible.
         indptr, indices = build_csr(5, np.array([[0, i] for i in range(1, 5)]))
@@ -327,3 +344,127 @@ class TestMaskShapesChecked:
                 neighbor_mask=np.ones((2, 3), dtype=bool),
                 flat_mask=np.ones((2, 1), dtype=bool),
             )
+
+
+class TestPickMemo:
+    """A reused masked build draws exactly as a fresh build does.
+
+    Each case makes the same sequence of calls twice from equal Generator
+    states, once through one :class:`PickMemo` and once building afresh
+    every call, and compares the pairs and the Generator state after
+    every call.  :meth:`replay` returns how many distinct builds the memo
+    held, so each case also shows when it rebuilt.
+    """
+
+    T, n = 4, 48
+
+    @staticmethod
+    def graph(seed=0):
+        return families.random_regular(48, 4, seed=seed)
+
+    def masks(self, seed):
+        """Random ``(T, n)`` sender and neighbour masks."""
+        rng = np.random.default_rng(seed)
+        return rng.random((2, self.T, self.n)) < 0.5
+
+    @staticmethod
+    def replay(calls, pick=batched_random_pick):
+        """Run ``calls`` (argument tuples and keyword dicts, or callables
+        returning them) with and without a memo; return the builds held."""
+        memo = PickMemo()
+        ra, rb = np.random.default_rng(3), np.random.default_rng(3)
+        held = []
+        for call in calls:
+            args, kwargs = call() if callable(call) else call
+            got = pick(*args[:2], ra, *args[2:], reuse=memo, **kwargs)
+            want = pick(*args[:2], rb, *args[2:], **kwargs)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert ra.bit_generator.state == rb.bit_generator.state
+            if not any(memo.index is h for h in held):
+                held.append(memo.index)
+        return len(held)
+
+    def test_unchanged_masks_build_once(self):
+        g = self.graph()
+        _, nb = self.masks(1)
+        calls = [
+            ((g.indptr, g.indices, self.masks(10 + i)[0]), dict(neighbor_mask=nb.copy()))
+            for i in range(5)
+        ]
+        assert self.replay(calls) == 1
+
+    def test_mask_changed_in_place_rebuilds(self):
+        g = self.graph()
+        active, nb = self.masks(2)
+
+        def flip(u):
+            def call():
+                nb[1, u] = not nb[1, u]
+                return (g.indptr, g.indices, active), dict(neighbor_mask=nb)
+            return call
+
+        calls = [((g.indptr, g.indices, active), dict(neighbor_mask=nb))]
+        calls += [flip(u) for u in (0, 7, 7)]
+        assert self.replay(calls) == 4
+
+    def test_replica_dropping_out_rebuilds(self):
+        g = self.graph()
+        active, nb = self.masks(3)
+        quiet = active.copy()
+        quiet[2] = False  # replica 2 has no sender: it leaves the build
+        calls = [
+            ((g.indptr, g.indices, active), dict(neighbor_mask=nb)),
+            ((g.indptr, g.indices, quiet), dict(neighbor_mask=nb)),
+            ((g.indptr, g.indices, quiet), dict(neighbor_mask=nb)),
+        ]
+        assert self.replay(calls) == 2
+
+    def test_new_graph_of_the_same_shape_rebuilds(self):
+        g = self.graph(0)
+        other = Graph(g.n, self.graph(1).edges)
+        assert other.indptr.shape == g.indptr.shape
+        assert other.indices.shape == g.indices.shape
+        active, nb = self.masks(4)
+        calls = [
+            ((g.indptr, g.indices, active), dict(neighbor_mask=nb)),
+            ((other.indptr, other.indices, active), dict(neighbor_mask=nb)),
+            ((other.indptr, other.indices, active), dict(neighbor_mask=nb)),
+        ]
+        assert self.replay(calls) == 2
+
+    def test_flat_mask_runs(self):
+        g = self.graph()
+        rng = np.random.default_rng(5)
+        entry = rng.random((self.T, g.indices.size)) < 0.4
+        _, nb = self.masks(6)
+        calls = [
+            ((g.indptr, g.indices, self.masks(20 + i)[0]), dict(flat_mask=entry))
+            for i in range(3)
+        ]
+        calls += [
+            ((g.indptr, g.indices, self.masks(30 + i)[0]),
+             dict(neighbor_mask=nb, flat_mask=entry))
+            for i in range(3)
+        ]
+        moved = entry.copy()
+        moved[1, :9] = ~moved[1, :9]
+        calls += [
+            ((g.indptr, g.indices, self.masks(40 + i)[0]),
+             dict(neighbor_mask=nb, flat_mask=moved))
+            for i in range(2)
+        ]
+        assert self.replay(calls) == 3
+
+    def test_permuted_path_at_tau_4(self):
+        g = self.graph()
+        dgs = [PeriodicRelabelDynamicGraph(g, 4, seed=40 + t) for t in range(self.T)]
+        _, nb = self.masks(7)
+        calls = []
+        for r in range(1, 13):
+            e = epoch_of_round(r, 4)
+            perm = np.stack([dg.permutations_from_epoch(e, 1)[0] for dg in dgs])
+            calls.append(((g.indptr, g.indices, perm, self.masks(50 + r)[0]),
+                          dict(neighbor_mask=nb)))
+        # The base-coordinate masks move with each epoch's permutations.
+        assert self.replay(calls, pick=batched_permuted_pick) == 3

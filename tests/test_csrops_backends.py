@@ -15,7 +15,7 @@ import pytest
 
 from repro.util import csrops
 from repro.util.csrops import build_csr
-from tests.csrops_loop_reference import TABLE as LOOP
+from tests.csrops_loop_reference import TABLE as LOOP, pick_grid
 
 
 def _random_graph(n: int, seed: int):
@@ -92,11 +92,19 @@ class TestBitIdentity:
             dict(neighbor_mask=None, flat_mask=rng.random((T, indices.size)) < 0.7),
         ]
         for kw in variants:
-            a = KERNEL["batched_random_pick"](
-                indptr, indices, np.random.default_rng(seed), active, **kw
+            a = pick_grid(
+                KERNEL["batched_random_pick"](
+                    indptr, indices, np.random.default_rng(seed), active, **kw
+                ),
+                T,
+                n,
             )
-            b = LOOP["batched_random_pick"](
-                indptr, indices, np.random.default_rng(seed), active, **kw
+            b = pick_grid(
+                LOOP["batched_random_pick"](
+                    indptr, indices, np.random.default_rng(seed), active, **kw
+                ),
+                T,
+                n,
             )
             assert np.array_equal(a, b)
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.util import csrops
 from repro.util.csrops import build_csr, stack_csr
+from tests.csrops_loop_reference import pick_grid
 
 # The autouse fixture runs this suite on both kernel formulations too.
 from tests.test_csrops_oracle import csrops_kernels, reference_pick_support  # noqa: F401
@@ -75,8 +76,11 @@ class TestBatchedPickAgainstUnbatched:
             for t in range(T)
         ]
         for _ in range(3):
-            pick = csrops.batched_random_pick(
-                indptr, indices, rng, active, neighbor_mask=nmask, flat_mask=fmask
+            pick = pick_grid(
+                csrops.batched_random_pick(
+                    indptr, indices, rng, active, neighbor_mask=nmask, flat_mask=fmask
+                ),
+                *active.shape,
             )
             assert pick.shape == active.shape
             for t in range(T):
@@ -102,8 +106,12 @@ class TestBatchedPickAgainstUnbatched:
         seen = [[set() for _ in range(n)] for _ in range(T)]
         # Max degree 7; 200 draws make a missed option vanishingly unlikely.
         for _ in range(200):
-            pick = csrops.batched_random_pick(
-                indptr, indices, rng, active, neighbor_mask=nmask, flat_mask=fmask
+            pick = pick_grid(
+                csrops.batched_random_pick(
+                    indptr, indices, rng, active, neighbor_mask=nmask, flat_mask=fmask
+                ),
+                T,
+                n,
             )
             for t in range(T):
                 for u, p in enumerate(pick[t]):
@@ -217,8 +225,12 @@ class TestMaskedPickBitIdentity:
         n = indptr.size - 1
         active, nmask, fmask = replica_masks(n, indices.size, mode, seed)
         ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = csrops.batched_random_pick(
-            indptr, indices, ra, active, neighbor_mask=nmask, flat_mask=fmask
+        got = pick_grid(
+            csrops.batched_random_pick(
+                indptr, indices, ra, active, neighbor_mask=nmask, flat_mask=fmask
+            ),
+            4,
+            n,
         )
         want = running_sum_pick(
             indptr, indices, rb, active, eligibility(indices, 4, nmask, fmask)
@@ -247,8 +259,12 @@ class TestMaskedPickBitIdentity:
             neighbor_mask=None if nm is None else nm[0],
             flat_mask=None if fm is None else fm[0],
         )
-        batched = csrops.batched_random_pick(
-            indptr, indices, rb, active[sl], neighbor_mask=nm, flat_mask=fm
+        batched = pick_grid(
+            csrops.batched_random_pick(
+                indptr, indices, rb, active[sl], neighbor_mask=nm, flat_mask=fm
+            ),
+            1,
+            n,
         )
         assert np.array_equal(single, want[0])
         assert np.array_equal(batched, want)
@@ -303,8 +319,11 @@ class TestMaskedPickBitIdentity:
             return  # the unmasked path draws directly from the degrees
         T = active.shape[0]
         ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = csrops.batched_random_pick(
-            indptr, indices, ra, active, neighbor_mask=nmask, flat_mask=fmask
+        got = pick_grid(
+            csrops.batched_random_pick(
+                indptr, indices, ra, active, neighbor_mask=nmask, flat_mask=fmask
+            ),
+            *active.shape,
         )
         want = running_sum_pick(
             indptr, indices, rb, active, eligibility(indices, T, nmask, fmask)

@@ -165,13 +165,10 @@ class TestPermutedPickAgainstEagerRelabel:
             base.indptr, base.indices, np.random.default_rng(7), perm, active,
             neighbor_mask=nmask,
         )
-        picks = batched_random_pick(
+        s2, t2 = batched_random_pick(
             base.indptr, base.indices, np.random.default_rng(7), active,
             neighbor_mask=nmask,
         )
-        pf = picks.reshape(-1)
-        s2 = np.flatnonzero(pf >= 0)
-        t2 = (s2 - s2 % base.n) + pf[s2]
         assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
 
     def test_rejects_bad_shapes(self):
