@@ -294,7 +294,7 @@ class EventSimEngine:
             view = EventView(tick, nbrs, _EMPTY_IDS, rng, True)
         else:
             graph = self.dg.graph_at(tick)
-            nbrs = graph.neighbors(v)
+            nbrs = graph.indices_intp[graph.indptr[v] : graph.indptr[v + 1]]
             nbrs = nbrs[self._participating(tick)[nbrs]]
             ntags = self._tags[nbrs]
             if self._flip_q is not None and nbrs.size:

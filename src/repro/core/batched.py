@@ -259,8 +259,9 @@ class SparseFrontier:
             nbrs = gather_rows(graph.indptr, graph.indices, ids)
         else:
             verts = ids % self.n
-            nbrs = gather_rows(graph.indptr, graph.indices, verts)
-            nbrs += np.repeat(ids - verts, graph.indptr[verts + 1] - graph.indptr[verts])
+            nbrs = gather_rows(graph.indptr, graph.indices, verts) + np.repeat(
+                ids - verts, graph.indptr[verts + 1] - graph.indptr[verts]
+            )
         return distinct_ids(np.concatenate([ids, nbrs]), self._mark, limit)
 
     def absorb(self, winners: np.ndarray, acceptors: np.ndarray) -> None:

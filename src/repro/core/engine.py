@@ -173,9 +173,10 @@ class ReferenceEngine:
         # 2-3. Scan and decide.
         proposals: list[tuple[int, int]] = []
         proposed = np.zeros(self.n, dtype=bool)
+        indptr, indices = graph.indptr, graph.indices_intp
         for u in np.flatnonzero(active):
             proto = self.protocols[u]
-            nbrs = graph.neighbors(int(u))
+            nbrs = indices[indptr[u] : indptr[u + 1]]
             nbrs = nbrs[active[nbrs]]
             view = RoundView(
                 local_round=int(r - self.activation[u] + 1),

@@ -266,8 +266,10 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 50)
     large = n * d // 2 >= _LARGE_REPAIR_EDGES
     for _ in range(max_tries):
         # rng.shuffle draws what rng.permutation(stubs) draws, without its
-        # copy; the repair rewires the pairs in place through u/v views.
-        pairs = np.repeat(np.arange(n), d)
+        # copy, and the same for any dtype: int32 stubs hold the pairs in
+        # the CSR's own id dtype, which build_csr reads without a copy.
+        # The repair rewires the pairs in place through u/v views.
+        pairs = np.repeat(np.arange(n, dtype=np.int32), d)
         rng.shuffle(pairs)
         pairs = pairs.reshape(-1, 2)
         u, v = pairs[:, 0], pairs[:, 1]
@@ -290,24 +292,53 @@ def random_regular(n: int, d: int, seed: int | None = None, max_tries: int = 50)
 _LARGE_REPAIR_EDGES = 262_144
 
 
-def _repeat_followers(key: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of every occurrence of a repeated key after its first.
+#: Edges per block when :func:`_repeat_followers` recomputes edge keys.
+_KEY_BLOCK = 1 << 16
+
+
+def _edge_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Int64 keys ``min·n + max`` of the edges ``(u[i], v[i])``.
+
+    Computed as ``min·(n - 1) + u + v`` into one int64 buffer, so int32
+    endpoints are widened element by element, never as whole arrays.
+    """
+    key = np.empty(u.shape, dtype=np.int64)
+    np.minimum(u, v, out=key)
+    key *= n - 1
+    key += u
+    key += v
+    return key
+
+
+def _repeat_followers(
+    u: np.ndarray, v: np.ndarray, n: int, sorted_keys: np.ndarray
+) -> np.ndarray:
+    """Mask of every occurrence of a repeated edge after its first.
 
     Every occurrence of a duplicated edge beyond its first (in index
     order) is bad; the first stays put, since rewiring the others makes
-    it unique.  ``sorted_keys`` is ``np.sort(key)``; only the few
-    repeated keys have their occurrences put in index order.
+    it unique.  ``sorted_keys`` are the sorted :func:`_edge_keys` of the
+    edges.  Only the few repeated keys' occurrences are found, by
+    recomputing the keys a block of edges at a time, and put in index
+    order.
     """
-    follow = np.zeros(key.size, dtype=bool)
+    follow = np.zeros(u.size, dtype=bool)
     repeated = sorted_keys[1:][sorted_keys[1:] == sorted_keys[:-1]]
     if repeated.size:
-        # Prefilter on the low 16 bits (a uint16 cast), then test exactly.
+        # Prefilter on the low 16 bits, then test exactly.
         table = np.zeros(1 << 16, dtype=bool)
-        table[repeated.astype(np.uint16)] = True
-        occ = np.flatnonzero(table[key.astype(np.uint16)])
-        occ = occ[np.isin(key[occ], repeated)]
-        occ = occ[np.argsort(key[occ], kind="stable")]
-        follow[occ[1:][key[occ[1:]] == key[occ[:-1]]]] = True
+        table[repeated & 0xFFFF] = True
+        occ, occ_key = [], []
+        for lo in range(0, u.size, _KEY_BLOCK):
+            key = _edge_keys(u[lo : lo + _KEY_BLOCK], v[lo : lo + _KEY_BLOCK], n)
+            hit = np.flatnonzero(table[key & 0xFFFF])
+            hit = hit[np.isin(key[hit], repeated)]
+            occ.append(hit + lo)
+            occ_key.append(key[hit])
+        key = np.concatenate(occ_key)
+        order = np.argsort(key, kind="stable")
+        occ, key = np.concatenate(occ)[order], key[order]
+        follow[occ[1:][key[1:] == key[:-1]]] = True
     return follow
 
 
@@ -316,17 +347,17 @@ def _repair_multigraph_vectorized(
 ) -> bool:
     """Large-m variant of :func:`_repair_multigraph`.
 
-    Self-loops and duplicate edges are found with one sort over the
-    canonical edge keys; only the expected-O(d²) offenders then go through
-    the Python double-edge-swap loop, with edge-multiset membership served
-    by binary search on the sorted keys plus a small delta dict of the
-    swaps applied so far.
+    Self-loops and duplicate edges are found with one in-place sort of
+    the canonical edge keys; only the expected-O(d²) offenders then go
+    through the Python double-edge-swap loop, with edge-multiset
+    membership served by binary search on the sorted keys plus a small
+    delta dict of the swaps applied so far.
     """
     m = u.shape[0]
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    sorted_keys = np.sort(key)
+    sorted_keys = _edge_keys(u, v, n)
+    sorted_keys.sort()
     pending = np.flatnonzero(
-        _repeat_followers(key, sorted_keys) | (u == v)
+        _repeat_followers(u, v, n, sorted_keys) | (u == v)
     ).tolist()
     if not pending:
         return True

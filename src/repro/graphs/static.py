@@ -6,6 +6,11 @@ derived from the CSR on demand.  It is the unit the round engines
 consume: a dynamic graph (see :mod:`repro.graphs.dynamic`) is a
 round-indexed sequence of these.
 
+Every way of making a graph (an edge list, a family, :meth:`Graph.relabel`,
+:meth:`Graph.union`, unpickling) leaves the same dtypes: int64 ``indptr``,
+because it holds arc offsets, and int32 ``indices``, half the bytes of
+the largest array.  ``edges`` stays int64.
+
 Instances are immutable; all mutation-like operations return new graphs.
 """
 
@@ -32,21 +37,20 @@ class Graph:
         are rejected.
     """
 
-    __slots__ = ("_n", "_indptr", "_indices", "_edges", "_connected")
+    __slots__ = ("_n", "_indptr", "_indices", "_indices_intp", "_edges", "_connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n <= 0:
             raise ValueError(f"graph must have at least one vertex, got n={n}")
-        edge_arr = np.asarray(
-            [(u, v) for (u, v) in edges] if not isinstance(edges, np.ndarray) else edges,
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        self._set_csr(int(n), *build_csr(int(n), edge_arr))
+        if not isinstance(edges, np.ndarray):
+            edges = np.asarray([(u, v) for (u, v) in edges], dtype=np.int64)
+        self._set_csr(int(n), *build_csr(int(n), edges))
 
     def _set_csr(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         self._n = n
         self._indptr = indptr
         self._indices = indices
+        self._indices_intp: np.ndarray | None = None
         self._edges: np.ndarray | None = None
         self._connected: bool | None = None
         indptr.setflags(write=False)
@@ -58,10 +62,16 @@ class Graph:
 
         Used by unpickling and :meth:`relabel`: the arrays are already
         canonical, so re-canonicalizing and rebuilding the CSR here would
-        only burn time.  Arrays are frozen, as ``__init__`` leaves them.
+        only burn time.  Arrays are frozen, as ``__init__`` leaves them,
+        and take the CSR dtypes (int64 ``indptr``, int32 ``indices``),
+        which costs a copy only for an array of another dtype.
         """
         graph = object.__new__(cls)
-        graph._set_csr(int(n), indptr, indices)
+        graph._set_csr(
+            int(n),
+            np.asarray(indptr, dtype=np.int64),
+            np.asarray(indices, dtype=np.int32),
+        )
         return graph
 
     def __reduce__(self):
@@ -81,17 +91,31 @@ class Graph:
 
     @property
     def indptr(self) -> np.ndarray:
-        """CSR row pointers (read-only)."""
+        """CSR row pointers (read-only, int64: they are arc offsets)."""
         return self._indptr
 
     @property
     def indices(self) -> np.ndarray:
-        """CSR column indices (read-only, per-row sorted)."""
+        """CSR column indices (read-only, int32, per-row sorted)."""
         return self._indices
 
     @property
+    def indices_intp(self) -> np.ndarray:
+        """``indices`` as intp (read-only), built on first access and cached.
+
+        For per-vertex Python loops that index arrays with neighbor
+        lists: NumPy indexes with a small int32 array several times
+        slower than with an intp one.  It is a second copy of the
+        largest array, so the array engines never ask for it.
+        """
+        if self._indices_intp is None:
+            self._indices_intp = self._indices.astype(np.intp)
+            self._indices_intp.setflags(write=False)
+        return self._indices_intp
+
+    @property
     def edges(self) -> np.ndarray:
-        """Canonical ``(m, 2)`` edge array (read-only, lexicographically sorted).
+        """Canonical int64 ``(m, 2)`` edge array (read-only, lexicographically sorted).
 
         Derived from the CSR on first access and then cached.
         """
@@ -105,7 +129,7 @@ class Graph:
         already in lexicographic order."""
         rows = np.repeat(np.arange(self._n, dtype=np.int64), csr_degrees(self._indptr))
         upper = self._indices > rows
-        return np.stack([rows[upper], self._indices[upper]], axis=1)
+        return np.stack([rows[upper], self._indices[upper]], axis=1, dtype=np.int64)
 
     def neighbors(self, u: int) -> np.ndarray:
         """Sorted neighbor array of vertex ``u`` (a read-only view)."""
@@ -195,7 +219,7 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         indptr[1:][perm] = deg
         np.cumsum(indptr, out=indptr)
-        graph = Graph._from_csr(n, indptr, arcs)
+        graph = Graph._from_csr(n, indptr, arcs.astype(np.int32))
         graph._connected = self._connected  # isomorphic: same connectivity
         return graph
 

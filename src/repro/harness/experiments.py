@@ -84,9 +84,14 @@ __all__ = [
 
 
 def uid_keys_random(n: int, seed: int | None) -> np.ndarray:
-    """Distinct random UID keys (no vertex-index correlation)."""
+    """Distinct random UID keys (no vertex-index correlation).
+
+    ``n`` distinct draws from ``0..10n-1``: the same keys, drawn the same
+    way, as choosing from ``np.arange(10 * n)``, without the ``10n``
+    population array (nor the copy of it that ``choice`` permutes).
+    """
     rng = make_rng(seed, "uid-keys")
-    return rng.choice(np.arange(10 * n, dtype=np.int64), size=n, replace=False)
+    return rng.choice(10 * n, size=n, replace=False)
 
 
 def uid_keys_with_min_at(n: int, vertex: int, seed: int | None) -> np.ndarray:

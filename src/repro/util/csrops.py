@@ -95,19 +95,44 @@ def _check_mask(name: str, mask: np.ndarray, shape: tuple[int, ...]) -> None:
         raise ValueError(f"{name} must have shape {shape}, got {mask.shape}")
 
 
-#: Largest vertex count whose pair keys ``u·n + v`` (all ``< n²``) fit in
-#: int64; :func:`build_csr` refuses larger ``n``.
+#: Largest id count whose pair keys ``u·n + v`` (all ``< n²``) fit in
+#: int64: the bound of the accept kernel's ``target·m + i`` keys.
 MAX_KEY_N = 3_037_000_499
+
+#: Largest vertex count, and largest edge count, :func:`build_csr` takes:
+#: vertex ids are stored as int32 ``indices``, and the build keeps int32
+#: edge ids while it sorts.
+MAX_CSR_N = 2**31 - 1
+
+#: :func:`build_csr` sorts its int64 arc keys in up to this many bands of
+#: whole rows, so it never holds a key for every arc at once.
+_BANDS = 8
+#: Fewest arcs per band: a CSR of fewer than twice this sorts in one band.
+_BAND_MIN_ARCS = 1 << 15
+#: About this many edges per column are sampled to place the band bounds.
+_BAND_SAMPLE = 1 << 12
+#: Bits of a block-local edge id in a partition key; the band sits above.
+_LOCAL_BITS = 28
+#: A band's keys are gathered, and written out, in this many steps, of
+#: at least ``_MIN_STEP`` arcs each.
+_STEPS = 8
+_MIN_STEP = 1 << 14
 
 
 def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency ``(indptr, indices)`` of an undirected edge list.
 
-    Each arc becomes one int64 key ``src·n + dst``.  Both arcs of every
-    edge fill one ``2m`` buffer, one in-place sort of it yields every
-    row's sorted neighbor list at once, and a duplicate edge (in either
-    orientation) shows up as a repeated key.  Row lengths are counted
-    from the edge endpoints, so no ``2m`` source array is built.
+    ``indptr`` is int64 (it holds arc offsets) and ``indices`` int32.
+    Each arc becomes one int64 key ``src·n + dst``: sorting the keys
+    yields every row's sorted neighbor list, a duplicate edge (in either
+    orientation) shows up as a repeated key, and the sorted keys' rows
+    give the row lengths.  A large CSR sorts its keys in bands of whole
+    rows (:func:`_row_bands`), each band's neighbor ids written straight
+    into ``indices``; until then ``indices`` holds the ids of the edges
+    each band's arcs come from (:func:`_partition_edges`).  So the build
+    holds the edges, the CSR and one band's keys, never widens an int32
+    edge array to int64, and counts row lengths band by band rather than
+    scattering ``2m`` increments over all ``n`` rows.
 
     Parameters
     ----------
@@ -125,32 +150,152 @@ def build_csr(n: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ValueError
-        When ``n·n`` overflows int64 (checked before anything is
-        allocated), or on an endpoint outside ``0..n-1``, a self-loop or
-        a duplicate edge (in either orientation).
+        When ``n`` or the edge count exceeds :data:`MAX_CSR_N` (checked
+        before the edges are read or anything is allocated), or on an
+        endpoint outside ``0..n-1``, a self-loop or a duplicate edge (in
+        either orientation).
     """
-    if n > MAX_KEY_N:
+    if n > MAX_CSR_N:
         raise ValueError(
-            f"n={n} exceeds {MAX_KEY_N}: edge keys u*n+v would overflow int64"
+            f"n={n} exceeds {MAX_CSR_N}: vertex ids would overflow int32 indices"
         )
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
+    edges = np.asarray(edges)
+    if edges.dtype != np.int32 and edges.dtype != np.int64:
+        edges = edges.astype(np.int64)
+    edges = edges.reshape(-1, 2)
+    m = edges.shape[0]
+    if m > MAX_CSR_N:
+        raise ValueError(f"{m} edges exceed {MAX_CSR_N}: edge ids would overflow int32")
+    if m and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
     u, v = edges[:, 0], edges[:, 1]
     if np.any(u == v):
         raise ValueError("self-loops are not allowed")
-    m = u.size
-    arcs = np.empty(2 * m, dtype=np.int64)
-    for half, src, dst in ((arcs[:m], u, v), (arcs[m:], v, u)):
-        np.multiply(src, n, out=half)
-        half += dst
-    arcs.sort()
-    if np.any(arcs[1:] == arcs[:-1]):
-        raise ValueError("duplicate edges are not allowed")
+    indices = np.empty(2 * m, dtype=np.int32)
+    bands = min(_BANDS, max(1, 2 * m // _BAND_MIN_ARCS))
+    if bands == 1:
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        _sort_band(n, edges, None, None, 0, indptr, indices)
+        return indptr, indices
+    bounds = _row_bands(u, v, n, bands)
+    starts, mid = _partition_edges(u, v, bounds, indices)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edges.reshape(-1), minlength=n), out=indptr[1:])
-    np.remainder(arcs, n, out=arcs)
-    return indptr, arcs
+    for k in range(bands):
+        s, h, e = starts[k], mid[k], starts[k + 1]
+        rows = indptr[bounds[k] : bounds[k + 1] + 1]
+        _sort_band(n, edges, indices[s:h], indices[h:e], bounds[k], rows, indices[s:e])
+    return indptr, indices
+
+
+def _row_bands(u: np.ndarray, v: np.ndarray, n: int, bands: int) -> np.ndarray:
+    """Row bounds of ``bands`` bands of whole rows with about equal arc counts.
+
+    Band ``k`` is rows ``bounds[k]:bounds[k + 1]``.  The inner bounds are
+    quantiles of the endpoints of every ``m/_BAND_SAMPLE``-th edge, so no
+    row is split, and a row that holds more arcs than a band leaves the
+    bands it covers empty.
+    """
+    step = max(1, u.size // _BAND_SAMPLE)
+    sample = np.concatenate([u[::step], v[::step]])
+    sample.sort()
+    bounds = np.empty(bands + 1, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, n
+    bounds[1:-1] = sample[np.arange(1, bands) * sample.size // bands]
+    return bounds
+
+
+def _partition_edges(
+    u: np.ndarray, v: np.ndarray, bounds: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group edge ids by the band of each arc's source.
+
+    Band ``k`` (rows ``bounds[k]:bounds[k + 1]``) gets one slot per arc
+    in ``out[starts[k]:starts[k + 1]]``: the ids ``i`` with ``u[i]`` in
+    the band (the arcs ``u[i]→v[i]``), ascending, then from ``mid[k]``
+    the ids with ``v[i]`` in it (the arcs ``v[i]→u[i]``).  One pass
+    labels every endpoint with its int8 band and counts the bands.  The
+    second takes each column ``bands`` blocks at a time: an edge's int32
+    key is its band over its id within the block, so one sort of the
+    distinct keys orders the block by band and, within a band, by id.
+    Returns ``(starts, mid)``.
+    """
+    bands = bounds.size - 1
+    band = np.repeat(np.arange(bands, dtype=np.int8), np.diff(bounds))
+    block = min(-(-u.size // bands), 1 << _LOCAL_BITS)
+    labels = [np.empty(u.size, dtype=np.int8) for _ in range(2)]
+    count = np.zeros((2, bands), dtype=np.int64)
+    for side, lab, c in zip((u, v), labels, count):
+        for lo in range(0, side.size, block):
+            np.take(band, side[lo : lo + block], out=lab[lo : lo + block])
+            c += np.bincount(lab[lo : lo + block], minlength=bands)
+    del band
+    starts = np.zeros(bands + 1, dtype=np.int64)
+    np.cumsum(count.sum(axis=0), out=starts[1:])
+    mid = starts[:-1] + count[0]
+    local = np.arange(block, dtype=np.int32)
+    firsts = np.arange(1, bands, dtype=np.int32) << _LOCAL_BITS
+    for lab, fill in zip(labels, (starts[:-1].copy(), mid.copy())):
+        for lo in range(0, lab.size, block):
+            key = lab[lo : lo + block].astype(np.int32)
+            key <<= _LOCAL_BITS
+            key |= local[: key.size]
+            key.sort()
+            cuts = np.searchsorted(key, firsts)
+            key &= (1 << _LOCAL_BITS) - 1
+            key += lo
+            for k, ids in enumerate(np.split(key, cuts)):
+                out[fill[k] : fill[k] + ids.size] = ids
+                fill[k] += ids.size
+    return starts, mid
+
+
+def _sort_band(
+    n: int,
+    edges: np.ndarray,
+    ids_u: np.ndarray | None,
+    ids_v: np.ndarray | None,
+    first: int,
+    rows: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Sort the arc keys of one band of whole rows into its CSR slices.
+
+    The band is rows ``first:first + rows.size - 1``, whose ``indptr``
+    slice ``rows`` comes in with ``rows[0]`` set.  Its arcs are
+    ``u[i]→v[i]`` for the edge ids ``i`` in ``ids_u`` and ``v[i]→u[i]``
+    for those in ``ids_v`` (``None``: every edge), and ``out`` may alias
+    the ids.  Their int64 keys ``src·n + dst`` are built ``_STEPS`` steps
+    per orientation (one row gather per edge), sorted in place and
+    checked for a repeat (a duplicate edge).  Then, ``_STEPS`` steps at a
+    time, each key gives its neighbor id to ``out`` and its row to the
+    row lengths that fill ``rows[1:]``.
+    """
+    size_u = edges.shape[0] if ids_u is None else ids_u.size
+    keys = np.empty(out.size, dtype=np.int64)
+    for ids, begin, end, src in ((ids_u, 0, size_u, 0), (ids_v, size_u, out.size, 1)):
+        step = max(_MIN_STEP, -(-(end - begin) // _STEPS))
+        for a in range(0, end - begin, step):
+            b = min(a + step, end - begin)
+            pairs = edges[a:b] if ids is None else np.take(edges, ids[a:b], axis=0)
+            part = keys[begin + a : begin + b]
+            np.multiply(pairs[:, src], n, out=part, dtype=np.int64)
+            part += pairs[:, 1 - src]
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("duplicate edges are not allowed")
+    deg = np.zeros(rows.size - 1, dtype=np.int64)
+    step = max(_MIN_STEP, -(-keys.size // _STEPS))
+    for a in range(0, keys.size, step):
+        part = keys[a : a + step]
+        row = part // n  # a division by one scalar, cheaper than %
+        np.subtract(part, row * n, out=out[a : a + step], casting="unsafe")
+        # The keys are sorted, so this step's rows are one short range.
+        at = int(row[0]) - first
+        row -= row[0]
+        counts = np.bincount(row)
+        deg[at : at + counts.size] += counts
+    np.cumsum(deg, out=rows[1:])
+    rows[1:] += rows[0]
 
 
 def csr_degrees(indptr: np.ndarray) -> np.ndarray:
@@ -165,7 +310,8 @@ def gather_rows(
 
     The frontier-expansion primitive of the sparse-activity path: one
     vectorized gather replaces a per-row Python loop of slices.  Rows may
-    repeat; empty rows contribute nothing.
+    repeat; empty rows contribute nothing.  The entries keep the dtype of
+    ``indices``.
     """
     rows = np.asarray(rows, dtype=np.int64)
     shift = indptr[rows]
@@ -173,7 +319,7 @@ def gather_rows(
     ends = np.cumsum(deg)
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
-        return np.empty(0, dtype=np.int64)
+        return indices[:0].copy()
     # Entry i of row k sits at indptr[rows[k]] + (i - start of row k).
     shift -= ends
     shift += deg
@@ -737,13 +883,19 @@ def stack_csr(
     """Block-diagonal CSR of ``T`` replica topologies on ``n`` vertices each.
 
     Replica ``t``'s vertex ``v`` becomes global vertex ``t*n + v``; no
-    edges cross replicas.  The plain segmented kernels applied to the
+    edges cross replicas.  Like a :class:`~repro.graphs.static.Graph`
+    CSR, ``indptr`` is int64 and ``indices`` int32, so ``T·n`` may not
+    exceed :data:`MAX_CSR_N`.  The plain segmented kernels applied to the
     stacked CSR then batch a round over all replicas even when their
     topologies differ (dynamic/adversarial graphs).
     """
     T = len(csrs)
     if T == 0:
         raise ValueError("need at least one replica CSR")
+    if T * n > MAX_CSR_N:
+        raise ValueError(
+            f"{T} replicas of n={n} exceed {MAX_CSR_N} vertices: ids would overflow int32 indices"
+        )
     nnz_off = np.zeros(T + 1, dtype=np.int64)
     for t, (ip, _) in enumerate(csrs):
         if ip.shape[0] != n + 1:
@@ -751,7 +903,7 @@ def stack_csr(
         nnz_off[t + 1] = nnz_off[t] + ip[-1]
     indptr = np.empty(T * n + 1, dtype=np.int64)
     indptr[0] = 0
-    indices = np.empty(nnz_off[-1], dtype=np.int64)
+    indices = np.empty(nnz_off[-1], dtype=np.int32)
     for t, (ip, ind) in enumerate(csrs):
         indptr[t * n + 1 : (t + 1) * n + 1] = ip[1:] + nnz_off[t]
         indices[nnz_off[t] : nnz_off[t + 1]] = ind + t * n

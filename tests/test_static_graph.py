@@ -191,6 +191,8 @@ class TestRelabel:
             np.testing.assert_array_equal(got, ref)
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert not got.flags.writeable
+        assert h.indptr.dtype == np.int64 and h.indices.dtype == np.int32
+        assert h.edges.dtype == np.int64
 
     @given(random_graphs(), st.integers(0, 2**31 - 1))
     @settings(max_examples=50)
