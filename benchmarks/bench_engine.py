@@ -505,6 +505,12 @@ def _endgame_engine(dg, keys, sparse: str):
         # Materialize the frontier up front: a real run builds it once at
         # the first sparse round, not once per measured round.
         eng.frontier.build()
+    # NumPy maps a large zeroed array lazily, so the first round to write
+    # the engine's all-False scratch masks would pay their page faults
+    # (~0.8 ms for the 1 MB ``connect`` mask at n=10^6): a one-time cost
+    # of the engine, paid in round 1 of a real run, not a cost per round.
+    eng._proposed.fill(False)
+    eng.frontier._mark.fill(False)
     return eng
 
 
@@ -513,7 +519,8 @@ def _first_round_ms(make_engine, repeats: int = 9) -> float:
 
     The churn benches time long streaks (:func:`_ms_per_round`); here the
     endgame state must be identical for every measured round, so each
-    sample re-builds the engine and times exactly one round.
+    sample re-builds the engine and times exactly one round.  The engine
+    comes with its scratch masks already touched (:func:`_endgame_engine`).
     """
     samples = []
     for _ in range(repeats):

@@ -30,7 +30,8 @@ axis ``(T, n)``, and each round is a single batch of kernel calls:
    structure-changing replicas fall back to
    :func:`~repro.util.csrops.segmented_random_pick` over a
    :func:`~repro.util.csrops.stack_csr` block-diagonal CSR, rebuilt
-   incrementally (only the segments whose topology changed);
+   incrementally (only the segments whose topology changed), whose
+   compact pairs are flat ``t*n + v`` ids already;
 3. :func:`connect` drops proposals to nodes that themselves proposed and
    resolves all replicas' acceptances with one sort over flat ids;
 4. the algorithm applies the exchange for the connected pairs, as flat
@@ -908,16 +909,14 @@ class BatchedVectorizedEngine:
                 [dg.graph_at(r) for dg in self.dgs]
             )
             flat_nb = None if nb_mask is None else np.ascontiguousarray(nb_mask).reshape(T * n)
-            flat_picks = segmented_random_pick(
+            # Stacked vertex ids are already flat t*n + v ids.
+            sflat, tflat = segmented_random_pick(
                 indptr_s,
                 indices_s,
                 rng,
                 active=np.ascontiguousarray(sender).reshape(T * n),
                 neighbor_mask=flat_nb,
             )
-            # Stacked vertex ids are already flat t*n + v ids.
-            sflat = np.flatnonzero(flat_picks >= 0)
-            tflat = flat_picks[sflat]
 
         acc_flat, win_flat = connect(self._proposed, sflat, tflat, rng)
         if faults is not None and acc_flat.size:

@@ -49,9 +49,7 @@ def classical_push_pull_rumor(
     informed[source] = True
     for r in range(1, max_rounds + 1):
         graph = dg.graph_at(r)
-        picks = segmented_random_pick(graph.indptr, graph.indices, rng)
-        callers = np.flatnonzero(picks >= 0)
-        callees = picks[callers]
+        callers, callees = segmented_random_pick(graph.indptr, graph.indices, rng)
         crossed = informed[callers] | informed[callees]
         informed[callers[crossed]] = True
         informed[callees[crossed]] = True
@@ -86,9 +84,7 @@ def classical_push_pull_leader(
     target_key = int(keys.min())
     for r in range(1, max_rounds + 1):
         graph = dg.graph_at(r)
-        picks = segmented_random_pick(graph.indptr, graph.indices, rng)
-        callers = np.flatnonzero(picks >= 0)
-        callees = picks[callers]
+        callers, callees = segmented_random_pick(graph.indptr, graph.indices, rng)
         lo = np.minimum(best[callers], best[callees])
         # Unbounded accepts: apply all calls; a callee contacted repeatedly
         # ends with the min over its calls via the minimum-reduce below.

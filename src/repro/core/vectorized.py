@@ -6,7 +6,10 @@ profiling-guided optimization of the per-node loops):
 
 1. the algorithm produces per-node tags and a sender mask;
 2. :func:`~repro.util.csrops.segmented_random_pick` chooses each sender's
-   proposal target uniformly among its eligible neighbors;
+   proposal target uniformly among its eligible neighbors and returns
+   compact ``(proposers, targets)`` pairs (a sparse round picks with
+   :func:`~repro.util.csrops.segmented_random_pick_subset`, in the same
+   form);
 3. :func:`~repro.core.batched.connect` drops proposals to nodes that
    themselves proposed — a proposer cannot receive — and has each
    remaining target accept one proposal uniformly at random;
@@ -161,10 +164,9 @@ class VectorizedEngine:
         graph, rows = hit
         rng = self._rng
         coins = self.algo.sparse_senders_flat(self.state, rows, rng)
-        senders = rows[coins]
-        picks = segmented_random_pick_subset(graph.indptr, graph.indices, rng, senders)
-        ok = picks >= 0
-        proposers, targets = senders[ok], picks[ok]
+        proposers, targets = segmented_random_pick_subset(
+            graph.indptr, graph.indices, rng, rows[coins]
+        )
         acceptors, winners = connect(self._proposed, proposers, targets, rng)
         self._exchange(winners, acceptors)
         # Sparse preconditions (sync activation, no faults) mean every
@@ -243,7 +245,8 @@ class VectorizedEngine:
             active,
             active is self._all_active,
         )
-        picks = segmented_random_pick(
+        # Senders that issued a proposal, ascending, and their targets.
+        proposers, targets = segmented_random_pick(
             graph.indptr,
             graph.indices,
             rng,
@@ -251,8 +254,6 @@ class VectorizedEngine:
             neighbor_mask=nb_mask,
             flat_mask=None if entry is None else entry[0],
         )
-        proposers = np.flatnonzero(picks >= 0)  # senders that issued a proposal
-        targets = picks[proposers]
         acceptors, winners = connect(self._proposed, proposers, targets, rng)
 
         if faults is not None and acceptors.size:

@@ -86,9 +86,12 @@ __all__ = [
 def uid_keys_random(n: int, seed: int | None) -> np.ndarray:
     """Distinct random UID keys (no vertex-index correlation).
 
-    ``n`` distinct draws from ``0..10n-1``: the same keys, drawn the same
-    way, as choosing from ``np.arange(10 * n)``, without the ``10n``
-    population array (nor the copy of it that ``choice`` permutes).
+    ``n`` distinct draws from ``0..10n-1``, the same keys as choosing from
+    ``np.arange(10 * n)``.  Passing the population size rather than the
+    array does not save its memory: for ``n`` draws out of ``10n``,
+    NumPy's ``choice`` shuffles the tail of an int64 ``arange(10n)`` it
+    builds itself, so the call peaks at about 11× the keys it returns
+    (24 MB for the 2 MB of keys at ``n = 2^18``).
     """
     rng = make_rng(seed, "uid-keys")
     return rng.choice(10 * n, size=n, replace=False)

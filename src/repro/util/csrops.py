@@ -7,7 +7,8 @@ primitives executed once per simulated round:
 ``segmented_random_pick``
     every *sender* chooses one neighbor uniformly at random, optionally
     restricted by a boolean predicate over neighbors (e.g. "neighbors
-    currently advertising tag 1");
+    currently advertising tag 1"), and the result is compact
+    ``(senders, targets)`` pairs;
 
 ``segmented_uniform_accept_pairs``
     every *receiver* with at least one incoming proposal accepts one
@@ -41,6 +42,13 @@ for frontier expansion) and :func:`segmented_random_pick_subset` (uniform
 neighbor choice for an explicit row subset, so a round whose active
 frontier is small never touches the full ``(n,)``/``(nnz,)`` arrays).
 
+Every pick returns compact pairs: no kernel writes an ``(n,)`` grid of
+picks for its caller to compact again.  The unmasked one-topology pick
+is the subset pick over the active rows, and it draws the offsets of
+rows of equal degree (every row of a regular graph) with one
+scalar-bound call (:func:`~repro.util.rng.uniform_below`), which yields
+the same draws as a bound per row.
+
 Masked picks
 ------------
 Every masked pick — batched and single-replica — runs through one
@@ -62,6 +70,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+
+from repro.util.rng import uniform_below
 
 __all__ = [
     "build_csr",
@@ -514,7 +524,7 @@ def segmented_random_pick(
     active: np.ndarray | None = None,
     neighbor_mask: np.ndarray | None = None,
     flat_mask: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random neighbor choice for every (active) row.
 
     For each row ``u`` with ``active[u]`` true, picks one entry uniformly at
@@ -523,7 +533,7 @@ def segmented_random_pick(
     ``flat_mask[i]`` true (a per-*entry* mask, for eligibility that depends
     on the (row, neighbor) pair rather than the neighbor alone).  Rows that
     are inactive, empty, or whose restriction leaves no eligible neighbor
-    get ``-1``.
+    do not pick.
 
     Parameters
     ----------
@@ -542,26 +552,21 @@ def segmented_random_pick(
 
     Returns
     -------
-    numpy.ndarray
-        ``pick`` of length ``n`` with ``pick[u]`` the chosen neighbor of
-        ``u`` or ``-1``.
+    (senders, targets)
+        Compact parallel arrays: each row that picked, ascending, with
+        its chosen neighbor (in the dtype of ``indices``).  The unmasked
+        pick is :func:`segmented_random_pick_subset` over the active rows.
     """
     n = indptr.shape[0] - 1
-    pick = np.full(n, -1, dtype=np.int64)
-    if active is None:
-        active = np.ones(n, dtype=bool)
-    else:
+    if active is not None:
         _check_mask("active", active, (n,))
 
     if neighbor_mask is None and flat_mask is None:
-        deg = csr_degrees(indptr)
-        rows = np.flatnonzero(active & (deg > 0))
-        if rows.size == 0:
-            return pick
-        offsets = rng.integers(0, deg[rows])
-        pick[rows] = indices[indptr[rows] + offsets]
-        return pick
+        rows = np.flatnonzero(active) if active is not None else np.arange(n)
+        return segmented_random_pick_subset(indptr, indices, rng, rows)
 
+    if active is None:
+        active = np.ones(n, dtype=bool)
     if flat_mask is not None:
         _check_mask("flat_mask", flat_mask, indices.shape)
     if neighbor_mask is not None:
@@ -572,13 +577,12 @@ def segmented_random_pick(
     else:
         eligible = flat_mask
     if eligible.size == 0:
-        return pick
+        return np.empty(0, dtype=np.int64), indices[:0]
     # The single-replica case of the batched kernel: T = 1.
     rows, pos = _pick_eligible(
         _EligibleIndex(indptr, eligible[None, :]), rng, active[None, :]
     )
-    pick[rows] = indices[pos]
-    return pick
+    return rows, indices[pos]
 
 
 def segmented_random_pick_subset(
@@ -586,32 +590,34 @@ def segmented_random_pick_subset(
     indices: np.ndarray,
     rng: np.random.Generator,
     vertices: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform random neighbor choice for an explicit row subset.
 
     Sparse-frontier form of :func:`segmented_random_pick`: only the rows
     listed in ``vertices`` are touched, so the cost is ``O(len(vertices))``
     instead of ``O(n)``.  There is no ``active`` mask and no eligibility
     mask — callers pass exactly the rows that should pick, and every
-    neighbor is eligible.
+    neighbor is eligible.  The rows with a neighbor draw their offsets in
+    one :func:`~repro.util.rng.uniform_below` call over their degrees, a
+    single scalar-bound draw when the degrees are equal (a regular graph).
 
     Returns
     -------
-    numpy.ndarray
-        ``pick`` aligned with ``vertices``: the chosen neighbor of
-        ``vertices[i]`` or ``-1`` when it has no neighbor.
+    (senders, targets)
+        Compact parallel arrays: the ``vertices`` with at least one
+        neighbor, in their given order, and the neighbor each chose (in
+        the dtype of ``indices``).
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    pick = np.full(vertices.size, -1, dtype=np.int64)
-    if vertices.size == 0:
-        return pick
-    deg = indptr[vertices + 1] - indptr[vertices]
-    rows = np.flatnonzero(deg > 0)
-    if rows.size == 0:
-        return pick
-    offsets = rng.integers(0, deg[rows])
-    pick[rows] = indices[indptr[vertices[rows]] + offsets]
-    return pick
+    start = indptr.take(vertices)
+    deg = indptr[1:].take(vertices)
+    deg -= start
+    if not deg.all():
+        keep = np.flatnonzero(deg)
+        vertices, start, deg = vertices[keep], start[keep], deg[keep]
+    if vertices.size:
+        start += uniform_below(rng, deg)
+    return vertices, indices.take(start)
 
 
 def segmented_uniform_accept_pairs(

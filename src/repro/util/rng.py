@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["derive_seed", "make_rng", "spawn_rngs", "label_entropy"]
+__all__ = ["derive_seed", "make_rng", "spawn_rngs", "label_entropy", "uniform_below"]
 
 
 def label_entropy(label: str) -> int:
@@ -60,3 +60,23 @@ def spawn_rngs(
     """Create ``count`` independent generators under a common label context."""
     ss = derive_seed(seed, *labels)
     return [np.random.default_rng(child) for child in ss.spawn(count)]
+
+
+def uniform_below(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """One uniform integer in ``[0, bounds[i])`` per bound.
+
+    Returns exactly what ``rng.integers(0, bounds)`` returns and leaves
+    ``rng`` in the same state.  When every bound of a 1-D integer array
+    is equal it makes one scalar-bound call, ``rng.integers(0, b,
+    size=k)``: NumPy fills that with the same per-element draws as the
+    array-bound form (a 32-bit Lemire draw for a bound up to ``2**32``, a
+    64-bit one above, none for a bound of 1) at a fraction of the cost,
+    since the array form broadcasts the bounds and dispatches per
+    element.  Regular graphs give every row the same bound.
+    """
+    bounds = np.asarray(bounds)
+    if bounds.ndim == 1 and bounds.size and bounds.dtype.kind in "iu":
+        b = bounds.min()
+        if b == bounds.max():
+            return rng.integers(0, int(b), size=bounds.size)
+    return rng.integers(0, bounds)

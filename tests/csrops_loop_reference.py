@@ -8,9 +8,10 @@ Equal draws over equal counts select equal entries, so the vectorized
 kernels must agree with these bit for bit.  (These are the count/locate
 kernels the removed numba backend compiled, kept as plain Python.)
 
-``TABLE`` maps the public kernel names to these implementations;
-:func:`pick_grid` turns a batched pick's flat pairs into a ``(T, n)``
-grid.
+``TABLE`` maps the public kernel names to these implementations.  Every
+pick returns compact ``(senders, targets)`` pairs; :func:`pick_grid`
+turns a pick's flat pairs into a ``(T, n)`` grid and :func:`subset_grid`
+a subset pick's pairs into an array aligned with its rows.
 """
 
 from __future__ import annotations
@@ -54,17 +55,17 @@ def segmented_random_pick(
         active = np.ones(n, dtype=bool)
     _require_bool("active", active)
     _check_masks(indptr, indices, neighbor_mask, flat_mask)
-    rows = [u for u in range(n) if active[u]]
-    pick = np.full(n, -1, dtype=np.int64)
-    pick[rows] = _pick_cells(
+    rows = np.array([u for u in range(n) if active[u]], dtype=np.int64)
+    out = _pick_cells(
         indptr, indices, rng, [(u, neighbor_mask, flat_mask) for u in rows]
     )
-    return pick
+    return rows[out >= 0], out[out >= 0]
 
 
 def segmented_random_pick_subset(indptr, indices, rng, vertices):
     vertices = np.asarray(vertices, dtype=np.int64)
-    return _pick_cells(indptr, indices, rng, [(int(v), None, None) for v in vertices])
+    out = _pick_cells(indptr, indices, rng, [(int(v), None, None) for v in vertices])
+    return vertices[out >= 0], out[out >= 0]
 
 
 def batched_random_pick(
@@ -95,12 +96,27 @@ def batched_random_pick(
 
 
 def pick_grid(pairs, T, n):
-    """Scatter a batched pick's flat ``(senders, targets)`` pairs to a
-    ``(T, n)`` grid of local picks, ``-1`` where a row did not pick."""
+    """Scatter a pick's flat ``(senders, targets)`` pairs to a ``(T, n)``
+    grid of local picks, ``-1`` where a row did not pick."""
     senders, targets = pairs
     grid = np.full(T * n, -1, dtype=np.int64)
     grid[senders] = targets % n
     return grid.reshape(T, n)
+
+
+def subset_grid(indptr, vertices, pairs):
+    """A subset pick's ``(senders, targets)`` aligned with ``vertices``,
+    ``-1`` where a row did not pick.
+
+    Asserts the senders are exactly the listed rows that have a neighbor,
+    in their given order (repeats included)."""
+    senders, targets = pairs
+    vertices = np.asarray(vertices, dtype=np.int64)
+    has = indptr[vertices + 1] > indptr[vertices]
+    assert np.array_equal(senders, vertices[has])
+    grid = np.full(vertices.size, -1, dtype=np.int64)
+    grid[has] = targets
+    return grid
 
 
 def segmented_uniform_accept_pairs(senders, targets, rng):

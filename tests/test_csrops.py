@@ -21,6 +21,7 @@ from repro.util.csrops import (
     segmented_uniform_accept_pairs,
     unique_nodes,
 )
+from tests.csrops_loop_reference import pick_grid
 
 
 def triangle_csr():
@@ -167,12 +168,32 @@ class TestDistinctIds:
         assert not mark.any()
 
 
+def one_grid(indptr, pairs):
+    """A one-replica pick's pairs as an ``(n,)`` grid, ``-1`` where a row
+    did not pick."""
+    return pick_grid(pairs, 1, indptr.size - 1)[0]
+
+
 class TestSegmentedRandomPick:
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_pairs_are_compact_and_ascending(self, masked):
+        # Vertex 5 is isolated and vertex 2 inactive: neither appears.
+        indptr, indices = build_csr(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4]]))
+        active = np.array([True, True, False, True, True, True])
+        mask = np.ones(6, dtype=bool) if masked else None
+        senders, targets = segmented_random_pick(
+            indptr, indices, np.random.default_rng(0), active=active, neighbor_mask=mask
+        )
+        assert senders.tolist() == [0, 1, 3, 4]
+        assert targets.shape == senders.shape
+        for u, v in zip(senders.tolist(), targets.tolist()):
+            assert v in indices[indptr[u] : indptr[u + 1]]
+
     def test_unmasked_picks_are_neighbors(self):
         indptr, indices = triangle_csr()
         rng = np.random.default_rng(0)
         for _ in range(20):
-            pick = segmented_random_pick(indptr, indices, rng)
+            pick = one_grid(indptr, segmented_random_pick(indptr, indices, rng))
             for u in range(3):
                 assert pick[u] in indices[indptr[u] : indptr[u + 1]]
 
@@ -180,14 +201,16 @@ class TestSegmentedRandomPick:
         indptr, indices = triangle_csr()
         rng = np.random.default_rng(0)
         active = np.array([True, False, True])
-        pick = segmented_random_pick(indptr, indices, rng, active=active)
+        pick = one_grid(
+            indptr, segmented_random_pick(indptr, indices, rng, active=active)
+        )
         assert pick[1] == -1
         assert pick[0] != -1 and pick[2] != -1
 
     def test_isolated_row_gets_minus_one(self):
         indptr, indices = build_csr(3, np.array([[0, 1]]))
         rng = np.random.default_rng(0)
-        pick = segmented_random_pick(indptr, indices, rng)
+        pick = one_grid(indptr, segmented_random_pick(indptr, indices, rng))
         assert pick[2] == -1
 
     def test_neighbor_mask_respected(self):
@@ -195,7 +218,9 @@ class TestSegmentedRandomPick:
         rng = np.random.default_rng(0)
         mask = np.array([False, True, False])  # only vertex 1 eligible
         for _ in range(10):
-            pick = segmented_random_pick(indptr, indices, rng, neighbor_mask=mask)
+            pick = one_grid(
+                indptr, segmented_random_pick(indptr, indices, rng, neighbor_mask=mask)
+            )
             assert pick[0] == 1
             assert pick[2] == 1
             assert pick[1] == -1  # vertex 1 has no eligible neighbor
@@ -206,7 +231,9 @@ class TestSegmentedRandomPick:
         # Allow only the entry 0->2 (row 0 = [1, 2]).
         flat = np.zeros(indices.size, dtype=bool)
         flat[1] = True
-        pick = segmented_random_pick(indptr, indices, rng, flat_mask=flat)
+        pick = one_grid(
+            indptr, segmented_random_pick(indptr, indices, rng, flat_mask=flat)
+        )
         assert pick[0] == 2
         assert pick[1] == -1 and pick[2] == -1
 
@@ -256,7 +283,9 @@ class TestSegmentedRandomPick:
         counts = np.zeros(5, dtype=int)
         trials = 3000
         for _ in range(trials):
-            pick = segmented_random_pick(indptr, indices, rng, neighbor_mask=mask)
+            pick = one_grid(
+                indptr, segmented_random_pick(indptr, indices, rng, neighbor_mask=mask)
+            )
             counts[pick[0]] += 1
         assert counts[4] == 0 and counts[0] == 0
         for leaf in (1, 2, 3):
@@ -274,7 +303,7 @@ class TestSegmentedRandomPick:
         flat = mask[indices]
         a = segmented_random_pick(indptr, indices, rng1, neighbor_mask=mask)
         b = segmented_random_pick(indptr, indices, rng2, flat_mask=flat)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestSegmentedUniformAccept:

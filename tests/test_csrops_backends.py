@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.graphs.families import random_regular
 from repro.util import csrops
 from repro.util.csrops import build_csr
 from tests.csrops_loop_reference import TABLE as LOOP, pick_grid
@@ -23,6 +24,19 @@ def _random_graph(n: int, seed: int):
     pool = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
     edges = pool[rng.random(len(pool)) < 0.2]
     return build_csr(n, edges.reshape(-1, 2))
+
+
+def _regular_graph(n: int, seed: int):
+    """8-regular: every row has the same degree, so the unmasked picks
+    draw their offsets with one scalar-bound call."""
+    g = random_regular(n, 8, seed=seed)
+    return g.indptr, g.indices
+
+
+def _assert_same_pairs(a, b):
+    assert len(a) == len(b) == 2
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def _mask_variants(n, nnz, seed):
@@ -43,30 +57,44 @@ KERNEL = {name: getattr(csrops, name) for name in LOOP}
 class TestBitIdentity:
     """Same Generator state in, bit-identical arrays out, kernel by kernel."""
 
+    @staticmethod
+    def _check_segmented_random_pick(indptr, indices, seed):
+        for active in (None, np.random.default_rng(seed + 50).random(20) < 0.8):
+            for kw in _mask_variants(20, indices.size, seed + 100):
+                ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+                a = KERNEL["segmented_random_pick"](
+                    indptr, indices, ra, active=active, **kw
+                )
+                b = LOOP["segmented_random_pick"](
+                    indptr, indices, rb, active=active, **kw
+                )
+                _assert_same_pairs(a, b)
+                assert ra.bit_generator.state == rb.bit_generator.state
+
     @pytest.mark.parametrize("seed", range(4))
     def test_segmented_random_pick(self, seed):
-        indptr, indices = _random_graph(20, seed)
-        active = np.random.default_rng(seed + 50).random(20) < 0.8
-        for kw in _mask_variants(20, indices.size, seed + 100):
-            a = KERNEL["segmented_random_pick"](
-                indptr, indices, np.random.default_rng(seed), active=active, **kw
-            )
-            b = LOOP["segmented_random_pick"](
-                indptr, indices, np.random.default_rng(seed), active=active, **kw
-            )
-            assert np.array_equal(a, b)
+        self._check_segmented_random_pick(*_random_graph(20, seed), seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segmented_random_pick_regular(self, seed):
+        self._check_segmented_random_pick(*_regular_graph(20, seed), seed)
+
+    @staticmethod
+    def _check_segmented_random_pick_subset(indptr, indices, seed):
+        vertices = np.flatnonzero(np.random.default_rng(seed + 51).random(20) < 0.5)
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = KERNEL["segmented_random_pick_subset"](indptr, indices, ra, vertices)
+        b = LOOP["segmented_random_pick_subset"](indptr, indices, rb, vertices)
+        _assert_same_pairs(a, b)
+        assert ra.bit_generator.state == rb.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(4))
     def test_segmented_random_pick_subset(self, seed):
-        indptr, indices = _random_graph(20, seed)
-        vertices = np.flatnonzero(np.random.default_rng(seed + 51).random(20) < 0.5)
-        a = KERNEL["segmented_random_pick_subset"](
-            indptr, indices, np.random.default_rng(seed), vertices
-        )
-        b = LOOP["segmented_random_pick_subset"](
-            indptr, indices, np.random.default_rng(seed), vertices
-        )
-        assert np.array_equal(a, b)
+        self._check_segmented_random_pick_subset(*_random_graph(20, seed), seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_segmented_random_pick_subset_regular(self, seed):
+        self._check_segmented_random_pick_subset(*_regular_graph(20, seed), seed)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_segmented_uniform_accept_pairs(self, seed):

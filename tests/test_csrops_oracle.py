@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.util import csrops
 from repro.util.csrops import build_csr
-from tests.csrops_loop_reference import TABLE as LOOP
+from tests.csrops_loop_reference import TABLE as LOOP, pick_grid, subset_grid
 
 
 KERNEL_PARAMS = ["numpy", "numba-python"]
@@ -87,10 +87,12 @@ class TestPickAgainstOracle:
         rng = np.random.default_rng(seed)
         support = reference_pick_support(indptr, indices, active, nmask, fmask)
         for _ in range(3):
-            pick = csrops.segmented_random_pick(
+            pairs = csrops.segmented_random_pick(
                 indptr, indices, rng,
                 active=active, neighbor_mask=nmask, flat_mask=fmask,
             )
+            assert np.all(np.diff(pairs[0]) > 0)  # ascending, each row once
+            pick = pick_grid(pairs, 1, indptr.size - 1)[0]
             for u, p in enumerate(pick):
                 assert int(p) in support[u], (u, int(p), support[u])
 
@@ -105,10 +107,14 @@ class TestPickAgainstOracle:
         # Enough draws that P(missing an option) is negligible: max degree
         # is 9, 200 draws => miss prob < 9 * (8/9)^200 ~ 1e-10.
         for _ in range(200):
-            pick = csrops.segmented_random_pick(
-                indptr, indices, rng,
-                active=active, neighbor_mask=nmask, flat_mask=fmask,
-            )
+            pick = pick_grid(
+                csrops.segmented_random_pick(
+                    indptr, indices, rng,
+                    active=active, neighbor_mask=nmask, flat_mask=fmask,
+                ),
+                1,
+                indptr.size - 1,
+            )[0]
             for u, p in enumerate(pick):
                 seen[u].add(int(p))
         for u in range(len(support)):
@@ -148,7 +154,11 @@ class TestSubsetPickAgainstOracle:
         vertices = np.flatnonzero(np.random.default_rng(seed + 1).random(n) < 0.6)
         support = reference_pick_support(indptr, indices, None, None, None)
         for _ in range(3):
-            pick = csrops.segmented_random_pick_subset(indptr, indices, rng, vertices)
+            pick = subset_grid(
+                indptr,
+                vertices,
+                csrops.segmented_random_pick_subset(indptr, indices, rng, vertices),
+            )
             assert pick.shape == vertices.shape
             for i, u in enumerate(vertices):
                 assert int(pick[i]) in support[u], (int(u), int(pick[i]), support[u])
@@ -164,7 +174,11 @@ class TestSubsetPickAgainstOracle:
         seen: list[set[int]] = [set() for _ in range(vertices.size)]
         # Max degree 9, 200 draws: miss probability < 9 * (8/9)^200 ~ 1e-10.
         for _ in range(200):
-            pick = csrops.segmented_random_pick_subset(indptr, indices, rng, vertices)
+            pick = subset_grid(
+                indptr,
+                vertices,
+                csrops.segmented_random_pick_subset(indptr, indices, rng, vertices),
+            )
             for i, p in enumerate(pick):
                 seen[i].add(int(p))
         for i, u in enumerate(vertices):
@@ -172,15 +186,18 @@ class TestSubsetPickAgainstOracle:
 
     def test_empty_subset(self):
         indptr, indices = build_csr(3, np.array([[0, 1], [1, 2]]))
-        pick = csrops.segmented_random_pick_subset(
+        senders, targets = csrops.segmented_random_pick_subset(
             indptr, indices, np.random.default_rng(0),
             np.empty(0, dtype=np.int64),
         )
-        assert pick.size == 0
+        assert senders.size == targets.size == 0
 
     def test_repeated_rows_pick_independently(self):
         indptr, indices = build_csr(3, np.array([[0, 1], [0, 2]]))
         rng = np.random.default_rng(3)
         vertices = np.zeros(200, dtype=np.int64)
-        picks = csrops.segmented_random_pick_subset(indptr, indices, rng, vertices)
+        senders, picks = csrops.segmented_random_pick_subset(
+            indptr, indices, rng, vertices
+        )
+        assert np.array_equal(senders, vertices)
         assert set(picks.tolist()) == {1, 2}

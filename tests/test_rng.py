@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.util.rng import derive_seed, label_entropy, make_rng, spawn_rngs
+from repro.util.rng import (
+    derive_seed,
+    label_entropy,
+    make_rng,
+    spawn_rngs,
+    uniform_below,
+)
 
 
 class TestLabelEntropy:
@@ -70,3 +76,57 @@ class TestSpawnRngs:
         a = [r.random() for r in spawn_rngs(9, 4, "x")]
         b = [r.random() for r in spawn_rngs(9, 4, "x")]
         assert a == b
+
+
+class TestUniformBelow:
+    """``uniform_below`` is ``rng.integers(0, bounds)``: the same values
+    and the Generator left in the same state, on the scalar-bound path
+    (equal bounds) and the array-bound one alike."""
+
+    @staticmethod
+    def assert_matches(bounds, seed, warmup=0):
+        ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+        if warmup:
+            ra.integers(0, 5, size=warmup)
+            rb.integers(0, 5, size=warmup)
+        bounds = np.asarray(bounds, dtype=np.int64)
+        want = ra.integers(0, bounds)
+        got = uniform_below(rb, bounds)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert rb.bit_generator.state == ra.bit_generator.state
+
+    @pytest.mark.parametrize("bound", [1, 2, 8, 2**31 + 5, 2**32, 2**40 + 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_bounds(self, bound, seed):
+        self.assert_matches(np.full(257, bound), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mixed_bounds(self, seed):
+        bounds = np.random.default_rng(seed + 100).integers(1, 12, size=300)
+        self.assert_matches(bounds, seed)
+        self.assert_matches([8, 8, 8, 2**31 + 5, 8], seed)
+        self.assert_matches([1, 1, 1, 2], seed)
+
+    def test_empty(self):
+        self.assert_matches(np.empty(0, dtype=np.int64), 3)
+
+    def test_single_bound(self):
+        self.assert_matches([6], 4)
+
+    @pytest.mark.parametrize("bound", [2, 8, 2**31 + 5])
+    @pytest.mark.parametrize("warmup", [1, 3])
+    def test_buffered_half_word(self, bound, warmup):
+        """An odd number of 32-bit draws leaves half of a 64-bit output
+        buffered in the bit generator; both paths consume it the same way."""
+        ra = np.random.default_rng(9)
+        ra.integers(0, 5, size=warmup)
+        assert ra.bit_generator.state["has_uint32"] == 1
+        self.assert_matches(np.full(33, bound), 9, warmup=warmup)
+        self.assert_matches(np.full(32, bound), 9, warmup=warmup)
+
+    def test_invalid_bound_raises_like_integers(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(0, np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError):
+            uniform_below(np.random.default_rng(0), np.zeros(3, dtype=np.int64))

@@ -547,11 +547,69 @@ def _pin_consensus():
     return _pin_single(algo, StaticDynamicGraph(g), 10, 5000)
 
 
+def _pin_batched_resample(T, n, seed, *, fault_plan=None, activation_rounds=None):
+    """Per-replica resampled topologies: the stacked block-diagonal CSR path."""
+    from repro.graphs.dynamic import ResampleDynamicGraph
+
+    def sample(s):
+        return families.random_regular(n, 4, seed=s)
+
+    dgs = [ResampleDynamicGraph(sample, 2, seed=200 + t) for t in range(T)]
+    eng = BatchedVectorizedEngine(
+        dgs,
+        BlindGossipBatched(uid_keys_random(n, 11)),
+        seeds=np.arange(seed, seed + T),
+        fault_plan=fault_plan,
+        activation_rounds=activation_rounds,
+    )
+    res = eng.run(5000)
+    return _state_digest(res.rounds, eng.connections_made, eng.state)
+
+
+def _pin_classical(run, graph, arg):
+    """Round counts of a classical-model run over several seeds, with the
+    state each run leaves its Generator in."""
+    from repro.core import classical
+
+    make = classical.make_rng
+    rngs: list[np.random.Generator] = []
+
+    def capture(*args):
+        rngs.append(make(*args))
+        return rngs[-1]
+
+    h = hashlib.sha256()
+    classical.make_rng = capture
+    try:
+        for seed in range(6):
+            res = run(StaticDynamicGraph(graph), arg, max_rounds=3000, seed=seed)
+            h.update(f"{res.stabilized}:{res.rounds}:".encode())
+            h.update(repr(rngs[-1].bit_generator.state).encode())
+    finally:
+        classical.make_rng = make
+    return h.hexdigest()
+
+
+def _pin_classical_rumor(graph):
+    from repro.core.classical import classical_push_pull_rumor
+
+    return _pin_classical(classical_push_pull_rumor, graph, 0)
+
+
+def _pin_classical_leader(graph):
+    from repro.core.classical import classical_push_pull_leader
+
+    keys = uid_keys_random(graph.n, 11)
+    return _pin_classical(classical_push_pull_leader, graph, keys)
+
+
 #: Digests of fixed-seed runs across the dense and sparse round
 #: paths, plus one single-replica run per other algorithm (``vec-*``:
-#: its round, fault and adversary hooks).  The engines' RNG call order
-#: is part of their contract: any change here changes every seeded table
-#: and verdict.
+#: its round, fault and adversary hooks), the batched engine's stacked
+#: CSR path (``batched-resample-*``) and the classical-model loops on a
+#: regular and a non-regular graph (``classical-*``).  The engines' RNG
+#: call order is part of their contract: any change here changes every
+#: seeded table and verdict.
 _PINS = {
     "vectorized-off-64": (
         lambda: _pin_vectorized(64, 3, "off"),
@@ -604,6 +662,32 @@ _PINS = {
     "vec-consensus": (
         _pin_consensus,
         "f72c112c95d16671d1fe83da65cc428f8dd02a7192e10ac8e31e29a6fc25fe59",
+    ),
+    "batched-resample-T4": (
+        lambda: _pin_batched_resample(4, 64, 3),
+        "e5d788736500241fa2239bacc227a755bb18fd472135daa77fb7f78e0eb14c2d",
+    ),
+    "batched-resample-T3-staggered-drops": (
+        lambda: _pin_batched_resample(
+            3, 48, 5, fault_plan=_drop_plan(), activation_rounds=1 + np.arange(48) % 9
+        ),
+        "083f1322c4adca616e2a3be7153329f038c7ad5a48a421a318ef7105cee70786",
+    ),
+    "classical-rumor-regular": (
+        lambda: _pin_classical_rumor(families.random_regular(64, 4, seed=7)),
+        "0bc0f2367860ae202f61ec575f9315f66cd77f19335d1dbddae915190910ed6e",
+    ),
+    "classical-rumor-lollipop": (
+        lambda: _pin_classical_rumor(families.lollipop(12, 20)),
+        "5e8a3fd8b07f729977c97a0d7b6eb462185e3f7bc92e86be7deab16037064b44",
+    ),
+    "classical-leader-regular": (
+        lambda: _pin_classical_leader(families.random_regular(64, 4, seed=7)),
+        "b370a87a1f46b20e3b41222a34d40965f7e4dfaca18fb38b5d0113a111f468a6",
+    ),
+    "classical-leader-lollipop": (
+        lambda: _pin_classical_leader(families.lollipop(12, 20)),
+        "fa2548eb79e41cce0045db59f160a517627cda539bfedcc5e8a896db7bbaaad5",
     ),
 }
 
