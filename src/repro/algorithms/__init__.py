@@ -1,4 +1,7 @@
-"""The paper's algorithms, each as a per-node protocol and one array kernel.
+"""The paper's algorithms and three extensions.
+
+The paper's five algorithms each ship a per-node protocol and one array
+kernel; the extensions ship only the array kernel.
 
 ===========================  ===========  =====================  ==========
 Algorithm                    Tag bits b   Problem                Section
@@ -44,16 +47,8 @@ from repro.algorithms.async_bit_convergence import (
     make_async_bit_convergence_nodes,
     async_tag_length,
 )
-from repro.algorithms.k_gossip import (
-    KGossipNode,
-    KGossipBatched,
-    make_k_gossip_nodes,
-)
-from repro.algorithms.averaging import (
-    AveragingNode,
-    AveragingBatched,
-    make_averaging_nodes,
-)
+from repro.algorithms.k_gossip import KGossipBatched
+from repro.algorithms.averaging import AveragingBatched
 from repro.algorithms.consensus import ConsensusBatched
 
 __all__ = [
@@ -75,11 +70,7 @@ __all__ = [
     "AsyncBitConvergenceBatched",
     "make_async_bit_convergence_nodes",
     "async_tag_length",
-    "KGossipNode",
     "KGossipBatched",
-    "make_k_gossip_nodes",
-    "AveragingNode",
     "AveragingBatched",
-    "make_averaging_nodes",
     "ConsensusBatched",
 ]

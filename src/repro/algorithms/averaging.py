@@ -25,48 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batched import BatchedAlgorithm
-from repro.core.payload import Message, UID
-from repro.core.protocol import NodeProtocol, RoundView
 
-__all__ = ["AveragingNode", "AveragingBatched", "make_averaging_nodes"]
-
-
-class AveragingNode(NodeProtocol):
-    """Per-node averaging gossip (reference semantics).
-
-    The paired exchange is implemented symmetrically: both endpoints
-    compose their current value, then both adopt the mean on delivery.
-    """
-
-    tag_length = 0
-
-    def __init__(self, node_id: int, uid: UID, value: float):
-        super().__init__(node_id, uid)
-        self.value = float(value)
-
-    def decide(self, view: RoundView) -> int | None:
-        if view.neighbors.size == 0 or view.rng.random() < 0.5:
-            return None
-        return int(view.neighbors[view.rng.integers(0, view.neighbors.size)])
-
-    def compose(self, peer: int) -> Message:
-        # A real value fits comfortably in the polylog extra-bit budget at
-        # any reasonable quantization; we declare 64 bits.
-        return Message(extra_bits=64, data=self.value)
-
-    def deliver(self, peer: int, message: Message) -> None:
-        self.value = (self.value + float(message.data)) / 2.0
-
-
-def make_averaging_nodes(uid_space, values: np.ndarray) -> list[AveragingNode]:
-    """One node per vertex holding ``values[v]``."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (len(uid_space),):
-        raise ValueError("need one value per vertex")
-    return [
-        AveragingNode(v, uid_space.uid_of(v), float(values[v]))
-        for v in range(len(uid_space))
-    ]
+__all__ = ["AveragingBatched"]
 
 
 class AveragingBatched(BatchedAlgorithm):

@@ -30,68 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms._pairs import pair_less
-from repro.algorithms.async_bit_convergence import (
-    AsyncBitConvergenceBatched,
-    AsyncBitConvergenceNode,
-)
-from repro.algorithms.bit_convergence import BitConvergenceConfig, draw_id_tags
-from repro.core.payload import IDPair, Message, UID
+from repro.algorithms.async_bit_convergence import AsyncBitConvergenceBatched
+from repro.algorithms.bit_convergence import BitConvergenceConfig
 
-__all__ = ["ConsensusNode", "ConsensusBatched", "make_consensus_nodes"]
-
-
-class ConsensusNode(AsyncBitConvergenceNode):
-    """Per-node consensus (reference semantics): a value rides the pair.
-
-    ``decision`` returns the value attached to the currently-held smallest
-    pair — meaningful once the underlying election stabilizes.
-    """
-
-    def __init__(self, node_id, uid, id_tag, config, proposal):
-        super().__init__(node_id, uid, id_tag, config)
-        self._carried = proposal
-
-    @property
-    def decision(self):
-        """The value attached to the currently-held pair."""
-        return self._carried
-
-    def compose(self, peer: int) -> Message:
-        base = super().compose(peer)
-        return Message(
-            uids=base.uids,
-            extra_bits=base.extra_bits + 64,
-            data=(base.data, self._carried),
-        )
-
-    def deliver(self, peer: int, message: Message) -> None:
-        data = message.data
-        if not (isinstance(data, tuple) and len(data) == 2):
-            return
-        pair, value = data
-        if isinstance(pair, IDPair) and pair < self._smallest:
-            self._smallest = pair
-            self._carried = value
-
-
-def make_consensus_nodes(
-    uid_space,
-    config: BitConvergenceConfig,
-    proposals,
-    seed: int | None = None,
-    *,
-    unique_tags: bool = False,
-) -> list[ConsensusNode]:
-    """One node per vertex with freshly drawn ID tags and given proposals."""
-    n = len(uid_space)
-    proposals = list(proposals)
-    if len(proposals) != n:
-        raise ValueError("need one proposal per vertex")
-    tags = draw_id_tags(n, config, seed, unique=unique_tags)
-    return [
-        ConsensusNode(v, uid_space.uid_of(v), int(tags[v]), config, proposals[v])
-        for v in range(n)
-    ]
+__all__ = ["ConsensusBatched"]
 
 
 class ConsensusBatched(AsyncBitConvergenceBatched):

@@ -25,53 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batched import BatchedAlgorithm
-from repro.core.payload import Message, UID
-from repro.core.protocol import NodeProtocol, RoundView
 from repro.util.rng import make_rng
 
-__all__ = ["KGossipNode", "KGossipBatched", "make_k_gossip_nodes"]
-
-
-class KGossipNode(NodeProtocol):
-    """Per-node k-gossip state machine (reference semantics).
-
-    Rumors are identified by their origin vertex id; the payload ships one
-    rumor id plus the origin's UID (within the O(1)-UIDs budget).
-    """
-
-    tag_length = 0
-
-    def __init__(self, node_id: int, uid: UID, n: int):
-        super().__init__(node_id, uid)
-        self.known: set[int] = {node_id}
-        self._n = n
-        self._rng = np.random.default_rng(abs(hash((node_id, "kgossip"))) % (2**32))
-
-    @property
-    def complete(self) -> bool:
-        """Whether this node knows every rumor."""
-        return len(self.known) == self._n
-
-    def decide(self, view: RoundView) -> int | None:
-        if view.neighbors.size == 0 or view.rng.random() < 0.5:
-            return None
-        return int(view.neighbors[view.rng.integers(0, view.neighbors.size)])
-
-    def compose(self, peer: int) -> Message:
-        # One uniformly random known rumor per connection direction.
-        pick = int(self._rng.choice(sorted(self.known)))
-        return Message(uids=(self.uid,), extra_bits=0, data=("rumor", pick))
-
-    def deliver(self, peer: int, message: Message) -> None:
-        data = message.data
-        if isinstance(data, tuple) and len(data) == 2 and data[0] == "rumor":
-            self.known.add(int(data[1]))
-
-
-def make_k_gossip_nodes(uid_space) -> list[KGossipNode]:
-    """One node per vertex, each starting with its own rumor."""
-    n = len(uid_space)
-    return [KGossipNode(v, uid_space.uid_of(v), n) for v in range(n)]
+__all__ = ["KGossipBatched"]
 
 
 class KGossipBatched(BatchedAlgorithm):

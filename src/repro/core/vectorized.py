@@ -18,9 +18,6 @@ profiling-guided optimization of the per-node loops):
 Algorithms plug in via :class:`~repro.core.batched.BatchedAlgorithm`,
 the one array-kernel interface every array engine runs; this engine runs
 it at one replica, so every state array carries a length-1 replica axis.
-Each algorithm in :mod:`repro.algorithms` ships both a per-node protocol
-(reference semantics) and one such kernel; the test suite
-cross-validates the two statistically.
 """
 
 from __future__ import annotations

@@ -5,44 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.averaging import (
-    AveragingNode,
-    AveragingBatched,
-    make_averaging_nodes,
-)
-from repro.core.engine import ReferenceEngine
-from repro.core.payload import Message, UID, UIDSpace
+from repro.algorithms.averaging import AveragingBatched
 from repro.core.vectorized import VectorizedEngine
 from repro.graphs import families
 from repro.graphs.dynamic import PeriodicRelabelDynamicGraph, StaticDynamicGraph
-
-
-class TestNodeProtocol:
-    def test_pairwise_average(self):
-        a = AveragingNode(0, UID(1), 10.0)
-        b = AveragingNode(1, UID(2), 2.0)
-        ma, mb = a.compose(1), b.compose(0)
-        a.deliver(1, mb)
-        b.deliver(0, ma)
-        assert a.value == b.value == 6.0
-
-    def test_reference_run_converges_to_mean(self):
-        n = 10
-        g = families.clique(n)
-        us = UIDSpace(n, seed=0)
-        values = np.arange(n, dtype=np.float64)
-        nodes = make_averaging_nodes(us, values)
-        eng = ReferenceEngine(StaticDynamicGraph(g), nodes, seed=1)
-        mean = values.mean()
-        res = eng.run(
-            50_000, lambda ps: max(abs(p.value - mean) for p in ps) < 1e-3
-        )
-        assert res.stabilized
-
-    def test_value_count_checked(self):
-        us = UIDSpace(4, seed=0)
-        with pytest.raises(ValueError):
-            make_averaging_nodes(us, np.zeros(3))
 
 
 class TestVectorized:

@@ -105,58 +105,6 @@ class TestPPushEquivalence:
         assert 0.7 < median_ratio(ref_rounds, vec_rounds) < 1.5
 
 
-class TestKGossipEquivalence:
-    def test_round_distributions_match(self):
-        from repro.algorithms.k_gossip import KGossipBatched, make_k_gossip_nodes
-
-        graph = families.clique(10)
-        dg = StaticDynamicGraph(graph)
-        ref_rounds, vec_rounds = [], []
-        for t in range(TRIALS):
-            us = UIDSpace(graph.n, seed=t)
-            nodes = make_k_gossip_nodes(us)
-            eng = ReferenceEngine(dg, nodes, seed=t)
-            res = eng.run(100_000, lambda ps: all(p.complete for p in ps))
-            assert res.stabilized
-            ref_rounds.append(res.rounds)
-
-            veng = VectorizedEngine(dg, KGossipBatched(), seed=t)
-            vres = veng.run(100_000)
-            assert vres.stabilized
-            vec_rounds.append(vres.rounds)
-        assert 0.5 < median_ratio(ref_rounds, vec_rounds) < 2.0
-
-
-class TestAveragingEquivalence:
-    def test_round_distributions_match(self):
-        from repro.algorithms.averaging import (
-            AveragingBatched,
-            make_averaging_nodes,
-        )
-
-        graph = families.random_regular(12, 4, seed=0)
-        dg = StaticDynamicGraph(graph)
-        values = np.random.default_rng(0).random(graph.n)
-        mean = values.mean()
-        eps = 1e-3
-        ref_rounds, vec_rounds = [], []
-        for t in range(TRIALS):
-            us = UIDSpace(graph.n, seed=t)
-            nodes = make_averaging_nodes(us, values)
-            eng = ReferenceEngine(dg, nodes, seed=t)
-            res = eng.run(
-                200_000, lambda ps: max(abs(p.value - mean) for p in ps) < eps
-            )
-            assert res.stabilized
-            ref_rounds.append(res.rounds)
-
-            veng = VectorizedEngine(dg, AveragingBatched(values, eps=eps), seed=t)
-            vres = veng.run(200_000)
-            assert vres.stabilized
-            vec_rounds.append(vres.rounds)
-        assert 0.5 < median_ratio(ref_rounds, vec_rounds) < 2.0
-
-
 class TestBitConvergenceEquivalence:
     def test_round_distributions_match(self):
         graph = families.random_regular(16, 4, seed=0)

@@ -1,10 +1,9 @@
 """Tests validating engine micro-dynamics against exact probabilities.
 
-The closed forms in repro.analysis.micro are checked two ways: against
-brute-force enumeration / Monte-Carlo of the probability model itself, and
-against measured connection frequencies from live engine runs — the
-sharpest available check that the engines implement the model's
-randomness correctly.
+The closed forms in repro.analysis.micro are checked three ways: against
+brute-force enumeration of the probability model itself, against the
+exact round law of ``exact_law.py`` at the sizes it enumerates, and
+against measured connection frequencies from live engine runs.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from exact_law import blind_round_law, neighbours
 from repro.analysis.micro import (
     blind_pair_good_probability,
     double_star_crossing_probability,
@@ -59,6 +59,48 @@ class TestClosedFormsSanity:
         assert blind_pair_good_probability(4, 8) == pytest.approx(1 / 128)
         delta = 8
         assert blind_pair_good_probability(3, 8) >= 1 / (4 * delta**2)
+
+
+def connect_probability(law, pairs) -> float:
+    """P(one of the directed ``(proposer, acceptor)`` pairs connects)."""
+    return sum(q for m, q in law.items() if any(c in pairs for c in m))
+
+
+class TestClosedFormsMatchExactRoundLaw:
+    """Each closed form is a one-round marginal of the exact round law."""
+
+    @pytest.mark.parametrize("leaves", [1, 2, 3, 4])
+    def test_star_hub_accept(self, leaves):
+        law = blind_round_law(families.star(leaves + 1))
+        assert connect_probability(law, {(1, 0)}) == pytest.approx(
+            star_hub_accept_probability(leaves), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("leaves", [1, 2])
+    def test_double_star_crossing(self, leaves):
+        law = blind_round_law(families.double_star(leaves))
+        assert connect_probability(law, {(0, 1), (1, 0)}) == pytest.approx(
+            double_star_crossing_probability(leaves), abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [families.star(4), families.path(5), families.double_star(2)],
+        ids=["star4", "path5", "double_star2"],
+    )
+    def test_pair_good_is_the_exact_floor(self, graph):
+        """Every directed edge connects at least as often as it is *good*,
+        and exactly as often when the acceptor has no other neighbour."""
+        law = blind_round_law(graph)
+        nbrs = neighbours(graph)
+        for u in range(graph.n):
+            for v in nbrs[u]:
+                p = connect_probability(law, {(u, v)})
+                good = blind_pair_good_probability(len(nbrs[u]), len(nbrs[v]))
+                if len(nbrs[v]) == 1:
+                    assert p == pytest.approx(good, abs=1e-12)
+                else:
+                    assert p > good
 
 
 class TestEngineMatchesClosedForm:
